@@ -34,6 +34,8 @@ from .family_moments import (
     EmptyFamilyError,
     MomentConfig,
     empirical_rank_tail,
+    evaluate_reports,
+    filter_twists,
     lowzero_density_bound,
     rank_density_bound,
     sign_partition_stats,
@@ -129,7 +131,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--x", type=float, help="prime cutoff x (lambda = log x)")
         sp.add_argument("--format", choices=("csv", "json"), help="output format")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, help="worker count (default 1)")
+        sp.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         sp.add_argument("--seed", type=int, help="seed for randomized sampling")
 
     sp = sub.add_parser("ap-table", help="coefficients a_p and c_{p^2}")
@@ -256,19 +258,9 @@ def cmd_ef_report(cfg: dict) -> int:
     if dmin > dmax:
         raise ConfigError(f"empty D range [{dmin}, {dmax}]")
     primes = _sieve_for(x)
-    from .arith import is_squarefree
-    from .family_moments import evaluate_reports
-
-    ds = []
-    for D in range(dmin, dmax + 1):
-        if D == 0:
-            continue
-        if cfg.get("squarefree") and not is_squarefree(abs(D)):
-            continue
-        if cfg.get("coprime") and math.gcd(D, 2 * curve.conductor) != 1:
-            continue
-        ds.append(D)
-    reports = evaluate_reports(curve, ds, math.log(x), primes, threads=cfg.get("threads", 1))
+    squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
+    ds = filter_twists(range(dmin, dmax + 1), curve.conductor, squarefree, coprime)
+    reports = evaluate_reports(curve, ds, math.log(x), primes)
     out, close = _open_out(cfg)
     try:
         if cfg.get("format", "csv") == "json":
@@ -320,9 +312,8 @@ def cmd_sweep(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     primes = _sieve_for(x)
-    threads = cfg.get("threads", 1)
     try:
-        rows = sweep_family(config, primes, threads=threads)
+        rows = sweep_family(config, primes)
         table = weighted_moment(config, primes, rows=rows)
     except EmptyFamilyError as exc:
         raise ConfigError(str(exc)) from exc

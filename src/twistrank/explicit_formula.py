@@ -14,15 +14,14 @@ lambda, so total_S / lambda upper-bounds the analytic rank.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, TextIO, Tuple
+from typing import Dict, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .arith import PrimeTable, kronecker
+from .arith import PrimeTable, kronecker, legendre_array
 from .curve import CurveModel, TwistedCurve, ap, ap_array, cpm, twist_ap, twist_root_number
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
@@ -138,23 +137,93 @@ def R_sum(curve: CurveModel, D: int, x: float, primes: PrimeTable) -> float:
     return 2.0 * math.fsum(terms)
 
 
-def _twist_cpm(twist: TwistedCurve, p: int, m: int) -> int:
-    """c_{p^m}(E_D) under the model-level twisting rules.
-
-    p coprime to 2ND: (D|p)^m c_{p^m}(E).  p = 2 with 2 coprime to N D and
-    D = 1 mod 4: the twist is still good at 2 and the same rule applies with
-    the fundamental-discriminant character.  Everything else is bad for the
-    twist: a_p(E_D)^m with a_p from the twisted model.
-    """
+def _twist_rule(twist: TwistedCurve, p: int) -> Tuple[int, bool]:
+    """(chi, True) when c_{p^m}(E_D) = chi^m c_{p^m}(E) for all m >= 1: p
+    coprime to 2ND, or p = 2 coprime to ND with D = 1 mod 4 (still good at 2).
+    Everything else is bad for the twist: (a_p(E_D), False) from the twisted
+    model, with c_{p^m}(E_D) = a_p(E_D)^m."""
     E = twist.base
     D = twist.D
     if (2 * E.conductor * D) % p != 0:
-        chi = kronecker(D, p)
-        return chi**m * cpm(E, p, m)
+        return kronecker(D, p), True
     if p == 2 and (E.conductor * D) % 2 != 0 and D % 4 == 1:
-        chi = kronecker(D, 2)
-        return chi**m * cpm(E, 2, m)
-    return twist_ap(twist, p) ** m
+        return kronecker(D, 2), True
+    return twist_ap(twist, p), False
+
+
+def _twist_cpm(twist: TwistedCurve, p: int, m: int) -> int:
+    """c_{p^m}(E_D) under the model-level twisting rules of _twist_rule."""
+    v, by_character = _twist_rule(twist, p)
+    return v**m * cpm(twist.base, p, m) if by_character else v**m
+
+
+def _term(c: int, p: int, m: int, lam: float, weight: float) -> float:
+    """c (log p)/p^m F(m log p / lambda): for m = 1 c times the vectorized
+    weight (log p)/p F, as in beta_array; for m >= 2 left to right from c."""
+    if m == 1:
+        return c * weight
+    lp = math.log(p)
+    return c * lp / p**m * triangle(m * lp / lam)
+
+
+@dataclass(frozen=True)
+class _PrimePlan:
+    """The part of prime_side that does not depend on D.
+
+    ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda with
+    p coprime to 2N and c_{p^m}(E) != 0 as (index of p in ``good``, m, the
+    term of c_{p^m}(E)); a twist multiplies a term by (D|p)^m, which only
+    flips its sign or zeroes it.  ``special`` lists each p | 2N below
+    e^lambda as (p, m = 1 weight, largest m, {m: c_{p^m}(E)} when p does not
+    divide N), for the per-twist rules of _twist_rule.
+    """
+
+    good: np.ndarray
+    groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    special: Tuple[Tuple[int, float, int, Dict[int, int]], ...]
+
+
+# Plans keyed by (curve, lambda, table limit), like the a_p cache.
+_PLAN_CACHE: Dict[tuple, _PrimePlan] = {}
+
+
+def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) -> _PrimePlan:
+    key = (E, lam, primes.limit)
+    if key in _PLAN_CACHE:
+        return _PLAN_CACHE[key]
+    ps = primes.below(cutoff)
+    aps = ap_array(E, primes, cutoff)
+    lp = np.log(ps.astype(float))
+    weights = lp / ps.astype(float) * np.maximum(0.0, 1.0 - lp / lam)
+    good = []
+    groups = [([], [], []) for _ in range(3)]
+    special = []
+    for p, a, weight in zip(ps.tolist(), aps.tolist(), weights.tolist()):
+        top = 1
+        while p ** (top + 1) < cutoff:
+            top += 1
+        if (2 * E.conductor) % p == 0:
+            base = {} if E.conductor % p == 0 else {m: cpm(E, p, m) for m in range(1, top + 1)}
+            special.append((p, weight, top, base))
+            continue
+        for m in range(1, top + 1):
+            c = a if m == 1 else cpm(E, p, m)
+            if c:  # a zero coefficient adds +0.0 for every twist
+                index, power, term = groups[min(m, 3) - 1]
+                index.append(len(good))
+                power.append(m)
+                term.append(_term(c, p, m, lam, weight))
+        good.append(p)
+    plan = _PrimePlan(
+        good=np.array(good, dtype=np.int64),
+        groups=tuple(
+            (np.array(i, dtype=np.int64), np.array(m, dtype=np.int64), np.array(t, dtype=float))
+            for i, m, t in groups
+        ),
+        special=tuple(special),
+    )
+    _PLAN_CACHE[key] = plan
+    return plan
 
 
 def prime_side(
@@ -163,50 +232,26 @@ def prime_side(
     """The m = 1, m = 2 and m >= 3 partial sums of the prime side.
 
     Each is sum over p^m < e^lambda of c_{p^m}(E_D) (log p)/p^m *
-    F(m log p / lambda), without the overall factor 2.  Terms are generated
-    in ascending (p, m) order and reduced with exact compensated summation,
-    so results are bit-identical across run configurations.
+    F(m log p / lambda), without the overall factor 2.  Everything but the
+    character comes from the per-(curve, lambda) plan, so every term is the
+    same float the direct sum gives, and exact compensated summation makes
+    the results independent of term order.
     """
     lam = kernel.lam
     cutoff = _require_table(primes, lam)
-    E = twist.base
-    D = twist.D
+    plan = _prime_plan(twist.base, lam, primes, cutoff)
 
-    ps = primes.below(cutoff)
-    special = {int(p) for p in ps if (2 * E.conductor * D) % int(p) == 0}
-
-    aps = ap_array(E, primes, cutoff)
-    lp = np.log(ps.astype(float))
-    fv = np.maximum(0.0, 1.0 - lp / lam)
-    weights = lp / ps.astype(float) * fv
-
-    m1_terms: List[float] = []
-    for i, p_np in enumerate(ps):
-        p = int(p_np)
-        if p in special:
-            c1 = _twist_cpm(twist, p, 1)
-            m1_terms.append(c1 * float(weights[i]))
-        else:
-            chi = kronecker(D, p)
-            if chi:
-                m1_terms.append(int(aps[i]) * chi * float(weights[i]))
-
-    m2_terms: List[float] = []
-    tail_terms: List[float] = []
-    for p_np in ps:
-        p = int(p_np)
-        if p * p >= cutoff:
-            break
-        lpf = math.log(p)
-        m2_terms.append(_twist_cpm(twist, p, 2) * lpf / (p * p) * triangle(2.0 * lpf / lam))
-        pm = p * p * p
-        m = 3
-        while pm < cutoff:
-            tail_terms.append(_twist_cpm(twist, p, m) * lpf / pm * triangle(m * lpf / lam))
-            pm *= p
-            m += 1
-
-    return math.fsum(m1_terms), math.fsum(m2_terms), math.fsum(tail_terms)
+    chi = legendre_array(twist.D, plan.good)
+    sums = []
+    for index, power, term in plan.groups:
+        s = chi[index] ** power
+        sums.append((term * s)[s != 0].tolist())
+    for p, weight, top, base in plan.special:
+        v, by_character = _twist_rule(twist, p)
+        for m in range(1, top + 1):
+            c = v**m * base[m] if by_character else v**m
+            sums[min(m, 3) - 1].append(_term(c, p, m, lam, weight))
+    return tuple(math.fsum(t) for t in sums)
 
 
 def ef_total(
@@ -297,8 +342,3 @@ def reports_to_json(reports: Sequence[ExplicitFormulaReport], out: TextIO) -> No
     json.dump(payload, out, indent=2)
     out.write("\n")
 
-
-def csv_string(reports: Sequence[ExplicitFormulaReport]) -> str:
-    buf = io.StringIO()
-    reports_to_csv(reports, buf)
-    return buf.getvalue()

@@ -12,10 +12,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import comb, fsum
-from typing import Callable, Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Iterable, List, Optional, Sequence, TextIO
 
 from .arith import PrimeTable, is_squarefree
 from .curve import CurveModel, TwistedCurve
@@ -32,6 +31,7 @@ __all__ = [
     "theoretical_moment_bound",
     "rank_density_bound",
     "lowzero_density_bound",
+    "filter_twists",
     "family_twist_values",
     "evaluate_reports",
     "sweep_family",
@@ -148,90 +148,56 @@ class FamilyRow:
     report: ExplicitFormulaReport
 
 
-def family_twist_values(config: MomentConfig) -> List[int]:
-    """All D != 0 inside the weight support that pass the filters,
-    ascending.  Sign filtering happens later, once root numbers exist."""
-    lo = config.T * config.weight.support_lo
-    hi = config.T * config.weight.support_hi
-    first = math.floor(lo) + 1
-    last = math.ceil(hi) - 1
+def filter_twists(ds: Iterable[int], conductor: int, squarefree: bool, coprime: bool) -> List[int]:
+    """The nonzero D of ds, in order, that are squarefree (if asked) and
+    coprime to 2N (if asked)."""
+    n2 = 2 * conductor
     out = []
-    n2 = 2 * config.curve.conductor
-    for D in range(first, last + 1):
+    for D in ds:
         if D == 0:
             continue
-        if weight_eval(config.weight, D / config.T) <= 0.0:
+        if squarefree and not is_squarefree(abs(D)):
             continue
-        if config.squarefree_only and not is_squarefree(abs(D)):
-            continue
-        if config.coprime_to_2N and math.gcd(D, n2) != 1:
+        if coprime and math.gcd(D, n2) != 1:
             continue
         out.append(D)
     return out
 
 
-def _eval_d(curve: CurveModel, D: int, lam: float, primes: PrimeTable) -> ExplicitFormulaReport:
-    return ef_total(TwistedCurve(curve, D), TriangleKernel(lam), primes)
-
-
-# Per-process state for the worker pool; set once by the initializer.
-_POOL_STATE: Dict[str, object] = {}
-
-
-def _pool_init(curve: CurveModel, lam: float, primes: PrimeTable) -> None:
-    _POOL_STATE["curve"] = curve
-    _POOL_STATE["lam"] = lam
-    _POOL_STATE["primes"] = primes
-
-
-def _pool_chunk(ds: List[int]) -> List[ExplicitFormulaReport]:
-    curve = _POOL_STATE["curve"]
-    lam = _POOL_STATE["lam"]
-    primes = _POOL_STATE["primes"]
-    return [_eval_d(curve, D, lam, primes) for D in ds]
+def family_twist_values(config: MomentConfig) -> List[int]:
+    """All D != 0 inside the weight support that pass the filters,
+    ascending.  Sign filtering happens later, once root numbers exist."""
+    first = math.floor(config.T * config.weight.support_lo) + 1
+    last = math.ceil(config.T * config.weight.support_hi) - 1
+    ds = (D for D in range(first, last + 1) if weight_eval(config.weight, D / config.T) > 0.0)
+    return filter_twists(ds, config.curve.conductor, config.squarefree_only, config.coprime_to_2N)
 
 
 def evaluate_reports(
-    curve: CurveModel,
-    ds: Sequence[int],
-    lam: float,
-    primes: PrimeTable,
-    threads: int = 1,
+    curve: CurveModel, ds: Sequence[int], lam: float, primes: PrimeTable
 ) -> List[ExplicitFormulaReport]:
-    """Explicit-formula reports for a list of twists, optionally on a
-    process pool.  Per-twist arithmetic is identical for any thread count
-    and results come back in the input order, so the output is
-    thread-count-invariant."""
-    ds = list(ds)
-    if threads <= 1 or len(ds) < 8:
-        return [_eval_d(curve, D, lam, primes) for D in ds]
-    chunk = max(16, len(ds) // (4 * threads))
-    chunks = [ds[i : i + chunk] for i in range(0, len(ds), chunk)]
-    with ProcessPoolExecutor(
-        max_workers=threads,
-        initializer=_pool_init,
-        initargs=(curve, lam, primes),
-    ) as pool:
-        parts = list(pool.map(_pool_chunk, chunks))
-    return [r for part in parts for r in part]
+    """Explicit-formula reports for a list of twists, in the input order.
+
+    The D-independent prime-side work is shared through the per-(curve,
+    lambda) plan of explicit_formula, so each twist costs one character
+    evaluation over the primes plus its bad-prime rules."""
+    kernel = TriangleKernel(lam)
+    return [ef_total(TwistedCurve(curve, D), kernel, primes) for D in ds]
 
 
 def sweep_family(
     config: MomentConfig,
     primes: PrimeTable,
-    threads: int = 1,
     weight_fn: Optional[Callable[[float], float]] = None,
 ) -> List[FamilyRow]:
-    """Evaluate the explicit formula on every family member.
+    """Evaluate the explicit formula on every family member, ascending in D.
 
-    The merge is keyed by ascending D, so output does not depend on the
-    thread count.  weight_fn overrides the weight evaluation (used by
-    scaling tests).
+    weight_fn overrides the weight evaluation (used by scaling tests).
     """
     ds = family_twist_values(config)
     if weight_fn is None:
         weight_fn = lambda t: weight_eval(config.weight, t)
-    reports = evaluate_reports(config.curve, ds, config.lam, primes, threads=threads)
+    reports = evaluate_reports(config.curve, ds, config.lam, primes)
     rows = []
     for D, rep in zip(ds, reports):
         if config.sign == "plus" and rep.root_number != 1:
@@ -334,7 +300,6 @@ def _moment_from_rows(config: MomentConfig, rows: Sequence[FamilyRow]) -> Moment
 def weighted_moment(
     config: MomentConfig,
     primes: PrimeTable,
-    threads: int = 1,
     rows: Optional[Sequence[FamilyRow]] = None,
 ) -> MomentTable:
     """Empirical weighted k-th moment of total_S/lambda over the family.
@@ -343,14 +308,13 @@ def weighted_moment(
     statistics; otherwise the sweep runs here.
     """
     if rows is None:
-        rows = sweep_family(config, primes, threads=threads)
+        rows = sweep_family(config, primes)
     return MomentTable(rows=[_moment_from_rows(config, rows)])
 
 
 def sign_partition_stats(
     config: MomentConfig,
     primes: PrimeTable,
-    threads: int = 1,
     rows: Optional[Sequence[FamilyRow]] = None,
 ) -> dict:
     """Per-root-number averages of the rank bound plus the Markov-type
@@ -365,7 +329,7 @@ def sign_partition_stats(
     if not (config.squarefree_only and config.coprime_to_2N):
         raise ValueError("sign partition needs squarefree and coprime filters")
     if rows is None:
-        rows = sweep_family(config, primes, threads=threads)
+        rows = sweep_family(config, primes)
     if not rows:
         raise EmptyFamilyError("empty family")
     out: dict = {
@@ -398,12 +362,11 @@ def empirical_rank_tail(
     config: MomentConfig,
     R: float,
     primes: PrimeTable,
-    threads: int = 1,
     rows: Optional[Sequence[FamilyRow]] = None,
 ) -> float:
     """Weighted fraction of the family with rank_bound >= R."""
     if rows is None:
-        rows = sweep_family(config, primes, threads=threads)
+        rows = sweep_family(config, primes)
     if not rows:
         raise EmptyFamilyError("empty family")
     wsum = fsum(r.weight for r in rows)

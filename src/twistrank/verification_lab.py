@@ -263,7 +263,6 @@ def jsum_crt_check(tuple_primes: Sequence[int], m: int) -> CheckResult:
             "delta2": delta2,
             "tol": tol,
         },
-        note="classical eps normalization; Ramanujan factor mu(pi1')*phi(delta1)",
     )
 
 
@@ -491,32 +490,15 @@ def _beta_map(curve: CurveModel, x: float, primes: PrimeTable) -> Dict[int, floa
     return {int(p): float(b) for p, b in zip(ps, betas)}
 
 
-def _tuples_upto(plist: List[int], r: int, U: float):
+def _tuples_upto(plist: List[int], r: int, U: float, prefix: tuple = (), prod: int = 1):
     """Ordered r-tuples of entries from the ascending plist with product <= U."""
-    if r == 1:
-        for p in plist:
-            if p > U:
-                break
-            yield (p,)
-    elif r == 2:
-        for p in plist:
-            if p > U:
-                break
-            for q in plist:
-                if p * q > U:
-                    break
-                yield (p, q)
-    else:
-        for p in plist:
-            if p > U:
-                break
-            for q in plist:
-                if p * q > U:
-                    break
-                for s in plist:
-                    if p * q * s > U:
-                        break
-                    yield (p, q, s)
+    for p in plist:
+        if prod * p > U:
+            break
+        if r == 1:
+            yield prefix + (p,)
+        else:
+            yield from _tuples_upto(plist, r - 1, U, prefix + (p,), prod * p)
 
 
 def _fit_envelope(values: List[float], shapes: List[float], floor: float) -> float:

@@ -12,6 +12,7 @@ from twistrank.arith import (
     is_prime,
     is_squarefree,
     kronecker,
+    legendre_array,
     mobius,
     parity_decompose,
     sieve_primes,
@@ -104,6 +105,15 @@ class TestKronecker:
                 euler = pow(d % p, (p - 1) // 2, p)
                 expected = 1 if euler == 1 else -1
                 assert kronecker(d, p) == expected, (d, p)
+
+    def test_legendre_array_matches_kronecker(self, primes_1e4):
+        ps = primes_1e4.primes[1:]  # every odd prime below 1e4
+        for d in (1, -1, 2, -3, 5, -7, 12, 30, -97, 3 * 7 * 11 * 13, -(10**8 + 7), 2 * 9973, 10**30 + 1):
+            got = legendre_array(d, ps)
+            assert got.tolist() == [kronecker(d, int(p)) for p in ps], d
+        # multiples of each prime give 0
+        assert not legendre_array(0, ps).any()
+        assert not (legendre_array(-5 * 9973, np.array([5, 9973]))).any()
 
     def test_zero_and_negative_denominators(self):
         assert kronecker(1, 0) == 1

@@ -224,3 +224,6 @@ class TestVerifyCommand:
             )
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+        summary = json.loads(a.read_text().splitlines()[-1])["summary"]
+        assert summary["failed"] == 0
+        assert summary["warnings"] == 0

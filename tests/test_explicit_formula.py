@@ -160,6 +160,49 @@ class TestPrimeSide:
             assert abs(math.fsum(terms)) <= 3.0
 
 
+class TestPrimeSideOracle:
+    """prime_side against the direct term-by-term sum over every p^m."""
+
+    @staticmethod
+    def _direct(tw, lam, primes):
+        from twistrank.explicit_formula import _twist_cpm
+
+        cutoff = math.exp(lam)
+        sums = ([], [], [])
+        for p in (int(q) for q in primes.below(cutoff)):
+            lp = math.log(p)
+            # the m = 1 weight (log p)/p F is formed before the coefficient
+            # multiplies it, as in the vectorized beta_p
+            sums[0].append(_twist_cpm(tw, p, 1) * (lp / p * triangle(lp / lam)))
+            pm, m = p * p, 2
+            while pm < cutoff:
+                term = _twist_cpm(tw, p, m) * lp / pm * triangle(m * lp / lam)
+                sums[min(m, 3) - 1].append(term)
+                pm *= p
+                m += 1
+        return tuple(math.fsum(t) for t in sums)
+
+    @pytest.mark.parametrize("x", [30.0, 200.0, 1e3, 1e4])
+    def test_matches_direct_sum(self, cm_curve, ncm_curve, primes_1e4, x, monkeypatch):
+        # every D in [-300, 300]: non-squarefree, even and D sharing a prime
+        # with N included.  a_p is memoized for speed only; it is a pure
+        # function of (curve, p).
+        import functools
+
+        import twistrank.curve as curve_mod
+
+        monkeypatch.setattr(curve_mod, "ap", functools.lru_cache(maxsize=None)(curve_mod.ap))
+        lam = math.log(x)
+        kern = TriangleKernel(lam)
+        for curve in (cm_curve, ncm_curve):
+            for D in range(-300, 301):
+                if D == 0:
+                    continue
+                tw = TwistedCurve(curve, D)
+                got = prime_side(tw, kern, primes_1e4)
+                assert repr(got) == repr(self._direct(tw, lam, primes_1e4)), (curve.label, x, D)
+
+
 class TestEfTotal:
     def test_trivial_twist_exact_conductor(self, ncm_curve, primes_1e4):
         kern = TriangleKernel(math.log(1000.0))

@@ -240,12 +240,3 @@ class TestPartitionAndTail:
             r.D for r in all_rows if r.report.root_number == 1
         }
 
-
-class TestDeterminismAcrossThreads:
-    def test_threads_match_serial(self, small_config, small_rows, primes_1e4):
-        rows8 = sweep_family(small_config, primes_1e4, threads=4)
-        assert len(rows8) == len(small_rows)
-        for a, b in zip(small_rows, rows8):
-            assert a.D == b.D
-            assert a.report == b.report
-            assert a.weight == b.weight
