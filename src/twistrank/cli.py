@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .arith import sieve_primes
-from .curve import CurveModel, ap, builtin_catalog, cpm, load_catalog
+from .curve import CurveModel, ap_array, builtin_catalog, cpm, load_catalog
 from .explicit_formula import reports_to_csv, reports_to_json
 from .family_moments import (
     GOLDFELD_K1,
@@ -232,9 +232,9 @@ def cmd_ap_table(cfg: dict) -> int:
     rows = []
     if limit >= 2:
         primes = sieve_primes(limit)
-        for p in primes.primes:
-            p = int(p)
-            rows.append((p, ap(curve, p), cpm(curve, p, 2)))
+        aps = ap_array(curve, primes, limit + 1).tolist()
+        for p, a in zip(primes.primes.tolist(), aps):
+            rows.append((p, a, cpm(curve, p, 2)))
     out, close = _open_out(cfg)
     try:
         if cfg.get("format", "csv") == "json":

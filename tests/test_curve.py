@@ -2,11 +2,17 @@ import math
 
 import pytest
 
-from twistrank.arith import is_squarefree, kronecker
+import twistrank.curve as curve_mod
+from twistrank.arith import is_prime, is_squarefree, kronecker
 from twistrank.curve import (
     CurveModel,
     MissingBadPrimeData,
     TwistedCurve,
+    _ap_bsgs,
+    _ap_char_sum,
+    _ec_add,
+    _ec_mul,
+    _hasse_orders,
     ap,
     ap_array,
     cpm,
@@ -117,7 +123,113 @@ class TestAp:
         assert arr2[: len(arr)].tolist() == arr.tolist()
 
 
+# y^2 = x^3 - x: full 2-torsion on E and on every quadratic twist, so the
+# group exponent is often small; the hardest of the test curves for BSGS.
+X3_MINUS_X = CurveModel(A=-1, B=0, conductor=32, root_number=1, label="x3-x", a2=0, a3=0)
+
+
+def _good_primes(curve, ps):
+    disc = 4 * curve.A**3 + 27 * curve.B**2
+    return [p for p in ps if p > 3 and disc % p != 0]
+
+
+class TestApBsgs:
+    """Shanks-Mestre a_p against the exhaustive character sum (the oracle)."""
+
+    def test_every_good_prime_below_1e4(self, cm_curve, ncm_curve, extra_curve, primes_1e4):
+        ps = [int(p) for p in primes_1e4.primes]
+        for curve in (cm_curve, ncm_curve, extra_curve, X3_MINUS_X):
+            fallbacks = []
+            for p in _good_primes(curve, ps):
+                exact = _ap_char_sum(curve.A, curve.B, p)
+                a = _ap_bsgs(curve.A, curve.B, p)
+                if a is None:
+                    fallbacks.append(p)
+                else:
+                    assert a == exact, (curve.label, p)
+                assert ap(curve, p) == exact, (curve.label, p)
+            # points of the twist settle what E alone leaves open, so only
+            # tiny primes reach the exhaustive sum
+            assert all(p < 100 for p in fallbacks), (curve.label, fallbacks)
+
+    @pytest.mark.parametrize("start", [100_000, 1_000_000])
+    def test_sampled_primes_near(self, start, cm_curve, ncm_curve, extra_curve):
+        ps = [p for p in range(start, start + 200) if is_prime(p)]
+        assert len(ps) >= 8
+        for curve in (cm_curve, ncm_curve, extra_curve, X3_MINUS_X):
+            for p in _good_primes(curve, ps):
+                assert _ap_bsgs(curve.A, curve.B, p) == _ap_char_sum(curve.A, curve.B, p)
+
+    def test_cm_supersingular_primes(self, cm_curve, primes_1e5):
+        # y^2 = x^3 + x has CM by Z[i]: a_p = 0 for every p = 3 mod 4, a
+        # closed form independent of any point count
+        for p in (int(q) for q in primes_1e5.primes):
+            if p > 3 and p % 4 == 3:
+                assert _ap_bsgs(cm_curve.A, cm_curve.B, p) == 0, p
+
+    def test_pinned_two_torsion_primes(self, cm_curve):
+        # E(F_p) has full 2-torsion and a small exponent at these primes, so
+        # baby steps meet 2-torsion points (test_hasse_orders_exact checks
+        # every point with x < 400 at both)
+        for p, a in ((8161, 162), (9857, 178)):
+            assert _ap_char_sum(cm_curve.A, cm_curve.B, p) == a
+            assert _ap_bsgs(cm_curve.A, cm_curve.B, p) == a
+            assert ap(cm_curve, p) == a
+
+    @pytest.mark.parametrize("A, B, p", [(1, 0, 8161), (1, 0, 9857), (-1, 0, 9601), (-16, 16, 1009)])
+    def test_hasse_orders_exact(self, A, B, p):
+        # every affine point with x < 400: the baby-step giant-step set is
+        # exactly {k : (p + 1 + k) P = O, |k| <= T} found by walking the
+        # interval, or None when P has order <= 2m
+        T = math.isqrt(4 * p)
+        m = max(1, math.isqrt(T))
+        roots = {y * y % p: y for y in range(p)}
+        seen_small = False
+        for x in range(min(p, 400)):
+            y = roots.get((x**3 + A * x + B) % p)
+            if y is None:
+                continue
+            P = (x, y)
+            got = _hasse_orders(P, A % p, p, T, m)
+            if got is None:
+                seen_small = True
+                assert any(_ec_mul(n, P, A % p, p) is None for n in range(1, 2 * m + 1))
+                continue
+            want = set()
+            Q = _ec_mul(p + 1 - T, P, A % p, p)
+            for k in range(-T, T + 1):
+                if Q is None:
+                    want.add(k)
+                Q = _ec_add(Q, P, A % p, p)
+            assert got == want, (P, got, want)
+        assert seen_small  # the 2-torsion points at least
+
+    def test_ambiguous_candidates_use_exhaustive_sum(self, cm_curve):
+        # at tiny p the Hasse interval holds several multiples of every
+        # point order, on E and on its twist alike
+        for p in (5, 13, 17, 29):
+            assert _ap_bsgs(cm_curve.A, cm_curve.B, p) is None
+            exact = _ap_char_sum(cm_curve.A, cm_curve.B, p)
+            assert ap(cm_curve, p) == exact == p + 1 - brute_point_count(1, 0, p)
+
+
 class TestCpm:
+    def test_reads_ap_array_cache(self, monkeypatch, primes_1e3):
+        curve = CurveModel(A=3, B=7, conductor=1, root_number=1, label="cpm-cache", a2=0, a3=0)
+        aps = ap_array(curve, primes_1e3, 500).tolist()
+        calls = []
+
+        def counting_ap(c, p):
+            calls.append(p)
+            return ap(c, p)
+
+        monkeypatch.setattr(curve_mod, "ap", counting_ap)
+        for p, a in zip(primes_1e3.below(500).tolist(), aps):
+            assert cpm(curve, p, 2) == a * a - 2 * p
+        assert calls == []
+        cpm(curve, 997, 2)  # beyond the cached prefix
+        assert calls == [997]
+
     def test_recurrence_identity(self, cm_curve, ncm_curve, primes_1e3):
         for curve in (cm_curve, ncm_curve):
             for p in (int(q) for q in primes_1e3.primes if q < 500):
