@@ -132,7 +132,7 @@ def kronecker(a: int, n: int) -> int:
 
     Agrees with the Jacobi symbol for odd positive n and with the Legendre
     symbol for odd prime n; completely multiplicative in both arguments,
-    except in the denominator when a < 0 and one factor is 0 while the other
+    except in the denominator when a = -1 and one factor is 0 while the other
     is negative ((-1|0)(-1|-1) = -1, but (-1|0) = 1).
     Conventions: (a|0) = 1 iff a = +-1; (a|-1) = -1 iff a < 0;
     (a|2) = 0 for even a, else +1 for a = +-1 mod 8 and -1 for a = +-3 mod 8.

@@ -280,9 +280,9 @@ class TwistedCurve:
     part of D).  Note the exact branch follows the N * D^2 convention even
     though twisting a curve of odd conductor by D = 3 mod 4 also moves the
     2-part; the explicit-formula reports flag this through conductor_exact.
-    is_clean (D squarefree and coprime to 2N, the regime with exact
-    conductor) and fundamental_disc (the discriminant of Q(sqrt(D)), which
-    defines the twist's character) come from one factorisation of D.
+    conductor_exact (D squarefree and coprime to 2N) and fundamental_disc
+    (the discriminant of Q(sqrt(D)), which defines the twist's character)
+    come from one factorisation of D.
     """
 
     base: CurveModel
@@ -291,7 +291,6 @@ class TwistedCurve:
     twisted_B: int = field(init=False)
     conductor_bound: int = field(init=False)
     conductor_exact: bool = field(init=False)
-    is_clean: bool = field(init=False)
     fundamental_disc: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -309,8 +308,12 @@ class TwistedCurve:
             bound = 2**8 * 3**5 * self.base.conductor * kernel * kernel
         object.__setattr__(self, "conductor_bound", bound)
         object.__setattr__(self, "conductor_exact", clean)
-        object.__setattr__(self, "is_clean", clean)
         object.__setattr__(self, "fundamental_disc", disc)
+
+    @property
+    def is_clean(self) -> bool:
+        """D squarefree and coprime to 2N: the regime of the exact conductor."""
+        return self.conductor_exact
 
     def _twisted_small_ap(self, p: int) -> Optional[int]:
         """Metadata a_p of the twisted model at p in {2, 3}.
@@ -367,7 +370,7 @@ def twist_root_number(twist: TwistedCurve) -> int:
     that chi_D ramifies at a prime of N (possible when N is even and
     D = 3 mod 4), where the relation does not determine the sign.
     """
-    if not twist.is_clean:
+    if not twist.conductor_exact:
         raise ValueError(
             f"root-number relation needs D squarefree and coprime to 2N, got D={twist.D}"
         )

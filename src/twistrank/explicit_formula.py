@@ -183,7 +183,8 @@ class _PrimePlan:
     special: Tuple[Tuple[int, float, int, Dict[int, int]], ...]
 
 
-# Plans keyed by (curve, lambda, table limit), like the a_p cache.
+# Plans keyed by (curve, lambda, table limit): the table limit caps the primes
+# below the cutoff, so the same (curve, lambda) can give different plans.
 _PLAN_CACHE: Dict[tuple, _PrimePlan] = {}
 
 

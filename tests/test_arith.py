@@ -143,10 +143,18 @@ class TestKronecker:
     )
     @settings(max_examples=300, deadline=None)
     def test_multiplicative_in_denominator(self, a, m, n):
-        # the one exception of the Kronecker symbol: a < 0 with one of m, n
-        # zero and the other negative, e.g. (-1|0)(-1|-1) = -1 but (-1|0) = 1
-        assume(not (a < 0 and m * n == 0 and min(m, n) < 0))
+        # the one exception of the Kronecker symbol: a = -1 with one of m, n
+        # zero and the other negative (pinned in test_denominator_exception)
+        assume(not (a == -1 and m * n == 0 and min(m, n) < 0))
         assert kronecker(a, m) * kronecker(a, n) == kronecker(a, m * n)
+
+    def test_denominator_exception(self):
+        # (-1|0) = 1 and (-1|-1) = -1, so (-1|0)(-1|-1) != (-1|0 * -1)
+        assert kronecker(-1, 0) == 1
+        assert kronecker(-1, -1) == -1
+        assert kronecker(-1, 0) * kronecker(-1, -1) == -kronecker(-1, 0)
+        # for a <= -2, (a|0) = 0 and the identity holds
+        assert kronecker(-2, 0) * kronecker(-2, -1) == kronecker(-2, 0) == 0
 
 
 class TestMobiusSquarefree:
