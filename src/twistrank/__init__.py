@@ -19,7 +19,6 @@ from .curve import (
     cpm,
     load_catalog,
     twist_ap,
-    twist_conductor_bound,
     twist_root_number,
 )
 from .explicit_formula import (
@@ -29,11 +28,10 @@ from .explicit_formula import (
     ef_total,
     f_term,
     prime_side,
-    rank_bound,
 )
 from .family_moments import (
     MomentConfig,
-    MomentTable,
+    MomentRow,
     X_k,
     empirical_rank_tail,
     lowzero_density_bound,

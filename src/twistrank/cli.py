@@ -9,22 +9,25 @@ Subcommands:
 
 Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure.
 Outputs are deterministic given (config, seed, version): no timestamps,
-floats in shortest round-trip form.
+floats in shortest round-trip form.  The three tables (ap-table, ef-report,
+sweep) are written by one writer, _write_table; each command only builds
+its records.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import csv
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence, TextIO
 
 from .arith import sieve_primes
 from .curve import CurveModel, ap_array, builtin_catalog, cpm, load_catalog
-from .explicit_formula import reports_to_csv, reports_to_json
+from .explicit_formula import CSV_COLUMNS, report_record
 from .family_moments import (
     GOLDFELD_K1,
     HEATH_BROWN_K1,
@@ -201,20 +204,46 @@ def _load_catalog_cfg(cfg: dict) -> dict:
     return builtin_catalog()
 
 
-def _sieve_for(x: float):
-    required = max(math.ceil(x), 3)  # primes below e^lambda = x
-    if required > PRIME_LIMIT_CAP:
+def _sieve(limit: int, what: str):
+    """The primes up to limit, refused (exit 2) above PRIME_LIMIT_CAP before
+    any sieving."""
+    if limit > PRIME_LIMIT_CAP:
         raise ConfigError(
-            f"x = {x:g} needs a prime table up to {required}, above the cap {PRIME_LIMIT_CAP}"
+            f"{what} needs a prime table up to {limit}, above the cap {PRIME_LIMIT_CAP}"
         )
-    return sieve_primes(required)
+    return sieve_primes(limit)
 
 
-def _open_out(cfg: dict):
-    path = cfg.get("out")
+def _sieve_for(x: float):
+    return _sieve(max(math.ceil(x), 3), f"x = {x:g}")  # primes below e^lambda = x
+
+
+@contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """stdout when path is None, otherwise the file at path, closed on exit."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
+
+
+def _write_table(cfg: dict, columns: Sequence[str], records: Sequence[dict], out: TextIO) -> None:
+    """Write records in the configured format.
+
+    JSON: the list of records with indent 2 and a trailing newline.  CSV: the
+    header, then each record's values under columns, booleans as true/false;
+    csv writes floats with repr, their shortest round-trip form.
+    """
+    if cfg.get("format", "csv") == "json":
+        json.dump(records, out, indent=2)
+        out.write("\n")
+        return
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    for rec in records:
+        values = (rec[c] for c in columns)
+        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in values])
 
 
 def _parse_support(cfg: dict):
@@ -229,24 +258,14 @@ def _parse_support(cfg: dict):
 def cmd_ap_table(cfg: dict) -> int:
     curve = _resolve_curve(cfg)
     limit = cfg.get("limit", 100)
-    rows = []
+    records = []
     if limit >= 2:
-        primes = sieve_primes(limit)
+        primes = _sieve(limit, f"--limit {limit}")
         aps = ap_array(curve, primes, limit + 1).tolist()
         for p, a in zip(primes.primes.tolist(), aps):
-            rows.append((p, a, cpm(curve, p, 2)))
-    out, close = _open_out(cfg)
-    try:
-        if cfg.get("format", "csv") == "json":
-            json.dump([{"p": p, "a_p": a, "c_p2": c} for p, a, c in rows], out, indent=2)
-            out.write("\n")
-        else:
-            out.write("p,a_p,c_p2\n")
-            for p, a, c in rows:
-                out.write(f"{p},{a},{c}\n")
-    finally:
-        if close:
-            out.close()
+            records.append({"p": p, "a_p": a, "c_p2": cpm(curve, p, 2)})
+    with _output(cfg.get("out")) as out:
+        _write_table(cfg, ["p", "a_p", "c_p2"], records, out)
     return EXIT_OK
 
 
@@ -261,15 +280,8 @@ def cmd_ef_report(cfg: dict) -> int:
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
     ds = filter_twists(range(dmin, dmax + 1), curve.conductor, squarefree, coprime)
     reports = evaluate_reports(curve, ds, math.log(x), primes)
-    out, close = _open_out(cfg)
-    try:
-        if cfg.get("format", "csv") == "json":
-            reports_to_json(reports, out)
-        else:
-            reports_to_csv(reports, out)
-    finally:
-        if close:
-            out.close()
+    with _output(cfg.get("out")) as out:
+        _write_table(cfg, CSV_COLUMNS, [report_record(r) for r in reports], out)
     return EXIT_OK
 
 
@@ -314,29 +326,18 @@ def cmd_sweep(cfg: dict) -> int:
     primes = _sieve_for(x)
     try:
         rows = sweep_family(config, primes)
-        table = weighted_moment(config, primes, rows=rows)
+        record = weighted_moment(config, primes, rows=rows).record()
     except EmptyFamilyError as exc:
         raise ConfigError(str(exc)) from exc
     sidecar = _sidecar_payload(config, rows)
 
+    # with --out the sidecar goes to OUT.refs.json, else it follows the table
     out_path = cfg.get("out")
-    if out_path is None:
-        buf = io.StringIO()
-        if cfg.get("format", "csv") == "json":
-            table.to_json(buf)
-        else:
-            table.to_csv(buf)
-        sys.stdout.write(buf.getvalue())
-        sys.stdout.write(json.dumps(sidecar, indent=2) + "\n")
-    else:
-        with open(out_path, "w") as fh:
-            if cfg.get("format", "csv") == "json":
-                table.to_json(fh)
-            else:
-                table.to_csv(fh)
-        with open(out_path + ".refs.json", "w") as fh:
-            json.dump(sidecar, fh, indent=2)
-            fh.write("\n")
+    with _output(out_path) as out:
+        _write_table(cfg, list(record), [record], out)
+    with _output(None if out_path is None else out_path + ".refs.json") as out:
+        json.dump(sidecar, out, indent=2)
+        out.write("\n")
     return EXIT_OK
 
 
@@ -361,26 +362,16 @@ def cmd_verify(cfg: dict) -> int:
     )
     n_fail = sum(1 for r in results if not r.passed)
     n_warn = sum(1 for r in results if r.passed and r.note)
-    out, close = _open_out(cfg)
-    try:
+    summary = {
+        "checks": len(results),
+        "passed": len(results) - n_fail,
+        "failed": n_fail,
+        "warnings": n_warn,
+    }
+    with _output(cfg.get("out")) as out:
         for res in results:
             out.write(json.dumps(res.to_json_dict()) + "\n")
-        out.write(
-            json.dumps(
-                {
-                    "summary": {
-                        "checks": len(results),
-                        "passed": len(results) - n_fail,
-                        "failed": n_fail,
-                        "warnings": n_warn,
-                    }
-                }
-            )
-            + "\n"
-        )
-    finally:
-        if close:
-            out.close()
+        out.write(json.dumps({"summary": summary}) + "\n")
     # human-readable summary table
     width = max((len(r.name) for r in results), default=4)
     print(f"{'check'.ljust(width)}  status  ratio/error", file=sys.stderr)

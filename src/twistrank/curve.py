@@ -31,7 +31,6 @@ __all__ = [
     "ap_array",
     "cpm",
     "twist_ap",
-    "twist_conductor_bound",
     "twist_root_number",
     "load_catalog",
     "builtin_catalog",
@@ -310,11 +309,6 @@ class TwistedCurve:
         object.__setattr__(self, "conductor_exact", clean)
         object.__setattr__(self, "fundamental_disc", disc)
 
-    @property
-    def is_clean(self) -> bool:
-        """D squarefree and coprime to 2N: the regime of the exact conductor."""
-        return self.conductor_exact
-
     def _twisted_small_ap(self, p: int) -> Optional[int]:
         """Metadata a_p of the twisted model at p in {2, 3}.
 
@@ -356,11 +350,6 @@ def twist_ap(twist: TwistedCurve, p: int) -> int:
     if twist.D % p == 0 and p != 2 and (2 * E.conductor) % p != 0:
         return 0
     return ap(twist.as_curve_model(), p)
-
-
-def twist_conductor_bound(twist: TwistedCurve) -> int:
-    """Conductor of E_D in the clean regime, an over-estimate otherwise."""
-    return twist.conductor_bound
 
 
 def twist_root_number(twist: TwistedCurve) -> int:

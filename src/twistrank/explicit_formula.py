@@ -13,11 +13,9 @@ lambda, so total_S / lambda upper-bounds the analytic rank.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, TextIO, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,14 +28,12 @@ __all__ = [
     "InsufficientPrimeTable",
     "prime_side",
     "ef_total",
-    "rank_bound",
     "beta_p",
     "beta_array",
     "R_sum",
     "f_term",
     "twisted_upper_bound",
-    "reports_to_csv",
-    "reports_to_json",
+    "report_record",
     "CSV_COLUMNS",
 ]
 
@@ -283,11 +279,6 @@ def ef_total(
     )
 
 
-def rank_bound(report: ExplicitFormulaReport) -> float:
-    """total_S / lambda: under GRH an upper bound for the analytic rank."""
-    return report.total_S / report.lam
-
-
 def twisted_upper_bound(report: ExplicitFormulaReport) -> float:
     """The coarser bound 2 log|D| + lambda/2 - 2*(m=1 sum): the shape with
     log(D^2) in place of the conductor and the higher powers dropped."""
@@ -296,50 +287,20 @@ def twisted_upper_bound(report: ExplicitFormulaReport) -> float:
     return 2.0 * math.log(abs(report.D)) + 0.5 * report.lam - 2.0 * report.prime_sum_m1
 
 
-def _row_values(r: ExplicitFormulaReport) -> list:
-    return [
-        r.D,
-        repr(r.lam),
-        repr(r.log_conductor),
-        "true" if r.conductor_exact else "false",
-        repr(r.prime_sum_m1),
-        repr(r.prime_sum_m2),
-        repr(r.prime_sum_tail),
-        repr(r.archimedean),
-        repr(r.total_S),
-        repr(r.rank_bound),
-        r.root_number,
-    ]
-
-
-def reports_to_csv(reports: Sequence[ExplicitFormulaReport], out: TextIO) -> None:
-    """Write reports as CSV with the fixed column set, floats in shortest
-    round-trip form so reruns are byte-identical."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in reports:
-        writer.writerow(_row_values(r))
-
-
-def reports_to_json(reports: Sequence[ExplicitFormulaReport], out: TextIO) -> None:
-    """JSON serialization: the CSV fields plus the derived coarse bound."""
-    payload = []
-    for r in reports:
-        d = {
-            "D": r.D,
-            "lambda": r.lam,
-            "log_conductor": r.log_conductor,
-            "conductor_exact": r.conductor_exact,
-            "prime_m1": r.prime_sum_m1,
-            "prime_m2": r.prime_sum_m2,
-            "prime_tail": r.prime_sum_tail,
-            "archimedean": r.archimedean,
-            "total_S": r.total_S,
-            "rank_bound": r.rank_bound,
-            "root_number": r.root_number,
-            "twisted_upper_bound": twisted_upper_bound(r),
-        }
-        payload.append(d)
-    json.dump(payload, out, indent=2)
-    out.write("\n")
-
+def report_record(r: ExplicitFormulaReport) -> dict:
+    """One output record: the CSV_COLUMNS fields in order, then the derived
+    coarse bound, which only the JSON output carries."""
+    return {
+        "D": r.D,
+        "lambda": r.lam,
+        "log_conductor": r.log_conductor,
+        "conductor_exact": r.conductor_exact,
+        "prime_m1": r.prime_sum_m1,
+        "prime_m2": r.prime_sum_m2,
+        "prime_tail": r.prime_sum_tail,
+        "archimedean": r.archimedean,
+        "total_S": r.total_S,
+        "rank_bound": r.rank_bound,
+        "root_number": r.root_number,
+        "twisted_upper_bound": twisted_upper_bound(r),
+    }

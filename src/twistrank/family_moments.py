@@ -9,12 +9,10 @@ exact and root numbers are defined).
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import comb, fsum
-from typing import Callable, Iterable, List, Optional, Sequence, TextIO
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .arith import PrimeTable, is_squarefree
 from .curve import CurveModel, TwistedCurve
@@ -24,7 +22,6 @@ from .kernel import SmoothWeight, TriangleKernel, weight_eval
 __all__ = [
     "MomentConfig",
     "MomentRow",
-    "MomentTable",
     "FamilyRow",
     "EmptyFamilyError",
     "X_k",
@@ -223,61 +220,23 @@ class MomentRow:
     def ratio(self) -> float:
         return self.empirical_moment / self.theoretical_bound
 
-
-@dataclass
-class MomentTable:
-    rows: List[MomentRow] = field(default_factory=list)
-
-    CSV_COLUMNS = [
-        "k",
-        "x",
-        "T",
-        "filter_flags",
-        "weighted_count",
-        "family_size",
-        "empirical_moment",
-        "theoretical_bound",
-        "ratio",
-    ]
-
-    def to_csv(self, out: TextIO) -> None:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(self.CSV_COLUMNS)
-        for r in self.rows:
-            w.writerow(
-                [
-                    r.k,
-                    repr(r.x),
-                    repr(r.T),
-                    r.filter_flags,
-                    repr(r.weighted_count),
-                    r.family_size,
-                    repr(r.empirical_moment),
-                    repr(r.theoretical_bound),
-                    repr(r.ratio),
-                ]
-            )
-
-    def to_json(self, out: TextIO) -> None:
-        payload = [
-            {
-                "k": r.k,
-                "x": r.x,
-                "T": r.T,
-                "filter_flags": r.filter_flags,
-                "weighted_count": r.weighted_count,
-                "family_size": r.family_size,
-                "empirical_moment": r.empirical_moment,
-                "theoretical_bound": r.theoretical_bound,
-                "ratio": r.ratio,
-            }
-            for r in self.rows
-        ]
-        json.dump(payload, out, indent=2)
-        out.write("\n")
+    def record(self) -> dict:
+        """The output record: the fields in order, then the ratio."""
+        return {**asdict(self), "ratio": self.ratio}
 
 
-def _moment_from_rows(config: MomentConfig, rows: Sequence[FamilyRow]) -> MomentRow:
+def weighted_moment(
+    config: MomentConfig,
+    primes: PrimeTable,
+    rows: Optional[Sequence[FamilyRow]] = None,
+) -> MomentRow:
+    """Empirical weighted k-th moment of total_S/lambda over the family.
+
+    Precomputed family rows may be passed to share one sweep across several
+    statistics; otherwise the sweep runs here.
+    """
+    if rows is None:
+        rows = sweep_family(config, primes)
     if not rows:
         raise EmptyFamilyError(
             f"no twist passes the filters for T={config.T}, support "
@@ -295,21 +254,6 @@ def _moment_from_rows(config: MomentConfig, rows: Sequence[FamilyRow]) -> Moment
         empirical_moment=msum / wsum,
         theoretical_bound=theoretical_moment_bound(config.k),
     )
-
-
-def weighted_moment(
-    config: MomentConfig,
-    primes: PrimeTable,
-    rows: Optional[Sequence[FamilyRow]] = None,
-) -> MomentTable:
-    """Empirical weighted k-th moment of total_S/lambda over the family.
-
-    Precomputed family rows may be passed to share one sweep across several
-    statistics; otherwise the sweep runs here.
-    """
-    if rows is None:
-        rows = sweep_family(config, primes)
-    return MomentTable(rows=[_moment_from_rows(config, rows)])
 
 
 def sign_partition_stats(

@@ -3,12 +3,17 @@ import math
 
 import pytest
 
+import twistrank.cli as cli_mod
 from twistrank.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_USAGE,
+    PRIME_LIMIT_CAP,
     main,
 )
+from twistrank.curve import TwistedCurve
+from twistrank.explicit_formula import CSV_COLUMNS, ef_total
+from twistrank.kernel import TriangleKernel
 
 
 def run(args, capsys):
@@ -51,6 +56,16 @@ class TestApTable:
         )
         assert code == EXIT_OK
         assert "5,2," in out
+
+    def test_limit_above_cap_refused(self, monkeypatch, capsys):
+        def no_sieve(limit):
+            raise AssertionError(f"sieve started for limit {limit}")
+
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(["ap-table", "--limit", "100000001"], capsys)
+        assert code == EXIT_CONFIG
+        assert str(PRIME_LIMIT_CAP) in err
+        assert out == ""
 
 
 class TestUsageAndConfigErrors:
@@ -227,3 +242,75 @@ class TestVerifyCommand:
         summary = json.loads(a.read_text().splitlines()[-1])["summary"]
         assert summary["failed"] == 0
         assert summary["warnings"] == 0
+
+
+class TestOutputBytes:
+    """Every table goes through one writer: stdout and --out carry the same
+    bytes, and the CSV/JSON text is pinned field by field."""
+
+    SWEEP = ["sweep", "--curve", "cm32-like", "--x", "200", "--k", "1", "--T", "420"]
+    EF_REPORT = ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "-3", "--dmax", "3"]
+    AP_TABLE = ["ap-table", "--curve", "ncm37", "--limit", "50"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_stdout_is_out_then_refs(self, tmp_path, capsys, fmt):
+        path = tmp_path / "sweep.out"
+        code, stdout, _ = run(self.SWEEP + ["--format", fmt], capsys)
+        assert code == EXIT_OK
+        code, to_file, _ = run(self.SWEEP + ["--format", fmt, "--out", str(path)], capsys)
+        assert code == EXIT_OK and to_file == ""
+        refs = tmp_path / "sweep.out.refs.json"
+        assert stdout.encode() == path.read_bytes() + refs.read_bytes()
+        columns = "k,x,T,filter_flags,weighted_count,family_size,empirical_moment,theoretical_bound,ratio"
+        if fmt == "json":
+            (row,) = json.loads(path.read_text())
+            assert path.read_text() == json.dumps([row], indent=2) + "\n"
+            assert ",".join(row) == columns
+            assert row["ratio"] == row["empirical_moment"] / row["theoretical_bound"]
+        else:
+            header, line = path.read_text().splitlines()
+            assert header == columns
+            assert line.startswith("1,200.0,420.0,squarefree+coprime+sign=any,")
+        sidecar = json.loads(refs.read_text())
+        assert refs.read_text() == json.dumps(sidecar, indent=2) + "\n"
+        assert sidecar["heath_brown_k1"] == 1.5
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command", ["EF_REPORT", "AP_TABLE"])
+    def test_stdout_equals_out(self, tmp_path, capsys, command, fmt):
+        args = getattr(self, command) + ["--format", fmt]
+        path = tmp_path / "table.out"
+        code, stdout, _ = run(args, capsys)
+        assert code == EXIT_OK
+        code, to_file, _ = run(args + ["--out", str(path)], capsys)
+        assert code == EXIT_OK and to_file == ""
+        assert stdout.encode() == path.read_bytes()
+
+    def test_ef_report_exact_text(self, ncm_curve, primes_1e4, capsys):
+        # D = 1 is squarefree and coprime to 2N (conductor exact); D = 2 and
+        # D = 4 are not
+        args = ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "1", "--dmax", "4"]
+        kern = TriangleKernel(math.log(500.0))
+        reports = [ef_total(TwistedCurve(ncm_curve, D), kern, primes_1e4) for D in (1, 2, 3, 4)]
+        assert [r.conductor_exact for r in reports] == [True, False, True, False]
+        expected = ",".join(CSV_COLUMNS) + "\n"
+        for r in reports:
+            expected += (
+                f"{r.D},{r.lam!r},{r.log_conductor!r},{str(r.conductor_exact).lower()},"
+                f"{r.prime_sum_m1!r},{r.prime_sum_m2!r},{r.prime_sum_tail!r},"
+                f"{r.archimedean!r},{r.total_S!r},{r.rank_bound!r},{r.root_number}\n"
+            )
+        code, out, _ = run(args, capsys)
+        assert code == EXIT_OK
+        assert out == expected
+        assert out.splitlines()[1].split(",")[3] == "true"
+        assert out.splitlines()[2].split(",")[3] == "false"
+
+        code, out, _ = run(args + ["--format", "json"], capsys)
+        assert code == EXIT_OK
+        assert out.endswith("]\n")
+        data = json.loads(out)
+        assert [list(row) for row in data] == [CSV_COLUMNS + ["twisted_upper_bound"]] * 4
+        assert [row["conductor_exact"] for row in data] == [True, False, True, False]
+        assert [row["rank_bound"] for row in data] == [r.rank_bound for r in reports]
+        assert out == json.dumps(data, indent=2) + "\n"

@@ -18,7 +18,6 @@ from twistrank.curve import (
     cpm,
     load_catalog,
     twist_ap,
-    twist_conductor_bound,
     twist_root_number,
 )
 
@@ -296,7 +295,7 @@ class TestTwisting:
             assert twist_ap(tw, p) == ap(ncm_curve, p) * kronecker(3, p)
 
     def test_conductor_bound(self, cm_curve, ncm_curve):
-        assert twist_conductor_bound(TwistedCurve(ncm_curve, 1)) == 37
+        assert TwistedCurve(ncm_curve, 1).conductor_bound == 37
         tw = TwistedCurve(ncm_curve, 5)
         assert tw.conductor_exact and tw.conductor_bound == 37 * 25
         tw4 = TwistedCurve(ncm_curve, 4)

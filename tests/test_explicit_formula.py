@@ -1,5 +1,3 @@
-import io
-import json
 import math
 
 import pytest
@@ -13,9 +11,7 @@ from twistrank.explicit_formula import (
     ef_total,
     f_term,
     prime_side,
-    rank_bound,
-    reports_to_csv,
-    reports_to_json,
+    report_record,
     twisted_upper_bound,
 )
 from twistrank.kernel import TriangleKernel, triangle
@@ -219,7 +215,7 @@ class TestEfTotal:
                 rep.prime_sum_m1 + rep.prime_sum_m2 + rep.prime_sum_tail
             ) - rep.archimedean
             assert rebuilt == rep.total_S
-            assert rank_bound(rep) == rep.total_S / rep.lam
+            assert rep.rank_bound == rep.total_S / rep.lam
 
     def test_minus_D_shares_even_data(self, ncm_curve, primes_1e4):
         kern = TriangleKernel(math.log(2000.0))
@@ -233,7 +229,7 @@ class TestEfTotal:
     def test_rank_bound_scaling(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(1000.0))
         rep = ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)
-        assert rank_bound(rep) == rep.total_S / math.log(1000.0)
+        assert rep.rank_bound == rep.total_S / math.log(1000.0)
 
     def test_twisted_upper_bound_majorizes(self, cm_curve, primes_1e4):
         # the coarse bound drops the m>=2 terms and replaces log N by
@@ -249,20 +245,17 @@ class TestSerialization:
     def test_csv_columns_and_roundtrip(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
         reports = [ef_total(TwistedCurve(cm_curve, D), kern, primes_1e4) for D in (1, -3)]
-        buf = io.StringIO()
-        reports_to_csv(reports, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == ",".join(CSV_COLUMNS)
-        cells = lines[1].split(",")
-        assert cells[0] == "1"
-        assert float(cells[9]) == reports[0].rank_bound  # repr round-trips
+        record = report_record(reports[0])
+        assert list(record)[: len(CSV_COLUMNS)] == CSV_COLUMNS
+        assert record["D"] == 1
+        assert record["rank_bound"] == reports[0].rank_bound
+        assert record["conductor_exact"] is True  # the writer spells it true
 
     def test_json(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
         reports = [ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)]
-        buf = io.StringIO()
-        reports_to_json(reports, buf)
-        data = json.loads(buf.getvalue())
+        data = [report_record(r) for r in reports]
         assert data[0]["D"] == 5
         assert data[0]["rank_bound"] == reports[0].rank_bound
-        assert "twisted_upper_bound" in data[0]
+        assert list(data[0]) == CSV_COLUMNS + ["twisted_upper_bound"]
+        assert data[0]["twisted_upper_bound"] == twisted_upper_bound(reports[0])

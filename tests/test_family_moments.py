@@ -146,21 +146,21 @@ class TestWeightedMoment:
         ds = family_twist_values(cfg)
         assert ds == [13]
         rows = sweep_family(cfg, primes_1e4)
-        table = weighted_moment(cfg, primes_1e4, rows=rows)
-        assert table.rows[0].empirical_moment == pytest.approx(
+        moment = weighted_moment(cfg, primes_1e4, rows=rows)
+        assert moment.empirical_moment == pytest.approx(
             rows[0].report.rank_bound ** 2, rel=1e-14
         )
-        assert table.rows[0].family_size == 1
+        assert moment.family_size == 1
 
     def test_two_pass_recomputation(self, small_config, small_rows, primes_1e4):
-        table = weighted_moment(small_config, primes_1e4, rows=small_rows)
+        moment = weighted_moment(small_config, primes_1e4, rows=small_rows)
         num = math.fsum(
             r.report.rank_bound ** small_config.k * r.weight for r in small_rows
         )
         den = math.fsum(r.weight for r in small_rows)
-        assert table.rows[0].empirical_moment == pytest.approx(num / den, abs=1e-10)
-        assert table.rows[0].weighted_count == den
-        assert table.rows[0].theoretical_bound == 1.5
+        assert moment.empirical_moment == pytest.approx(num / den, abs=1e-10)
+        assert moment.weighted_count == den
+        assert moment.theoretical_bound == 1.5
 
     def test_weight_scaling_invariance(self, small_config, primes_1e4):
         w = small_config.weight
@@ -168,8 +168,8 @@ class TestWeightedMoment:
         scaled = sweep_family(
             small_config, primes_1e4, weight_fn=lambda t: 7.25 * weight_eval(w, t)
         )
-        t0 = weighted_moment(small_config, primes_1e4, rows=base).rows[0]
-        t1 = weighted_moment(small_config, primes_1e4, rows=scaled).rows[0]
+        t0 = weighted_moment(small_config, primes_1e4, rows=base)
+        t1 = weighted_moment(small_config, primes_1e4, rows=scaled)
         assert t1.empirical_moment == pytest.approx(t0.empirical_moment, rel=1e-12)
         assert t1.weighted_count == pytest.approx(7.25 * t0.weighted_count, rel=1e-12)
 
@@ -181,13 +181,12 @@ class TestWeightedMoment:
             weighted_moment(cfg, primes_1e4)
 
     def test_csv_has_fixed_columns(self, small_config, small_rows, primes_1e4):
-        import io
-
-        table = weighted_moment(small_config, primes_1e4, rows=small_rows)
-        buf = io.StringIO()
-        table.to_csv(buf)
-        header = buf.getvalue().splitlines()[0]
+        moment = weighted_moment(small_config, primes_1e4, rows=small_rows)
+        record = moment.record()
+        header = ",".join(record)
         assert header == "k,x,T,filter_flags,weighted_count,family_size,empirical_moment,theoretical_bound,ratio"
+        assert record["ratio"] == moment.empirical_moment / moment.theoretical_bound
+        assert record["filter_flags"] == "squarefree+coprime+sign=any"
 
 
 class TestPartitionAndTail:
