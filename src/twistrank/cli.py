@@ -55,6 +55,8 @@ EXIT_CONFIG = 2
 EXIT_VERIFY = 3
 
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
+AP_SECONDS_PER_PRIME_AT_CAP = 0.8e-3  # measured a_p cost per prime near 1e8 (README)
+AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
 
 
 class UsageError(Exception):
@@ -205,11 +207,21 @@ def _load_catalog_cfg(cfg: dict) -> dict:
 
 
 def _sieve(limit: int, what: str):
-    """The primes up to limit, refused (exit 2) above PRIME_LIMIT_CAP before
-    any sieving."""
+    """The primes up to limit, refused (exit 2) before any sieving above
+    PRIME_LIMIT_CAP or when the a_p table over them is estimated to take
+    longer than AP_TABLE_BUDGET_S."""
     if limit > PRIME_LIMIT_CAP:
         raise ConfigError(
             f"{what} needs a prime table up to {limit}, above the cap {PRIME_LIMIT_CAP}"
+        )
+    # about limit / log(limit) primes, each at the a_p cost measured near the
+    # cap scaled by (limit / cap)^(1/4), as baby-step giant-step grows with p
+    per_prime = AP_SECONDS_PER_PRIME_AT_CAP * (limit / PRIME_LIMIT_CAP) ** 0.25
+    estimate = limit / math.log(limit) * per_prime
+    if estimate > AP_TABLE_BUDGET_S:
+        raise ConfigError(
+            f"{what} needs an a_p table up to {limit}, estimated at {estimate / 60:.0f} min, "
+            f"above the budget of {AP_TABLE_BUDGET_S / 60:.0f} min"
         )
     return sieve_primes(limit)
 
@@ -347,12 +359,12 @@ def cmd_verify(cfg: dict) -> int:
         curves = [_resolve_curve(cfg)]
     else:
         curves = [catalog[label] for label in sorted(catalog)]
-    x = cfg.get("x", 1e5)
-    primes = _sieve_for(max(x, 1e4))
     try:
         validate_suite_group(cfg.get("only"))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    x = cfg.get("x", 1e5)
+    primes = _sieve_for(max(x, 1e4))
     results = run_suite(
         curves,
         primes,

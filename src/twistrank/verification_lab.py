@@ -282,12 +282,27 @@ class PoissonTruncationError(ValueError):
 
 _GAMMA_CACHE: Dict[tuple, float] = {}
 _GAMMA_HEADROOM = 4.0  # covers the 2^l slack between the fitted l=0 shape and l <= 3
-_GAMMA_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0)
+_GAMMA_GRID = (
+    0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0,
+    14.0, 16.0, 20.0, 24.0, 32.0, 48.0, 64.0, 96.0,
+)
+# Decay rate k of the envelope gamma * lfac * min(1, |t|^-k), per weight shape.
+# 'poly' is exactly C^3 and keeps |t|^-3.  The C^inf 'exp' bump decays faster
+# than any power, but past t ~ 75 QAWO returns only roundoff (~1e-15); at k = 8
+# that roundoff times 96^8 stays far below the fitted peak near t = 9, so the
+# fit follows the transform, not the roundoff at the top of the grid.
+_DECAY_RATE = {"exp": 8, "poly": 3}
+
+
+def _decay_shape(w: SmoothWeight, t: float) -> float:
+    """min(1, |t|^-k) with the decay rate k of the weight's shape."""
+    return min(1.0, abs(t) ** -_DECAY_RATE[w.shape]) if t else 1.0
 
 
 def fit_weight_gamma(w: SmoothWeight) -> float:
     """Fit the decay constant gamma so that |W|, |hat(W_0)| and
-    |hat(W_0)'| all stay below gamma * min(1, |t|^-3).
+    |hat(W_0)'| all stay below gamma * min(1, |t|^-k), with the decay rate
+    k of the weight's shape (3 for 'poly', 8 for 'exp').
 
     Fitted once per weight shape on a fixed grid (with headroom for the
     l-dependent factors), then frozen; used by the decay and truncation
@@ -300,7 +315,7 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
     base = replace(w, l=0, x=None, X_k=None)
     gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
     for t in _GAMMA_GRID:
-        shape = min(1.0, abs(t) ** -3) if t else 1.0
+        shape = _decay_shape(w, t)
         gamma = max(
             gamma,
             abs(weight_fourier(base, t, 0)) / shape,
@@ -320,19 +335,25 @@ def _l_factor(w: SmoothWeight, l: int) -> float:
 
 
 def poisson_required_truncation(w: SmoothWeight, l: int, q: int, j: int = 0) -> int:
-    """Smallest truncation with full lattice coverage of the support and a
-    transform tail below 1e-8 per the fitted decay bound."""
+    """Smallest transform-side truncation M whose tail
+    sum_{|m| > M} (T/q) |hat(W_l)(T m / q)| stays below 1e-8.
+
+    With the envelope gamma * lfac * |t|^-k of ``fit_weight_gamma`` the tail
+    is at most 2 gamma lfac (q/T)^(k-1) M^(1-k) / (k-1), so
+
+        M = ceil((q/T) * (2 gamma lfac 1e8 / (k-1))^(1/(k-1))),
+
+    and at least ceil(q/T) + 1 so that every tail frequency is >= 1, where
+    the envelope applies.  The sampled side sums the support exactly and
+    needs no truncation, so M does not depend on j (kept for callers).
+    """
     if w.X_k is None:
         raise ValueError("the weight needs X_k (the lattice scale T)")
     T = w.X_k
-    lo, hi = T * w.support_lo, T * w.support_hi
-    m_lo = math.floor((lo - j) / q)
-    m_hi = math.ceil((hi - j) / q)
-    m_support = max(abs(m_lo), abs(m_hi)) + 1
+    k = _DECAY_RATE[w.shape]
     gamma = fit_weight_gamma(w)
-    m_tail = math.ceil(q / T * math.sqrt(gamma * _l_factor(w, l) * 1e8))
-    m_tail = max(m_tail, math.ceil(q / T) + 1)
-    return max(m_support, m_tail)
+    m_tail = math.ceil(q / T * (2.0 * gamma * _l_factor(w, l) * 1e8 / (k - 1)) ** (1.0 / (k - 1)))
+    return max(m_tail, math.ceil(q / T) + 1)
 
 
 def poisson_check(
@@ -343,11 +364,14 @@ def poisson_check(
     truncation: int,
     fourier_cache: Optional[Dict[int, complex]] = None,
 ) -> CheckResult:
-    """Truncated two-sided Poisson summation identity
+    """Two-sided Poisson summation identity
 
         sum_m W_l((j + m q)/T)  =  (T/q) sum_m hat(W_l)(T m / q) e(m j / q)
 
-    with T = X_k.  Refuses truncations whose tail estimate exceeds 1e-8.
+    with T = X_k.  The left side is exact: W_l vanishes outside its support,
+    so it sums the lattice points of the support and nothing else.
+    ``truncation`` bounds the right side, |m| <= truncation; one whose tail
+    estimate exceeds 1e-8 (see ``poisson_required_truncation``) is refused.
     A cache mapping m >= 0 to hat(W_l)(T m / q) may be shared across j for
     fixed (weight, l, q).
     """
@@ -357,7 +381,8 @@ def poisson_check(
     if truncation < required:
         raise PoissonTruncationError(required=required, got=truncation)
     T = w.X_k
-    ms = np.arange(-truncation, truncation + 1)
+    # every m whose point (j + m q)/T can lie in the support (lo, hi)
+    ms = np.arange(math.floor((T * w.support_lo - j) / q), math.ceil((T * w.support_hi - j) / q) + 1)
     lhs = fsum(weight_l_eval(w, (j + ms * q) / T, l).tolist())
 
     if fourier_cache is None:
@@ -391,16 +416,15 @@ _DECAY_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 60.0, 100.0)
 
 def wl_decay_check(w: SmoothWeight, l: int, x: float, X_k: float) -> CheckResult:
     """|W|, |hat(W_l)| and |hat(W_l)'| against
-    gamma * l^3 * (log X_k + log x)^l * min(1, |t|^-3) on |t| <= 100,
-    with gamma fitted once from the l = 0 shapes."""
+    gamma * l^3 * (log X_k + log x)^l * min(1, |t|^-k) on |t| <= 100,
+    with gamma and the shape's decay rate k from ``fit_weight_gamma``."""
     wl = replace(w, l=l, x=x, X_k=X_k)
     gamma = fit_weight_gamma(w)
     lfac = _l_factor(wl, l)
     worst = 0.0
     worst_at = 0.0
     for t in _DECAY_GRID:
-        shape = min(1.0, abs(t) ** -3) if t else 1.0
-        bound = gamma * lfac * shape
+        bound = gamma * lfac * _decay_shape(w, t)
         measured = max(
             abs(weight_eval(wl, t)),
             abs(weight_fourier(wl, t, l)),
@@ -759,9 +783,7 @@ def run_suite(
             for l in (0, 1):
                 w = _default_weight(T, x=100.0, l=l)
                 cache: Dict[int, complex] = {}
-                trunc = max(
-                    poisson_required_truncation(w, l, q, j) for j in range(q)
-                )
+                trunc = poisson_required_truncation(w, l, q)
                 worst = None
                 for j in range(q):
                     res = poisson_check(w, l, q, j, trunc, fourier_cache=cache)

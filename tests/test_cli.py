@@ -22,6 +22,10 @@ def run(args, capsys):
     return code, captured.out, captured.err
 
 
+def no_sieve(limit):
+    raise AssertionError(f"sieve started for limit {limit}")
+
+
 class TestApTable:
     def test_small_table(self, capsys):
         code, out, _ = run(["ap-table", "--curve", "cm32-like", "--limit", "10"], capsys)
@@ -58,14 +62,35 @@ class TestApTable:
         assert "5,2," in out
 
     def test_limit_above_cap_refused(self, monkeypatch, capsys):
-        def no_sieve(limit):
-            raise AssertionError(f"sieve started for limit {limit}")
-
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
         code, out, err = run(["ap-table", "--limit", "100000001"], capsys)
         assert code == EXIT_CONFIG
         assert str(PRIME_LIMIT_CAP) in err
         assert out == ""
+
+    def test_over_budget_refused_with_estimate(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        for args in (
+            ["ap-table", "--limit", "50000000"],
+            ["ef-report", "--curve", "ncm37", "--x", "3e7", "--dmin", "1", "--dmax", "1"],
+            ["sweep", "--curve", "cm32-like", "--x", "2.5e7", "--T", "420"],
+            ["verify", "--only", "gauss", "--x", "4e7"],
+        ):
+            code, out, err = run(args, capsys)
+            assert code == EXIT_CONFIG, args
+            assert "estimated at" in err and "budget of 10 min" in err, err
+            assert out == ""
+
+    def test_within_budget_reaches_sieve(self, monkeypatch):
+        class Sieved(Exception):
+            pass
+
+        def sentinel(limit):
+            raise Sieved(limit)
+
+        monkeypatch.setattr(cli_mod, "sieve_primes", sentinel)
+        with pytest.raises(Sieved):  # estimated at 8 min, inside the budget
+            main(["ap-table", "--limit", "15000000"])
 
 
 class TestUsageAndConfigErrors:
@@ -228,6 +253,13 @@ class TestVerifyCommand:
         records = [json.loads(l) for l in out.read_text().splitlines()]
         assert records[-1]["summary"]["failed"] >= 1
         assert "FAIL" in err
+
+    def test_unknown_group_refused_before_sieve(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(["verify", "--only", "bogus"], capsys)
+        assert code == EXIT_USAGE
+        assert "bogus" in err
+        assert out == ""
 
     def test_only_jsum_seeded(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"

@@ -1,12 +1,15 @@
+import cmath
+import functools
 import math
 from collections import Counter
 from math import fsum, gcd
 
+import numpy as np
 import pytest
 
 from twistrank.arith import parity_decompose
 from twistrank.explicit_formula import beta_array
-from twistrank.kernel import SmoothWeight
+from twistrank.kernel import SmoothWeight, weight_fourier, weight_fourier_derivative, weight_l_eval
 from twistrank.verification_lab import (
     PoissonTruncationError,
     fit_weight_gamma,
@@ -216,9 +219,16 @@ class TestPoisson:
                 assert res.passed, (q, l, j, res.ratio_or_error)
 
     def test_truncation_refusal(self, default_weight):
+        # the exp weight needs only a few transform terms; one fewer is refused
+        required = poisson_required_truncation(default_weight, 0, 5)
         with pytest.raises(PoissonTruncationError) as err:
-            poisson_check(default_weight, 0, 5, 0, 3)
-        assert err.value.required > 3
+            poisson_check(default_weight, 0, 5, 0, required - 1)
+        assert err.value.required == required
+        # the C^3 poly weight decays only like |t|^-3 and needs hundreds
+        poly = SmoothWeight(0.5, 1.0, shape="poly", l=0, x=100.0, X_k=600.0)
+        with pytest.raises(PoissonTruncationError) as err:
+            poisson_check(poly, 0, 5, 0, 3)
+        assert err.value.required > 100
 
     def test_periodicity_in_j(self, default_weight):
         q = 9
@@ -243,6 +253,100 @@ class TestPoisson:
         w = SmoothWeight(0.5, 1.0, shape="poly", l=0, x=100.0, X_k=600.0)
         trunc = poisson_required_truncation(w, 0, 5)
         assert poisson_check(w, 0, 5, 2, trunc).passed
+
+
+# The fit every weight shape shared before the per-shape decay rates: gamma
+# for a |t|^-3 envelope on this grid, with 4x headroom.
+_T3_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0)
+
+
+@functools.lru_cache(maxsize=None)
+def t3_gamma(shape):
+    base = SmoothWeight(0.5, 1.0, shape=shape)
+    gamma = 1.0
+    for t in _T3_GRID:
+        env = min(1.0, t**-3) if t else 1.0
+        gamma = max(
+            gamma,
+            abs(weight_fourier(base, t)) / env,
+            abs(weight_fourier_derivative(base, t)) / env,
+        )
+    return 4.0 * gamma
+
+
+def log_factor(l, x, X_k):
+    return 1.0 if l == 0 else l**3 * (math.log(X_k) + math.log(x)) ** l
+
+
+def t3_truncation(w, l, q, j):
+    """One length for both sides from the |t|^-3 envelope: full lattice
+    coverage of the support, and a transform tail below 1e-8."""
+    T = w.X_k
+    m_support = max(abs(math.floor((T * w.support_lo - j) / q)), abs(math.ceil((T * w.support_hi - j) / q))) + 1
+    m_tail = math.ceil(q / T * math.sqrt(t3_gamma(w.shape) * log_factor(l, w.x, T) * 1e8))
+    return max(m_support, m_tail, math.ceil(q / T) + 1)
+
+
+def full_transform_side(w, l, q, j, M, cache):
+    """(T/q) sum_{|m| <= M} hat(W_l)(T m / q) e(m j / q), every term by
+    its own QAWO transform (negative frequencies too), summed with fsum."""
+    terms = []
+    for m in range(-M, M + 1):
+        if m not in cache:
+            cache[m] = weight_fourier(w, w.X_k * m / q, l)
+        terms.append(cache[m] * cmath.exp(2j * math.pi * m * j / q))
+    return w.X_k / q * complex(fsum(z.real for z in terms), fsum(z.imag for z in terms))
+
+
+class TestPoissonOracle:
+    """The short transform side against the |t|^-3-length sum, and the exact
+    sampled side against a lattice sum over -M..M."""
+
+    @pytest.mark.parametrize(
+        "shape,q,l,T",
+        [("exp", 1, 0, 600.0), ("exp", 7, 1, 4200.0), ("poly", 5, 0, 600.0), ("poly", 2, 1, 600.0)],
+    )
+    def test_matches_full_length_sums(self, shape, q, l, T):
+        w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=T)
+        trunc = poisson_required_truncation(w, l, q)
+        cache = {}
+        for j in sorted({0, q // 2, q - 1}):
+            M = t3_truncation(w, l, q, j)
+            if shape == "poly":  # k = 3 keeps the |t|^-3 tail length
+                assert trunc == M
+            else:
+                assert trunc < M
+            res = poisson_check(w, l, q, j, trunc)
+            assert res.passed
+            assert abs(res.reference - full_transform_side(w, l, q, j, M, cache)) <= 1e-8
+            ms = np.arange(-M, M + 1)
+            assert res.computed == fsum(weight_l_eval(w, (j + ms * q) / T, l).tolist())
+
+
+# Dense frequencies out to 4.2e5, beyond the highest one (4.13e5) that the
+# |t|^-3 truncation evaluated in the acceptance range.  QAWO is good to about
+# 1e-11 absolute (kernel._oscillatory_transform); past t ~ 60 it returns
+# roundoff for the exp weight, which no |t|^-8 envelope can bound.
+_DENSE_GRID = np.concatenate([np.arange(0.0, 64.0, 0.25), np.geomspace(64.0, 4.2e5, 60)])
+_QAWO_FLOOR = 1e-11
+
+
+@pytest.mark.parametrize("shape,k", [("exp", 8), ("poly", 3)])
+def test_envelope_bounds_qawo_on_dense_grid(shape, k):
+    gamma = fit_weight_gamma(SmoothWeight(0.5, 1.0, shape=shape))
+    for l in range(4):
+        w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=600.0)
+        lfac = log_factor(l, 100.0, 600.0)
+        worst = 0.0
+        for t in _DENSE_GRID:
+            env = gamma * lfac * (min(1.0, t**-k) if t else 1.0)
+            measured = max(abs(weight_fourier(w, t, l)), abs(weight_fourier_derivative(w, t, l)))
+            worst = max(worst, measured / max(env, _QAWO_FLOOR))
+        assert worst <= 1.0, (shape, l, worst)
+        if l == 0:
+            # the fit grid catches the l = 0 peak (exp near t = 9, poly near
+            # t = 3.25) within 10 %, leaving the 4x headroom to the l factors
+            assert worst <= 1.1 / 4.0, (shape, worst)
 
 
 class TestDecay:
