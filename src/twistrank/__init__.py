@@ -18,17 +18,9 @@ from .curve import (
     builtin_catalog,
     cpm,
     load_catalog,
-    twist_ap,
     twist_root_number,
 )
-from .explicit_formula import (
-    ExplicitFormulaReport,
-    R_sum,
-    beta_p,
-    ef_total,
-    f_term,
-    prime_side,
-)
+from .explicit_formula import ExplicitFormulaReport, ef_total, prime_side
 from .family_moments import (
     MomentConfig,
     MomentRow,

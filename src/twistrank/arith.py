@@ -64,7 +64,7 @@ def is_prime(n: int) -> bool:
 class PrimeTable:
     """All primes <= limit in ascending order.
 
-    Immutable after construction; safe to share read-only across workers.
+    Immutable after construction: the primes array is read-only.
     """
 
     limit: int

@@ -6,10 +6,11 @@ group operations; Cohen, A Course in Computational Algebraic Number
 Theory, 7.4), falling back to an exhaustive quadratic-character sum over
 F_p when the points tried leave more than one candidate.  Bad primes
 p > 3 use the node/cusp rule, and p in {2, 3}, where short Weierstrass
-point counting degenerates, use caller-supplied metadata.  Twisting acts
-on coefficients through the Kronecker symbol, on the conductor through
-N * D^2, and on the root number through the quadratic character of
-Q(sqrt(D)).
+point counting degenerates, use caller-supplied metadata.  A twist
+carries its conductor (N * D^2, or a bound) and its root number (through
+the quadratic character of Q(sqrt(D))); its coefficients are the base
+curve's times that character, applied by explicit_formula.prime_side, so
+no twisted model is ever built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "ap",
     "ap_array",
     "cpm",
-    "twist_ap",
     "twist_root_number",
     "load_catalog",
     "builtin_catalog",
@@ -273,7 +273,9 @@ def cpm(curve: CurveModel, p: int, m: int) -> int:
 class TwistedCurve:
     """A base curve paired with a twisting integer D.
 
-    The twisted model is y^2 = x^3 + A D^2 x + B D^3.  conductor_bound is
+    E_D is y^2 = x^3 + A D^2 x + B D^3, but only its invariants are kept:
+    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E) at every p, so the twisted model
+    is never needed for the coefficients.  conductor_bound is
     exactly N * D^2 for D squarefree and coprime to 2N; otherwise it is a
     documented over-estimate (<= 2^8 * 3^5 * N * d^2 with d the squarefree
     part of D).  Note the exact branch follows the N * D^2 convention even
@@ -286,8 +288,6 @@ class TwistedCurve:
 
     base: CurveModel
     D: int
-    twisted_A: int = field(init=False)
-    twisted_B: int = field(init=False)
     conductor_bound: int = field(init=False)
     conductor_exact: bool = field(init=False)
     fundamental_disc: int = field(init=False)
@@ -295,8 +295,6 @@ class TwistedCurve:
     def __post_init__(self) -> None:
         if self.D == 0:
             raise ValueError("twisting integer D must be nonzero")
-        object.__setattr__(self, "twisted_A", self.base.A * self.D**2)
-        object.__setattr__(self, "twisted_B", self.base.B * self.D**3)
         disc = fundamental_discriminant(self.D)
         # sign(D) times the squarefree part of |D|, which is D iff D is squarefree
         kernel = disc if disc % 4 == 1 else disc // 4
@@ -308,48 +306,6 @@ class TwistedCurve:
         object.__setattr__(self, "conductor_bound", bound)
         object.__setattr__(self, "conductor_exact", clean)
         object.__setattr__(self, "fundamental_disc", disc)
-
-    def _twisted_small_ap(self, p: int) -> Optional[int]:
-        """Metadata a_p of the twisted model at p in {2, 3}.
-
-        Zero when p | D (the twisted model is additive at p); otherwise
-        a_p(E) * chi_D(p) with the fundamental-discriminant character, which
-        is 0 exactly when the twist ramifies at p.
-        """
-        base_meta = self.base.a2 if p == 2 else self.base.a3
-        if base_meta is None:
-            return None
-        if self.D % p == 0:
-            return 0
-        return base_meta * kronecker(self.fundamental_disc, p)
-
-    def as_curve_model(self) -> CurveModel:
-        """The twisted equation as a CurveModel (conductor = the bound;
-        root number copied from the base as a placeholder)."""
-        return CurveModel(
-            A=self.twisted_A,
-            B=self.twisted_B,
-            conductor=self.conductor_bound,
-            root_number=self.base.root_number,
-            label=f"{self.base.label or 'curve'}[D={self.D}]",
-            a2=self._twisted_small_ap(2),
-            a3=self._twisted_small_ap(3),
-        )
-
-
-def twist_ap(twist: TwistedCurve, p: int) -> int:
-    """a_p of the twist E_D.
-
-    For p coprime to 2 N D this is a_p(E) * (D|p); for p | D away from 2N
-    the twisted model is additive and a_p = 0; every remaining p is computed
-    directly on the twisted Weierstrass model.
-    """
-    E = twist.base
-    if (2 * E.conductor * twist.D) % p != 0:
-        return ap(E, p) * kronecker(twist.D, p)
-    if twist.D % p == 0 and p != 2 and (2 * E.conductor) % p != 0:
-        return 0
-    return ap(twist.as_curve_model(), p)
 
 
 def twist_root_number(twist: TwistedCurve) -> int:

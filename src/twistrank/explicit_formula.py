@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .arith import PrimeTable, kronecker, legendre_array
-from .curve import CurveModel, TwistedCurve, ap, ap_array, cpm, twist_ap, twist_root_number
+from .curve import CurveModel, TwistedCurve, ap_array, cpm, twist_root_number
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
 __all__ = [
@@ -28,10 +28,7 @@ __all__ = [
     "InsufficientPrimeTable",
     "prime_side",
     "ef_total",
-    "beta_p",
     "beta_array",
-    "R_sum",
-    "f_term",
     "twisted_upper_bound",
     "report_record",
     "CSV_COLUMNS",
@@ -95,62 +92,14 @@ def _require_table(primes: PrimeTable, lam: float) -> float:
     return cutoff
 
 
-def beta_p(curve: CurveModel, p: int, x: float) -> float:
-    """beta_p = a_p (log p)/p * F(log p / log x); zero for p >= x."""
-    if not x > 1.0:
-        raise ValueError(f"scale x must exceed 1, got {x}")
-    if p >= x:
-        return 0.0
-    lp = math.log(p)
-    return ap(curve, p) * lp / p * triangle(lp / math.log(x))
-
-
 def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
-    """beta_p for all p < x as a float array aligned with primes.below(x)."""
+    """The prime weights a_p (log p)/p F(log p / log x) for all p < x, as a
+    float array aligned with primes.below(x)."""
     ps = primes.below(x)
     aps = ap_array(curve, primes, x).astype(float)
     lp = np.log(ps.astype(float))
     fv = np.maximum(0.0, 1.0 - lp / math.log(x))
     return aps * lp / ps.astype(float) * fv
-
-
-def f_term(x: float, D) -> float:
-    """f(x, D) = 2 log|D| + (log x)/2."""
-    if D == 0:
-        raise ValueError("f(x, D) is undefined at D = 0")
-    if not x > 1.0:
-        raise ValueError(f"scale x must exceed 1, got {x}")
-    return 2.0 * math.log(abs(D)) + 0.5 * math.log(x)
-
-
-def R_sum(curve: CurveModel, D: int, x: float, primes: PrimeTable) -> float:
-    """R(x, D) = 2 sum_{p<x} beta_p (D|p), summed over ascending p."""
-    if primes.limit + 0.5 < x * (1.0 - 1e-12):
-        raise InsufficientPrimeTable(required=math.ceil(x), limit=primes.limit)
-    betas = beta_array(curve, x, primes)
-    ps = primes.below(x)
-    terms = [betas[i] * kronecker(D, int(p)) for i, p in enumerate(ps)]
-    return 2.0 * math.fsum(terms)
-
-
-def _twist_rule(twist: TwistedCurve, p: int) -> Tuple[int, bool]:
-    """(chi, True) when c_{p^m}(E_D) = chi^m c_{p^m}(E) for all m >= 1: p
-    coprime to 2ND, or p = 2 coprime to ND with D = 1 mod 4 (still good at 2).
-    Everything else is bad for the twist: (a_p(E_D), False) from the twisted
-    model, with c_{p^m}(E_D) = a_p(E_D)^m."""
-    E = twist.base
-    D = twist.D
-    if (2 * E.conductor * D) % p != 0:
-        return kronecker(D, p), True
-    if p == 2 and (E.conductor * D) % 2 != 0 and D % 4 == 1:
-        return kronecker(D, 2), True
-    return twist_ap(twist, p), False
-
-
-def _twist_cpm(twist: TwistedCurve, p: int, m: int) -> int:
-    """c_{p^m}(E_D) under the model-level twisting rules of _twist_rule."""
-    v, by_character = _twist_rule(twist, p)
-    return v**m * cpm(twist.base, p, m) if by_character else v**m
 
 
 def _term(c: int, p: int, m: int, lam: float, weight: float) -> float:
@@ -167,16 +116,14 @@ class _PrimePlan:
     """The part of prime_side that does not depend on D.
 
     ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda with
-    p coprime to 2N and c_{p^m}(E) != 0 as (index of p in ``good``, m, the
-    term of c_{p^m}(E)); a twist multiplies a term by (D|p)^m, which only
-    flips its sign or zeroes it.  ``special`` lists each p | 2N below
-    e^lambda as (p, m = 1 weight, largest m, {m: c_{p^m}(E)} when p does not
-    divide N), for the per-twist rules of _twist_rule.
+    c_{p^m}(E) != 0 as (index of p in ``primes``, m, the term of
+    c_{p^m}(E)).  At every prime, 2 and those dividing N included,
+    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E), so a twist only flips the sign of
+    a term or zeroes it.
     """
 
-    good: np.ndarray
+    primes: np.ndarray
     groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-    special: Tuple[Tuple[int, float, int, Dict[int, int]], ...]
 
 
 # Plans keyed by (curve, lambda, table limit): the table limit caps the primes
@@ -192,32 +139,24 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     aps = ap_array(E, primes, cutoff)
     lp = np.log(ps.astype(float))
     weights = lp / ps.astype(float) * np.maximum(0.0, 1.0 - lp / lam)
-    good = []
     groups = [([], [], []) for _ in range(3)]
-    special = []
-    for p, a, weight in zip(ps.tolist(), aps.tolist(), weights.tolist()):
-        top = 1
-        while p ** (top + 1) < cutoff:
-            top += 1
-        if (2 * E.conductor) % p == 0:
-            base = {} if E.conductor % p == 0 else {m: cpm(E, p, m) for m in range(1, top + 1)}
-            special.append((p, weight, top, base))
-            continue
-        for m in range(1, top + 1):
+    for i, (p, a, weight) in enumerate(zip(ps.tolist(), aps.tolist(), weights.tolist())):
+        m = 1
+        while p**m < cutoff:
             c = a if m == 1 else cpm(E, p, m)
             if c:  # a zero coefficient adds +0.0 for every twist
                 index, power, term = groups[min(m, 3) - 1]
-                index.append(len(good))
+                index.append(i)
                 power.append(m)
                 term.append(_term(c, p, m, lam, weight))
-        good.append(p)
+            m += 1
     plan = _PrimePlan(
-        good=np.array(good, dtype=np.int64),
+        # a copy, so the cache does not pin the whole table
+        primes=ps.copy(),
         groups=tuple(
             (np.array(i, dtype=np.int64), np.array(m, dtype=np.int64), np.array(t, dtype=float))
             for i, m, t in groups
         ),
-        special=tuple(special),
     )
     _PLAN_CACHE[key] = plan
     return plan
@@ -233,22 +172,24 @@ def prime_side(
     character comes from the per-(curve, lambda) plan, so every term is the
     same float the direct sum gives, and exact compensated summation makes
     the results independent of term order.
-    """
-    lam = kernel.lam
-    cutoff = _require_table(primes, lam)
-    plan = _prime_plan(twist.base, lam, primes, cutoff)
 
-    chi = legendre_array(twist.D, plan.good)
+    The character is chi_D(p) = (D|p) at odd p and, at p = 2, (D|2) for
+    D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
+    moves the node to D x0, so a_p(E_D) = (D|p) a_p(E); at 2 and 3 the
+    twist's local data is chi_{d_K}(p) a_p(E) with d_K the discriminant of
+    Q(sqrt(D)), which is the same character.
+    """
+    cutoff = _require_table(primes, kernel.lam)
+    plan = _prime_plan(twist.base, kernel.lam, primes, cutoff)
+    D = twist.D
+    chi = legendre_array(D, plan.primes)
+    if plan.primes.size:  # p = 2 leads the table; Euler's criterion reads 1 there
+        chi[0] = kronecker(D, 2) if D % 4 == 1 else 0
     sums = []
     for index, power, term in plan.groups:
         s = chi[index] ** power
-        sums.append((term * s)[s != 0].tolist())
-    for p, weight, top, base in plan.special:
-        v, by_character = _twist_rule(twist, p)
-        for m in range(1, top + 1):
-            c = v**m * base[m] if by_character else v**m
-            sums[min(m, 3) - 1].append(_term(c, p, m, lam, weight))
-    return tuple(math.fsum(t) for t in sums)
+        sums.append(math.fsum((term * s)[s != 0].tolist()))
+    return tuple(sums)
 
 
 def ef_total(

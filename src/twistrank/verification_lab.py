@@ -14,9 +14,10 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import fsum, gcd
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .arith import (
     mobius,
     parity_decompose,
 )
-from .curve import CurveModel
-from .explicit_formula import InsufficientPrimeTable, beta_array, beta_p
+from .curve import CurveModel, ap_array
+from .explicit_formula import InsufficientPrimeTable, beta_array
 from .kernel import (
     SmoothWeight,
     weight_eval,
@@ -65,8 +66,8 @@ class CheckResult:
     """Outcome of one verification check.
 
     ``passed`` is a pure function of computed, reference and the check's
-    declared tolerance; ``note`` carries soft-pass warnings and
-    normalization remarks.
+    declared tolerance; ``note`` carries soft-pass warnings (an envelope
+    exceeded by less than SOFT_FAIL_FACTOR).
     """
 
     name: str
@@ -99,8 +100,6 @@ class CheckResult:
 
 
 def _c2_values(curve: CurveModel, x: float, primes: PrimeTable) -> Tuple[np.ndarray, np.ndarray]:
-    from .curve import ap_array
-
     ps = primes.below(x)
     aps = ap_array(curve, primes, x).astype(float)
     pf = ps.astype(float)
@@ -139,8 +138,6 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
 
     Band [0.7, 1.3], calibrated at lam = log(1e5).
     """
-    from .curve import ap_array
-
     cutoff = math.exp(lam)
     if primes.limit + 0.5 < cutoff * (1 - 1e-12):
         raise InsufficientPrimeTable(required=math.ceil(cutoff), limit=primes.limit)
@@ -222,8 +219,6 @@ def jsum_crt_check(tuple_primes: Sequence[int], m: int) -> CheckResult:
     Q = pd.pi1 * pd.pi2
     j = np.arange(Q)
     total = np.ones(Q, dtype=np.int64)
-    from collections import Counter
-
     for p, e in sorted(Counter(int(t) for t in tuple_primes).items()):
         vals = _chi_table(p)[j % p]
         if e % 2 == 0:
@@ -280,7 +275,18 @@ class PoissonTruncationError(ValueError):
         self.required = required
 
 
-_GAMMA_CACHE: Dict[tuple, float] = {}
+# Fitted constants, computed once per process: the key starts with the name
+# of the check the constant belongs to.
+_FITS: Dict[tuple, float] = {}
+
+
+def _fitted(key: tuple, compute: Callable[[], float]) -> float:
+    """The constant cached under ``key``, computed on first use."""
+    if key not in _FITS:
+        _FITS[key] = compute()
+    return _FITS[key]
+
+
 _GAMMA_HEADROOM = 4.0  # covers the 2^l slack between the fitted l=0 shape and l <= 3
 _GAMMA_GRID = (
     0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0,
@@ -308,22 +314,20 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
     l-dependent factors), then frozen; used by the decay and truncation
     bounds.
     """
-    key = (w.support_lo, w.support_hi, w.shape)
-    cached = _GAMMA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    base = replace(w, l=0, x=None, X_k=None)
-    gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
-    for t in _GAMMA_GRID:
-        shape = _decay_shape(w, t)
-        gamma = max(
-            gamma,
-            abs(weight_fourier(base, t, 0)) / shape,
-            abs(weight_fourier_derivative(base, t, 0)) / shape,
-        )
-    gamma *= _GAMMA_HEADROOM
-    _GAMMA_CACHE[key] = gamma
-    return gamma
+
+    def fit() -> float:
+        base = replace(w, l=0, x=None, X_k=None)
+        gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
+        for t in _GAMMA_GRID:
+            shape = _decay_shape(w, t)
+            gamma = max(
+                gamma,
+                abs(weight_fourier(base, t, 0)) / shape,
+                abs(weight_fourier_derivative(base, t, 0)) / shape,
+            )
+        return gamma * _GAMMA_HEADROOM
+
+    return _fitted(("gamma", w.support_lo, w.support_hi, w.shape), fit)
 
 
 def _l_factor(w: SmoothWeight, l: int) -> float:
@@ -452,7 +456,7 @@ def _sorted_beta_product(tuple_primes: Sequence[int], beta_map: Dict[int, float]
     # ordering of the same multiset
     prod = 1.0
     for p in sorted(int(t) for t in tuple_primes):
-        prod *= beta_map[p]
+        prod *= beta_map.get(p, 0.0)
     return prod
 
 
@@ -464,18 +468,15 @@ def _pi1_divisors(pi1_primes: Sequence[int]) -> List[int]:
 
 
 def q_term(
-    tuple_primes: Sequence[int],
-    n: int,
-    x: float,
-    sign: int,
-    curve: CurveModel,
-    beta_map: Optional[Dict[int, float]] = None,
+    tuple_primes: Sequence[int], n: int, sign: int, beta_map: Dict[int, float]
 ) -> float:
     """One term of the conditional multivariable sum:
 
         Q(p_1..p_r, n) = beta_{p_1} ... beta_{p_r}
                          * sum_{d1 | pi1} (sign * n * d1 | pi2) / sqrt(pi1/d1).
 
+    ``beta_map`` maps each prime p < x to its weight from ``beta_array``; a
+    prime it lacks lies at or past the cutoff x, where the weight is 0.
     Requires every p_j coprime to n and pi2 > 1 (square products are the
     unconditional regime and are filtered out).
     """
@@ -489,16 +490,9 @@ def q_term(
     for p in tuple_primes:
         if n % int(p) == 0:
             raise ValueError(f"prime {p} divides n = {n}")
-    if beta_map is not None:
-        bprod = _sorted_beta_product(tuple_primes, beta_map)
-    else:
-        bprod = 1.0
-        for p in sorted(int(t) for t in tuple_primes):
-            bprod *= beta_p(curve, p, x)
+    bprod = _sorted_beta_product(tuple_primes, beta_map)
     if bprod == 0.0:
         return 0.0
-    from collections import Counter
-
     counts = Counter(int(t) for t in tuple_primes)
     pi1_primes = sorted(p for p, e in counts.items() if e % 2 == 0)
     dsum = fsum(
@@ -532,8 +526,19 @@ def _fit_envelope(values: List[float], shapes: List[float], floor: float) -> flo
     return c
 
 
-_QSUM_FIT_CACHE: Dict[tuple, float] = {}
-_STEP1_FIT_CACHE: Dict[tuple, float] = {}
+def _envelope_check(name: str, computed, reference: float, parameters: dict) -> CheckResult:
+    """|computed| against a fitted envelope: within it passes, within
+    SOFT_FAIL_FACTOR times it passes with a warning, beyond that fails."""
+    ratio = abs(computed) / reference
+    return CheckResult(
+        name=name,
+        computed=computed,
+        reference=reference,
+        ratio_or_error=ratio,
+        passed=ratio <= SOFT_FAIL_FACTOR,
+        parameters=parameters,
+        note="" if ratio <= 1.0 else f"envelope exceeded by {ratio:.2f}x (soft)",
+    )
 
 
 def q_sum(
@@ -571,37 +576,28 @@ def q_sum(
         for tup in _tuples_upto(plist, rr, UU):
             if parity_decompose(tup).pi2 == 1:
                 continue
-            terms.append(q_term(tup, nn, x, sign, curve, beta_map=bmap))
+            terms.append(q_term(tup, nn, sign, bmap))
         return fsum(terms)
 
-    key = (curve, primes.limit, float(x), sign)
-    c = _QSUM_FIT_CACHE.get(key)
     logx = math.log(x)
     logn_shape = lambda nn, UU: (
         math.log(curve.conductor) + 3.0 * math.log(abs(nn)) + 3.0 * math.log(UU + 2.0)
     )
-    if c is None:
-        cal_n = [1, 2, 5]
-        cal_u = [x, math.sqrt(x) + 2]
+
+    def fit() -> float:
         vals, shapes = [], []
-        for nn in cal_n:
-            for UU in cal_u:
+        for nn in (1, 2, 5):
+            for UU in (x, math.sqrt(x) + 2):
                 vals.append(raw(1, nn, UU))
                 shapes.append(logn_shape(nn, UU) * logx**3)
-        c = _fit_envelope(vals, shapes, floor=0.02)
-        _QSUM_FIT_CACHE[key] = c
-    computed = raw(r, n, U)
-    reference = c**r * logn_shape(n, U) ** r * logx ** (2 * r + 1)
-    ratio = abs(computed) / reference
-    passed = ratio <= SOFT_FAIL_FACTOR
-    return CheckResult(
-        name=f"qsum[r={r},n={n},U={U:g}]",
-        computed=computed,
-        reference=reference,
-        ratio_or_error=ratio,
-        passed=passed,
-        parameters={"r": r, "n": n, "U": U, "x": x, "sign": sign, "c_fitted": c},
-        note="" if ratio <= 1.0 else f"envelope exceeded by {ratio:.2f}x (soft)",
+        return _fit_envelope(vals, shapes, floor=0.02)
+
+    c = _fitted(("qsum", curve, primes.limit, float(x), sign), fit)
+    return _envelope_check(
+        f"qsum[r={r},n={n},U={U:g}]",
+        raw(r, n, U),
+        c**r * logn_shape(n, U) ** r * logx ** (2 * r + 1),
+        {"r": r, "n": n, "U": U, "x": x, "sign": sign, "c_fitted": c},
     )
 
 
@@ -623,30 +619,20 @@ def step1_sum(r: int, U: float, x: float, curve: CurveModel, primes: PrimeTable)
             _sorted_beta_product(tup, bmap) for tup in _tuples_upto(plist, rr, UU)
         )
 
-    key = (curve, primes.limit, float(x))
     logx = math.log(x)
     shape = lambda UU: (math.log(curve.conductor) + math.log(UU + 2.0)) * logx**3
-    ee = _STEP1_FIT_CACHE.get(key)
-    if ee is None:
+
+    def fit() -> float:
         cal_u = [x, math.sqrt(x) + 2, min(x * x, primes.limit)]
-        ee = _fit_envelope([raw(1, u) for u in cal_u], [shape(u) for u in cal_u], floor=0.02)
-        _STEP1_FIT_CACHE[key] = ee
-    computed = raw(r, U)
-    reference = ee**r * ((math.log(curve.conductor) + math.log(U + 2.0)) ** r) * logx ** (2 * r + 1)
-    ratio = abs(computed) / reference
-    passed = ratio <= SOFT_FAIL_FACTOR
-    return CheckResult(
-        name=f"step1[r={r},U={U:g}]",
-        computed=computed,
-        reference=reference,
-        ratio_or_error=ratio,
-        passed=passed,
-        parameters={"r": r, "U": U, "x": x, "eps_e_fitted": ee},
-        note="" if ratio <= 1.0 else f"envelope exceeded by {ratio:.2f}x (soft)",
+        return _fit_envelope([raw(1, u) for u in cal_u], [shape(u) for u in cal_u], floor=0.02)
+
+    ee = _fitted(("step1", curve, primes.limit, float(x)), fit)
+    return _envelope_check(
+        f"step1[r={r},U={U:g}]",
+        raw(r, U),
+        ee**r * ((math.log(curve.conductor) + math.log(U + 2.0)) ** r) * logx ** (2 * r + 1),
+        {"r": r, "U": U, "x": x, "eps_e_fitted": ee},
     )
-
-
-_LOGDERIV_FIT_CACHE: Dict[tuple, float] = {}
 
 
 def logderiv_partial(
@@ -660,8 +646,6 @@ def logderiv_partial(
         raise ValueError(f"sigma must lie in [1 + 1/log x, 2], got {sigma}")
     if primes.limit + 0.5 < x:
         raise InsufficientPrimeTable(required=math.ceil(x), limit=primes.limit)
-    from .curve import ap_array
-
     ps = primes.below(x)
     aps = ap_array(curve, primes, x)
 
@@ -678,24 +662,17 @@ def logderiv_partial(
     def shape(s: complex) -> float:
         return (math.log(curve.conductor) + math.log(abs(s) + 2.0)) * logx * logx
 
-    key = (curve, primes.limit, float(x))
-    eps = _LOGDERIV_FIT_CACHE.get(key)
-    if eps is None:
+    def fit() -> float:
         s0 = complex(1.0 + 1.0 / logx, 0.0)
-        eps = max(abs(partial(s0)) / shape(s0), 1e-3)
-        _LOGDERIV_FIT_CACHE[key] = eps
+        return max(abs(partial(s0)) / shape(s0), 1e-3)
+
+    eps = _fitted(("logderiv", curve, primes.limit, float(x)), fit)
     s = complex(sigma, t)
-    computed = partial(s)
-    reference = eps * shape(s)
-    ratio = abs(computed) / reference
-    return CheckResult(
-        name=f"logderiv[sigma={sigma:.4g},t={t:g}]",
-        computed=computed,
-        reference=reference,
-        ratio_or_error=ratio,
-        passed=ratio <= SOFT_FAIL_FACTOR,
-        parameters={"sigma": sigma, "t": t, "x": x, "eps_fitted": eps},
-        note="" if ratio <= 1.0 else f"envelope exceeded by {ratio:.2f}x (soft)",
+    return _envelope_check(
+        f"logderiv[sigma={sigma:.4g},t={t:g}]",
+        partial(s),
+        eps * shape(s),
+        {"sigma": sigma, "t": t, "x": x, "eps_fitted": eps},
     )
 
 

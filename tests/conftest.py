@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from twistrank.arith import sieve_primes
-from twistrank.curve import CurveModel, builtin_catalog
+from twistrank.arith import kronecker, sieve_primes
+from twistrank.curve import CurveModel, ap, builtin_catalog, cpm
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,15 @@ def extra_curve():
 
 
 @pytest.fixture(scope="session")
+def bad3_curve():
+    # y^2 = x^3 - 3x + 12; 4A^3 + 27B^2 = 2^2 3^3 5 7, so the model is
+    # multiplicative at 5 and 7.  Metadata: conductor 105 = 3 * 5 * 7 with
+    # a_3 = -1 (multiplicative at 3) and a good a_2 = 1; placeholders that
+    # put 3 and two primes > 3 into N.
+    return CurveModel(A=-3, B=12, conductor=105, root_number=1, label="bad3", a2=1, a3=-1)
+
+
+@pytest.fixture(scope="session")
 def primes_1e3():
     return sieve_primes(1_000)
 
@@ -52,3 +61,43 @@ def brute_point_count(A: int, B: int, p: int) -> int:
     xs = np.arange(p, dtype=np.int64)
     fx = ((xs * xs % p + A % p) * xs + B % p) % p
     return int(sq_count[fx].sum()) + 1
+
+
+def twisted_model(twist) -> CurveModel:
+    """E_D as its own Weierstrass model y^2 = x^3 + A D^2 x + B D^3.
+
+    At 2 and 3 the metadata is a_p(E) times the character of the
+    fundamental discriminant d_K of Q(sqrt(D)) (0 where the twist ramifies),
+    and 0 when p | D.  The conductor is the twist's bound and the root
+    number the base's, as placeholders.
+    """
+    E, D = twist.base, twist.D
+
+    def small(p, meta):
+        if meta is None:
+            return None
+        return 0 if D % p == 0 else meta * kronecker(twist.fundamental_disc, p)
+
+    return CurveModel(
+        A=E.A * D**2,
+        B=E.B * D**3,
+        conductor=twist.conductor_bound,
+        root_number=E.root_number,
+        label=f"{E.label or 'curve'}[D={D}]",
+        a2=small(2, E.a2),
+        a3=small(3, E.a3),
+    )
+
+
+def twist_cpm(twist, p: int, m: int) -> int:
+    """c_{p^m}(E_D), with the twisted model wherever E_D may be bad at p.
+
+    Where E_D is good at p by the character -- p coprime to 2ND, or p = 2
+    coprime to ND with D = 1 mod 4 -- it is (D|p)^m c_{p^m}(E).  At every
+    other p, a_p(E_D) comes from ``twisted_model`` and c_{p^m}(E_D) =
+    a_p(E_D)^m.
+    """
+    E, D = twist.base, twist.D
+    if (2 * E.conductor * D) % p or (p == 2 and (E.conductor * D) % 2 and D % 4 == 1):
+        return kronecker(D, p) ** m * cpm(E, p, m)
+    return ap(twisted_model(twist), p) ** m

@@ -17,11 +17,10 @@ from twistrank.curve import (
     ap_array,
     cpm,
     load_catalog,
-    twist_ap,
     twist_root_number,
 )
 
-from conftest import brute_point_count
+from conftest import brute_point_count, twisted_model
 
 
 def long_model_count(p, a1, a2, a3, a4, a6):
@@ -258,41 +257,45 @@ class TestCpm:
 
 
 class TestTwisting:
-    def test_twisted_model_fields(self, cm_curve):
-        tw = TwistedCurve(cm_curve, -3)
-        assert tw.twisted_A == 9 and tw.twisted_B == 0
+    def test_twisted_model_fields(self, cm_curve, ncm_curve):
+        model = twisted_model(TwistedCurve(cm_curve, -3))
+        assert (model.A, model.B) == (9, 0)
         tw2 = TwistedCurve(CurveModel(A=2, B=5, conductor=11, root_number=1, a2=0, a3=0), 3)
-        assert tw2.twisted_A == 18 and tw2.twisted_B == 135
+        model2 = twisted_model(tw2)
+        assert (model2.A, model2.B) == (18, 135)
+        # metadata: a_p(E) times the character of d_K, and 0 when p | D
+        by5 = twisted_model(TwistedCurve(ncm_curve, 5))
+        assert (by5.a2, by5.a3) == (2, 3)
+        assert twisted_model(TwistedCurve(ncm_curve, 3)).a2 == 0  # d_K = 12
+        assert twisted_model(TwistedCurve(ncm_curve, 6)).a3 == 0
 
     def test_rejects_zero(self, cm_curve):
         with pytest.raises(ValueError):
             TwistedCurve(cm_curve, 0)
 
-    def test_character_rule_matches_twisted_model(self, cm_curve, ncm_curve, primes_1e3):
-        for curve in (cm_curve, ncm_curve):
+    def test_character_rule_matches_twisted_model(self, cm_curve, ncm_curve, bad3_curve, primes_1e3):
+        # a_p(E_D) = (D|p) a_p(E) at every p > 3, bad primes of the model
+        # (the node moves to D x0) and p | D included
+        for curve in (cm_curve, ncm_curve, bad3_curve):
             for D in [d for d in range(-20, 21) if d]:
-                tw = TwistedCurve(curve, D)
-                model = tw.as_curve_model()
-                disc = 4 * model.A**3 + 27 * model.B**2
+                model = twisted_model(TwistedCurve(curve, D))
                 for p in (int(q) for q in primes_1e3.primes if 3 < q < 200):
-                    if (2 * disc * curve.conductor) % p == 0:
-                        continue
-                    assert twist_ap(tw, p) == ap(model, p), (curve.label, D, p)
+                    assert ap(model, p) == kronecker(D, p) * ap(curve, p), (curve.label, D, p)
 
     def test_p_divides_D(self, ncm_curve):
-        tw = TwistedCurve(ncm_curve, 15)
-        assert twist_ap(tw, 3) == 0
-        assert twist_ap(tw, 5) == 0
+        model = twisted_model(TwistedCurve(ncm_curve, 15))
+        assert ap(model, 3) == 0
+        assert ap(model, 5) == 0
 
     def test_square_twist_restores_ap(self, ncm_curve, primes_1e3):
-        tw = TwistedCurve(ncm_curve, 25)
+        model = twisted_model(TwistedCurve(ncm_curve, 25))
         for p in (7, 11, 13, 17):
-            assert twist_ap(tw, p) == ap(ncm_curve, p)
+            assert ap(model, p) == ap(ncm_curve, p)
 
     def test_sign_flip(self, ncm_curve):
-        tw = TwistedCurve(ncm_curve, 3)
+        model = twisted_model(TwistedCurve(ncm_curve, 3))
         for p in (7, 11, 13):
-            assert twist_ap(tw, p) == ap(ncm_curve, p) * kronecker(3, p)
+            assert ap(model, p) == ap(ncm_curve, p) * kronecker(3, p)
 
     def test_conductor_bound(self, cm_curve, ncm_curve):
         assert TwistedCurve(ncm_curve, 1).conductor_bound == 37

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -6,105 +7,39 @@ from twistrank.curve import TwistedCurve, cpm
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
-    R_sum,
-    beta_p,
+    beta_array,
     ef_total,
-    f_term,
     prime_side,
     report_record,
     twisted_upper_bound,
 )
 from twistrank.kernel import TriangleKernel, triangle
 
-from conftest import brute_point_count
+from conftest import twist_cpm
 
 
 class TestBeta:
-    def test_vanishes_at_cutoff(self, cm_curve):
-        assert beta_p(cm_curve, 101, 100.0) == 0.0
-        assert beta_p(cm_curve, 997, 100.0) == 0.0
+    def test_vanishes_at_cutoff(self, cm_curve, primes_1e3):
+        # beta_p is 0 from p = x on: the array holds only the primes p < x
+        assert beta_array(cm_curve, 100.0, primes_1e3).size == 25
+        assert beta_array(cm_curve, 101.0, primes_1e3).size == 25  # 101 itself is out
+        assert beta_array(cm_curve, 1.5, primes_1e3).size == 0
 
-    def test_zero_trace(self, cm_curve):
-        assert beta_p(cm_curve, 3, 100.0) == 0.0  # a_3 = 0
+    def test_zero_trace(self, cm_curve, primes_1e3):
+        betas = beta_array(cm_curve, 100.0, primes_1e3)
+        assert betas[1] == 0.0  # p = 3, a_3 = 0
 
     def test_bound(self, ncm_curve, primes_1e3):
         x = 500.0
-        for p in (int(q) for q in primes_1e3.primes if q < 500):
-            assert abs(beta_p(ncm_curve, p, x)) <= 2 * math.log(p) / math.sqrt(p) + 1e-12
+        betas = beta_array(ncm_curve, x, primes_1e3)
+        for p, b in zip(primes_1e3.below(x).tolist(), betas.tolist()):
+            assert abs(b) <= 2 * math.log(p) / math.sqrt(p) + 1e-12
 
-    def test_value(self, cm_curve):
+    def test_value(self, cm_curve, primes_1e3):
         # a_5 = 2
         x = 100.0
         expected = 2 * math.log(5) / 5 * (1 - math.log(5) / math.log(100))
-        assert beta_p(cm_curve, 5, x) == pytest.approx(expected, rel=1e-14)
-
-
-class TestFTerm:
-    def test_values(self):
-        assert f_term(100.0, 1) == pytest.approx(0.5 * math.log(100))
-        assert f_term(math.e**2, math.e) == pytest.approx(3.0)
-        for d in (3, -17, 40):
-            assert f_term(50.0, d) == f_term(50.0, -d)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            f_term(100.0, 0)
-        with pytest.raises(ValueError):
-            f_term(1.0, 5)
-
-
-def legendre_table(p):
-    if p == 2:
-        return {0: 0, 1: 1, 3: -1, 5: -1, 7: 1}
-    tab = {}
-    for d in range(p):
-        if d == 0:
-            tab[d] = 0
-        else:
-            tab[d] = 1 if pow(d, (p - 1) // 2, p) == 1 else -1
-    return tab
-
-
-class TestRSum:
-    def test_trivial_cases(self, cm_curve, primes_1e4):
-        # x below the first prime: empty sum
-        assert R_sum(cm_curve, 7, 1.5, primes_1e4) == 0.0
-
-    def test_square_D_gives_plain_beta_sum(self, ncm_curve, primes_1e4):
-        x = 200.0
-        # D = 9 is coprime to every p < x except 3, where beta enters with
-        # character 0; compare against the direct sum with (9|p)
-        from twistrank.arith import kronecker
-        from twistrank.explicit_formula import beta_array
-
-        betas = beta_array(ncm_curve, x, primes_1e4)
-        ps = primes_1e4.below(x)
-        direct = 2 * math.fsum(
-            float(b) * kronecker(9, int(p)) for b, p in zip(betas, ps)
-        )
-        assert R_sum(ncm_curve, 9, x, primes_1e4) == direct
-
-    def test_against_term_by_term_bruteforce(self, ncm_curve, primes_1e4):
-        x = 100.0
-        logx = math.log(x)
-        for D in (7, -11, 15, 21):
-            terms = []
-            for p in (int(q) for q in primes_1e4.primes if q < x):
-                if D % 2 != 0 and p == 2:
-                    chi = legendre_table(2)[D % 8]
-                else:
-                    chi = legendre_table(p).get(D % p, 0) if p > 2 else 0
-                a = p + 1 - brute_point_count(ncm_curve.A, ncm_curve.B, p) if p > 3 else (
-                    ncm_curve.a2 if p == 2 else ncm_curve.a3
-                )
-                terms.append(a * math.log(p) / p * max(0.0, 1 - math.log(p) / logx) * chi)
-            brute = 2 * math.fsum(terms)
-            assert R_sum(ncm_curve, D, x, primes_1e4) == pytest.approx(brute, abs=1e-12)
-
-    def test_insufficient_table(self, cm_curve, primes_1e3):
-        with pytest.raises(InsufficientPrimeTable) as err:
-            R_sum(cm_curve, 5, 1e5, primes_1e3)
-        assert err.value.required == 100000
+        assert beta_array(cm_curve, x, primes_1e3)[2] == pytest.approx(expected, rel=1e-14)
 
 
 class TestPrimeSide:
@@ -139,8 +74,6 @@ class TestPrimeSide:
     def test_tail_bound_large_lambda(self, cm_curve, ncm_curve, primes_1e4):
         # at lam = log(1e6) only p < 100 contribute to m >= 3; recompute the
         # tail definition directly without the m = 1 cost
-        from twistrank.explicit_formula import _twist_cpm
-
         lam = math.log(1e6)
         for curve in (cm_curve, ncm_curve):
             tw = TwistedCurve(curve, -7)
@@ -149,7 +82,7 @@ class TestPrimeSide:
                 pm, m = p**3, 3
                 while pm < 1e6:
                     terms.append(
-                        _twist_cpm(tw, p, m) * math.log(p) / pm * triangle(m * math.log(p) / lam)
+                        twist_cpm(tw, p, m) * math.log(p) / pm * triangle(m * math.log(p) / lam)
                     )
                     pm *= p
                     m += 1
@@ -161,42 +94,64 @@ class TestPrimeSideOracle:
 
     @staticmethod
     def _direct(tw, lam, primes):
-        from twistrank.explicit_formula import _twist_cpm
-
         cutoff = math.exp(lam)
         sums = ([], [], [])
         for p in (int(q) for q in primes.below(cutoff)):
             lp = math.log(p)
             # the m = 1 weight (log p)/p F is formed before the coefficient
-            # multiplies it, as in the vectorized beta_p
-            sums[0].append(_twist_cpm(tw, p, 1) * (lp / p * triangle(lp / lam)))
+            # multiplies it, as in beta_array
+            sums[0].append(twist_cpm(tw, p, 1) * (lp / p * triangle(lp / lam)))
             pm, m = p * p, 2
             while pm < cutoff:
-                term = _twist_cpm(tw, p, m) * lp / pm * triangle(m * lp / lam)
+                term = twist_cpm(tw, p, m) * lp / pm * triangle(m * lp / lam)
                 sums[min(m, 3) - 1].append(term)
                 pm *= p
                 m += 1
         return tuple(math.fsum(t) for t in sums)
 
-    @pytest.mark.parametrize("x", [30.0, 200.0, 1e3, 1e4])
-    def test_matches_direct_sum(self, cm_curve, ncm_curve, primes_1e4, x, monkeypatch):
+    def _check_every_twist(self, curves, x, primes):
         # every D in [-300, 300]: non-squarefree, even and D sharing a prime
-        # with N included.  a_p is memoized for speed only; it is a pure
-        # function of (curve, p).
-        import functools
-
-        import twistrank.curve as curve_mod
-
-        monkeypatch.setattr(curve_mod, "ap", functools.lru_cache(maxsize=None)(curve_mod.ap))
+        # with N included
         lam = math.log(x)
         kern = TriangleKernel(lam)
-        for curve in (cm_curve, ncm_curve):
+        for curve in curves:
             for D in range(-300, 301):
                 if D == 0:
                     continue
                 tw = TwistedCurve(curve, D)
-                got = prime_side(tw, kern, primes_1e4)
-                assert repr(got) == repr(self._direct(tw, lam, primes_1e4)), (curve.label, x, D)
+                got = prime_side(tw, kern, primes)
+                assert repr(got) == repr(self._direct(tw, lam, primes)), (curve.label, x, D)
+
+    @pytest.mark.parametrize("x", [30.0, 200.0, 1e3, 1e4])
+    def test_matches_direct_sum(self, cm_curve, ncm_curve, primes_1e4, x):
+        self._check_every_twist((cm_curve, ncm_curve), x, primes_1e4)
+
+    @pytest.mark.parametrize("x", [30.0, 1e3])
+    def test_matches_direct_sum_3_and_larger_primes_divide_N(self, bad3_curve, primes_1e4, x):
+        # N = 3 * 5 * 7: the twisted model's a_3 metadata and its nodes at
+        # 5 and 7 against the character rule of the plan
+        self._check_every_twist((bad3_curve,), x, primes_1e4)
+
+
+class TestCharacterAtTwo:
+    """chi_D(2) = (D|2) for D = 1 mod 4 and 0 otherwise, whether or not 2 | N."""
+
+    @pytest.mark.parametrize("conductor", [105, 210])
+    def test_pinned_through_the_prime_side(self, bad3_curve, primes_1e3, conductor):
+        # x = 3: p = 2 is the only prime power below e^lambda, so prime_m1 is
+        # chi_D(2) c_2 times a weight; x = 5: prime_m2 is the p^m = 4 term
+        # alone (c_4 = a_2^2 = 1 when 2 | N, a_2^2 - 4 = -3 otherwise)
+        curve = replace(bad3_curve, conductor=conductor)
+        at3, at5 = TriangleKernel(math.log(3.0)), TriangleKernel(math.log(5.0))
+        m1_base = prime_side(TwistedCurve(curve, 1), at3, primes_1e3)[0]
+        m2_base = prime_side(TwistedCurve(curve, 1), at5, primes_1e3)[1]
+        assert m1_base != 0.0 and m2_base != 0.0
+        for D in (d for d in range(-16, 17) if d):
+            chi = {1: 1, 5: -1}.get(D % 8, 0)  # D = 3 mod 4 and even D: 0
+            tw = TwistedCurve(curve, D)
+            m1 = prime_side(tw, at3, primes_1e3)[0]
+            m2 = prime_side(tw, at5, primes_1e3)[1]
+            assert (m1, m2) == (chi * m1_base, chi * chi * m2_base), D
 
 
 class TestEfTotal:

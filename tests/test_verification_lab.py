@@ -57,11 +57,12 @@ def multiset_tuples(plist, r, U):
         yield tup, mult
 
 
+def beta_map(curve, x, primes):
+    return dict(zip(primes.below(x).tolist(), beta_array(curve, x, primes).tolist()))
+
+
 def oracle_step1(curve, r, U, x, primes):
-    bmap = dict()
-    ps = primes.below(x)
-    for p, b in zip(ps, beta_array(curve, x, primes)):
-        bmap[int(p)] = float(b)
+    bmap = beta_map(curve, x, primes)
     plist = sorted(bmap)
     terms = []
     for tup, mult in multiset_tuples(plist, r, U):
@@ -73,16 +74,13 @@ def oracle_step1(curve, r, U, x, primes):
 
 
 def oracle_qsum(curve, r, n, U, x, primes, sign=1):
-    bmap = dict()
-    ps = primes.below(x)
-    for p, b in zip(ps, beta_array(curve, x, primes)):
-        bmap[int(p)] = float(b)
+    bmap = beta_map(curve, x, primes)
     plist = [p for p in sorted(bmap) if n % p != 0]
     terms = []
     for tup, mult in multiset_tuples(plist, r, U):
         if parity_decompose(tup).pi2 == 1:
             continue
-        val = q_term(tup, n, x, sign, curve, beta_map=bmap)
+        val = q_term(tup, n, sign, bmap)
         terms.extend([val] * mult)
     return fsum(terms)
 
@@ -371,27 +369,28 @@ class TestDecay:
 
 
 class TestQTermAndSums:
-    def test_qterm_single_prime(self, ncm_curve):
+    def test_qterm_single_prime(self, ncm_curve, primes_1e3):
         from twistrank.arith import kronecker
-        from twistrank.explicit_formula import beta_p
 
-        x = 500.0
+        bmap = beta_map(ncm_curve, 500.0, primes_1e3)
         for p in (3, 7, 11):
             for n in (1, 2, 5):
                 if n % p == 0:
                     continue
                 for sign in (1, -1):
-                    expect = beta_p(ncm_curve, p, x) * kronecker(sign * n, p)
-                    assert q_term((p,), n, x, sign, ncm_curve) == expect
+                    expect = bmap[p] * kronecker(sign * n, p)
+                    assert expect != 0.0
+                    assert q_term((p,), n, sign, bmap) == expect
 
-    def test_qterm_rejects_squares_and_shared_factors(self, ncm_curve):
+    def test_qterm_rejects_squares_and_shared_factors(self, ncm_curve, primes_1e3):
+        bmap = beta_map(ncm_curve, 100.0, primes_1e3)
         with pytest.raises(ValueError):
-            q_term((5, 5), 1, 100.0, 1, ncm_curve)
+            q_term((5, 5), 1, 1, bmap)
         with pytest.raises(ValueError):
-            q_term((5,), 10, 100.0, 1, ncm_curve)
+            q_term((5,), 10, 1, bmap)
 
-    def test_qterm_vanishes_beyond_cutoff(self, ncm_curve):
-        assert q_term((997,), 1, 100.0, 1, ncm_curve) == 0.0
+    def test_qterm_vanishes_beyond_cutoff(self, ncm_curve, primes_1e3):
+        assert q_term((997,), 1, 1, beta_map(ncm_curve, 100.0, primes_1e3)) == 0.0
 
     def test_qsum_equals_step1_at_r1_n1(self, ncm_curve, primes_1e4):
         res_q = q_sum(1, 1, 800.0, 800.0, ncm_curve, primes_1e4)
