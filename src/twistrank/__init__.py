@@ -18,7 +18,6 @@ from .curve import (
     builtin_catalog,
     cpm,
     load_catalog,
-    twist_root_number,
 )
 from .explicit_formula import ExplicitFormulaReport, ef_total, prime_side
 from .family_moments import (

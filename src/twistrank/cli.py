@@ -7,7 +7,8 @@ Subcommands:
              with the reference constants
   verify     the numerical verification suite (one JSON line per check)
 
-Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure.
+Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure,
+141 (128 + SIGPIPE) when the reader closes stdout early (``| head -2``).
 Outputs are deterministic given (config, seed, version): no timestamps,
 floats in shortest round-trip form.  The three tables (ap-table, ef-report,
 sweep) are written by one writer, _write_table; each command only builds
@@ -20,13 +21,14 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, TextIO
 
 from .arith import sieve_primes
-from .curve import CurveModel, ap_array, builtin_catalog, cpm, load_catalog
+from .curve import CurveModel, TwistedCurve, ap_array, builtin_catalog, cpm, load_catalog
 from .explicit_formula import CSV_COLUMNS, report_record
 from .family_moments import (
     GOLDFELD_K1,
@@ -53,6 +55,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CONFIG = 2
 EXIT_VERIFY = 3
+EXIT_PIPE = 141
 
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 AP_SECONDS_PER_PRIME_AT_CAP = 0.8e-3  # measured a_p cost per prime near 1e8 (README)
@@ -156,8 +159,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--T", type=float, dest="T", help="family scale (default X_k(x, k))")
     sp.add_argument("--weight", choices=("exp", "poly"), help="weight shape (default exp)")
     sp.add_argument("--support", help="weight support LO:HI (default 0.5:1)")
-    sp.add_argument("--squarefree", action="store_true", default=None)
-    sp.add_argument("--coprime", action="store_true", default=None)
+    sp.add_argument("--squarefree", action=argparse.BooleanOptionalAction, help="keep squarefree D only (default)")
+    sp.add_argument("--coprime", action=argparse.BooleanOptionalAction, help="keep D coprime to 2N only (default)")
     sp.add_argument("--sign", choices=("any", "plus", "minus"), help="root-number filter")
 
     sp = sub.add_parser("verify", help="run the verification suite")
@@ -232,9 +235,11 @@ def _sieve_for(x: float):
 
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
-    """stdout when path is None, otherwise the file at path, closed on exit."""
+    """stdout when path is None, flushed on exit so that a closed pipe raises
+    inside main; otherwise the file at path, closed on exit."""
     if path is None:
         yield sys.stdout
+        sys.stdout.flush()
     else:
         with open(path, "w") as fh:
             yield fh
@@ -291,7 +296,7 @@ def cmd_ef_report(cfg: dict) -> int:
     primes = _sieve_for(x)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
     ds = filter_twists(range(dmin, dmax + 1), curve.conductor, squarefree, coprime)
-    reports = evaluate_reports(curve, ds, math.log(x), primes)
+    reports = evaluate_reports([TwistedCurve(curve, D) for D in ds], math.log(x), primes)
     with _output(cfg.get("out")) as out:
         _write_table(cfg, CSV_COLUMNS, [report_record(r) for r in reports], out)
     return EXIT_OK
@@ -299,7 +304,8 @@ def cmd_ef_report(cfg: dict) -> int:
 
 def _sidecar_payload(config: MomentConfig, rows) -> dict:
     k = config.k
-    stats = sign_partition_stats(config, None, rows=rows) if config.squarefree_only and config.coprime_to_2N else None
+    # the sign partition is null unless every row is clean, where root numbers are defined
+    stats = sign_partition_stats(rows) if config.squarefree_only and config.coprime_to_2N else None
     return {
         "heath_brown_k1": HEATH_BROWN_K1,
         "goldfeld_k1": GOLDFELD_K1,
@@ -310,7 +316,7 @@ def _sidecar_payload(config: MomentConfig, rows) -> dict:
         "rank_density_bound": {f"R={r}": rank_density_bound(r) for r in (1, 2, 3)},
         "lowzero_density_bound": {f"k={kk}": lowzero_density_bound(kk) for kk in (1, 2, 3)},
         "empirical_rank_tail": {
-            f"R={r}": empirical_rank_tail(config, float(r), None, rows=rows) for r in (0, 1, 2)
+            f"R={r}": empirical_rank_tail(rows, float(r)) for r in (0, 1, 2)
         },
         "sign_partition": stats,
     }
@@ -338,9 +344,9 @@ def cmd_sweep(cfg: dict) -> int:
     primes = _sieve_for(x)
     try:
         rows = sweep_family(config, primes)
-        record = weighted_moment(config, primes, rows=rows).record()
     except EmptyFamilyError as exc:
         raise ConfigError(str(exc)) from exc
+    record = weighted_moment(config, rows).record()
     sidecar = _sidecar_payload(config, rows)
 
     # with --out the sidecar goes to OUT.refs.json, else it follows the table
@@ -423,6 +429,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except BrokenPipeError:
+        # stdout's leftover buffer goes to devnull, so the exit flush cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -31,7 +31,6 @@ __all__ = [
     "ap",
     "ap_array",
     "cpm",
-    "twist_root_number",
     "load_catalog",
     "builtin_catalog",
 ]
@@ -284,6 +283,9 @@ class TwistedCurve:
     conductor_exact (D squarefree and coprime to 2N) and fundamental_disc
     (the discriminant of Q(sqrt(D)), which defines the twist's character)
     come from one factorisation of D.
+    root_number is w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a
+    clean D, else 0; it is 0 also where chi_D ramifies at a prime of N (N
+    even, D = 3 mod 4), as the relation leaves the sign open there.
     """
 
     base: CurveModel
@@ -291,6 +293,7 @@ class TwistedCurve:
     conductor_bound: int = field(init=False)
     conductor_exact: bool = field(init=False)
     fundamental_disc: int = field(init=False)
+    root_number: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.D == 0:
@@ -303,23 +306,11 @@ class TwistedCurve:
             bound = self.base.conductor * self.D**2
         else:
             bound = 2**8 * 3**5 * self.base.conductor * kernel * kernel
+        root = self.base.root_number * kronecker(disc, -self.base.conductor) if clean else 0
         object.__setattr__(self, "conductor_bound", bound)
         object.__setattr__(self, "conductor_exact", clean)
         object.__setattr__(self, "fundamental_disc", disc)
-
-
-def twist_root_number(twist: TwistedCurve) -> int:
-    """Root number of E_D via w(E_D) = w(E) * chi_D(-N).
-
-    Only stated for D squarefree and coprime to 2N.  The value 0 signals
-    that chi_D ramifies at a prime of N (possible when N is even and
-    D = 3 mod 4), where the relation does not determine the sign.
-    """
-    if not twist.conductor_exact:
-        raise ValueError(
-            f"root-number relation needs D squarefree and coprime to 2N, got D={twist.D}"
-        )
-    return twist.base.root_number * kronecker(twist.fundamental_disc, -twist.base.conductor)
+        object.__setattr__(self, "root_number", root)
 
 
 # ---------------------------------------------------------------------------

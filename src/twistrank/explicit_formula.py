@@ -20,7 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from .arith import PrimeTable, kronecker, legendre_array
-from .curve import CurveModel, TwistedCurve, ap_array, cpm, twist_root_number
+from .curve import CurveModel, TwistedCurve, ap_array, cpm
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
 __all__ = [
@@ -52,8 +52,8 @@ class ExplicitFormulaReport:
 
     total_S reconstructs exactly as
     log_conductor - 2*(prime_m1 + prime_m2 + prime_tail) - archimedean,
-    where archimedean = 2*integral + 2*log(2pi).  root_number is 0 when the
-    twist relation does not determine a sign for this D.
+    where archimedean = 2*integral + 2*log(2pi).  root_number is the
+    twist's (see TwistedCurve), 0 where no sign is determined.
     """
 
     D: int
@@ -85,6 +85,7 @@ CSV_COLUMNS = [
 
 
 def _require_table(primes: PrimeTable, lam: float) -> float:
+    """The cutoff e^lambda, once the table is known to hold every prime below it."""
     cutoff = math.exp(lam)
     if primes.limit + 0.5 < cutoff * (1.0 - 1e-12):
         required = math.ceil(cutoff - 1e-6 * max(1.0, cutoff))
@@ -95,6 +96,7 @@ def _require_table(primes: PrimeTable, lam: float) -> float:
 def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
     """The prime weights a_p (log p)/p F(log p / log x) for all p < x, as a
     float array aligned with primes.below(x)."""
+    _require_table(primes, math.log(x))
     ps = primes.below(x)
     aps = ap_array(curve, primes, x).astype(float)
     lp = np.log(ps.astype(float))
@@ -201,10 +203,6 @@ def ef_total(
     log_n = math.log(twist.conductor_bound)
     arch = 2.0 * archimedean_integral(kernel) + 2.0 * math.log(2.0 * math.pi)
     total = log_n - 2.0 * (m1 + m2 + tail) - arch
-    try:
-        root = twist_root_number(twist)
-    except ValueError:
-        root = 0
     return ExplicitFormulaReport(
         D=twist.D,
         lam=lam,
@@ -215,7 +213,7 @@ def ef_total(
         archimedean=arch,
         total_S=total,
         rank_bound=total / lam,
-        root_number=root,
+        root_number=twist.root_number,
         conductor_exact=twist.conductor_exact,
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from math import comb, fsum
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from .arith import PrimeTable, is_squarefree
 from .curve import CurveModel, TwistedCurve
@@ -171,38 +171,37 @@ def family_twist_values(config: MomentConfig) -> List[int]:
 
 
 def evaluate_reports(
-    curve: CurveModel, ds: Sequence[int], lam: float, primes: PrimeTable
+    twists: Sequence[TwistedCurve], lam: float, primes: PrimeTable
 ) -> List[ExplicitFormulaReport]:
     """Explicit-formula reports for a list of twists, in the input order.
 
     The D-independent prime-side work is shared through the per-(curve,
     lambda) plan of explicit_formula, so each twist costs one character
-    evaluation over the primes plus its bad-prime rules."""
+    evaluation over the primes."""
     kernel = TriangleKernel(lam)
-    return [ef_total(TwistedCurve(curve, D), kernel, primes) for D in ds]
+    return [ef_total(twist, kernel, primes) for twist in twists]
 
 
-def sweep_family(
-    config: MomentConfig,
-    primes: PrimeTable,
-    weight_fn: Optional[Callable[[float], float]] = None,
-) -> List[FamilyRow]:
+def sweep_family(config: MomentConfig, primes: PrimeTable) -> List[FamilyRow]:
     """Evaluate the explicit formula on every family member, ascending in D.
 
-    weight_fn overrides the weight evaluation (used by scaling tests).
+    Each twist is built once; the sign filter reads its root number before
+    any prime-side work.  Raises EmptyFamilyError when no twist survives.
     """
-    ds = family_twist_values(config)
-    if weight_fn is None:
-        weight_fn = lambda t: weight_eval(config.weight, t)
-    reports = evaluate_reports(config.curve, ds, config.lam, primes)
-    rows = []
-    for D, rep in zip(ds, reports):
-        if config.sign == "plus" and rep.root_number != 1:
-            continue
-        if config.sign == "minus" and rep.root_number != -1:
-            continue
-        rows.append(FamilyRow(D=D, weight=float(weight_fn(D / config.T)), report=rep))
-    return rows
+    twists = [TwistedCurve(config.curve, D) for D in family_twist_values(config)]
+    if config.sign != "any":
+        sign = 1 if config.sign == "plus" else -1
+        twists = [t for t in twists if t.root_number == sign]
+    if not twists:
+        raise EmptyFamilyError(
+            f"no twist passes the filters for T={config.T}, support "
+            f"({config.weight.support_lo}, {config.weight.support_hi})"
+        )
+    reports = evaluate_reports(twists, config.lam, primes)
+    return [
+        FamilyRow(D=t.D, weight=weight_eval(config.weight, t.D / config.T), report=rep)
+        for t, rep in zip(twists, reports)
+    ]
 
 
 @dataclass(frozen=True)
@@ -225,23 +224,9 @@ class MomentRow:
         return {**asdict(self), "ratio": self.ratio}
 
 
-def weighted_moment(
-    config: MomentConfig,
-    primes: PrimeTable,
-    rows: Optional[Sequence[FamilyRow]] = None,
-) -> MomentRow:
-    """Empirical weighted k-th moment of total_S/lambda over the family.
-
-    Precomputed family rows may be passed to share one sweep across several
-    statistics; otherwise the sweep runs here.
-    """
-    if rows is None:
-        rows = sweep_family(config, primes)
-    if not rows:
-        raise EmptyFamilyError(
-            f"no twist passes the filters for T={config.T}, support "
-            f"({config.weight.support_lo}, {config.weight.support_hi})"
-        )
+def weighted_moment(config: MomentConfig, rows: Sequence[FamilyRow]) -> MomentRow:
+    """Empirical weighted k-th moment of total_S/lambda over the rows of a
+    sweep (nonempty, as sweep_family returns them)."""
     wsum = fsum(r.weight for r in rows)
     msum = fsum(r.report.rank_bound ** config.k * r.weight for r in rows)
     return MomentRow(
@@ -256,26 +241,18 @@ def weighted_moment(
     )
 
 
-def sign_partition_stats(
-    config: MomentConfig,
-    primes: PrimeTable,
-    rows: Optional[Sequence[FamilyRow]] = None,
-) -> dict:
+def sign_partition_stats(rows: Sequence[FamilyRow]) -> dict:
     """Per-root-number averages of the rank bound plus the Markov-type
-    fraction estimators.
+    fraction estimators, over the rows of a sweep.
 
     Writing A+ for the average bound over even twists, ranks there are even,
     so sum r >= 2 * (count with r >= 2) and the rank-0 fraction is at least
     1 - A+/2.  Over odd twists ranks are odd, sum (r - 1) >= 2 * (count with
     r >= 3), so the rank-1 fraction is at least (3 - A-)/2.  Both estimators
     are conservative because the rank bound majorizes the rank under GRH.
+    Rows with root number 0 are counted as "undefined"; on a family without
+    the squarefree and coprime filters that holds every unclean twist.
     """
-    if not (config.squarefree_only and config.coprime_to_2N):
-        raise ValueError("sign partition needs squarefree and coprime filters")
-    if rows is None:
-        rows = sweep_family(config, primes)
-    if not rows:
-        raise EmptyFamilyError("empty family")
     out: dict = {
         "family_size": len(rows),
         "weighted_count": fsum(r.weight for r in rows),
@@ -302,17 +279,8 @@ def sign_partition_stats(
     return out
 
 
-def empirical_rank_tail(
-    config: MomentConfig,
-    R: float,
-    primes: PrimeTable,
-    rows: Optional[Sequence[FamilyRow]] = None,
-) -> float:
-    """Weighted fraction of the family with rank_bound >= R."""
-    if rows is None:
-        rows = sweep_family(config, primes)
-    if not rows:
-        raise EmptyFamilyError("empty family")
+def empirical_rank_tail(rows: Sequence[FamilyRow], R: float) -> float:
+    """Weighted fraction of the sweep's rows with rank_bound >= R."""
     wsum = fsum(r.weight for r in rows)
     tail = fsum(r.weight for r in rows if r.report.rank_bound >= R)
     return tail / wsum

@@ -1,12 +1,12 @@
 """Numerical verification of the auxiliary identities at desk scale.
 
 Identity checks (Gauss sums, the CRT-factored character sum, Poisson
-summation, the Mellin closed form) compare an independent enumeration or
-quadrature against a closed form at tight tolerances.  Average and envelope
-checks (Rankin averages, Fourier decay, the truncated multivariable Q-sums
-and their bound shapes) compare against asymptotic targets with fitted
-constants; a violation within 10x of a fitted envelope is reported as a
-warning, beyond 10x as a failure.
+summation) compare an independent enumeration or quadrature against a
+closed form at tight tolerances.  Average and envelope checks (Rankin
+averages, Fourier decay, the truncated multivariable Q-sums and their bound
+shapes) compare against asymptotic targets with fitted constants; a
+violation within 10x of a fitted envelope is reported as a warning, beyond
+10x as a failure.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .arith import (
     parity_decompose,
 )
 from .curve import CurveModel, ap_array
-from .explicit_formula import InsufficientPrimeTable, beta_array
+from .explicit_formula import _require_table, beta_array
 from .kernel import (
     SmoothWeight,
     weight_eval,
@@ -116,8 +116,7 @@ def rankin_linear_check(curve: CurveModel, x: float, primes: PrimeTable) -> Chec
     """
     if not x >= 1e3:
         raise ValueError(f"rankin_linear_check needs x >= 1e3, got {x}")
-    if primes.limit + 0.5 < x:
-        raise InsufficientPrimeTable(required=math.ceil(x), limit=primes.limit)
+    _require_table(primes, math.log(x))
     ps, c2 = _c2_values(curve, x, primes)
     lp = np.log(ps.astype(float))
     computed = fsum((c2 * lp / ps.astype(float)).tolist())
@@ -138,9 +137,7 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
 
     Band [0.7, 1.3], calibrated at lam = log(1e5).
     """
-    cutoff = math.exp(lam)
-    if primes.limit + 0.5 < cutoff * (1 - 1e-12):
-        raise InsufficientPrimeTable(required=math.ceil(cutoff), limit=primes.limit)
+    cutoff = _require_table(primes, lam)
     ps = primes.below(cutoff)
     aps = ap_array(curve, primes, cutoff).astype(float)
     pf = ps.astype(float)
@@ -644,20 +641,14 @@ def logderiv_partial(
     logx = math.log(x)
     if not (1.0 + 1.0 / logx - 1e-12 <= sigma <= 2.0 + 1e-12):
         raise ValueError(f"sigma must lie in [1 + 1/log x, 2], got {sigma}")
-    if primes.limit + 0.5 < x:
-        raise InsufficientPrimeTable(required=math.ceil(x), limit=primes.limit)
-    ps = primes.below(x)
-    aps = ap_array(curve, primes, x)
+    _require_table(primes, logx)
+    lp = np.log(primes.below(x).astype(float))
+    alp = ap_array(curve, primes, x) * lp
+    fv = np.maximum(0.0, 1.0 - lp / logx)
 
     def partial(s: complex) -> complex:
-        res, ims = [], []
-        for p_np, a in zip(ps, aps):
-            p = int(p_np)
-            lp = math.log(p)
-            term = int(a) * lp * cmath.exp(-s * lp) * max(0.0, 1.0 - lp / logx)
-            res.append(term.real)
-            ims.append(term.imag)
-        return complex(fsum(res), fsum(ims))
+        terms = alp * np.exp(-s * lp) * fv
+        return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
 
     def shape(s: complex) -> float:
         return (math.log(curve.conductor) + math.log(abs(s) + 2.0)) * logx * logx

@@ -1,19 +1,28 @@
+import importlib.util
+import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistrank
 import twistrank.cli as cli_mod
+import twistrank.verification_lab as vl
 from twistrank.cli import (
     EXIT_CONFIG,
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_USAGE,
     PRIME_LIMIT_CAP,
     main,
 )
 from twistrank.curve import TwistedCurve
 from twistrank.explicit_formula import CSV_COLUMNS, ef_total
-from twistrank.kernel import TriangleKernel
+from twistrank.kernel import SmoothWeight, TriangleKernel
 
 
 def run(args, capsys):
@@ -216,6 +225,19 @@ class TestSweep:
         side = json.loads((tmp_path / "s2.csv.refs.json").read_text())
         assert side["theoretical_moment_bound"]["value"] == pytest.approx(6.25 + 1 / 3, rel=1e-14)
 
+    def test_no_filter_flags_match_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "unfiltered.cfg"
+        cfg.write_text("squarefree=false\ncoprime=false\n")
+        args = ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "60"]
+        code, by_flags, _ = run(args + ["--no-squarefree", "--no-coprime"], capsys)
+        assert code == EXIT_OK
+        assert by_flags.splitlines()[1].split(",")[3] == "sign=any"
+        code, by_file, _ = run(args + ["--config", str(cfg)], capsys)
+        assert code == EXIT_OK and by_file == by_flags
+        code, out, _ = run(args + ["--config", str(cfg), "--squarefree", "--coprime"], capsys)
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[3] == "squarefree+coprime+sign=any"
+
     def test_empty_family_exits_2_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code, _, err = run(
@@ -346,3 +368,55 @@ class TestOutputBytes:
         assert [row["conductor_exact"] for row in data] == [True, False, True, False]
         assert [row["rank_bound"] for row in data] == [r.rank_bound for r in reports]
         assert out == json.dumps(data, indent=2) + "\n"
+
+
+class TestClosedPipe:
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_reader_gone_exits_quietly(self, unbuffered):
+        # the reader of stdout leaves before the first byte is written; with
+        # buffered stdout the failure surfaces at the final flush, unbuffered
+        # at the first write
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = str(Path(twistrank.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "twistrank.cli", "ef-report", "--curve", "ncm37", "--x", "500"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_PIPE
+        assert err == b""
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded read-only: it needs only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve annotations through it
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+class TestBenchmarkInterface:
+    """The benchmark drives the program through these command lines and
+    calls; an edit that breaks them fails here as well as in the benchmark."""
+
+    @pytest.mark.parametrize("workload", ["family-sweep", "high-lambda"])
+    def test_command_lines_parse(self, workload):
+        spec = _bench_workloads().make_spec(workload, 1)
+        args = cli_mod._build_parser().parse_args(spec.command("out.csv"))
+        assert args.command == spec.argv[0]
+        assert (args.threads, args.format, args.out) == (1, "csv", "out.csv")
+
+    def test_verification_calls_bind(self):
+        w = SmoothWeight(0.5, 1.0, shape="exp", l=1, x=100.0, X_k=400.0)
+        inspect.signature(vl.poisson_required_truncation).bind(w, 1, 2, 0)
+        inspect.signature(vl.poisson_check).bind(w, 1, 2, 0, 10, fourier_cache={})
+        assert vl.SmoothWeight is SmoothWeight
+        assert callable(cli_mod.sieve_primes) and callable(cli_mod.main)

@@ -17,7 +17,6 @@ from twistrank.curve import (
     ap_array,
     cpm,
     load_catalog,
-    twist_root_number,
 )
 
 from conftest import brute_point_count, twisted_model
@@ -308,7 +307,7 @@ class TestTwisting:
         assert tw4.conductor_bound >= 37
 
     def test_root_number(self, cm_curve, ncm_curve):
-        assert twist_root_number(TwistedCurve(ncm_curve, 1)) == ncm_curve.root_number
+        assert TwistedCurve(ncm_curve, 1).root_number == ncm_curve.root_number
         # odd conductor: the relation is defined for every clean D
         seen = set()
         for D in range(-60, 61):
@@ -316,19 +315,20 @@ class TestTwisting:
                 continue
             if math.gcd(D, 2 * ncm_curve.conductor) != 1:
                 continue
-            w = twist_root_number(TwistedCurve(ncm_curve, D))
+            w = TwistedCurve(ncm_curve, D).root_number
             seen.add(w)
             assert w in (-1, 1)
         assert seen == {-1, 1}
 
     def test_root_number_even_conductor_degenerate(self, cm_curve):
         # chi_D ramifies at 2 for D = 3 mod 4, and -N is even: undetermined
-        assert twist_root_number(TwistedCurve(cm_curve, 3)) == 0
-        assert twist_root_number(TwistedCurve(cm_curve, -3)) == -1
-        assert twist_root_number(TwistedCurve(cm_curve, 5)) == 1
+        assert TwistedCurve(cm_curve, 3).root_number == 0
+        assert TwistedCurve(cm_curve, -3).root_number == -1
+        assert TwistedCurve(cm_curve, 5).root_number == 1
 
     def test_root_number_domainis_clean(self, ncm_curve):
-        with pytest.raises(ValueError):
-            twist_root_number(TwistedCurve(ncm_curve, 4))
-        with pytest.raises(ValueError):
-            twist_root_number(TwistedCurve(ncm_curve, 37))
+        # D = 4 is not squarefree and D = 37 divides N: no sign is determined
+        for D in (4, 37):
+            twist = TwistedCurve(ncm_curve, D)
+            assert not twist.conductor_exact
+            assert twist.root_number == 0

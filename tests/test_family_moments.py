@@ -1,8 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+import twistrank.family_moments as fm
 from twistrank.arith import is_squarefree
+from twistrank.explicit_formula import ef_total
 from twistrank.family_moments import (
     EmptyFamilyError,
     MomentConfig,
@@ -17,7 +20,7 @@ from twistrank.family_moments import (
     weighted_moment,
     SINC_HALF_SQUARED,
 )
-from twistrank.kernel import SmoothWeight, weight_eval
+from twistrank.kernel import SmoothWeight
 
 
 @pytest.fixture(scope="module")
@@ -146,14 +149,14 @@ class TestWeightedMoment:
         ds = family_twist_values(cfg)
         assert ds == [13]
         rows = sweep_family(cfg, primes_1e4)
-        moment = weighted_moment(cfg, primes_1e4, rows=rows)
+        moment = weighted_moment(cfg, rows)
         assert moment.empirical_moment == pytest.approx(
             rows[0].report.rank_bound ** 2, rel=1e-14
         )
         assert moment.family_size == 1
 
-    def test_two_pass_recomputation(self, small_config, small_rows, primes_1e4):
-        moment = weighted_moment(small_config, primes_1e4, rows=small_rows)
+    def test_two_pass_recomputation(self, small_config, small_rows):
+        moment = weighted_moment(small_config, small_rows)
         num = math.fsum(
             r.report.rank_bound ** small_config.k * r.weight for r in small_rows
         )
@@ -162,14 +165,10 @@ class TestWeightedMoment:
         assert moment.weighted_count == den
         assert moment.theoretical_bound == 1.5
 
-    def test_weight_scaling_invariance(self, small_config, primes_1e4):
-        w = small_config.weight
-        base = sweep_family(small_config, primes_1e4)
-        scaled = sweep_family(
-            small_config, primes_1e4, weight_fn=lambda t: 7.25 * weight_eval(w, t)
-        )
-        t0 = weighted_moment(small_config, primes_1e4, rows=base)
-        t1 = weighted_moment(small_config, primes_1e4, rows=scaled)
+    def test_weight_scaling_invariance(self, small_config, small_rows):
+        scaled = [replace(r, weight=7.25 * r.weight) for r in small_rows]
+        t0 = weighted_moment(small_config, small_rows)
+        t1 = weighted_moment(small_config, scaled)
         assert t1.empirical_moment == pytest.approx(t0.empirical_moment, rel=1e-12)
         assert t1.weighted_count == pytest.approx(7.25 * t0.weighted_count, rel=1e-12)
 
@@ -178,10 +177,10 @@ class TestWeightedMoment:
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.9, 1.0), T=2.0
         )
         with pytest.raises(EmptyFamilyError):
-            weighted_moment(cfg, primes_1e4)
+            sweep_family(cfg, primes_1e4)
 
-    def test_csv_has_fixed_columns(self, small_config, small_rows, primes_1e4):
-        moment = weighted_moment(small_config, primes_1e4, rows=small_rows)
+    def test_csv_has_fixed_columns(self, small_config, small_rows):
+        moment = weighted_moment(small_config, small_rows)
         record = moment.record()
         header = ",".join(record)
         assert header == "k,x,T,filter_flags,weighted_count,family_size,empirical_moment,theoretical_bound,ratio"
@@ -192,8 +191,8 @@ class TestWeightedMoment:
 class TestPartitionAndTail:
     # for the even-conductor curve the defined root numbers on a one-sided
     # family all share the sign of D, so odd twists live in negative support
-    def test_partition_covers_family(self, small_config, small_rows, primes_1e4):
-        stats = sign_partition_stats(small_config, primes_1e4, rows=small_rows)
+    def test_partition_covers_family(self, small_rows):
+        stats = sign_partition_stats(small_rows)
         total = (
             stats["plus"]["family_size"]
             + stats["minus"]["family_size"]
@@ -201,30 +200,27 @@ class TestPartitionAndTail:
         )
         assert total == stats["family_size"] == len(small_rows)
 
-    def test_odd_twists_bounded_below(self, neg_config, neg_rows, primes_1e4):
-        stats = sign_partition_stats(neg_config, primes_1e4, rows=neg_rows)
+    def test_odd_twists_bounded_below(self, neg_rows):
+        stats = sign_partition_stats(neg_rows)
         assert stats["minus"]["family_size"] > 0
         assert stats["minus"]["avg_rank_bound"] >= 0.9
 
-    def test_estimator_algebra(self, small_config, small_rows, neg_config, neg_rows, primes_1e4):
-        plus = sign_partition_stats(small_config, primes_1e4, rows=small_rows)["plus"]
+    def test_estimator_algebra(self, small_rows, neg_rows):
+        plus = sign_partition_stats(small_rows)["plus"]
         assert plus["family_size"] > 0
         assert plus["rank0_fraction_lb"] == pytest.approx(
             max(0.0, 1.0 - plus["avg_rank_bound"] / 2.0)
         )
-        minus = sign_partition_stats(neg_config, primes_1e4, rows=neg_rows)["minus"]
+        minus = sign_partition_stats(neg_rows)["minus"]
         assert minus["rank1_fraction_lb"] == pytest.approx(
             max(0.0, (3.0 - minus["avg_rank_bound"]) / 2.0)
         )
 
-    def test_rank_tail_monotone(self, small_config, small_rows, primes_1e4):
-        vals = [
-            empirical_rank_tail(small_config, r, primes_1e4, rows=small_rows)
-            for r in (0.0, 0.5, 1.0, 2.0, 4.0)
-        ]
+    def test_rank_tail_monotone(self, small_rows):
+        vals = [empirical_rank_tail(small_rows, r) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert vals[0] == 1.0
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert empirical_rank_tail(small_config, math.inf, primes_1e4, rows=small_rows) == 0.0
+        assert empirical_rank_tail(small_rows, math.inf) == 0.0
 
     def test_sign_filter_consistency(self, cm_curve, primes_1e4):
         base = MomentConfig(
@@ -239,3 +235,31 @@ class TestPartitionAndTail:
             r.D for r in all_rows if r.report.root_number == 1
         }
 
+
+    def test_sign_filter_precedes_prime_side(self, ncm_curve, primes_1e4, monkeypatch):
+        # ef_total runs once per kept row and never for a twist of the other sign
+        evaluated = []
+
+        def counting_ef_total(twist, kernel, primes):
+            evaluated.append(twist)
+            return ef_total(twist, kernel, primes)
+
+        monkeypatch.setattr(fm, "ef_total", counting_ef_total)
+        cfg = MomentConfig(
+            curve=ncm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
+        )
+        rows = sweep_family(cfg, primes_1e4)
+        assert [t.D for t in evaluated] == [r.D for r in rows]
+        assert all(t.root_number == 1 for t in evaluated)
+        assert len(rows) < len(family_twist_values(cfg))
+
+    def test_empty_after_sign_filter(self, cm_curve, primes_1e4, monkeypatch):
+        # on the even-conductor curve every defined sign in a positive family
+        # is +1, so a minus sweep is empty before any prime-side work
+        monkeypatch.setattr(fm, "ef_total", None)
+        cfg = MomentConfig(
+            curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="minus"
+        )
+        assert family_twist_values(cfg)
+        with pytest.raises(EmptyFamilyError):
+            sweep_family(cfg, primes_1e4)

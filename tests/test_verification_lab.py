@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from twistrank.arith import parity_decompose
-from twistrank.explicit_formula import beta_array
+from twistrank.curve import ap_array
+from twistrank.explicit_formula import InsufficientPrimeTable, beta_array
 from twistrank.kernel import SmoothWeight, weight_fourier, weight_fourier_derivative, weight_l_eval
 from twistrank.verification_lab import (
     PoissonTruncationError,
@@ -94,8 +95,6 @@ class TestRankin:
 
     def test_linear_substitution_identity(self, ncm_curve, primes_1e4):
         # replacing c_{p^2} by a_p^2 - 2p at good primes reproduces the sum
-        from twistrank.curve import ap_array
-
         x = 3000.0
         res = rankin_linear_check(ncm_curve, x, primes_1e4)
         ps = primes_1e4.below(x)
@@ -461,11 +460,44 @@ class TestLogderiv:
         res = logderiv_partial(ncm_curve, sigma, 10.0, x, primes_1e4)
         assert res.passed
 
+    def test_matches_per_prime_loop(self, cm_curve, ncm_curve, primes_1e4):
+        # the scalar cmath sum is the reference for the vectorized terms
+        x = 1e4
+        logx = math.log(x)
+        for curve in (cm_curve, ncm_curve):
+            for s in (complex(1.0 + 1.0 / logx, 10.0), complex(1.5, -3.0)):
+                terms = [
+                    a * math.log(p) * cmath.exp(-s * math.log(p)) * max(0.0, 1.0 - math.log(p) / logx)
+                    for p, a in zip(primes_1e4.below(x).tolist(), ap_array(curve, primes_1e4, x).tolist())
+                ]
+                ref = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
+                res = logderiv_partial(curve, s.real, s.imag, x, primes_1e4)
+                assert abs(res.computed - ref) <= 1e-13 * fsum(abs(t) for t in terms)
+
     def test_domain(self, ncm_curve, primes_1e4):
         with pytest.raises(ValueError):
             logderiv_partial(ncm_curve, 0.9, 0.0, 1e4, primes_1e4)
         with pytest.raises(ValueError):
             logderiv_partial(ncm_curve, 2.5, 0.0, 1e4, primes_1e4)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda c, t: beta_array(c, 1e4, t),
+        lambda c, t: q_sum(1, 1, 2000.0, 1e4, c, t),
+        lambda c, t: step1_sum(1, 2000.0, 1e4, c, t),
+        lambda c, t: rankin_linear_check(c, 1e4, t),
+        lambda c, t: rankin_square_check(c, math.log(1e4), t),
+        lambda c, t: logderiv_partial(c, 1.5, 0.0, 1e4, t),
+    ],
+    ids=["beta_array", "q_sum", "step1_sum", "rankin_linear", "rankin_square", "logderiv"],
+)
+def test_short_prime_table_refused(ncm_curve, primes_1e3, call):
+    # a table that stops below x = 1e4 is refused, never summed as far as it goes
+    with pytest.raises(InsufficientPrimeTable) as err:
+        call(ncm_curve, primes_1e3)
+    assert (err.value.required, err.value.limit) == (10_000, primes_1e3.limit)
 
 
 class TestSuite:
