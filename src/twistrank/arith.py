@@ -78,12 +78,7 @@ class PrimeTable:
 
     def below(self, bound: float) -> np.ndarray:
         """Primes p < bound as a read-only view."""
-        idx = int(np.searchsorted(self.primes, bound, side="left"))
-        # searchsorted 'left' keeps p == bound out only if bound is integral;
-        # the strict inequality is enforced explicitly.
-        while idx > 0 and self.primes[idx - 1] >= bound:
-            idx -= 1
-        return self.primes[:idx]
+        return self.primes[: int(np.searchsorted(self.primes, bound, side="left"))]
 
 
 def _dense_sieve(limit: int) -> np.ndarray:
@@ -95,18 +90,19 @@ def _dense_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(mask).astype(np.int64)
 
 
-def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
+_SEGMENT_SIZE = 1 << 20
+
+
+def sieve_primes(limit: int) -> PrimeTable:
     """Segmented sieve of Eratosthenes up to ``limit`` inclusive.
 
-    Segments keep peak memory at O(segment_size) booleans plus the base
+    Segments keep peak memory at O(_SEGMENT_SIZE) booleans plus the base
     primes up to sqrt(limit), so limits up to 1e8 stay modest.
 
     Raises ValueError for limit < 2 (empty domain).
     """
     if limit < 2:
         raise ValueError(f"prime sieve needs limit >= 2, got {limit}")
-    if segment_size < 16:
-        raise ValueError("segment_size must be at least 16")
     base_limit = max(math.isqrt(limit), 2)
     base = _dense_sieve(base_limit)
     if limit <= base_limit:
@@ -115,7 +111,7 @@ def sieve_primes(limit: int, segment_size: int = 1 << 20) -> PrimeTable:
         pieces = [base]
         lo = base_limit + 1
         while lo <= limit:
-            hi = min(lo + segment_size, limit + 1)
+            hi = min(lo + _SEGMENT_SIZE, limit + 1)
             mask = np.ones(hi - lo, dtype=bool)
             for p in base:
                 p = int(p)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, TextIO
 
 from .arith import sieve_primes
-from .curve import CurveModel, TwistedCurve, ap_array, builtin_catalog, cpm, load_catalog
+from .curve import CurveModel, ap_array, builtin_catalog, cpm, load_catalog
 from .explicit_formula import CSV_COLUMNS, report_record
 from .family_moments import (
     GOLDFELD_K1,
@@ -150,8 +150,8 @@ def _build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--dmin", type=int, help="lowest D (default -50)")
     sp.add_argument("--dmax", type=int, help="highest D (default 50)")
-    sp.add_argument("--squarefree", action="store_true", default=None, help="keep squarefree D only")
-    sp.add_argument("--coprime", action="store_true", default=None, help="keep D coprime to 2N only")
+    sp.add_argument("--squarefree", action=argparse.BooleanOptionalAction, help="keep squarefree D only")
+    sp.add_argument("--coprime", action=argparse.BooleanOptionalAction, help="keep D coprime to 2N only")
 
     sp = sub.add_parser("sweep", help="weighted moments over a twist family")
     common(sp)
@@ -295,8 +295,8 @@ def cmd_ef_report(cfg: dict) -> int:
         raise ConfigError(f"empty D range [{dmin}, {dmax}]")
     primes = _sieve_for(x)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
-    ds = filter_twists(range(dmin, dmax + 1), curve.conductor, squarefree, coprime)
-    reports = evaluate_reports([TwistedCurve(curve, D) for D in ds], math.log(x), primes)
+    twists = filter_twists(curve, range(dmin, dmax + 1), squarefree, coprime)
+    reports = evaluate_reports(twists, math.log(x), primes)
     with _output(cfg.get("out")) as out:
         _write_table(cfg, CSV_COLUMNS, [report_record(r) for r in reports], out)
     return EXIT_OK

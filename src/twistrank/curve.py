@@ -280,9 +280,9 @@ class TwistedCurve:
     part of D).  Note the exact branch follows the N * D^2 convention even
     though twisting a curve of odd conductor by D = 3 mod 4 also moves the
     2-part; the explicit-formula reports flag this through conductor_exact.
-    conductor_exact (D squarefree and coprime to 2N) and fundamental_disc
-    (the discriminant of Q(sqrt(D)), which defines the twist's character)
-    come from one factorisation of D.
+    squarefree (D equals its squarefree kernel), conductor_exact (squarefree
+    and coprime to 2N) and fundamental_disc (the discriminant of Q(sqrt(D)),
+    which defines the twist's character) come from one factorisation of D.
     root_number is w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a
     clean D, else 0; it is 0 also where chi_D ramifies at a prime of N (N
     even, D = 3 mod 4), as the relation leaves the sign open there.
@@ -290,6 +290,7 @@ class TwistedCurve:
 
     base: CurveModel
     D: int
+    squarefree: bool = field(init=False)
     conductor_bound: int = field(init=False)
     conductor_exact: bool = field(init=False)
     fundamental_disc: int = field(init=False)
@@ -301,12 +302,14 @@ class TwistedCurve:
         disc = fundamental_discriminant(self.D)
         # sign(D) times the squarefree part of |D|, which is D iff D is squarefree
         kernel = disc if disc % 4 == 1 else disc // 4
-        clean = kernel == self.D and math.gcd(self.D, 2 * self.base.conductor) == 1
+        squarefree = kernel == self.D
+        clean = squarefree and math.gcd(self.D, 2 * self.base.conductor) == 1
         if clean:
             bound = self.base.conductor * self.D**2
         else:
             bound = 2**8 * 3**5 * self.base.conductor * kernel * kernel
         root = self.base.root_number * kronecker(disc, -self.base.conductor) if clean else 0
+        object.__setattr__(self, "squarefree", squarefree)
         object.__setattr__(self, "conductor_bound", bound)
         object.__setattr__(self, "conductor_exact", clean)
         object.__setattr__(self, "fundamental_disc", disc)

@@ -100,7 +100,7 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
     ps = primes.below(x)
     aps = ap_array(curve, primes, x).astype(float)
     lp = np.log(ps.astype(float))
-    fv = np.maximum(0.0, 1.0 - lp / math.log(x))
+    fv = triangle(lp / math.log(x))
     return aps * lp / ps.astype(float) * fv
 
 
@@ -140,7 +140,7 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     ps = primes.below(cutoff)
     aps = ap_array(E, primes, cutoff)
     lp = np.log(ps.astype(float))
-    weights = lp / ps.astype(float) * np.maximum(0.0, 1.0 - lp / lam)
+    weights = lp / ps.astype(float) * triangle(lp / lam)
     groups = [([], [], []) for _ in range(3)]
     for i, (p, a, weight) in enumerate(zip(ps.tolist(), aps.tolist(), weights.tolist())):
         m = 1

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from math import comb, fsum
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .arith import PrimeTable, is_squarefree
+from .arith import PrimeTable
 from .curve import CurveModel, TwistedCurve
 from .explicit_formula import ExplicitFormulaReport, ef_total
 from .kernel import SmoothWeight, TriangleKernel, weight_eval
@@ -145,29 +145,33 @@ class FamilyRow:
     report: ExplicitFormulaReport
 
 
-def filter_twists(ds: Iterable[int], conductor: int, squarefree: bool, coprime: bool) -> List[int]:
-    """The nonzero D of ds, in order, that are squarefree (if asked) and
-    coprime to 2N (if asked)."""
-    n2 = 2 * conductor
+def filter_twists(
+    curve: CurveModel, ds: Iterable[int], squarefree: bool, coprime: bool
+) -> List[TwistedCurve]:
+    """The twists by the nonzero D of ds, in order, that are coprime to 2N
+    (a gcd, if asked) and squarefree (read off the twist's own factorisation,
+    if asked).  The only place a D becomes a TwistedCurve."""
+    n2 = 2 * curve.conductor
     out = []
     for D in ds:
-        if D == 0:
+        if D == 0 or (coprime and math.gcd(D, n2) != 1):
             continue
-        if squarefree and not is_squarefree(abs(D)):
-            continue
-        if coprime and math.gcd(D, n2) != 1:
-            continue
-        out.append(D)
+        twist = TwistedCurve(curve, D)
+        if twist.squarefree or not squarefree:
+            out.append(twist)
     return out
 
 
-def family_twist_values(config: MomentConfig) -> List[int]:
-    """All D != 0 inside the weight support that pass the filters,
-    ascending.  Sign filtering happens later, once root numbers exist."""
+def family_twist_values(config: MomentConfig) -> List[Tuple[TwistedCurve, float]]:
+    """(twist, W(D/T)) for every D != 0 inside the weight support with
+    W(D/T) > 0 that passes the filters, ascending in D.  W is evaluated
+    once per D; sign filtering happens later, once root numbers exist."""
     first = math.floor(config.T * config.weight.support_lo) + 1
     last = math.ceil(config.T * config.weight.support_hi) - 1
-    ds = (D for D in range(first, last + 1) if weight_eval(config.weight, D / config.T) > 0.0)
-    return filter_twists(ds, config.curve.conductor, config.squarefree_only, config.coprime_to_2N)
+    weights = {D: weight_eval(config.weight, D / config.T) for D in range(first, last + 1)}
+    ds = (D for D, w in weights.items() if w > 0.0)
+    twists = filter_twists(config.curve, ds, config.squarefree_only, config.coprime_to_2N)
+    return [(t, weights[t.D]) for t in twists]
 
 
 def evaluate_reports(
@@ -188,20 +192,17 @@ def sweep_family(config: MomentConfig, primes: PrimeTable) -> List[FamilyRow]:
     Each twist is built once; the sign filter reads its root number before
     any prime-side work.  Raises EmptyFamilyError when no twist survives.
     """
-    twists = [TwistedCurve(config.curve, D) for D in family_twist_values(config)]
+    pairs = family_twist_values(config)
     if config.sign != "any":
         sign = 1 if config.sign == "plus" else -1
-        twists = [t for t in twists if t.root_number == sign]
-    if not twists:
+        pairs = [(t, w) for t, w in pairs if t.root_number == sign]
+    if not pairs:
         raise EmptyFamilyError(
             f"no twist passes the filters for T={config.T}, support "
             f"({config.weight.support_lo}, {config.weight.support_hi})"
         )
-    reports = evaluate_reports(twists, config.lam, primes)
-    return [
-        FamilyRow(D=t.D, weight=weight_eval(config.weight, t.D / config.T), report=rep)
-        for t, rep in zip(twists, reports)
-    ]
+    reports = evaluate_reports([t for t, _ in pairs], config.lam, primes)
+    return [FamilyRow(D=t.D, weight=w, report=rep) for (t, w), rep in zip(pairs, reports)]
 
 
 @dataclass(frozen=True)

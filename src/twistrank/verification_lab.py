@@ -33,6 +33,7 @@ from .curve import CurveModel, ap_array
 from .explicit_formula import _require_table, beta_array
 from .kernel import (
     SmoothWeight,
+    triangle,
     weight_eval,
     weight_fourier,
     weight_fourier_derivative,
@@ -142,7 +143,7 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
     aps = ap_array(curve, primes, cutoff).astype(float)
     pf = ps.astype(float)
     lp = np.log(pf)
-    fv = np.maximum(0.0, 1.0 - lp / lam)
+    fv = triangle(lp / lam)
     computed = fsum((aps * aps * lp * lp / (pf * pf) * fv * fv).tolist())
     reference = lam * lam / 12.0
     ratio = computed / reference
@@ -224,12 +225,11 @@ def jsum_crt_check(tuple_primes: Sequence[int], m: int) -> CheckResult:
             total *= vals
     computed = complex(np.sum(total * np.exp(2j * np.pi * m / Q * j)))
 
+    delta1 = gcd(pd.pi1, abs(m))
     delta2 = gcd(pd.pi2, abs(m))
     if delta2 > 1:
         reference = 0j
-        delta1 = gcd(pd.pi1, abs(m))
     else:
-        delta1 = gcd(pd.pi1, abs(m))
         pi1p = pd.pi1 // delta1
         eps = 1.0 if pd.pi2 % 4 == 1 else 1j
         reference = (
@@ -644,7 +644,7 @@ def logderiv_partial(
     _require_table(primes, logx)
     lp = np.log(primes.below(x).astype(float))
     alp = ap_array(curve, primes, x) * lp
-    fv = np.maximum(0.0, 1.0 - lp / logx)
+    fv = triangle(lp / logx)
 
     def partial(s: complex) -> complex:
         terms = alp * np.exp(-s * lp) * fv
@@ -702,7 +702,6 @@ def run_suite(
     x: float = 1e5,
     seed: int = 1,
     only: Optional[str] = None,
-    jsum_cases: int = 40,
 ) -> List[CheckResult]:
     """The default verification suite.
 
@@ -726,19 +725,16 @@ def run_suite(
             if not is_squarefree(q):
                 continue
             chi = _chi_table(q)
-            worst = None
-            for m in range(1, max(q, 2)):
-                if gcd(m, q) != 1:
-                    continue
-                res = gauss_sum_check(q, m, _chi=chi)
-                if worst is None or res.ratio_or_error > worst.ratio_or_error:
-                    worst = res
+            worst = max(
+                (gauss_sum_check(q, m, _chi=chi) for m in range(1, max(q, 2)) if gcd(m, q) == 1),
+                key=lambda r: r.ratio_or_error,
+            )
             worst.name = f"gauss[q={q},worst_m]"
             results.append(worst)
 
     if want("jsum"):
         rng = random.Random(seed)
-        for _ in range(jsum_cases):
+        for _ in range(40):
             tup, m = _random_jsum_case(rng)
             results.append(jsum_crt_check(tup, m))
         # forced vanishing cases
@@ -752,11 +748,10 @@ def run_suite(
                 w = _default_weight(T, x=100.0, l=l)
                 cache: Dict[int, complex] = {}
                 trunc = poisson_required_truncation(w, l, q)
-                worst = None
-                for j in range(q):
-                    res = poisson_check(w, l, q, j, trunc, fourier_cache=cache)
-                    if worst is None or res.ratio_or_error > worst.ratio_or_error:
-                        worst = res
+                worst = max(
+                    (poisson_check(w, l, q, j, trunc, fourier_cache=cache) for j in range(q)),
+                    key=lambda r: r.ratio_or_error,
+                )
                 worst.name = f"poisson[q={q},l={l},worst_j]"
                 results.append(worst)
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twistrank import arith
 from twistrank.arith import (
     ParityDecomposition,
     euler_phi,
@@ -69,10 +70,12 @@ class TestSieve:
         table = sieve_primes(1_000_000)
         assert len(table) == 78498
 
-    def test_segmentation_invariance(self):
-        a = sieve_primes(50_000, segment_size=1 << 20).primes
-        b = sieve_primes(50_000, segment_size=1024).primes
-        c = sieve_primes(50_000, segment_size=37 * 41).primes
+    def test_segmentation_invariance(self, monkeypatch):
+        a = sieve_primes(50_000).primes
+        monkeypatch.setattr(arith, "_SEGMENT_SIZE", 1024)
+        b = sieve_primes(50_000).primes
+        monkeypatch.setattr(arith, "_SEGMENT_SIZE", 37 * 41)
+        c = sieve_primes(50_000).primes
         assert np.array_equal(a, b)
         assert np.array_equal(a, c)
 
@@ -88,6 +91,15 @@ class TestSieve:
         table = sieve_primes(100)
         assert table.below(7).tolist() == [2, 3, 5]
         assert table.below(7.5).tolist() == [2, 3, 5, 7]
+        # searchsorted on the left is exact for every kind of bound: ints,
+        # floats, np.int64, one ulp either side and exp(log p)
+        big = sieve_primes(100_000)
+        ps = big.primes.tolist()
+        for i in range(0, len(ps), 97):
+            p = ps[i]
+            near = (math.nextafter(p, 0), math.nextafter(p, math.inf), math.exp(math.log(p)))
+            for bound in (p, float(p), np.int64(p), p - 0.5, p + 0.5, *near):
+                assert big.below(bound).size == (i + 1 if bound > p else i)
 
 
 class TestKronecker:

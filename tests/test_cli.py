@@ -1,3 +1,4 @@
+import importlib
 import importlib.util
 import inspect
 import json
@@ -22,6 +23,7 @@ from twistrank.cli import (
 )
 from twistrank.curve import TwistedCurve
 from twistrank.explicit_formula import CSV_COLUMNS, ef_total
+from twistrank.family_moments import MomentConfig, family_twist_values
 from twistrank.kernel import SmoothWeight, TriangleKernel
 
 
@@ -164,6 +166,17 @@ class TestEfReport:
         assert ds == sorted(ds)
         assert all(d % 2 == 1 for d in ds)
         capsys.readouterr()
+
+    def test_no_filter_flags_override_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "filtered.cfg"
+        cfg.write_text("squarefree=true\ncoprime=true\n")
+        args = ["ef-report", "--curve", "ncm37", "--x", "300", "--dmin", "-30", "--dmax", "30"]
+        code, unfiltered, _ = run(args, capsys)
+        assert code == EXIT_OK and len(unfiltered.splitlines()) == 61
+        code, filtered, _ = run(args + ["--config", str(cfg)], capsys)
+        assert code == EXIT_OK and filtered != unfiltered
+        code, out, _ = run(args + ["--config", str(cfg), "--no-squarefree", "--no-coprime"], capsys)
+        assert code == EXIT_OK and out == unfiltered
 
     def test_trivial_twist_row(self, capsys):
         code, out, _ = run(
@@ -390,10 +403,10 @@ class TestClosedPipe:
         assert err == b""
 
 
-def _bench_workloads():
-    """bench/workloads.py, loaded read-only: it needs only the standard library."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _bench_module(name):
+    """bench/<name>.py, loaded read-only: it needs only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve annotations through it
     try:
@@ -409,7 +422,7 @@ class TestBenchmarkInterface:
 
     @pytest.mark.parametrize("workload", ["family-sweep", "high-lambda"])
     def test_command_lines_parse(self, workload):
-        spec = _bench_workloads().make_spec(workload, 1)
+        spec = _bench_module("workloads").make_spec(workload, 1)
         args = cli_mod._build_parser().parse_args(spec.command("out.csv"))
         assert args.command == spec.argv[0]
         assert (args.threads, args.format, args.out) == (1, "csv", "out.csv")
@@ -420,3 +433,34 @@ class TestBenchmarkInterface:
         inspect.signature(vl.poisson_check).bind(w, 1, 2, 0, 10, fourier_cache={})
         assert vl.SmoothWeight is SmoothWeight
         assert callable(cli_mod.sieve_primes) and callable(cli_mod.main)
+
+    def test_tracer_names_resolve(self, cm_curve):
+        tracer = _bench_module("tracer")
+        # deleted from the program before the tracer caught up; the tracer's
+        # next change retires them
+        stale = {
+            "explicit_formula.reports_to_csv",
+            "explicit_formula.reports_to_json",
+            "family_moments.MomentTable.to_csv",
+            "family_moments.MomentTable.to_json",
+            "curve.TwistedCurve.as_curve_model",
+        }
+        names = [f"{layer}.{func}" for layer, funcs in tracer.SPANS.items() for func in funcs]
+        names += [full for funcs in tracer.COUNTERS.values() for full in funcs]
+        unresolved = set()
+        for full in names:
+            layer, attr = full.split(".", 1)
+            obj = importlib.import_module(f"twistrank.{layer}")
+            for part in attr.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                unresolved.add(full)
+        assert unresolved <= stale
+
+        # the enumeration hook reads args[0] as the config and len(result)
+        cfg = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
+        result = family_twist_values(cfg)
+        counts = {}
+        tracer._count_family(counts, (cfg,), result)
+        assert isinstance(result, list) and counts["family_moments.kept"] == len(result) > 0
+        assert counts["family_moments.candidates"] == 49  # D = 51..99

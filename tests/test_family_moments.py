@@ -1,9 +1,12 @@
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 import twistrank.family_moments as fm
+import twistrank.kernel as kernel_mod
+from twistrank import arith
 from twistrank.arith import is_squarefree
 from twistrank.explicit_formula import ef_total
 from twistrank.family_moments import (
@@ -12,6 +15,7 @@ from twistrank.family_moments import (
     X_k,
     empirical_rank_tail,
     family_twist_values,
+    filter_twists,
     lowzero_density_bound,
     rank_density_bound,
     sign_partition_stats,
@@ -20,7 +24,7 @@ from twistrank.family_moments import (
     weighted_moment,
     SINC_HALF_SQUARED,
 )
-from twistrank.kernel import SmoothWeight
+from twistrank.kernel import SmoothWeight, weight_eval
 
 
 @pytest.fixture(scope="module")
@@ -113,17 +117,18 @@ class TestConfigAndFamily:
 
     def test_family_values_filters(self, cm_curve):
         cfg = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
-        ds = family_twist_values(cfg)
-        assert ds
-        for d in ds:
-            assert 50.0 < d < 100.0
-            assert is_squarefree(d) and math.gcd(d, 2 * cm_curve.conductor) == 1
+        pairs = family_twist_values(cfg)
+        assert pairs
+        for t, w in pairs:
+            assert 50.0 < t.D < 100.0
+            assert is_squarefree(t.D) and math.gcd(t.D, 2 * cm_curve.conductor) == 1
+            assert t.base == cm_curve and w == weight_eval(cfg.weight, t.D / cfg.T) > 0.0
 
     def test_negative_support_selects_negative_D(self, cm_curve):
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(-1.0, -0.5), T=100.0
         )
-        ds = family_twist_values(cfg)
+        ds = [t.D for t, _ in family_twist_values(cfg)]
         assert ds and all(-100.0 < d < -50.0 for d in ds)
 
     def test_unfiltered_range_includes_even(self, cm_curve):
@@ -136,8 +141,61 @@ class TestConfigAndFamily:
             squarefree_only=False,
             coprime_to_2N=False,
         )
-        ds = family_twist_values(cfg)
+        ds = [t.D for t, _ in family_twist_values(cfg)]
         assert any(d % 2 == 0 for d in ds)
+
+    @pytest.mark.parametrize("squarefree", [True, False])
+    @pytest.mark.parametrize("coprime", [True, False])
+    def test_filter_matches_brute_force(self, catalog, squarefree, coprime):
+        for curve in catalog.values():
+            n2 = 2 * curve.conductor
+            expected = [
+                D
+                for D in range(-300, 301)
+                if D != 0
+                and (not squarefree or is_squarefree(abs(D)))
+                and (not coprime or math.gcd(D, n2) == 1)
+            ]
+            twists = filter_twists(curve, range(-300, 301), squarefree, coprime)
+            assert [t.D for t in twists] == expected
+            assert all(t.base == curve and t.squarefree == is_squarefree(abs(t.D)) for t in twists)
+            # d_K = 12 for D = 12 and 3, and d_K = -4 for D = 4 and -1: only
+            # the squarefree kernel tells the non-squarefree D apart
+            kept = {t.D for t in filter_twists(curve, (12, -12, 4, -4, 3, -1), squarefree, False)}
+            assert kept == ({3, -1} if squarefree else {12, -12, 4, -4, 3, -1})
+            # input order, not sorted order
+            back = filter_twists(curve, range(300, -301, -1), squarefree, coprime)
+            assert [t.D for t in back] == expected[::-1]
+
+    def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch):
+        # W once per D of the support, one factorisation per D that passes
+        # the gcd test, and no separate squarefree test
+        calls = {"weight_eval": [], "fundamental_discriminant": [], "is_squarefree": []}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name].append(args)
+                return fn(*args)
+
+            return wrapper
+
+        cfg = MomentConfig(
+            curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
+        )
+        support = range(211, 420)  # 0.5 < D/T < 1
+        candidates = [D for D in support if weight_eval(cfg.weight, D / cfg.T) > 0.0]
+        coprime = [D for D in candidates if math.gcd(D, 2 * cm_curve.conductor) == 1]
+        # wrapped in every twistrank namespace that binds the function
+        for name in calls:
+            original = getattr(arith, name, None) or getattr(kernel_mod, name)
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.startswith("twistrank") and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, counted(name, original))
+        rows = sweep_family(cfg, primes_1e4)
+        assert [u for _, u in calls["weight_eval"]] == [D / cfg.T for D in support]
+        assert [D for (D,) in calls["fundamental_discriminant"]] == coprime
+        assert calls["is_squarefree"] == []
+        assert rows and len(rows) < len(coprime)
 
 
 class TestWeightedMoment:
@@ -146,8 +204,7 @@ class TestWeightedMoment:
         cfg = MomentConfig(
             curve=cm_curve, k=2, x=200.0, weight=SmoothWeight(0.9, 1.0), T=14.0
         )
-        ds = family_twist_values(cfg)
-        assert ds == [13]
+        assert [t.D for t, _ in family_twist_values(cfg)] == [13]
         rows = sweep_family(cfg, primes_1e4)
         moment = weighted_moment(cfg, rows)
         assert moment.empirical_moment == pytest.approx(

@@ -511,7 +511,7 @@ class TestSuite:
             run_suite([cm_curve], primes_1e4, only="nonsense")
 
     def test_jsum_group_deterministic(self, cm_curve, primes_1e4):
-        a = run_suite([cm_curve], primes_1e4, only="jsum", seed=5, jsum_cases=10)
-        b = run_suite([cm_curve], primes_1e4, only="jsum", seed=5, jsum_cases=10)
+        a = run_suite([cm_curve], primes_1e4, only="jsum", seed=5)
+        b = run_suite([cm_curve], primes_1e4, only="jsum", seed=5)
         assert [r.name for r in a] == [r.name for r in b]
         assert all(r.passed for r in a)
