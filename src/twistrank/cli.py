@@ -60,6 +60,12 @@ EXIT_PIPE = 141
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 AP_SECONDS_PER_PRIME_AT_CAP = 0.8e-3  # measured a_p cost per prime near 1e8 (README)
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
+# measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4): about
+# 10 us to enumerate, filter and build a twist plus 80 us of per-twist prime-side
+# overhead, and 0.45-0.65 us per (twist, prime) pair for x from 1e4 to 1e5
+TWIST_SECONDS_PER_D = 1e-4
+TWIST_SECONDS_PER_PRIME = 0.6e-6
+TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
 
 class UsageError(Exception):
@@ -229,6 +235,20 @@ def _sieve(limit: int, what: str):
     return sieve_primes(limit)
 
 
+def _check_twist_cost(n_ds: int, x: float, what: str) -> None:
+    """Refuse (exit 2), before any enumeration, a run over n_ds candidate D
+    with primes below x whose twist evaluation is estimated to take longer
+    than TWIST_BUDGET_S.  Every candidate is costed as a kept twist, over
+    about x / log(x) primes."""
+    n_primes = x / math.log(max(x, 3.0))
+    estimate = n_ds * (TWIST_SECONDS_PER_D + n_primes * TWIST_SECONDS_PER_PRIME)
+    if estimate > TWIST_BUDGET_S:
+        raise ConfigError(
+            f"{what} evaluates up to {n_ds} twists over about {n_primes:.0f} primes, "
+            f"estimated at {estimate / 60:.0f} min, above the budget of {TWIST_BUDGET_S / 60:.0f} min"
+        )
+
+
 def _sieve_for(x: float):
     return _sieve(max(math.ceil(x), 3), f"x = {x:g}")  # primes below e^lambda = x
 
@@ -293,6 +313,7 @@ def cmd_ef_report(cfg: dict) -> int:
     dmax = cfg.get("dmax", 50)
     if dmin > dmax:
         raise ConfigError(f"empty D range [{dmin}, {dmax}]")
+    _check_twist_cost(dmax - dmin + 1, x, f"D in [{dmin}, {dmax}] at x = {x:g}")
     primes = _sieve_for(x)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
     twists = filter_twists(curve, range(dmin, dmax + 1), squarefree, coprime)
@@ -341,6 +362,7 @@ def cmd_sweep(cfg: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_twist_cost(len(config.support_ds()), x, f"a sweep with T = {config.T:g} at x = {x:g}")
     primes = _sieve_for(x)
     try:
         rows = sweep_family(config, primes)

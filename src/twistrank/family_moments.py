@@ -128,6 +128,12 @@ class MomentConfig:
     def lam(self) -> float:
         return math.log(self.x)
 
+    def support_ds(self) -> range:
+        """The D with D/T strictly inside the weight support, ascending."""
+        first = math.floor(self.T * self.weight.support_lo) + 1
+        last = math.ceil(self.T * self.weight.support_hi) - 1
+        return range(first, last + 1)
+
     def filter_flags(self) -> str:
         parts = []
         if self.squarefree_only:
@@ -166,9 +172,7 @@ def family_twist_values(config: MomentConfig) -> List[Tuple[TwistedCurve, float]
     """(twist, W(D/T)) for every D != 0 inside the weight support with
     W(D/T) > 0 that passes the filters, ascending in D.  W is evaluated
     once per D; sign filtering happens later, once root numbers exist."""
-    first = math.floor(config.T * config.weight.support_lo) + 1
-    last = math.ceil(config.T * config.weight.support_hi) - 1
-    weights = {D: weight_eval(config.weight, D / config.T) for D in range(first, last + 1)}
+    weights = {D: weight_eval(config.weight, D / config.T) for D in config.support_ds()}
     ds = (D for D, w in weights.items() if w > 0.0)
     twists = filter_twists(config.curve, ds, config.squarefree_only, config.coprime_to_2N)
     return [(t, weights[t.D]) for t in twists]

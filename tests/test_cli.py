@@ -12,6 +12,7 @@ import pytest
 
 import twistrank
 import twistrank.cli as cli_mod
+import twistrank.family_moments as fm
 import twistrank.verification_lab as vl
 from twistrank.cli import (
     EXIT_CONFIG,
@@ -261,6 +262,50 @@ class TestSweep:
         assert not out.exists()
 
 
+class TestTwistBudget:
+    def test_over_budget_refused_before_enumeration(self, monkeypatch, capsys):
+        # nothing may enumerate: an unrefused k = 2 sweep would build a dict
+        # over 5e7 D before any other work
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("twist enumeration started")
+
+        monkeypatch.setattr(fm, "family_twist_values", no_enumeration)
+        monkeypatch.setattr(fm, "filter_twists", no_enumeration)
+        monkeypatch.setattr(cli_mod, "filter_twists", no_enumeration)
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        for args in (
+            ["sweep", "--curve", "cm32-like", "--k", "2"],  # T = X_2(1e3), about 1.1e8
+            ["sweep", "--curve", "cm32-like", "--x", "1e5"],
+            ["ef-report", "--curve", "ncm37", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"],
+        ):
+            code, out, err = run(args, capsys)
+            assert code == EXIT_CONFIG, args
+            assert "twists over about" in err and "estimated at" in err, err
+            assert "budget of 10 min" in err, err
+            assert out == ""
+
+    def test_default_and_bench_configs_within_budget(self, monkeypatch):
+        class Sieved(Exception):
+            pass
+
+        def sentinel(limit):
+            raise Sieved(limit)
+
+        monkeypatch.setattr(cli_mod, "sieve_primes", sentinel)
+        workloads = _bench_module("workloads")
+        commands = [
+            ["sweep", "--curve", "cm32-like"],
+            ["ef-report", "--curve", "ncm37"],
+            ["sweep", "--curve", "cm32-like", "--x", "1e4"],  # estimated at 4.5 min
+        ]
+        commands += [
+            workloads.make_spec(name, 1).command("out.csv") for name in ("family-sweep", "high-lambda")
+        ]
+        for args in commands:
+            with pytest.raises(Sieved):
+                main(args)
+
+
 class TestVerifyCommand:
     def test_only_gauss_passes(self, tmp_path, capsys):
         out = tmp_path / "v.jsonl"
@@ -401,6 +446,60 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=120)
         assert proc.returncode == EXIT_PIPE
         assert err == b""
+
+
+# Runs one command in a fresh interpreter and prints which scipy modules it loaded.
+_SCIPY_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from twistrank.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def _probe(code, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportHygiene:
+    """The explicit-formula path needs no quadrature: scipy.integrate and
+    scipy.special load only when a verification function asks for them."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ap-table", "--curve", "ncm37", "--limit", "50"],
+            ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "-3", "--dmax", "3"],
+            ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"],
+        ],
+        ids=["ap-table", "ef-report", "sweep"],
+    )
+    def test_commands_skip_quadrature_modules(self, args):
+        code, loaded = _probe(_SCIPY_PROBE, *args)
+        assert code == EXIT_OK
+        assert "scipy" in loaded
+        assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+
+    def test_verification_functions_load_quadrature_on_demand(self):
+        code = """
+import json, sys
+from twistrank.kernel import SmoothWeight, TriangleKernel, mellin_phi_quadrature, weight_fourier
+before = "scipy.integrate" in sys.modules
+phi = mellin_phi_quadrature(TriangleKernel(2.0), 1.0 + 0j)
+w = weight_fourier(SmoothWeight(0.5, 1.0), 3.0)
+print(json.dumps([before, "scipy.integrate" in sys.modules, phi.real, abs(w)]))
+"""
+        before, after, phi, w = _probe(code)
+        assert not before and after
+        assert phi == pytest.approx(2.0, abs=1e-10)  # Phi_lambda(1) = lambda
+        assert 0.0 < w < 0.5
 
 
 def _bench_module(name):

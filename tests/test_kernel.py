@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import exp1
 
 from twistrank.kernel import (
     SmoothWeight,
@@ -88,6 +90,23 @@ def trapezoid_oracle(lam, n=2_000_000):
     return head + tail
 
 
+def quadrature_oracle(lam):
+    """Adaptive quadrature on (0, lam) plus the exponential-integral tail:
+    on (lam, inf) the kernel vanishes and the integrand is -e^(-t)/t."""
+
+    def integrand(t):
+        if t < 1e-8:
+            return 0.5 - 1.0 / lam  # the limit at t -> 0+
+        return (1.0 - t / lam) / math.expm1(t) - math.exp(-t) / t
+
+    head = quad(integrand, 0.0, lam, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+    return head - float(exp1(lam))
+
+
+# 200 log-spaced scales over the CLI's range of lambda = log x, x <= 1e8
+ORACLE_LAMS = [float(v) for v in np.geomspace(1.0, math.log(1e8), 200)]
+
+
 class TestArchimedean:
     def test_integrand_limit(self):
         # limit of F(t/lam)/(e^t - 1) - 1/(t e^t) at t -> 0+ is 1/2 - 1/lam
@@ -105,12 +124,35 @@ class TestArchimedean:
             assert -1.0 < v < 1.0
 
     def test_large_lambda_tends_to_euler_gamma(self):
-        # I(lam) = gamma - pi^2/(6 lam) + o(1/lam): the kernel deficit
+        # I(lam) = gamma - pi^2/(6 lam) + O(e^-lam / lam): the kernel deficit
         # int t/(lam (e^t - 1)) contributes pi^2/(6 lam)
         for lam in (20.0, 40.0):
             v = archimedean_integral(TriangleKernel(lam))
             target = 0.5772156649015329 - math.pi**2 / (6 * lam)
-            assert abs(v - target) < 2e-3
+            assert abs(v - target) < 1e-7
+
+    def test_against_quadrature_oracle(self):
+        worst = max(
+            abs(archimedean_integral(TriangleKernel(lam)) - quadrature_oracle(lam))
+            for lam in ORACLE_LAMS
+        )
+        assert worst <= 1e-13
+
+    def test_against_mpmath_series(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            worst = 0.0
+            for lam in ORACLE_LAMS:
+                L = mpmath.mpf(lam)
+                series = mpmath.nsum(lambda n: mpmath.exp(-n * L) * (L / n + 1 / n**2), [1, mpmath.inf])
+                exact = (
+                    mpmath.euler
+                    - (mpmath.pi**2 / 6 - series) / L
+                    + mpmath.log(1 - mpmath.exp(-L))
+                )
+                got = archimedean_integral(TriangleKernel(lam))
+                worst = max(worst, abs(float(mpmath.mpf(got) - exact)))
+        assert worst <= 2e-16
 
 
 class TestSmoothWeight:
