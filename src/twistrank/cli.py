@@ -60,11 +60,14 @@ EXIT_PIPE = 141
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 AP_SECONDS_PER_PRIME_AT_CAP = 0.8e-3  # measured a_p cost per prime near 1e8 (README)
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
-# measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4): about
-# 10 us to enumerate, filter and build a twist plus 80 us of per-twist prime-side
-# overhead, and 0.45-0.65 us per (twist, prime) pair for x from 1e4 to 1e5
-TWIST_SECONDS_PER_D = 1e-4
-TWIST_SECONDS_PER_PRIME = 0.6e-6
+# measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4): 6-13 us
+# to enumerate, filter and build a twist with D near 2e4 and 10 us of per-twist
+# prime-side overhead; 0.52 us per (twist, x / log(x) prime) at x = 1e5,
+# above the 0.17 and 0.39 us at x = 1e3 and 1e4; and trial division of a prime D,
+# 50-55 ns per unit of sqrt(D) from D = 1e10 to 1e14
+TWIST_SECONDS_PER_D = 2e-5
+TWIST_SECONDS_PER_PRIME = 0.52e-6
+TWIST_SECONDS_PER_ROOT_D = 55e-9
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
 
@@ -235,17 +238,25 @@ def _sieve(limit: int, what: str):
     return sieve_primes(limit)
 
 
-def _check_twist_cost(n_ds: int, x: float, what: str) -> None:
-    """Refuse (exit 2), before any enumeration, a run over n_ds candidate D
-    with primes below x whose twist evaluation is estimated to take longer
-    than TWIST_BUDGET_S.  Every candidate is costed as a kept twist, over
-    about x / log(x) primes."""
+def _check_twist_cost(ds: range, x: float, what: str) -> None:
+    """Refuse (exit 2), before any enumeration, a run over the candidate D of
+    ds with primes below x whose twists are estimated to take longer than
+    TWIST_BUDGET_S.  Every candidate is costed as a kept twist, over about
+    x / log(x) primes, whose D is factorised by trial division up to
+    sqrt(max |D|)."""
     n_primes = x / math.log(max(x, 3.0))
-    estimate = n_ds * (TWIST_SECONDS_PER_D + n_primes * TWIST_SECONDS_PER_PRIME)
+    max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
+    per_d = (
+        TWIST_SECONDS_PER_D
+        + n_primes * TWIST_SECONDS_PER_PRIME
+        + math.isqrt(max_d) * TWIST_SECONDS_PER_ROOT_D
+    )
+    estimate = len(ds) * per_d
     if estimate > TWIST_BUDGET_S:
         raise ConfigError(
-            f"{what} evaluates up to {n_ds} twists over about {n_primes:.0f} primes, "
-            f"estimated at {estimate / 60:.0f} min, above the budget of {TWIST_BUDGET_S / 60:.0f} min"
+            f"{what} evaluates up to {len(ds)} twists over about {n_primes:.0f} primes "
+            f"with |D| up to {max_d}, estimated at {estimate / 60:.0f} min, "
+            f"above the budget of {TWIST_BUDGET_S / 60:.0f} min"
         )
 
 
@@ -313,10 +324,11 @@ def cmd_ef_report(cfg: dict) -> int:
     dmax = cfg.get("dmax", 50)
     if dmin > dmax:
         raise ConfigError(f"empty D range [{dmin}, {dmax}]")
-    _check_twist_cost(dmax - dmin + 1, x, f"D in [{dmin}, {dmax}] at x = {x:g}")
+    ds = range(dmin, dmax + 1)
+    _check_twist_cost(ds, x, f"D in [{dmin}, {dmax}] at x = {x:g}")
     primes = _sieve_for(x)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
-    twists = filter_twists(curve, range(dmin, dmax + 1), squarefree, coprime)
+    twists = filter_twists(curve, ds, squarefree, coprime)
     reports = evaluate_reports(twists, math.log(x), primes)
     with _output(cfg.get("out")) as out:
         _write_table(cfg, CSV_COLUMNS, [report_record(r) for r in reports], out)
@@ -362,7 +374,7 @@ def cmd_sweep(cfg: dict) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    _check_twist_cost(len(config.support_ds()), x, f"a sweep with T = {config.T:g} at x = {x:g}")
+    _check_twist_cost(config.support_ds(), x, f"a sweep with T = {config.T:g} at x = {x:g}")
     primes = _sieve_for(x)
     try:
         rows = sweep_family(config, primes)

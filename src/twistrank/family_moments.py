@@ -16,7 +16,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .arith import PrimeTable
 from .curve import CurveModel, TwistedCurve
-from .explicit_formula import ExplicitFormulaReport, ef_total
+from .explicit_formula import ExplicitFormulaReport, prime_sides, twist_report
 from .kernel import SmoothWeight, TriangleKernel, weight_eval
 
 __all__ = [
@@ -184,10 +184,11 @@ def evaluate_reports(
     """Explicit-formula reports for a list of twists, in the input order.
 
     The D-independent prime-side work is shared through the per-(curve,
-    lambda) plan of explicit_formula, so each twist costs one character
-    evaluation over the primes."""
+    lambda) plan of explicit_formula, and the characters of all the twists
+    come from one batched prime_sides call."""
     kernel = TriangleKernel(lam)
-    return [ef_total(twist, kernel, primes) for twist in twists]
+    sums = prime_sides(twists, kernel, primes)
+    return [twist_report(twist, kernel, s) for twist, s in zip(twists, sums)]
 
 
 def sweep_family(config: MomentConfig, primes: PrimeTable) -> List[FamilyRow]:

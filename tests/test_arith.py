@@ -13,7 +13,7 @@ from twistrank.arith import (
     is_prime,
     is_squarefree,
     kronecker,
-    legendre_array,
+    legendre_matrix,
     mobius,
     parity_decompose,
     sieve_primes,
@@ -118,14 +118,26 @@ class TestKronecker:
                 expected = 1 if euler == 1 else -1
                 assert kronecker(d, p) == expected, (d, p)
 
-    def test_legendre_array_matches_kronecker(self, primes_1e4):
+    def test_legendre_matrix_matches_kronecker(self, primes_1e4):
         ps = primes_1e4.primes[1:]  # every odd prime below 1e4
-        for d in (1, -1, 2, -3, 5, -7, 12, 30, -97, 3 * 7 * 11 * 13, -(10**8 + 7), 2 * 9973, 10**30 + 1):
-            got = legendre_array(d, ps)
-            assert got.tolist() == [kronecker(d, int(p)) for p in ps], d
-        # multiples of each prime give 0
-        assert not legendre_array(0, ps).any()
-        assert not (legendre_array(-5 * 9973, np.array([5, 9973]))).any()
+        ds = [1, -1, 2, -3, 5, -7, 12, 30, -97, 3 * 7 * 11 * 13, -(10**8 + 7), 2 * 9973]
+        ds += [0, -5 * 9973, -math.prod(range(3, 100, 2)), 9973 * 9967 * 7919]  # multiples of p
+        ds += [2**63, -(2**63), -(2**63) - 1, 10**30 + 1, -9973 * 2**70]  # |d| >= 2^63
+        expected = [[kronecker(d, int(p)) for p in ps] for d in ds]
+        # batches of len(ds), 1 and all-table rows: below _TABLE_P_PER_ROW
+        # * rows a prime reads the residue table, above it Euler's criterion
+        all_table = -(-int(ps[-1]) // arith._TABLE_P_PER_ROW)
+        assert len(ds) < all_table
+        got = legendre_matrix(ds, ps)
+        assert got.dtype == np.int8 and got.shape == (len(ds), ps.size)
+        assert got.tolist() == expected
+        for i, d in enumerate(ds):
+            assert legendre_matrix([d], ps).tolist() == [expected[i]], d
+        filler = list(range(-all_table, 0))
+        big = legendre_matrix(ds + filler, ps)
+        assert big[: len(ds)].tolist() == expected
+        for d, row in list(zip(filler, big[len(ds) :].tolist()))[::97]:
+            assert row == [kronecker(d, int(p)) for p in ps], d
 
     def test_zero_and_negative_denominators(self):
         assert kronecker(1, 0) == 1

@@ -277,6 +277,8 @@ class TestTwistBudget:
             ["sweep", "--curve", "cm32-like", "--k", "2"],  # T = X_2(1e3), about 1.1e8
             ["sweep", "--curve", "cm32-like", "--x", "1e5"],
             ["ef-report", "--curve", "ncm37", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"],
+            # few primes, but 1e5 trial divisions up to sqrt(1e14) = 1e7
+            ["ef-report", "--x", "1e4", "--dmin", str(10**14), "--dmax", str(10**14 + 10**5)],
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+import twistrank.explicit_formula as ef
 from twistrank.curve import TwistedCurve, cpm
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
@@ -10,9 +11,11 @@ from twistrank.explicit_formula import (
     beta_array,
     ef_total,
     prime_side,
+    prime_sides,
     report_record,
     twisted_upper_bound,
 )
+from twistrank.family_moments import evaluate_reports
 from twistrank.kernel import TriangleKernel, triangle
 
 from conftest import twist_cpm
@@ -131,6 +134,43 @@ class TestPrimeSideOracle:
         # N = 3 * 5 * 7: the twisted model's a_3 metadata and its nodes at
         # 5 and 7 against the character rule of the plan
         self._check_every_twist((bad3_curve,), x, primes_1e4)
+
+
+class TestBatchInvariance:
+    """prime_sides over a batch against one-twist prime_side calls."""
+
+    X = 1e3
+
+    @pytest.fixture(scope="class")
+    def chunk(self, primes_1e4):
+        return ef._CHUNK_CELLS // primes_1e4.below(self.X).size
+
+    @staticmethod
+    def _one_by_one(twists, kern, primes):
+        return [prime_side(tw, kern, primes) for tw in twists]
+
+    def test_batch_lengths_around_the_chunk(self, ncm_curve, primes_1e4, chunk):
+        kern = TriangleKernel(math.log(self.X))
+        ds = [D for D in range(-(chunk // 2) - 3, chunk // 2 + 3) if D]
+        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+            twists = [TwistedCurve(ncm_curve, D) for D in ds[:n]]
+            assert len(twists) == n
+            got = prime_sides(twists, kern, primes_1e4)
+            assert repr(got) == repr(self._one_by_one(twists, kern, primes_1e4)), n
+
+    def test_mixed_curves_in_input_order(self, cm_curve, ncm_curve, bad3_curve, primes_1e4, chunk):
+        # interleaved base curves, each with more than a chunk of twists
+        kern = TriangleKernel(math.log(self.X))
+        curves = (ncm_curve, cm_curve, bad3_curve)
+        half = 3 * chunk // 2 + 9
+        ds = [D for D in range(half, -half, -1) if D]
+        twists = [TwistedCurve(curves[i % 3], D) for i, D in enumerate(ds)]
+        assert min(sum(t.base is c for t in twists) for c in curves) > chunk
+        got = prime_sides(twists, kern, primes_1e4)
+        assert repr(got) == repr(self._one_by_one(twists, kern, primes_1e4))
+        reports = evaluate_reports(twists, kern.lam, primes_1e4)
+        assert [r.D for r in reports] == [t.D for t in twists]
+        assert repr(reports) == repr([ef_total(t, kern, primes_1e4) for t in twists])
 
 
 class TestCharacterAtTwo:

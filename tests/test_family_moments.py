@@ -8,7 +8,7 @@ import twistrank.family_moments as fm
 import twistrank.kernel as kernel_mod
 from twistrank import arith
 from twistrank.arith import is_squarefree
-from twistrank.explicit_formula import ef_total
+from twistrank.explicit_formula import prime_sides
 from twistrank.family_moments import (
     EmptyFamilyError,
     MomentConfig,
@@ -294,14 +294,15 @@ class TestPartitionAndTail:
 
 
     def test_sign_filter_precedes_prime_side(self, ncm_curve, primes_1e4, monkeypatch):
-        # ef_total runs once per kept row and never for a twist of the other sign
+        # the batched prime side sees each kept row once and never a twist
+        # of the other sign
         evaluated = []
 
-        def counting_ef_total(twist, kernel, primes):
-            evaluated.append(twist)
-            return ef_total(twist, kernel, primes)
+        def counting_prime_sides(twists, kernel, primes):
+            evaluated.extend(twists)
+            return prime_sides(twists, kernel, primes)
 
-        monkeypatch.setattr(fm, "ef_total", counting_ef_total)
+        monkeypatch.setattr(fm, "prime_sides", counting_prime_sides)
         cfg = MomentConfig(
             curve=ncm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
         )
@@ -313,7 +314,7 @@ class TestPartitionAndTail:
     def test_empty_after_sign_filter(self, cm_curve, primes_1e4, monkeypatch):
         # on the even-conductor curve every defined sign in a positive family
         # is +1, so a minus sweep is empty before any prime-side work
-        monkeypatch.setattr(fm, "ef_total", None)
+        monkeypatch.setattr(fm, "prime_sides", None)
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="minus"
         )
