@@ -58,7 +58,7 @@ EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
-AP_SECONDS_PER_PRIME_AT_CAP = 0.8e-3  # measured a_p cost per prime near 1e8 (README)
+AP_SECONDS_PER_PRIME_AT_CAP = 0.12e-3  # measured a_p cost per prime near 1e8 (README)
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
 # measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4): 6-13 us
 # to enumerate, filter and build a twist with D near 2e4 and 10 us of per-twist

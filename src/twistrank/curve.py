@@ -3,14 +3,18 @@
 The trace of Frobenius a_p is computed for good primes p > 3 by
 Shanks-Mestre baby-step giant-step over the Hasse interval (O(p^(1/4))
 group operations; Cohen, A Course in Computational Algebraic Number
-Theory, 7.4), falling back to an exhaustive quadratic-character sum over
-F_p when the points tried leave more than one candidate.  Bad primes
-p > 3 use the node/cusp rule, and p in {2, 3}, where short Weierstrass
-point counting degenerates, use caller-supplied metadata.  A twist
-carries its conductor (N * D^2, or a bound) and its root number (through
-the quadratic character of Q(sqrt(D))); its coefficients are the base
-curve's times that character, applied by explicit_formula.prime_side, so
-no twisted model is ever built.
+Theory, 7.4), for a block of primes at once: one int64 numpy lane per
+(prime, point) pair, walked in projective coordinates and normalised with
+Montgomery's simultaneous inversion along each lane's walk ("Speeding the
+Pollard and elliptic curve methods of factorization", Math. Comp. 1987).
+The primes whose points leave more than one candidate go, as a group, to
+an exhaustive quadratic-character sum over F_p.  Bad primes p > 3 use the
+node/cusp rule, and p in {2, 3}, where short Weierstrass point counting
+degenerates, use caller-supplied metadata.  A twist carries its conductor
+(N * D^2, or a bound) and its root number (through the quadratic
+character of Q(sqrt(D))); its coefficients are the base curve's times that
+character, applied by explicit_formula.prime_side, so no twisted model is
+ever built.
 """
 
 from __future__ import annotations
@@ -70,15 +74,28 @@ class CurveModel:
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
 
+# x-values per step of the exhaustive sum.
+_CHAR_SUM_CHUNK = 1 << 20
+
+
 def _ap_char_sum(A: int, B: int, p: int) -> int:
-    """a_p = -sum_x (x^3+Ax+B | p) for an odd good prime, vectorized."""
-    x = np.arange(p, dtype=np.int64)
-    sq = (x * x) % p
-    fx = ((sq + A % p) * x + B % p) % p
-    chi = np.full(p, -1, dtype=np.int64)
-    chi[sq] = 1
-    chi[0] = 0
-    return int(-chi[fx].sum())
+    """a_p = -sum_x (x^3+Ax+B | p) for an odd good prime p < 2^31, vectorized.
+
+    It takes p bytes for the table of squares and O(_CHAR_SUM_CHUNK) for
+    the rest, so a prime near the 1e8 table cap needs 0.1 GB, not 3 GB.
+    """
+    square = np.zeros(p, dtype=bool)
+    for lo in range(0, p // 2 + 1, _CHAR_SUM_CHUNK):  # x and p - x: one square
+        x = np.arange(lo, min(lo + _CHAR_SUM_CHUNK, p // 2 + 1), dtype=np.int64)
+        square[x * x % p] = True
+    total = 0
+    for lo in range(0, p, _CHAR_SUM_CHUNK):
+        x = np.arange(lo, min(lo + _CHAR_SUM_CHUNK, p), dtype=np.int64)
+        fx = ((x * x % p + A % p) * x + B % p) % p
+        nonzero = fx != 0
+        # (f | p) is 1 on a nonzero square and -1 off the squares
+        total += 2 * int(np.count_nonzero(square[fx] & nonzero)) - int(np.count_nonzero(nonzero))
+    return -total
 
 
 def _ap_bad(A: int, B: int, p: int) -> int:
@@ -94,73 +111,6 @@ def _ap_bad(A: int, B: int, p: int) -> int:
     return 1 if kronecker(3 * x0, p) == 1 else -1
 
 
-def _ec_add(P, Q, a: int, p: int):
-    """P + Q on y^2 = x^3 + a x + b over F_p, in affine coordinates.
-
-    None is the point at infinity; b is not needed by the group law.
-    """
-    if P is None:
-        return Q
-    if Q is None:
-        return P
-    x1, y1 = P
-    x2, y2 = Q
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _ec_mul(n: int, P, a: int, p: int):
-    """n P for n >= 0 by double-and-add."""
-    R = None
-    while n:
-        if n & 1:
-            R = _ec_add(R, P, a, p)
-        P = _ec_add(P, P, a, p)
-        n >>= 1
-    return R
-
-
-def _hasse_orders(P, a: int, p: int, T: int, m: int) -> Optional[set]:
-    """Every k in [-T, T] with (p + 1 + k) P = O, by baby-step giant-step.
-
-    Baby steps store x(jP) for j = 1..m; giant steps walk
-    G_i = (p + 1 + i s) P with s = 2m + 1, and G_i = -rP for |r| <= m
-    gives k = i s + r.  The match is unique only if ord(P) > 2m, so None is
-    returned when the baby steps show a smaller order: a step that is
-    2-torsion (y = 0) or repeats an x-coordinate (jP = +-j'P).  O itself is
-    never reached first, since jP = -P repeats x(P).
-    """
-    baby = {}
-    prev, R = None, P
-    for j in range(1, m + 1):
-        if R[1] == 0 or R[0] in baby:
-            return None
-        baby[R[0]] = (j, R[1])
-        prev, R = R, _ec_add(R, P, a, p)
-    step = _ec_add(R, prev, a, p)  # (2m + 1) P
-    s = 2 * m + 1
-    span = (T + m) // s
-    G = _ec_mul(p + 1 - span * s, P, a, p)
-    found = set()
-    for i in range(-span, span + 1):
-        r = None
-        if G is None:
-            r = 0
-        elif G[0] in baby:
-            j, y = baby[G[0]]
-            r = -j if G[1] == y else j
-        if r is not None and -T <= i * s + r <= T:
-            found.add(i * s + r)
-        G = _ec_add(G, step, a, p)
-    return found
-
-
 # x-coordinates tried per prime before falling back to the exhaustive sum.
 _BSGS_TRIES = 12
 # The n-th x-coordinate tried is n * _BSGS_STRIDE mod p.  Consecutive small
@@ -168,58 +118,339 @@ _BSGS_TRIES = 12
 # (y^2 = x^3 - x at p = 48049 for every x0 < 12), and then no point of the
 # twist would be tried.
 _BSGS_STRIDE = 2654435761
+# Lanes per kernel call.  A numpy call costs about 1 us plus 6-8 ns per lane
+# for the int64 remainder, and the lane state is O(lanes * p^(1/4)).  ncm37,
+# fresh ap_array, 2-core VM, at 256 / 512 / 1024 lanes: to 5e4 (the bench's
+# high-lambda table) 0.12 / 0.09 / 0.06 s and +2.2 / +3.2 / +4.9 MB peak
+# RSS; to 1e6, 2.5 / 2.1 / 1.8 s and +4.7 / +7.4 / +11.4 MB.
+_LANES = 512
+# Primes per _ap_lanes call from ap_array, so that the primes the first try
+# leaves open are gathered over many blocks and fill whole ones.
+_AP_CHUNK = 16 * _LANES
+# Below this, every intermediate value of the kernel is below 2 p^2 < 2^63.
+_LANE_P_LIMIT = 1 << 31
+# A step in the match is ((lane << 31 | x) << 1 | giant) << _ROW_BITS | row,
+# with rows below 2^10 (m = isqrt(isqrt(4p)) < 305 for p < 2^31).
+_ROW_BITS = 10
+_TAG = _ROW_BITS + 1  # key >> _TAG is lane << 31 | x
 
 
-def _ap_bsgs(A: int, B: int, p: int) -> Optional[int]:
-    """a_p for a good prime p > 3 by Shanks-Mestre, or None if ambiguous.
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for an int64 array of n < 2^52."""
+    r = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    r -= r * r > n
+    r += (r + 1) * (r + 1) <= n
+    return r
 
-    For x0 spread over F_p with c = f(x0) != 0, the point (c x0, c^2) lies on
-    Y^2 = X^3 + A c^2 X + B c^3, which is E when c is a square mod p and
-    its quadratic twist E' otherwise (#E + #E' = 2p + 2).  Each point
-    narrows the candidate a_p to those whose group order it divides; the
-    answer is returned once one candidate is left.  Points of order
-    <= 2m carry no information here and are skipped.
+
+def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b^e mod p lane by lane, by left-to-right square-and-multiply."""
+    r = np.ones_like(b)
+    b1 = b - 1
+    for i in range(int(e.max()).bit_length() - 1, -1, -1):
+        r = r * r % p
+        r = r * ((e >> i & 1) * b1 + 1) % p  # times b where bit i of e is set
+    return r
+
+
+def _madd(X1, Y1, Z1, x2, y2, p):
+    """(X1 : Y1 : Z1) + (x2, y2) in homogeneous projective coordinates.
+
+    Exact when the x-coordinates differ, and when the sum is O (Z3 = 0).
+    P1 = O and P1 = P2 also give Z3 = 0, wrongly; _madd_checked mends them.
     """
-    T = math.isqrt(4 * p)  # |a_p| <= 2 sqrt(p)
-    m = max(1, math.isqrt(T))
-    half = (p - 1) // 2
-    cands = None
-    for n in range(_BSGS_TRIES):
-        x0 = n * _BSGS_STRIDE % p
-        c = (x0 * x0 * x0 + A * x0 + B) % p
-        if c == 0:
-            continue
-        ks = _hasse_orders((c * x0 % p, c * c % p), A * c * c % p, p, T, m)
-        if ks is None:
-            continue
-        # on E, #E = p + 1 - a_p = p + 1 + k; on E', #E' = p + 1 + a_p
-        sign = -1 if pow(c, half, p) == 1 else 1
-        found = {sign * k for k in ks}
-        cands = found if cands is None else cands & found
-        if len(cands) == 1:
-            return cands.pop()
-    return None
+    u = (y2 * Z1 - Y1) % p
+    v = (x2 * Z1 - X1) % p
+    vv = v * v % p
+    vvv = v * vv % p
+    r = vv * X1 % p
+    w = (u * u % p * Z1 - vvv - 2 * r) % p
+    return v * w % p, (u * (r - w) - vvv * Y1 % p) % p, vvv * Z1 % p
+
+
+def _dbl(X, Y, Z, a, p):
+    """2 (X : Y : Z) on y^2 = x^3 + a x + b; O and 2-torsion give Z3 = 0."""
+    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
+    s = 2 * Y * Z % p
+    r = Y * s % p
+    B = 2 * X * r % p
+    h = (w * w - 2 * B) % p
+    return h * s % p, (w * (B - h) - 2 * (r * r % p)) % p, s * (s * s % p) % p
+
+
+def _madd_checked(X1, Y1, Z1, x2, y2, a, p, keep):
+    """_madd in every case (P1 = O gives P2, P1 = P2 gives 2 P2); lanes
+    where keep is set return P1.  The doubling runs only where needed."""
+    X3, Y3, Z3 = _madd(X1, Y1, Z1, x2, y2, p)
+    (i,) = np.nonzero((Z3 == 0) | keep)
+    if i.size:
+        at_o = Z1[i] == 0
+        # P1 = P2 gives u = v = 0 and so Y3 = 0; a true sum O has Y3 != 0
+        j = i[~at_o & (Y3[i] == 0)]
+        if j.size:
+            X3[j], Y3[j], Z3[j] = _dbl(x2[j], y2[j], np.ones_like(j), a[j], p[j])
+        j = i[at_o]
+        if j.size:
+            X3[j], Y3[j], Z3[j] = x2[j], y2[j], 1
+        j = i[keep[i]]
+        if j.size:
+            X3[j], Y3[j], Z3[j] = X1[j], Y1[j], Z1[j]
+    return X3, Y3, Z3
+
+
+def _to_affine(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, p: np.ndarray) -> None:
+    """Overwrite (X, Y), a (steps, lanes) walk with nonzero Z, with x and y.
+
+    Montgomery's simultaneous inversion along each lane's walk: prefix
+    products of Z, one Fermat power per lane, and back.  It cannot batch
+    across lanes, since each lane has its own modulus.
+    """
+    zinv = np.empty_like(Z)
+    zinv[0] = Z[0]
+    for j in range(1, Z.shape[0]):
+        zinv[j] = zinv[j - 1] * Z[j] % p
+    inv = _powmod(zinv[-1], p - 2, p)
+    for j in range(Z.shape[0] - 1, 0, -1):
+        zinv[j] = inv * zinv[j - 1] % p
+        inv = inv * Z[j] % p
+    zinv[0] = inv
+    for coord in (X, Y):
+        coord *= zinv
+        coord %= p
+
+
+def _hasse_orders(p, a, x, y):
+    """Every k in [-T, T] with (p + 1 + k) P = O, for one point P per lane.
+
+    Lane i holds a prime 5 <= p[i] < 2^31, the coefficient a[i] of
+    y^2 = x^3 + a x + b over F_p (the group law needs no b) and an affine
+    point P = (x[i], y[i]); all are int64 arrays.  T = isqrt(4p) and
+    m = isqrt(T) per lane.  Baby steps jP (j = 1..m) and giant steps
+    G_i = (p + 1 + i s) P (s = 2m + 1, |i| <= (T + m) // s) are walked in
+    homogeneous projective coordinates, so no step inverts; each walk is
+    then normalised with one Fermat power per lane (_to_affine).  A giant
+    step G_i = -rP with |r| <= m gives k = i s + r, and the matches come
+    from one sort of lane-tagged x-coordinates.  They are unique only if
+    ord(P) > 2m, so a lane whose baby steps show a smaller order (a step
+    that is O or 2-torsion, or a repeated x) is invalid.  Every product is
+    of two residues, so no intermediate value reaches 2 p^2 < 2^63.
+
+    Returns (valid, lane, k): valid flags each lane, and for the valid
+    lanes the pairs (lane[j], k[j]) are exactly the k above.
+    """
+    L = p.size
+    T = _isqrt(4 * p)
+    m = _isqrt(T)  # >= 2 for p >= 5
+    M = int(m.max())
+    lanes = np.arange(L)
+    one = np.ones(L, dtype=np.int64)
+    # rows 0..M-1 hold jP (j = row + 1), row M holds sP
+    BX = np.empty((M + 1, L), dtype=np.int64)
+    BY, BZ = np.empty_like(BX), np.empty_like(BX)
+    BX[0], BY[0], BZ[0] = x, y, one
+    BX[1], BY[1], BZ[1] = _dbl(x, y, one, a, p)
+    for j in range(2, M):
+        BX[j], BY[j], BZ[j] = _madd(BX[j - 1], BY[j - 1], BZ[j - 1], x, y, p)
+    mP = _dbl(BX[m - 1, lanes], BY[m - 1, lanes], BZ[m - 1, lanes], a, p)
+    BX[M], BY[M], BZ[M] = _madd(*mP, x, y, p)
+    mult = np.arange(1, M + 2)[:, None]  # j of the rows jP
+    live = mult <= m
+    # a step that is O or 2-torsion shows a small order; on a valid lane
+    # only sP can be O (when ord(P) = 2m + 1), and the giant walk keeps it
+    valid = ~(((BZ[:M] == 0) | (BY[:M] == 0)) & live[:M]).any(axis=0)
+    step_o = BZ[M] == 0
+    # the walk first errs at jP = -P, so jP is exact up to j = 2m < ord(P)
+    # on a valid lane: those rows are normalised too, for the ladder
+    exact = mult <= 2 * m
+    exact[M] = True
+    BZ[~exact | (BZ == 0)] = 1
+    _to_affine(BX, BY, BZ, p)
+    del BZ
+    keys = BX[:M] | lanes << 31
+    keys <<= _TAG
+    keys |= np.arange(M)[:, None]
+    baby = np.sort(keys[live[:M]])
+    del keys
+    tag = baby >> _TAG
+    valid[tag[1:][tag[1:] == tag[:-1]] >> 31] = False  # a repeated x
+    v = np.flatnonzero(valid)
+    if not v.size:
+        return valid, v, v
+
+    p, a, m, T = p[v], a[v], m[v], T[v]
+    s = 2 * m + 1
+    span = (T + m) // s
+    n0 = p + 1 - span * s
+    # G_{-span} = n0 P by 2^w-ary double-and-add, with the multiples dP
+    # (0 < d < 2^w <= min(M, 2m) + 1) read from the baby steps
+    w = int(min(M, 2 * int(m.min())) + 1).bit_length() - 1
+    tx, ty = BX[: (1 << w) - 1, v], BY[: (1 << w) - 1, v]
+    sx, sy, step_o = BX[M, v], BY[M, v], step_o[v]
+    del BX
+    cols = np.arange(v.size)
+    X, Y, Z = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
+    windows = -(-int(n0.max()).bit_length() // w)
+    for t in range(windows - 1, -1, -1):
+        if Z.any():
+            for _ in range(w):
+                X, Y, Z = _dbl(X, Y, Z, a, p)
+        d = n0 >> (w * t) & ((1 << w) - 1)
+        X, Y, Z = _madd_checked(X, Y, Z, tx[d - 1, cols], ty[d - 1, cols], a, p, d == 0)
+    NG = 2 * int(span.max()) + 1
+    GX = np.empty((NG, v.size), dtype=np.int64)
+    GY, GZ = np.empty_like(GX), np.empty_like(GX)
+    GX[0], GY[0], GZ[0] = X, Y, Z
+    for i in range(1, NG):
+        GX[i], GY[i], GZ[i] = _madd_checked(GX[i - 1], GY[i - 1], GZ[i - 1], sx, sy, a, p, step_o)
+    walk = np.arange(NG)[:, None] <= 2 * span
+    at_o = GZ == 0
+    GZ[at_o] = 1
+    _to_affine(GX, GY, GZ, p)
+    del GZ
+    GX |= v << 31
+    GX <<= 1
+    GX |= 1
+    GX <<= _ROW_BITS
+    GX |= np.arange(NG)[:, None]
+    giant = GX[walk & ~at_o]
+    del GX
+
+    # in one sort, a giant step's baby partner (if any) is the last baby
+    # step at or before it
+    both = np.concatenate((baby[valid[baby >> (_TAG + 31)]], giant))
+    del baby, giant
+    both.sort()
+    is_giant = both >> _ROW_BITS & 1 == 1
+    last = np.arange(both.size)
+    last[is_giant] = -1
+    np.maximum.accumulate(last, out=last)
+    g = np.flatnonzero(is_giant & (last >= 0))
+    b = last[g]
+    hit = both[g] >> _TAG == both[b] >> _TAG
+    g, b = both[g[hit]], both[b[hit]]
+    row, jrow = g & ((1 << _ROW_BITS) - 1), b & ((1 << _ROW_BITS) - 1)
+    col = np.searchsorted(v, g >> (_TAG + 31))
+    r = np.where(GY[row, col] == BY[jrow, v[col]], -1 - jrow, 1 + jrow)  # G = jP or -jP
+    o_row, o_col = np.nonzero(walk & at_o)  # G = O: r = 0
+    row, col = np.concatenate((row, o_row)), np.concatenate((col, o_col))
+    k = (row - span[col]) * s[col] + np.concatenate((r, np.zeros_like(o_row)))
+    inside = np.abs(k) <= T[col]
+    return valid, v[col[inside]], k[inside]
+
+
+def _ap_lanes(A: int, B: int, ps: np.ndarray):
+    """a_p at good primes 3 < p < 2^31 by Shanks-Mestre, lane-parallel.
+
+    Returns (vals, settled): vals[i] is a_p at ps[i] wherever settled[i];
+    the other primes are left to the exhaustive sum.  For the n-th
+    x-coordinate x0 of a prime with c = f(x0) != 0, the point (c x0, c^2)
+    lies on Y^2 = X^3 + A c^2 X + B c^3, which is E when c is a square mod
+    p and its quadratic twist E' otherwise (#E + #E' = 2p + 2).  Each such
+    (prime, try) pair is one lane of _hasse_orders, and narrows a_p to the
+    candidates whose group order P divides.  The tries run in rounds: a
+    round gives each open prime its next try, or all its remaining tries
+    when they fit in one block of lanes.  A prime is settled once the
+    candidates of its tries have one element in common, as when the tries
+    run one by one.
+    """
+    n = ps.size
+    if n and int(ps.max()) >= _LANE_P_LIMIT:
+        raise ValueError(f"a_p by Shanks-Mestre needs p < 2^31, got {int(ps.max())}")
+    Ar = np.array([A % q for q in ps.tolist()], dtype=np.int64)
+    Br = np.array([B % q for q in ps.tolist()], dtype=np.int64)
+
+    def point(t, q):
+        """c = f(x0) and x0 of try t at prime ps[q]."""
+        p = ps[q]
+        x0 = t * _BSGS_STRIDE % p
+        return (x0 * x0 % p * x0 + Ar[q] * x0 + Br[q]) % p, x0
+
+    usable = np.array([point(t, slice(None))[0] != 0 for t in range(_BSGS_TRIES)])
+    usable = usable.reshape(_BSGS_TRIES, n)
+    # 1, 2, ... over each prime's usable tries
+    rank = np.cumsum(usable, axis=0, dtype=np.int8) * usable
+    W = 2 * int(_isqrt(4 * ps).max(initial=0)) + 1  # a_p + W // 2 in [0, W)
+    nvalid = np.zeros(n, dtype=np.int64)
+
+    def candidates(t, q):
+        """prime * W + a_p + W // 2 for every candidate of every valid lane."""
+        out = []
+        for lo in range(0, q.size, _LANES):
+            tq, qq = t[lo : lo + _LANES], q[lo : lo + _LANES]
+            p = ps[qq]
+            c, x0 = point(tq, qq)
+            cc = c * c % p
+            valid, lane, k = _hasse_orders(p, Ar[qq] * cc % p, c * x0 % p, cc)
+            np.add.at(nvalid, qq[valid], 1)
+            # on E, #E = p + 1 - a_p = p + 1 + k; on E', #E' = p + 1 + a_p
+            on_e = _powmod(c, (p - 1) // 2, p)[lane] == 1
+            out.append(qq[lane] * W + np.where(on_e, -k, k) + W // 2)
+        return np.concatenate(out)
+
+    vals = np.zeros(n, dtype=np.int64)
+    settled = np.zeros(n, dtype=bool)
+    keys = np.zeros(0, dtype=np.int64)  # the candidates of the open primes
+    taken = np.zeros((1, n), dtype=np.int8)
+    while True:
+        todo = (rank > taken) & ~settled
+        if todo.sum() > _LANES:
+            todo &= rank == taken + 1
+        t, q = np.nonzero(todo)
+        if not q.size:
+            break
+        taken = np.maximum(taken, (rank * todo).max(axis=0))
+        # the kept candidates stand for all earlier tries, so they count once
+        need = (nvalid > 0) - nvalid
+        keys = np.concatenate((keys, candidates(t, q)))
+        need += nvalid
+        keys, count = np.unique(keys, return_counts=True)
+        keys = keys[count == need[keys // W]]
+        one = (nvalid > 0) & (np.bincount(keys // W, minlength=n) == 1)
+        done = one[keys // W]
+        vals[keys[done] // W] = keys[done] % W - W // 2
+        settled |= one
+        keys = keys[~done]
+    return vals, settled
+
+
+def _ap_values(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
+    """a_p of the model at each prime of ps, as int64 (see ``ap``)."""
+    A, B = curve.A, curve.B
+    disc = 4 * A**3 + 27 * B**2
+    out = np.empty(ps.size, dtype=np.int64)
+    good = []
+    for i, p in enumerate(ps.tolist()):
+        if p in (2, 3):
+            meta = curve.a2 if p == 2 else curve.a3
+            if meta is None:
+                raise MissingBadPrimeData(
+                    f"curve {curve.label or (A, B)} has no a_{p} metadata"
+                )
+            out[i] = meta
+        elif disc % p == 0:
+            out[i] = _ap_bad(A, B, p)
+        else:
+            good.append(i)
+    if good:
+        vals, settled = _ap_lanes(A, B, ps[good])
+        for i in np.flatnonzero(~settled):  # the ambiguous lanes, as a group
+            vals[i] = _ap_char_sum(A, B, int(ps[good[i]]))
+        out[good] = vals
+    return out
 
 
 def ap(curve: CurveModel, p: int) -> int:
     """Trace of Frobenius a_p of the model, so p + 1 - a_p = #E(F_p) at good p.
 
-    Good p > 3: Shanks-Mestre baby-step giant-step (``_ap_bsgs``), with the
-    exhaustive character sum when the candidate set stays ambiguous (tiny
-    p, or a group of small exponent on both E and its twist).  Bad p > 3:
-    the node/cusp rule.  p in {2, 3}: curve metadata.
+    Good p > 3: Shanks-Mestre baby-step giant-step over the Hasse interval,
+    run in numpy lanes (``_ap_lanes``), with the exhaustive character sum
+    where the points tried leave more than one candidate (tiny p, or a
+    group of small exponent on both E and its twist); p < 2^31.  Bad p > 3:
+    the node/cusp rule.  p in {2, 3}: curve metadata.  This is a one-lane
+    call of the path ``ap_array`` runs in blocks, so a table of many primes
+    should come from ``ap_array``.
     """
-    if p in (2, 3):
-        meta = curve.a2 if p == 2 else curve.a3
-        if meta is None:
-            raise MissingBadPrimeData(
-                f"curve {curve.label or (curve.A, curve.B)} has no a_{p} metadata"
-            )
-        return meta
-    if (4 * curve.A**3 + 27 * curve.B**2) % p == 0:
-        return _ap_bad(curve.A, curve.B, p)
-    a = _ap_bsgs(curve.A, curve.B, p)
-    return _ap_char_sum(curve.A, curve.B, p) if a is None else a
+    return int(_ap_values(curve, np.array([p], dtype=np.int64))[0])
 
 
 # Per curve: the primes of the longest table prefix requested so far and
@@ -233,13 +464,14 @@ _NO_PRIMES.setflags(write=False)
 def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
     """a_p for every prime p < bound in the table, as int64.
 
-    The longest prefix computed so far is cached per curve.
+    The longest prefix computed so far is cached per curve; new primes run
+    through the lane kernel in chunks of _AP_CHUNK.
     """
     ps = primes.below(bound)
     _, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
     if vals.size < ps.size:
-        new = np.fromiter((ap(curve, p) for p in ps[vals.size :].tolist()), dtype=np.int64)
-        vals = np.concatenate((vals, new))
+        new = [_ap_values(curve, ps[i : i + _AP_CHUNK]) for i in range(vals.size, ps.size, _AP_CHUNK)]
+        vals = np.concatenate((vals, *new))
         vals.setflags(write=False)
         # a copy of the primes, so the cache does not pin the whole table
         _AP_CACHE[curve] = (ps.copy(), vals)

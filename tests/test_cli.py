@@ -82,15 +82,17 @@ class TestApTable:
 
     def test_over_budget_refused_with_estimate(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        # only tables near the cap are estimated above the budget (11 min
+        # at 1e8); the twists of these runs are estimated inside theirs
         for args in (
-            ["ap-table", "--limit", "50000000"],
-            ["ef-report", "--curve", "ncm37", "--x", "3e7", "--dmin", "1", "--dmax", "1"],
-            ["sweep", "--curve", "cm32-like", "--x", "2.5e7", "--T", "420"],
-            ["verify", "--only", "gauss", "--x", "4e7"],
+            ["ap-table", "--limit", "100000000"],
+            ["ef-report", "--curve", "ncm37", "--x", "1e8", "--dmin", "1", "--dmax", "1"],
+            ["sweep", "--curve", "cm32-like", "--x", "1e8", "--T", "100"],
+            ["verify", "--only", "gauss", "--x", "9.5e7"],
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
-            assert "estimated at" in err and "budget of 10 min" in err, err
+            assert "a_p table" in err and "estimated at" in err and "budget of 10 min" in err, err
             assert out == ""
 
     def test_within_budget_reaches_sieve(self, monkeypatch):
@@ -101,8 +103,8 @@ class TestApTable:
             raise Sieved(limit)
 
         monkeypatch.setattr(cli_mod, "sieve_primes", sentinel)
-        with pytest.raises(Sieved):  # estimated at 8 min, inside the budget
-            main(["ap-table", "--limit", "15000000"])
+        with pytest.raises(Sieved):  # estimated at 9.6 min, inside the budget
+            main(["ap-table", "--limit", "90000000"])
 
 
 class TestUsageAndConfigErrors:

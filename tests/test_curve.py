@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 import twistrank.curve as curve_mod
@@ -8,10 +9,10 @@ from twistrank.curve import (
     CurveModel,
     MissingBadPrimeData,
     TwistedCurve,
-    _ap_bsgs,
+    _LANES,
     _ap_char_sum,
-    _ec_add,
-    _ec_mul,
+    _ap_lanes,
+    _ap_values,
     _hasse_orders,
     ap,
     ap_array,
@@ -20,6 +21,37 @@ from twistrank.curve import (
 )
 
 from conftest import brute_point_count, twisted_model
+
+
+def _ec_add(P, Q, a, p):
+    """P + Q on y^2 = x^3 + a x + b over F_p, in affine coordinates with
+    Python integers.  None is the point at infinity; b is not needed by the
+    group law.  The scalar group law, kept as an oracle for the lanes."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _ec_mul(n, P, a, p):
+    """n P for n >= 0 by double-and-add."""
+    R = None
+    while n:
+        if n & 1:
+            R = _ec_add(R, P, a, p)
+        P = _ec_add(P, P, a, p)
+        n >>= 1
+    return R
 
 
 def long_model_count(p, a1, a2, a3, a4, a6):
@@ -109,6 +141,14 @@ class TestAp:
         with pytest.raises(MissingBadPrimeData):
             ap(curve, 2)
 
+    def test_rejects_primes_above_lane_bound(self, ncm_curve):
+        # int64 lanes hold every intermediate value only for p < 2^31; the
+        # largest prime below it is exact
+        p = 2**31 - 1
+        assert _certified_ap(ncm_curve.A, ncm_curve.B, p, ap(ncm_curve, p))
+        with pytest.raises(ValueError, match="2\\^31"):
+            ap(ncm_curve, 2**31 + 11)
+
     def test_ap_array_matches_scalar(self, ncm_curve, primes_1e3):
         arr = ap_array(ncm_curve, primes_1e3, 200)
         ps = primes_1e3.below(200)
@@ -130,21 +170,51 @@ def _good_primes(curve, ps):
     return [p for p in ps if p > 3 and disc % p != 0]
 
 
+def _certified_ap(A, B, p, a):
+    """Whether a is a_p of y^2 = x^3 + A x + B at a good prime p, by point
+    orders in Python integers: for c = f(x0) != 0, P = (c x0, c^2) lies on
+    E (c a square) or its twist, whose order is p + 1 - a or p + 1 + a.  That
+    order must kill P, and an order of P above 4 sqrt(p) leaves one multiple
+    in the Hasse interval."""
+    for x0 in range(1, 50):
+        c = (x0**3 + A * x0 + B) % p
+        if c == 0:
+            continue
+        P, a_c = (c * x0 % p, c * c % p), A * c * c % p
+        n = p + 1 - a if pow(c, (p - 1) // 2, p) == 1 else p + 1 + a
+        if _ec_mul(n, P, a_c, p) is not None:
+            return False
+        order, rest, q = n, n, 2
+        while rest > 1:
+            if q * q > rest:
+                q = rest
+            if rest % q == 0:
+                while rest % q == 0:
+                    rest //= q
+                while order % q == 0 and _ec_mul(order // q, P, a_c, p) is None:
+                    order //= q
+            q += 1
+        if order * order > 16 * p:
+            return True
+    return False
+
+
 class TestApBsgs:
-    """Shanks-Mestre a_p against the exhaustive character sum (the oracle)."""
+    """Shanks-Mestre a_p in numpy lanes against the exhaustive character sum
+    (the oracle)."""
 
     def test_every_good_prime_below_1e4(self, cm_curve, ncm_curve, extra_curve, primes_1e4):
         ps = [int(p) for p in primes_1e4.primes]
         for curve in (cm_curve, ncm_curve, extra_curve, X3_MINUS_X):
-            fallbacks = []
-            for p in _good_primes(curve, ps):
-                exact = _ap_char_sum(curve.A, curve.B, p)
-                a = _ap_bsgs(curve.A, curve.B, p)
-                if a is None:
-                    fallbacks.append(p)
-                else:
-                    assert a == exact, (curve.label, p)
-                assert ap(curve, p) == exact, (curve.label, p)
+            good = np.array(_good_primes(curve, ps))
+            exact = np.array([_ap_char_sum(curve.A, curve.B, p) for p in good.tolist()])
+            vals, settled = _ap_lanes(curve.A, curve.B, good)
+            assert (vals[settled] == exact[settled]).all(), curve.label
+            # the path of ap and ap_array, the exhaustive sum included
+            assert (_ap_values(curve, good) == exact).all(), curve.label
+            fallbacks = good[~settled].tolist()
+            for p in fallbacks:
+                assert ap(curve, p) == _ap_char_sum(curve.A, curve.B, p), (curve.label, p)
             # points of the twist settle what E alone leaves open, so only
             # tiny primes reach the exhaustive sum
             assert all(p < 100 for p in fallbacks), (curve.label, fallbacks)
@@ -154,60 +224,115 @@ class TestApBsgs:
         ps = [p for p in range(start, start + 200) if is_prime(p)]
         assert len(ps) >= 8
         for curve in (cm_curve, ncm_curve, extra_curve, X3_MINUS_X):
-            for p in _good_primes(curve, ps):
-                assert _ap_bsgs(curve.A, curve.B, p) == _ap_char_sum(curve.A, curve.B, p)
+            good = np.array(_good_primes(curve, ps))
+            vals, settled = _ap_lanes(curve.A, curve.B, good)
+            assert settled.all(), curve.label
+            assert vals.tolist() == [_ap_char_sum(curve.A, curve.B, p) for p in good.tolist()]
+
+    def test_sampled_primes_below_cap(self, cm_curve, ncm_curve, extra_curve):
+        # products of residues near 2^53 in int64; the exhaustive sum would
+        # need gigabytes here, so point orders in Python integers are the
+        # oracle
+        ps = [p for p in range(10**8 - 200, 10**8) if is_prime(p)]
+        assert len(ps) >= 8
+        for curve in (cm_curve, ncm_curve, extra_curve, X3_MINUS_X):
+            vals, settled = _ap_lanes(curve.A, curve.B, np.array(ps))
+            assert settled.all(), curve.label
+            for p, a in zip(ps, vals.tolist()):
+                assert abs(a) <= 2 * math.sqrt(p)
+                assert _certified_ap(curve.A, curve.B, p, a), (curve.label, p, a)
+                assert not _certified_ap(curve.A, curve.B, p, a + 2), (curve.label, p)
 
     def test_cm_supersingular_primes(self, cm_curve, primes_1e5):
         # y^2 = x^3 + x has CM by Z[i]: a_p = 0 for every p = 3 mod 4, a
         # closed form independent of any point count
-        for p in (int(q) for q in primes_1e5.primes):
-            if p > 3 and p % 4 == 3:
-                assert _ap_bsgs(cm_curve.A, cm_curve.B, p) == 0, p
+        ps = primes_1e5.primes[(primes_1e5.primes > 3) & (primes_1e5.primes % 4 == 3)]
+        vals, settled = _ap_lanes(cm_curve.A, cm_curve.B, ps)
+        assert settled.all()
+        assert not vals.any(), ps[vals != 0]
 
     def test_pinned_two_torsion_primes(self, cm_curve):
         # E(F_p) has full 2-torsion and a small exponent at these primes, so
         # baby steps meet 2-torsion points (test_hasse_orders_exact checks
         # every point with x < 400 at both)
-        for p, a in ((8161, 162), (9857, 178)):
+        pinned = ((8161, 162), (9857, 178))
+        vals, settled = _ap_lanes(cm_curve.A, cm_curve.B, np.array([p for p, _ in pinned]))
+        assert settled.all()
+        for (p, a), got in zip(pinned, vals.tolist()):
             assert _ap_char_sum(cm_curve.A, cm_curve.B, p) == a
-            assert _ap_bsgs(cm_curve.A, cm_curve.B, p) == a
+            assert got == a
             assert ap(cm_curve, p) == a
 
     @pytest.mark.parametrize("A, B, p", [(1, 0, 8161), (1, 0, 9857), (-1, 0, 9601), (-16, 16, 1009)])
     def test_hasse_orders_exact(self, A, B, p):
-        # every affine point with x < 400: the baby-step giant-step set is
-        # exactly {k : (p + 1 + k) P = O, |k| <= T} found by walking the
-        # interval, or None when P has order <= 2m
+        # every affine point with x < 400, one lane each: the candidate set
+        # of a valid lane is exactly {k : (p + 1 + k) P = O, |k| <= T} found
+        # by walking the interval, and an invalid lane has order <= 2m
         T = math.isqrt(4 * p)
         m = max(1, math.isqrt(T))
         roots = {y * y % p: y for y in range(p)}
+        fx = {x: (x**3 + A * x + B) % p for x in range(min(p, 400))}
+        points = [(x, roots[f]) for x, f in fx.items() if f in roots]
+        xs, ys = (np.array(c) for c in zip(*points))
+        valid, lane, k = _hasse_orders(np.full(xs.size, p), np.full(xs.size, A % p), xs, ys)
         seen_small = False
-        for x in range(min(p, 400)):
-            y = roots.get((x**3 + A * x + B) % p)
-            if y is None:
-                continue
-            P = (x, y)
-            got = _hasse_orders(P, A % p, p, T, m)
-            if got is None:
+        for i, P in enumerate(points):
+            if not valid[i]:
                 seen_small = True
                 assert any(_ec_mul(n, P, A % p, p) is None for n in range(1, 2 * m + 1))
                 continue
-            want = set()
+            want = []
             Q = _ec_mul(p + 1 - T, P, A % p, p)
-            for k in range(-T, T + 1):
+            for kk in range(-T, T + 1):
                 if Q is None:
-                    want.add(k)
+                    want.append(kk)
                 Q = _ec_add(Q, P, A % p, p)
-            assert got == want, (P, got, want)
+            assert sorted(k[lane == i].tolist()) == want, (P, want)
         assert seen_small  # the 2-torsion points at least
 
     def test_ambiguous_candidates_use_exhaustive_sum(self, cm_curve):
         # at tiny p the Hasse interval holds several multiples of every
         # point order, on E and on its twist alike
-        for p in (5, 13, 17, 29):
-            assert _ap_bsgs(cm_curve.A, cm_curve.B, p) is None
+        ps = [5, 13, 17, 29]
+        _, settled = _ap_lanes(cm_curve.A, cm_curve.B, np.array(ps))
+        assert not settled.any()
+        for p in ps:
             exact = _ap_char_sum(cm_curve.A, cm_curve.B, p)
             assert ap(cm_curve, p) == exact == p + 1 - brute_point_count(1, 0, p)
+
+    def test_block_invariance(self, monkeypatch, primes_1e4):
+        # the first _LANES + 1 good primes of x^3 - x hold lanes that settle
+        # on their first try, lanes that need several and lanes that fall
+        # back; a prime's a_p must not depend on the block it shares
+        curve = X3_MINUS_X
+        good = np.array(_good_primes(curve, [int(p) for p in primes_1e4.primes])[: _LANES + 1])
+        exact = np.array([_ap_char_sum(curve.A, curve.B, p) for p in good.tolist()])
+        for n in (1, _LANES - 1, _LANES, _LANES + 1):
+            assert (_ap_values(curve, good[:n]) == exact[:n]).all(), n
+        assert (_ap_values(curve, good[::-1]) == exact[::-1]).all()
+        _, settled = _ap_lanes(curve.A, curve.B, good[:_LANES])
+        monkeypatch.setattr(curve_mod, "_BSGS_TRIES", 2)  # try 0 has c = B = 0
+        _, at_once = _ap_lanes(curve.A, curve.B, good[:_LANES])
+        monkeypatch.undo()
+        kinds = (at_once, settled & ~at_once, ~settled)
+        assert all(kind.any() for kind in kinds)
+        for kind in kinds:  # one-lane blocks
+            for p, a in list(zip(good[:_LANES][kind].tolist(), exact[:_LANES][kind].tolist()))[:40]:
+                assert ap(curve, p) == a, p
+
+    def test_table_prefix_with_bad_primes(self, monkeypatch, bad3_curve, primes_1e3):
+        # 2 and 3 from metadata, 5 and 7 bad (the node rule), the rest in
+        # lanes: every split of the table into calls and chunks agrees
+        ps = primes_1e3.below(400)
+        want = [ap(bad3_curve, p) for p in ps.tolist()]
+        assert want[:4] == [bad3_curve.a2, bad3_curve.a3, ap(bad3_curve, 5), ap(bad3_curve, 7)]
+        steps = CurveModel(A=-3, B=12, conductor=105, root_number=1, label="steps", a2=1, a3=-1)
+        for bound in (3, 4, 6, 8, 100, 400):
+            got = ap_array(steps, primes_1e3, bound)
+            assert got.tolist() == want[: got.size], bound
+        monkeypatch.setattr(curve_mod, "_AP_CHUNK", 7)
+        chunked = CurveModel(A=-3, B=12, conductor=105, root_number=1, label="chunks", a2=1, a3=-1)
+        assert ap_array(chunked, primes_1e3, 400).tolist() == want
 
 
 class TestCpm:
@@ -275,11 +400,13 @@ class TestTwisting:
     def test_character_rule_matches_twisted_model(self, cm_curve, ncm_curve, bad3_curve, primes_1e3):
         # a_p(E_D) = (D|p) a_p(E) at every p > 3, bad primes of the model
         # (the node moves to D x0) and p | D included
+        ps = np.array([int(q) for q in primes_1e3.primes if 3 < q < 200])
         for curve in (cm_curve, ncm_curve, bad3_curve):
+            base = _ap_values(curve, ps)
             for D in [d for d in range(-20, 21) if d]:
                 model = twisted_model(TwistedCurve(curve, D))
-                for p in (int(q) for q in primes_1e3.primes if 3 < q < 200):
-                    assert ap(model, p) == kronecker(D, p) * ap(curve, p), (curve.label, D, p)
+                chi = np.array([kronecker(D, p) for p in ps.tolist()])
+                assert (_ap_values(model, ps) == chi * base).all(), (curve.label, D)
 
     def test_p_divides_D(self, ncm_curve):
         model = twisted_model(TwistedCurve(ncm_curve, 15))
