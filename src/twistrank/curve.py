@@ -118,6 +118,9 @@ _BSGS_TRIES = 12
 # (y^2 = x^3 - x at p = 48049 for every x0 < 12), and then no point of the
 # twist would be tried.
 _BSGS_STRIDE = 2654435761
+# Further x-coordinates searched, for a prime left open, for a point of the
+# curve (E or its twist) that its tries missed.
+_EXTRA_TRIES = 64
 # Lanes per kernel call.  A numpy call costs about 1 us plus 6-8 ns per lane
 # for the int64 remainder, and the lane state is O(lanes * p^(1/4)).  ncm37,
 # fresh ap_array, 2-core VM, at 256 / 512 / 1024 lanes: to 5e4 (the bench's
@@ -390,15 +393,10 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
     vals = np.zeros(n, dtype=np.int64)
     settled = np.zeros(n, dtype=bool)
     keys = np.zeros(0, dtype=np.int64)  # the candidates of the open primes
-    taken = np.zeros((1, n), dtype=np.int8)
-    while True:
-        todo = (rank > taken) & ~settled
-        if todo.sum() > _LANES:
-            todo &= rank == taken + 1
-        t, q = np.nonzero(todo)
-        if not q.size:
-            break
-        taken = np.maximum(taken, (rank * todo).max(axis=0))
+
+    def narrow(t, q):
+        """Intersect the candidates of lanes (t, q) with the kept ones."""
+        nonlocal keys
         # the kept candidates stand for all earlier tries, so they count once
         need = (nvalid > 0) - nvalid
         keys = np.concatenate((keys, candidates(t, q)))
@@ -408,8 +406,37 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
         one = (nvalid > 0) & (np.bincount(keys // W, minlength=n) == 1)
         done = one[keys // W]
         vals[keys[done] // W] = keys[done] % W - W // 2
-        settled |= one
+        settled[one] = True
         keys = keys[~done]
+
+    taken = np.zeros((1, n), dtype=np.int8)
+    while True:
+        todo = (rank > taken) & ~settled
+        if todo.sum() > _LANES:
+            todo &= rank == taken + 1
+        t, q = np.nonzero(todo)
+        if not q.size:
+            break
+        taken = np.maximum(taken, (rank * todo).max(axis=0))
+        narrow(t, q)
+
+    # An open prime whose tries all gave points of one curve (every c a
+    # square, or none) gets one point of the other: the x0 sequence goes on
+    # to the first c of the missing symbol.
+    extra = []
+    for q in np.flatnonzero(~settled).tolist():
+        p = int(ps[q])
+        symbols = {pow(c, (p - 1) // 2, p) for c in point(np.arange(_BSGS_TRIES), q)[0].tolist() if c}
+        if len(symbols) != 1:
+            continue
+        for t in range(_BSGS_TRIES, _BSGS_TRIES + _EXTRA_TRIES):
+            c = int(point(t, q)[0])
+            if c and pow(c, (p - 1) // 2, p) not in symbols:
+                extra.append((t, q))
+                break
+    if extra:
+        t, q = (np.array(v) for v in zip(*extra))
+        narrow(t, q)
     return vals, settled
 
 

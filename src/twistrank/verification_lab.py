@@ -291,9 +291,10 @@ _GAMMA_GRID = (
 )
 # Decay rate k of the envelope gamma * lfac * min(1, |t|^-k), per weight shape.
 # 'poly' is exactly C^3 and keeps |t|^-3.  The C^inf 'exp' bump decays faster
-# than any power, but past t ~ 75 QAWO returns only roundoff (~1e-15); at k = 8
-# that roundoff times 96^8 stays far below the fitted peak near t = 9, so the
-# fit follows the transform, not the roundoff at the top of the grid.
+# than any power, but past t ~ 75 its transform nears the roundoff of a
+# double-precision quadrature (~1e-15, the floor of QAWO; 1.8e-18 at 96); at
+# k = 8 that level times 96^8 stays far below the fitted peak near t = 9, so
+# the fit follows the transform, not the roundoff at the top of the grid.
 _DECAY_RATE = {"exp": 8, "poly": 3}
 
 

@@ -1,8 +1,13 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from scipy.integrate import IntegrationWarning, quad
 
 from twistrank.arith import kronecker, sieve_primes
 from twistrank.curve import CurveModel, ap, builtin_catalog, cpm
+from twistrank.kernel import weight_l_eval
 
 
 @pytest.fixture(scope="session")
@@ -101,3 +106,38 @@ def twist_cpm(twist, p: int, m: int) -> int:
     if (2 * E.conductor * D) % p or (p == 2 and (E.conductor * D) % 2 and D % 4 == 1):
         return kronecker(D, p) ** m * cpm(E, p, m)
     return ap(twisted_model(twist), p) ** m
+
+
+_QAWO_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
+
+
+def qawo_transform(f, lo: float, hi: float, freq: float) -> complex:
+    """int f(t) e^(-2 pi i freq t) dt over [lo, hi] by QUADPACK's QAWO, the
+    oracle for the numpy transforms of ``twistrank.kernel``.
+
+    The 1e-13 request can trip scipy's roundoff heuristic for large
+    frequencies even though the result is good to ~1e-11; that warning is
+    silenced here.
+    """
+    if freq == 0.0:
+        return complex(quad(f, lo, hi, **_QAWO_KW)[0], 0.0)
+    wvar = 2.0 * math.pi * freq
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        re = quad(f, lo, hi, weight="cos", wvar=wvar, **_QAWO_KW)[0]
+        im = -quad(f, lo, hi, weight="sin", wvar=wvar, **_QAWO_KW)[0]
+    return complex(re, im)
+
+
+def qawo_weight_fourier(w, freq: float, l: int = 0) -> complex:
+    """hat(W_l)(freq) by QAWO."""
+    return qawo_transform(lambda t: weight_l_eval(w, t, l), w.support_lo, w.support_hi, freq)
+
+
+def qawo_weight_fourier_derivative(w, freq: float, l: int = 0) -> complex:
+    """hat(W_l)'(freq) = i * (transform of -2 pi t W_l) by QAWO."""
+
+    def g(t):
+        return -2.0 * math.pi * t * weight_l_eval(w, t, l)
+
+    return 1j * qawo_transform(g, w.support_lo, w.support_hi, freq)

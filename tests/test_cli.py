@@ -473,8 +473,9 @@ def _probe(code, *args):
 
 
 class TestImportHygiene:
-    """The explicit-formula path needs no quadrature: scipy.integrate and
-    scipy.special load only when a verification function asks for them."""
+    """Only the Mellin quadrature oracle needs scipy.integrate (and with it
+    scipy.special): the twist commands and the weight transforms, and so
+    the verify checks built on them, never load either."""
 
     @pytest.mark.parametrize(
         "args",
@@ -482,8 +483,10 @@ class TestImportHygiene:
             ["ap-table", "--curve", "ncm37", "--limit", "50"],
             ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "-3", "--dmax", "3"],
             ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"],
+            ["verify", "--only", "poisson"],
+            ["verify", "--only", "wl_decay"],
         ],
-        ids=["ap-table", "ef-report", "sweep"],
+        ids=["ap-table", "ef-report", "sweep", "verify-poisson", "verify-wl_decay"],
     )
     def test_commands_skip_quadrature_modules(self, args):
         code, loaded = _probe(_SCIPY_PROBE, *args)
@@ -494,16 +497,24 @@ class TestImportHygiene:
     def test_verification_functions_load_quadrature_on_demand(self):
         code = """
 import json, sys
-from twistrank.kernel import SmoothWeight, TriangleKernel, mellin_phi_quadrature, weight_fourier
-before = "scipy.integrate" in sys.modules
-phi = mellin_phi_quadrature(TriangleKernel(2.0), 1.0 + 0j)
+from twistrank.kernel import (
+    SmoothWeight, TriangleKernel, mellin_phi_quadrature, weight_fourier, weight_fourier_derivative,
+)
+def loaded():
+    return ["scipy.integrate" in sys.modules, "scipy.special" in sys.modules]
+before = loaded()
 w = weight_fourier(SmoothWeight(0.5, 1.0), 3.0)
-print(json.dumps([before, "scipy.integrate" in sys.modules, phi.real, abs(w)]))
+dw = weight_fourier_derivative(SmoothWeight(0.5, 1.0, shape="poly"), 300.0)
+after_fourier = loaded()
+phi = mellin_phi_quadrature(TriangleKernel(2.0), 1.0 + 0j)
+print(json.dumps([before, after_fourier, loaded(), phi.real, abs(w), abs(dw)]))
 """
-        before, after, phi, w = _probe(code)
-        assert not before and after
+        before, after_fourier, after_mellin, phi, w, dw = _probe(code)
+        assert before == after_fourier == [False, False]
+        assert after_mellin == [True, True]
         assert phi == pytest.approx(2.0, abs=1e-10)  # Phi_lambda(1) = lambda
         assert 0.0 < w < 0.5
+        assert 0.0 < dw < 1e-4
 
 
 def _bench_module(name):

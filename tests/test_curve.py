@@ -300,6 +300,26 @@ class TestApBsgs:
             exact = _ap_char_sum(cm_curve.A, cm_curve.B, p)
             assert ap(cm_curve, p) == exact == p + 1 - brute_point_count(1, 0, p)
 
+    def test_points_of_the_missing_curve_settle(self, monkeypatch, cm_curve):
+        # every usable try x0 = n * _BSGS_STRIDE (n < 12) gives a square c
+        # at these primes, so all its points lie on E, whose small exponent
+        # leaves 3 and 2 candidates; a point of the twist settles them
+        ps = [23113201, 29660737]
+        for p in ps:
+            cs = [(x0**3 + x0) % p for x0 in (n * curve_mod._BSGS_STRIDE % p for n in range(curve_mod._BSGS_TRIES))]
+            assert {pow(c, (p - 1) // 2, p) for c in cs if c} == {1}
+
+        def refuse(A, B, p):
+            raise AssertionError(f"exhaustive sum at p = {p}")
+
+        monkeypatch.setattr(curve_mod, "_ap_char_sum", refuse)
+        vals = _ap_values(cm_curve, np.array(ps)).tolist()
+        for p, a in zip(ps, vals):
+            assert _certified_ap(cm_curve.A, cm_curve.B, p, a), (p, a)
+            assert not _certified_ap(cm_curve.A, cm_curve.B, p, -a), p
+        # y^2 = x^3 + x at p = 1 mod 4: a_p = +-2a with p = a^2 + b^2, a odd
+        assert [p - (a // 2) ** 2 for p, a in zip(ps, vals)] == [3400**2, 2436**2]
+
     def test_block_invariance(self, monkeypatch, primes_1e4):
         # the first _LANES + 1 good primes of x^3 - x hold lanes that settle
         # on their first try, lanes that need several and lanes that fall

@@ -251,8 +251,76 @@ class TestWeightFourier:
             ref = complex(np.trapezoid(vals, ts))
             assert abs(weight_fourier(w, u, 0) - ref) < 1e-9
 
+    @pytest.mark.parametrize("lo, hi, shape", [(0.999, 1.0, "exp"), (1e-6, 1.0, "poly"), (-1.0, -1e-6, "poly")])
+    def test_refuses_transforms_beyond_node_budget(self, lo, hi, shape):
+        # a width of 1e-3 would need 1.3e6 trapezoid nodes, a support 1e-6
+        # from 0 1.6e7 Gauss-Legendre nodes; both are refused before any
+        # node array is made
+        w = SmoothWeight(lo, hi, shape=shape)
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            weight_fourier(w, 1.0)
+        with pytest.raises(ValueError, match="quadrature nodes"):
+            weight_fourier_derivative(w, 1.0)
+        accepted = SmoothWeight(0.99, 1.0)  # width 1e-2: 1.3e4 nodes
+        assert weight_fourier(accepted, 1.0) != 0
+
     def test_derivative_matches_finite_difference(self):
         w = SmoothWeight(0.5, 1.0)
         u, h = 1.3, 1e-5
         fd = (weight_fourier(w, u + h, 0) - weight_fourier(w, u - h, 0)) / (2 * h)
         assert abs(weight_fourier_derivative(w, u, 0) - fd) < 1e-6
+
+
+def mpmath_transforms(mpmath, shape, freq, ls):
+    """hat(W_l)(freq) and hat(W_l)'(freq) at 30 digits for the weight on
+    (0.5, 1) with x = 100 and X_k = 1000, with int |W_l| and int |2 pi t W_l|.
+
+    Composite 24-point Gauss-Legendre in mpmath, one panel per cycle and at
+    least 32: on these frequencies it agrees with mpmath's adaptive
+    tanh-sinh quadrature to 3e-30.  Returns {l: (transform, derivative,
+    int |W_l|, int |2 pi t W_l|)} as Python complex and float.
+    """
+    mp = mpmath.mp
+    with mpmath.workdps(30):
+        lo, hi = mp.mpf(0.5), mp.mpf(1)
+        width = hi - lo
+        panels = max(32, int(mp.ceil(freq * width)))
+        h = width / panels
+        rule = mpmath.calculus.quadrature.GaussLegendre(mp)
+        nodes = [((x + 1) * h / 2, wx * h / 2) for x, wx in rule.get_nodes(-1, 1, 4, mp.prec)]
+        turn = -2 * mp.pi * mp.mpf(freq)
+        node_phase = [mp.expj(turn * c) for c, _ in nodes]
+        log_scale = 2 * mp.log(1000) + mp.log(100) / 2
+        sums = {l: [mp.mpc(0), mp.mpc(0), mp.mpf(0), mp.mpf(0)] for l in ls}
+        for k in range(panels):
+            a = lo + k * h
+            panel_phase = mp.expj(turn * a)
+            for (c, wc), z in zip(nodes, node_phase):
+                t = a + c
+                prod = (t - lo) * (hi - t)
+                bump = mp.exp(4 / width**2 - 1 / prod) if shape == "exp" else (prod / (width**2 / 4)) ** 4
+                for l in ls:
+                    v = (2 * mp.log(t) + log_scale) ** l * bump * wc
+                    acc = sums[l]
+                    acc[0] += v * z * panel_phase
+                    acc[1] += t * v * z * panel_phase
+                    acc[2] += v
+                    acc[3] += t * v
+        return {
+            l: (complex(a0), complex(-2j * mp.pi * a1), float(a2), float(2 * mp.pi * a3))
+            for l, (a0, a1, a2, a3) in sums.items()
+        }
+
+
+class TestWeightFourierReference:
+    @pytest.mark.parametrize("shape", ["exp", "poly"])
+    def test_against_mpmath(self, shape):
+        # the trapezoid ('exp'), Gauss-Legendre panels ('poly' below 25.5)
+        # and the endpoint expansion ('poly' above) within 2e-14 (1 + int |g|)
+        # of the 30-digit value, g the integrand
+        mpmath = pytest.importorskip("mpmath")
+        for freq in (0.0, 3.0, 24.0, 96.0, 400.0):
+            for l, (ref, dref, mass, dmass) in mpmath_transforms(mpmath, shape, freq, (0, 2)).items():
+                w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=1000.0)
+                assert abs(weight_fourier(w, freq, l) - ref) <= 2e-14 * (1.0 + mass), (freq, l)
+                assert abs(weight_fourier_derivative(w, freq, l) - dref) <= 2e-14 * (1.0 + dmass), (freq, l)

@@ -7,6 +7,7 @@ from math import fsum, gcd
 import numpy as np
 import pytest
 
+import twistrank.verification_lab as vl
 from twistrank.arith import parity_decompose
 from twistrank.curve import ap_array
 from twistrank.explicit_formula import InsufficientPrimeTable, beta_array
@@ -27,6 +28,8 @@ from twistrank.verification_lab import (
     step1_sum,
     wl_decay_check,
 )
+
+from conftest import qawo_weight_fourier, qawo_weight_fourier_derivative
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +289,7 @@ def t3_truncation(w, l, q, j):
 
 def full_transform_side(w, l, q, j, M, cache):
     """(T/q) sum_{|m| <= M} hat(W_l)(T m / q) e(m j / q), every term by
-    its own QAWO transform (negative frequencies too), summed with fsum."""
+    its own transform (negative frequencies too), summed with fsum."""
     terms = []
     for m in range(-M, M + 1):
         if m not in cache:
@@ -321,8 +324,8 @@ class TestPoissonOracle:
 
 
 # Dense frequencies out to 4.2e5, beyond the highest one (4.13e5) that the
-# |t|^-3 truncation evaluated in the acceptance range.  QAWO is good to about
-# 1e-11 absolute (kernel._oscillatory_transform); past t ~ 60 it returns
+# |t|^-3 truncation evaluated in the acceptance range, measured by the QAWO
+# oracle.  QAWO is good to about 1e-11 absolute; past t ~ 60 it returns
 # roundoff for the exp weight, which no |t|^-8 envelope can bound.
 _DENSE_GRID = np.concatenate([np.arange(0.0, 64.0, 0.25), np.geomspace(64.0, 4.2e5, 60)])
 _QAWO_FLOOR = 1e-11
@@ -337,13 +340,59 @@ def test_envelope_bounds_qawo_on_dense_grid(shape, k):
         worst = 0.0
         for t in _DENSE_GRID:
             env = gamma * lfac * (min(1.0, t**-k) if t else 1.0)
-            measured = max(abs(weight_fourier(w, t, l)), abs(weight_fourier_derivative(w, t, l)))
+            measured = max(abs(qawo_weight_fourier(w, t, l)), abs(qawo_weight_fourier_derivative(w, t, l)))
             worst = max(worst, measured / max(env, _QAWO_FLOOR))
         assert worst <= 1.0, (shape, l, worst)
         if l == 0:
             # the fit grid catches the l = 0 peak (exp near t = 9, poly near
             # t = 3.25) within 10 %, leaving the 4x headroom to the l factors
             assert worst <= 1.1 / 4.0, (shape, worst)
+
+
+def _suite_transform_cases():
+    """(weight, l, frequency) for every transform the default suite asks
+    for: the gamma fit and the decay checks (for both shapes) and the
+    Poisson block (T m / q)."""
+    cases = []
+    for shape in ("exp", "poly"):
+        base = SmoothWeight(0.5, 1.0, shape=shape)
+        cases += [(base, 0, t) for t in vl._GAMMA_GRID]
+        for l in (1, 2, 3):
+            w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=1000.0)
+            cases += [(w, l, t) for t in vl._DECAY_GRID]
+    for q in range(1, 13):
+        T = float(max(400, 150 * q))
+        for l in (0, 1):
+            w = vl._default_weight(T, x=100.0, l=l)
+            cases += [(w, l, T * m / q) for m in range(poisson_required_truncation(w, l, q) + 1)]
+    return cases
+
+
+def test_transforms_match_qawo_on_suite_frequencies():
+    # both are within 2e-14 (1 + int |g|) of a 30-digit reference on these
+    # grids (g the integrand), so they agree to twice that; int |g| is
+    # hat(W_l)(0) for the transform and |hat(W_l)'(0)| for the derivative,
+    # as W_l >= 0 on a positive support
+    worst = 0.0
+    for w, l, t in _suite_transform_cases():
+        scale = (1.0 + weight_fourier(w, 0.0, l).real, 1.0 + abs(weight_fourier_derivative(w, 0.0, l)))
+        got = (weight_fourier(w, t, l), weight_fourier_derivative(w, t, l))
+        want = (qawo_weight_fourier(w, t, l), qawo_weight_fourier_derivative(w, t, l))
+        for g, o, sc in zip(got, want, scale):
+            worst = max(worst, abs(g - o) / (4e-14 * sc))
+    assert worst <= 1.0, worst
+
+
+@pytest.mark.parametrize("shape", ["exp", "poly"])
+def test_transforms_match_qawo_at_high_frequency(shape):
+    # the 'poly' endpoint expansion and the 'exp' trapezoid at a count far
+    # below |freq| * width, out to the dense grid's reach; QAWO is good to
+    # about 1e-11 absolute there
+    for l in range(4):
+        w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=600.0)
+        for t in np.geomspace(20.0, 4.2e5, 25):
+            assert abs(weight_fourier(w, t, l) - qawo_weight_fourier(w, t, l)) <= 1e-11, (l, t)
+            assert abs(weight_fourier_derivative(w, t, l) - qawo_weight_fourier_derivative(w, t, l)) <= 1e-11
 
 
 class TestDecay:
