@@ -1,9 +1,10 @@
 """Exact integer arithmetic underpinning every prime sum in the toolkit.
 
 Everything here is pure and deterministic: a segmented Eratosthenes sieve,
-the full Kronecker symbol, Mobius/squarefree helpers, and the
-exponent-parity split of a product of primes into a coprime pair
-(pi1, pi2) where pi2 collects the primes of odd exponent.
+the full Kronecker symbol and its batched Legendre matrix, Mobius/squarefree
+helpers with a squarefree-kernel sieve over an interval, exact fixed-point
+sums of floats, and the exponent-parity split of a product of primes into a
+coprime pair (pi1, pi2) where pi2 collects the primes of odd exponent.
 """
 
 from __future__ import annotations
@@ -24,7 +25,15 @@ __all__ = [
     "legendre_matrix",
     "mobius",
     "squarefree_part",
+    "squarefree_kernels",
+    "SQUAREFREE_SIEVE_MAX",
     "is_squarefree",
+    "exact_sum",
+    "fixed_point_scale",
+    "fixed_point_limbs",
+    "round_fixed_point",
+    "FIXED_POINT_BITS",
+    "FIXED_POINT_ROWS",
     "euler_phi",
     "parity_decompose",
     "is_prime",
@@ -234,6 +243,179 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     out[:, table] = _table_symbols(res[:, table], ps[table])
     out[:, ~table] = _euler_symbols(res[:, ~table], ps[~table])
     return out
+
+
+# squarefree_kernels takes its base primes, up to sqrt(max |d|), from
+# sieve_primes, whose tables stop at 1e8 in the CLI: so |d| <= 1e16, which also
+# keeps every d and q^2 in int64.
+SQUAREFREE_SIEVE_MAX = 10**16
+# Base primes whose square exceeds the interval length hit at most one d each;
+# they are handled in vectorized blocks of this many.
+_SIEVE_BLOCK = 1 << 18
+
+
+def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
+    """sign(d) * squarefree_part(|d|) for every d in [lo, hi], as int64, with 0
+    at d = 0: the kernel of d, which equals d exactly when d is squarefree.
+
+    A sieve over the interval: each prime q <= sqrt(max |d|) divides q^2 out
+    of its multiples for as long as it divides them.  What is left of d has
+    no square factor q^2 with q below sqrt(|d|), and so none at all.  Primes
+    with several multiples of q^2 in the interval take a strided slice each;
+    the others, at most one multiple each, go in vectorized blocks.  Raises
+    ValueError for |d| above SQUAREFREE_SIEVE_MAX.
+    """
+    if lo > hi:
+        return np.empty(0, dtype=np.int64)
+    top = max(abs(lo), abs(hi))
+    if top > SQUAREFREE_SIEVE_MAX:
+        raise ValueError(f"squarefree sieve needs |d| <= {SQUAREFREE_SIEVE_MAX}, got {top}")
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    size = rem.size
+    zero = -lo if lo <= 0 <= hi else None
+    if zero is not None:
+        rem[zero] = 1  # every q^2 divides 0
+    if top >= 4:
+        qs = sieve_primes(math.isqrt(top)).primes
+        several = qs * qs < size
+        for q in qs[several].tolist():
+            q2 = q * q
+            view = rem[(-lo) % q2 :: q2]
+            left = np.flatnonzero(view % q2 == 0)  # all but the placeholder at d = 0
+            while left.size:
+                view[left] //= q2
+                left = left[view[left] % q2 == 0]
+        single = qs[~several]
+        for start in range(0, single.size, _SIEVE_BLOCK):
+            q2 = single[start : start + _SIEVE_BLOCK] ** 2
+            pos = (-lo) % q2
+            hit = pos < size
+            pos, q2 = pos[hit], q2[hit]
+            while True:
+                again = rem[pos] % q2 == 0
+                pos, q2 = pos[again], q2[again]
+                if not pos.size:
+                    break
+                np.floor_divide.at(rem, pos, q2)  # applies each q of a shared position
+    if zero is not None:
+        rem[zero] = 0
+    return rem
+
+
+# Exact sums of floats.  A nonzero float is an integer multiple of
+# 2^(its frexp exponent - 53), so a set of them are integer multiples of
+# 2^emin, emin their least exponent less 53.  Those integers are split into
+# int64 limbs of FIXED_POINT_BITS bits, so a sign matrix times the limbs is
+# exact integer arithmetic in any order (the error-free splitting of Ozaki,
+# Ogita, Oishi and Rump, "Error-free transformations of matrix
+# multiplication...", Numer. Algorithms 2012), and one rounding per row
+# follows.  exact_sum adds limb columns by float64 bincount, exact for
+# blocks of FIXED_POINT_ROWS values (every partial sum an integer below
+# 2^53).  round_fixed_point needs 27 <= FIXED_POINT_BITS <= 30.
+FIXED_POINT_BITS = 30
+FIXED_POINT_ROWS = 1 << (53 - FIXED_POINT_BITS)
+_LIMB_MASK = (1 << FIXED_POINT_BITS) - 1
+_SMALLEST_NORMAL = 2.0**-1022
+
+
+def fixed_point_scale(values: np.ndarray) -> tuple:
+    """(emin, count) for nonzero finite values: each value is an integer
+    multiple of 2^emin that count limbs of FIXED_POINT_BITS bits hold."""
+    if not values.size:
+        return 0, 1
+    exp = np.frexp(values)[1]
+    width = 53 + int(exp.max()) - int(exp.min())
+    return int(exp.min()) - 53, -(-width // FIXED_POINT_BITS)
+
+
+def _limb_pieces(values: np.ndarray, emin: int) -> tuple:
+    """(first, pieces): |values[j]| 2^-emin, an integer of 53 significant
+    bits, lies in limbs first[j] .. first[j] + 2, whose parts are
+    pieces[:, j] (int64 below 2^FIXED_POINT_BITS, with the value's sign)."""
+    mant, exp = np.frexp(values)
+    mag = np.ldexp(np.abs(mant), 53).astype(np.uint64)  # |value| = mag 2^(exp - 53)
+    first, offset = np.divmod(exp - 53 - emin, FIXED_POINT_BITS)
+    offset = offset.astype(np.uint64)
+    b = np.uint64(FIXED_POINT_BITS)
+    mask = np.uint64(_LIMB_MASK)
+    pieces = np.array([(mag << offset) & mask, (mag >> (b - offset)) & mask, mag >> (b + b - offset)])
+    pieces = pieces.astype(np.int64)
+    return first, np.where(values < 0, -pieces, pieces)
+
+
+def fixed_point_limbs(values: np.ndarray, emin: int, count: int) -> np.ndarray:
+    """The (len(values), count) int64 limbs of nonzero finite values in
+    the fixed point of fixed_point_scale: values[j] = 2^emin sum_k
+    limbs[j, k] 2^(FIXED_POINT_BITS k) exactly, every |limb| below
+    2^FIXED_POINT_BITS and carrying its value's sign."""
+    first, pieces = _limb_pieces(values, emin)
+    limbs = np.zeros((values.size, count + 2), dtype=np.int64)  # the top two stay zero
+    rows = np.arange(values.size)
+    for i, piece in enumerate(pieces):
+        limbs[rows, first + i] = piece
+    return limbs[:, :count]
+
+
+def _digits(sums: np.ndarray) -> tuple:
+    """Base-2^FIXED_POINT_BITS digits in [0, 2^FIXED_POINT_BITS) of each row
+    of limb sums, low first, and the signed carry out of the top, which has
+    the sign of the row's value."""
+    digits = np.empty_like(sums)
+    carry = np.zeros(len(sums), dtype=np.int64)
+    for k in range(sums.shape[1]):
+        t = sums[:, k] + carry
+        digits[:, k] = t & _LIMB_MASK
+        carry = t >> FIXED_POINT_BITS
+    return digits, carry
+
+
+def round_fixed_point(sums: np.ndarray, emin: int) -> np.ndarray:
+    """sum_k sums[:, k] 2^(FIXED_POINT_BITS k + emin) rounded once to the
+    nearest float64, ties to even, per row: the float math.fsum returns for
+    the values behind the sums (Shewchuk 1997), and 0.0 for an exact zero.
+
+    sums holds int64 limb sums below 2^62 in magnitude.  Each row's
+    magnitude is carry-normalised to digits; the top digit, the two below it
+    and a sticky bit for everything lower give an int64 T of 61 or 62 bits
+    with |value| = T 2^s up to the sticky bit, so the int64-to-float64
+    conversion rounds as the exact value rounds, and ldexp scales exactly
+    whenever the result is a normal float (exact_sum checks that).
+    """
+    n = len(sums)
+    sign = np.where(_digits(sums)[1] < 0, -1, 1)
+    digits, carry = _digits(sums * sign[:, None])
+    b = FIXED_POINT_BITS
+    # two zero digits below the lowest, so the two under the top always exist
+    padded = np.concatenate((np.zeros((n, 2), dtype=np.int64), digits, carry[:, None]), axis=1)
+    nonzero = padded != 0
+    top = padded.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    rows = np.arange(n)
+    lead = padded[rows, top]
+    head = lead << b | padded[rows, top - 1]
+    under = padded[rows, top - 2]
+    lower = np.concatenate((np.zeros((n, 1), dtype=np.int64), np.cumsum(nonzero, axis=1)), axis=1)
+    fill = np.minimum(b + 2 - np.frexp(lead.astype(float))[1], b)  # T has 2b + 1 or 2b + 2 bits
+    T = head << fill | under >> (b - fill)
+    sticky = (lower[rows, top - 2] > 0) | (under & ((1 << (b - fill)) - 1) != 0)
+    value = np.ldexp((T | sticky).astype(float), b * (top - 3) - fill + emin)
+    return np.where(nonzero.any(axis=1), sign * value, 0.0)
+
+
+def exact_sum(values: np.ndarray) -> float:
+    """math.fsum(values) for a float64 array, by fixed point: each limb's sum
+    is one bincount over blocks of FIXED_POINT_ROWS values, O(len) numpy
+    work where fsum's partials grow with the range of magnitudes.  A
+    subnormal result, where the final scaling could round twice, is left to
+    math.fsum."""
+    values = values[values != 0.0]
+    emin, count = fixed_point_scale(values)
+    sums = np.zeros(count + 2, dtype=np.int64)
+    for start in range(0, values.size, FIXED_POINT_ROWS):
+        first, pieces = _limb_pieces(values[start : start + FIXED_POINT_ROWS], emin)
+        for i, piece in enumerate(pieces):
+            sums += np.bincount(first + i, weights=piece, minlength=count + 2).astype(np.int64)
+    total = float(round_fixed_point(sums[None, :], emin)[0])
+    return math.fsum(values.tolist()) if 0.0 < abs(total) < _SMALLEST_NORMAL else total
 
 
 def _factor_trial(n: int):

@@ -27,9 +27,9 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, TextIO
 
-from .arith import sieve_primes
+from .arith import SQUAREFREE_SIEVE_MAX, sieve_primes
 from .curve import CurveModel, ap_array, builtin_catalog, cpm, load_catalog
-from .explicit_formula import CSV_COLUMNS, report_record
+from .explicit_formula import CSV_COLUMNS, evaluate_reports
 from .family_moments import (
     GOLDFELD_K1,
     HEATH_BROWN_K1,
@@ -39,7 +39,6 @@ from .family_moments import (
     EmptyFamilyError,
     MomentConfig,
     empirical_rank_tail,
-    evaluate_reports,
     filter_twists,
     lowzero_density_bound,
     rank_density_bound,
@@ -60,14 +59,16 @@ EXIT_PIPE = 141
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 AP_SECONDS_PER_PRIME_AT_CAP = 0.12e-3  # measured a_p cost per prime near 1e8 (README)
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
-# measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4): 6-13 us
-# to enumerate, filter and build a twist with D near 2e4 and 10 us of per-twist
-# prime-side overhead; 0.52 us per (twist, x / log(x) prime) at x = 1e5,
-# above the 0.17 and 0.39 us at x = 1e3 and 1e4; and trial division of a prime D,
-# 50-55 ns per unit of sqrt(D) from D = 1e10 to 1e14
-TWIST_SECONDS_PER_D = 2e-5
-TWIST_SECONDS_PER_PRIME = 0.52e-6
-TWIST_SECONDS_PER_ROOT_D = 55e-9
+# measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4), per
+# candidate D: 1.8-3.4 us to weigh, sieve, filter and log the conductor (x = 30
+# to 1e3, D near 1e5 to 1e6); 0.35 us per (kept twist, x / log(x) prime) at
+# x = 1e5, above the 0.06 and 0.27 us at x = 1e3 and 1e4; and the squarefree
+# sieve's base-prime table, 10 ns per unit of sqrt(max |D|) (1.0 s at 1e16)
+TWIST_SECONDS_PER_D = 3.5e-6
+TWIST_SECONDS_PER_PRIME = 0.35e-6
+SIEVE_SECONDS_PER_ROOT_D = 1e-8
+# a family is held in memory as columns, about 170 bytes per candidate D
+TWIST_CANDIDATE_CAP = 1 << 22
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
 
@@ -240,23 +241,33 @@ def _sieve(limit: int, what: str):
 
 def _check_twist_cost(ds: range, x: float, what: str) -> None:
     """Refuse (exit 2), before any enumeration, a run over the candidate D of
-    ds with primes below x whose twists are estimated to take longer than
-    TWIST_BUDGET_S.  Every candidate is costed as a kept twist, over about
-    x / log(x) primes, whose D is factorised by trial division up to
-    sqrt(max |D|)."""
+    ds with primes below x: when some |D| passes SQUAREFREE_SIEVE_MAX (the
+    sieve's base primes, up to sqrt(|D|), would pass PRIME_LIMIT_CAP), when
+    the twists are estimated to take longer than TWIST_BUDGET_S, or when ds
+    holds more than TWIST_CANDIDATE_CAP candidates.  Every candidate is
+    costed as a kept twist over about x / log(x) primes, plus the squarefree
+    sieve's table of base primes up to sqrt(max |D|)."""
     n_primes = x / math.log(max(x, 3.0))
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
-    per_d = (
-        TWIST_SECONDS_PER_D
-        + n_primes * TWIST_SECONDS_PER_PRIME
-        + math.isqrt(max_d) * TWIST_SECONDS_PER_ROOT_D
+    if max_d > SQUAREFREE_SIEVE_MAX:
+        raise ConfigError(
+            f"{what} reaches |D| = {max_d}, above the cap {SQUAREFREE_SIEVE_MAX}: the "
+            f"squarefree sieve would need primes up to sqrt(|D|), above {PRIME_LIMIT_CAP}"
+        )
+    estimate = (
+        len(ds) * (TWIST_SECONDS_PER_D + n_primes * TWIST_SECONDS_PER_PRIME)
+        + math.isqrt(max_d) * SIEVE_SECONDS_PER_ROOT_D
     )
-    estimate = len(ds) * per_d
     if estimate > TWIST_BUDGET_S:
         raise ConfigError(
             f"{what} evaluates up to {len(ds)} twists over about {n_primes:.0f} primes "
             f"with |D| up to {max_d}, estimated at {estimate / 60:.0f} min, "
             f"above the budget of {TWIST_BUDGET_S / 60:.0f} min"
+        )
+    if len(ds) > TWIST_CANDIDATE_CAP:
+        raise ConfigError(
+            f"{what} holds {len(ds)} candidate D, above the in-memory cap of "
+            f"{TWIST_CANDIDATE_CAP}"
         )
 
 
@@ -329,16 +340,16 @@ def cmd_ef_report(cfg: dict) -> int:
     primes = _sieve_for(x)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
     twists = filter_twists(curve, ds, squarefree, coprime)
-    reports = evaluate_reports(twists, math.log(x), primes)
+    table = evaluate_reports(twists, math.log(x), primes)
     with _output(cfg.get("out")) as out:
-        _write_table(cfg, CSV_COLUMNS, [report_record(r) for r in reports], out)
+        _write_table(cfg, CSV_COLUMNS, table.records(), out)
     return EXIT_OK
 
 
-def _sidecar_payload(config: MomentConfig, rows) -> dict:
+def _sidecar_payload(config: MomentConfig, family) -> dict:
     k = config.k
     # the sign partition is null unless every row is clean, where root numbers are defined
-    stats = sign_partition_stats(rows) if config.squarefree_only and config.coprime_to_2N else None
+    stats = sign_partition_stats(family) if config.squarefree_only and config.coprime_to_2N else None
     return {
         "heath_brown_k1": HEATH_BROWN_K1,
         "goldfeld_k1": GOLDFELD_K1,
@@ -349,7 +360,7 @@ def _sidecar_payload(config: MomentConfig, rows) -> dict:
         "rank_density_bound": {f"R={r}": rank_density_bound(r) for r in (1, 2, 3)},
         "lowzero_density_bound": {f"k={kk}": lowzero_density_bound(kk) for kk in (1, 2, 3)},
         "empirical_rank_tail": {
-            f"R={r}": empirical_rank_tail(rows, float(r)) for r in (0, 1, 2)
+            f"R={r}": empirical_rank_tail(family, float(r)) for r in (0, 1, 2)
         },
         "sign_partition": stats,
     }
@@ -377,11 +388,11 @@ def cmd_sweep(cfg: dict) -> int:
     _check_twist_cost(config.support_ds(), x, f"a sweep with T = {config.T:g} at x = {x:g}")
     primes = _sieve_for(x)
     try:
-        rows = sweep_family(config, primes)
+        family = sweep_family(config, primes)
     except EmptyFamilyError as exc:
         raise ConfigError(str(exc)) from exc
-    record = weighted_moment(config, rows).record()
-    sidecar = _sidecar_payload(config, rows)
+    record = weighted_moment(config, family).record()
+    sidecar = _sidecar_payload(config, family)
 
     # with --out the sidecar goes to OUT.refs.json, else it follows the table
     out_path = cfg.get("out")

@@ -13,24 +13,26 @@ node/cusp rule, and p in {2, 3}, where short Weierstrass point counting
 degenerates, use caller-supplied metadata.  A twist carries its conductor
 (N * D^2, or a bound) and its root number (through the quadratic
 character of Q(sqrt(D))); its coefficients are the base curve's times that
-character, applied by explicit_formula.prime_side, so no twisted model is
-ever built.
+character, applied by explicit_formula.prime_sides, so no twisted model is
+ever built.  A run of twists is a set of numpy columns (Twists) from one
+squarefree sieve over the D interval; a TwistedCurve is its one-row case.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, fundamental_discriminant, kronecker
+from .arith import PrimeTable, kronecker, squarefree_kernels
 
 __all__ = [
     "CurveModel",
     "TwistedCurve",
+    "Twists",
+    "twist_columns",
     "MissingBadPrimeData",
     "ap",
     "ap_array",
@@ -527,6 +529,90 @@ def cpm(curve: CurveModel, p: int, m: int) -> int:
     return cur
 
 
+# The conductor bound of an unclean twist is 2^8 3^5 N d^2: the largest
+# exponents the twist can reach at 2 and 3.
+_UNCLEAN_BOUND = 2**8 * 3**5
+
+
+def _kronecker_minus_n(a: np.ndarray, n: int) -> np.ndarray:
+    """kronecker(a, -n) for every a of the array, n >= 1.
+
+    (a|n) has period 8n in a (8 for the 2-part, the odd part of n for the
+    Jacobi part), and (a|-n) is (a|n) negated for a < 0, so one kronecker
+    call per residue class of a mod 8n present covers the array.
+    """
+    residues, inverse = np.unique(a % (8 * n), return_inverse=True)
+    table = np.array([kronecker(r, n) for r in residues.tolist()], dtype=np.int64)
+    return np.where(a < 0, -table[inverse], table[inverse])
+
+
+@dataclass(frozen=True)
+class Twists:
+    """The twists of one base curve by a run of D, as columns (int64 and bool
+    arrays aligned with D); see TwistedCurve for what each invariant means.
+
+    kernel is sign(D) times the squarefree part of |D|, fundamental_disc the
+    discriminant d_K of Q(sqrt(D)), coprime marks gcd(D, 2N) = 1, and
+    root_number is 0 wherever no sign is determined.
+    """
+
+    base: CurveModel
+    D: np.ndarray
+    kernel: np.ndarray
+    fundamental_disc: np.ndarray
+    squarefree: np.ndarray
+    coprime: np.ndarray
+    root_number: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.D.size)
+
+    @property
+    def conductor_exact(self) -> np.ndarray:
+        return self.squarefree & self.coprime
+
+    def select(self, keep: np.ndarray) -> "Twists":
+        """The rows where keep (a boolean mask) holds, in order."""
+        return Twists(
+            self.base,
+            *(getattr(self, f.name)[keep] for f in fields(self) if f.name != "base"),
+        )
+
+    def conductor_bounds(self) -> List[int]:
+        """N D^2 for a clean D, else 2^8 3^5 N d^2 with d the kernel, as exact
+        Python integers (they pass 2^63 for |D| near 1e9 and beyond)."""
+        n = self.base.conductor
+        return [
+            n * D * D if exact else _UNCLEAN_BOUND * n * d * d
+            for D, d, exact in zip(
+                self.D.tolist(), self.kernel.tolist(), self.conductor_exact.tolist()
+            )
+        ]
+
+
+def twist_columns(curve: CurveModel, ds: range) -> Twists:
+    """The invariants of the twists of curve by every D of ds, a range of
+    consecutive integers in ascending order (D = 0 gives a row with kernel
+    0 that no filter keeps).
+
+    The kernels come from one squarefree sieve over the range
+    (arith.squarefree_kernels), the gcd with 2N from numpy, and the root
+    numbers from one kronecker call per residue class mod 8N; nothing is
+    done per D in Python.  |D| <= arith.SQUAREFREE_SIEVE_MAX.
+    """
+    if ds.step != 1:
+        raise ValueError(f"twist_columns needs consecutive ascending D, got step {ds.step}")
+    kernel = squarefree_kernels(ds.start, ds.stop - 1)
+    D = np.arange(ds.start, ds.start + kernel.size, dtype=np.int64)
+    disc = np.where(kernel % 4 == 1, kernel, 4 * kernel)
+    squarefree = (kernel == D) & (D != 0)
+    coprime = np.gcd(D, 2 * curve.conductor) == 1
+    clean = squarefree & coprime
+    root = np.zeros(D.size, dtype=np.int64)
+    root[clean] = curve.root_number * _kronecker_minus_n(disc[clean], curve.conductor)
+    return Twists(curve, D, kernel, disc, squarefree, coprime, root)
+
+
 @dataclass(frozen=True)
 class TwistedCurve:
     """A base curve paired with a twisting integer D.
@@ -541,7 +627,8 @@ class TwistedCurve:
     2-part; the explicit-formula reports flag this through conductor_exact.
     squarefree (D equals its squarefree kernel), conductor_exact (squarefree
     and coprime to 2N) and fundamental_disc (the discriminant of Q(sqrt(D)),
-    which defines the twist's character) come from one factorisation of D.
+    which defines the twist's character) are the one row of twist_columns
+    over range(D, D + 1), so a single twist and a family share one path.
     root_number is w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a
     clean D, else 0; it is 0 also where chi_D ramifies at a prime of N (N
     even, D = 3 mod 4), as the relation leaves the sign open there.
@@ -558,21 +645,10 @@ class TwistedCurve:
     def __post_init__(self) -> None:
         if self.D == 0:
             raise ValueError("twisting integer D must be nonzero")
-        disc = fundamental_discriminant(self.D)
-        # sign(D) times the squarefree part of |D|, which is D iff D is squarefree
-        kernel = disc if disc % 4 == 1 else disc // 4
-        squarefree = kernel == self.D
-        clean = squarefree and math.gcd(self.D, 2 * self.base.conductor) == 1
-        if clean:
-            bound = self.base.conductor * self.D**2
-        else:
-            bound = 2**8 * 3**5 * self.base.conductor * kernel * kernel
-        root = self.base.root_number * kronecker(disc, -self.base.conductor) if clean else 0
-        object.__setattr__(self, "squarefree", squarefree)
-        object.__setattr__(self, "conductor_bound", bound)
-        object.__setattr__(self, "conductor_exact", clean)
-        object.__setattr__(self, "fundamental_disc", disc)
-        object.__setattr__(self, "root_number", root)
+        row = twist_columns(self.base, range(self.D, self.D + 1))
+        for name in ("squarefree", "conductor_exact", "fundamental_disc", "root_number"):
+            object.__setattr__(self, name, getattr(row, name).item())
+        object.__setattr__(self, "conductor_bound", row.conductor_bounds()[0])
 
 
 # ---------------------------------------------------------------------------

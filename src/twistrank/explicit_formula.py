@@ -19,20 +19,26 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .arith import PrimeTable, kronecker, legendre_matrix
-from .curve import CurveModel, TwistedCurve, ap_array, cpm
+from .arith import (
+    PrimeTable,
+    fixed_point_limbs,
+    fixed_point_scale,
+    legendre_matrix,
+    round_fixed_point,
+)
+from .curve import CurveModel, TwistedCurve, Twists, ap_array, cpm, twist_columns
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
 __all__ = [
     "ExplicitFormulaReport",
+    "ExplicitFormulaTable",
     "InsufficientPrimeTable",
     "prime_sides",
     "prime_side",
-    "twist_report",
+    "evaluate_reports",
     "ef_total",
     "beta_array",
     "twisted_upper_bound",
-    "report_record",
     "CSV_COLUMNS",
 ]
 
@@ -106,33 +112,54 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
     return aps * lp / ps.astype(float) * fv
 
 
-def _term(c: int, p: int, m: int, lam: float, weight: float) -> float:
-    """c (log p)/p^m F(m log p / lambda): for m = 1 c times the vectorized
-    weight (log p)/p F, as in beta_array; for m >= 2 left to right from c."""
-    if m == 1:
-        return c * weight
+def _term(c: int, p: int, m: int, lam: float) -> float:
+    """c (log p)/p^m F(m log p / lambda) for m >= 2, left to right from c."""
     lp = math.log(p)
     return c * lp / p**m * triangle(m * lp / lam)
 
 
 @dataclass(frozen=True)
-class _PrimePlan:
-    """The part of prime_side that does not depend on D.
+class _Group:
+    """One group of the plan (m = 1, m = 2 or m >= 3): for each term, the
+    column of its prime p in the character matrix, its m and its value
+    c_{p^m}(E) (log p)/p^m F(m log p / lambda); limbs and emin hold the
+    values as exact fixed point (arith.fixed_point_limbs)."""
 
-    ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda with
-    c_{p^m}(E) != 0 as (index of p in ``primes``, m, the term of
-    c_{p^m}(E)).  At every prime, 2 and those dividing N included,
-    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E), so a twist only flips the sign of
-    a term or zeroes it.
+    index: np.ndarray
+    power: np.ndarray
+    terms: np.ndarray
+    limbs: np.ndarray
+    emin: int
+
+
+@dataclass(frozen=True)
+class _PrimePlan:
+    """The part of prime_sides that does not depend on D.
+
+    ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda whose
+    term is nonzero (c_{p^m}(E) != 0).  At every prime, 2 and those dividing
+    N included, c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E), so a twist only flips
+    the sign of a term or zeroes it.
     """
 
     primes: np.ndarray
-    groups: Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    groups: Tuple[_Group, ...]
 
 
 # Plans keyed by (curve, lambda, table limit): the table limit caps the primes
 # below the cutoff, so the same (curve, lambda) can give different plans.
 _PLAN_CACHE: Dict[tuple, _PrimePlan] = {}
+
+
+def _group(index: List[int], power: List[int], terms: np.ndarray) -> _Group:
+    keep = terms != 0.0  # a zero term (F = 0 at the cutoff) adds nothing to any sum
+    terms = terms[keep]
+    emin, count = fixed_point_scale(terms)
+    limbs = fixed_point_limbs(terms, emin, count)
+    return _Group(
+        np.asarray(index, dtype=np.int64)[keep], np.asarray(power, dtype=np.int8)[keep],
+        terms, limbs, emin,
+    )  # fmt: skip
 
 
 def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) -> _PrimePlan:
@@ -142,26 +169,22 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     ps = primes.below(cutoff)
     aps = ap_array(E, primes, cutoff)
     lp = np.log(ps.astype(float))
-    weights = lp / ps.astype(float) * triangle(lp / lam)
-    groups = [([], [], []) for _ in range(3)]
-    for i, (p, a, weight) in enumerate(zip(ps.tolist(), aps.tolist(), weights.tolist())):
-        m = 1
+    weights = lp / ps.astype(float) * triangle(lp / lam)  # (log p)/p F, as in beta_array
+    first = np.flatnonzero(aps)
+    groups = [_group(first, np.ones(first.size), aps[first] * weights[first])]
+    higher = {2: ([], [], []), 3: ([], [], [])}  # index, m and term for m = 2 and m >= 3
+    for i, p in enumerate(ps[: int(np.searchsorted(ps, math.sqrt(cutoff))) + 1].tolist()):
+        m = 2
         while p**m < cutoff:
-            c = a if m == 1 else cpm(E, p, m)
+            c = cpm(E, p, m)
             if c:  # a zero coefficient adds +0.0 for every twist
-                index, power, term = groups[min(m, 3) - 1]
+                index, power, term = higher[min(m, 3)]
                 index.append(i)
                 power.append(m)
-                term.append(_term(c, p, m, lam, weight))
+                term.append(_term(c, p, m, lam))
             m += 1
-    plan = _PrimePlan(
-        # a copy, so the cache does not pin the whole table
-        primes=ps.copy(),
-        groups=tuple(
-            (np.array(i, dtype=np.int64), np.array(m, dtype=np.int64), np.array(t, dtype=float))
-            for i, m, t in groups
-        ),
-    )
+    groups += [_group(i, m, np.array(t, dtype=float)) for i, m, t in higher.values()]
+    plan = _PrimePlan(primes=ps.copy(), groups=tuple(groups))  # a copy: the cache must not pin the table
     _PLAN_CACHE[key] = plan
     return plan
 
@@ -172,36 +195,34 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 # 0.5 MB with 2^14, which ran as fast.
 _CHUNK_CELLS = 1 << 14
 
+# chi_D(2) by D mod 8: (D|2) for D = 1 mod 4, 0 otherwise
+_CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
 
-def _chunk_sums(plan: _PrimePlan, ds: Sequence[int]) -> List[Tuple[float, float, float]]:
-    """The three partial sums for each D of ds, over one character matrix."""
-    chi = np.empty((len(ds), plan.primes.size), dtype=np.int8)
-    if plan.primes.size:  # p = 2 leads the primes
-        chi[:, 0] = [kronecker(D, 2) if D % 4 == 1 else 0 for D in ds]
-        chi[:, 1:] = legendre_matrix(ds, plan.primes[1:])
-    per_group = []
-    for index, power, term in plan.groups:
-        s = chi[:, index] ** power
-        nonzero = s != 0
-        values = (term * s)[nonzero].tolist()  # row-major: a twist's terms are contiguous
-        ends = np.cumsum(nonzero.sum(axis=1)).tolist()
-        per_group.append([math.fsum(values[a:b]) for a, b in zip([0] + ends, ends)])
-    return list(zip(*per_group))
+
+def _characters(ps: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """chi_D(p) for every D of ds (rows) and p of ps (columns; 2 leads)."""
+    chi = np.empty((ds.size, ps.size), dtype=np.int8)
+    if ps.size:
+        chi[:, 0] = _CHI_AT_2[ds % 8]
+        chi[:, 1:] = legendre_matrix(ds, ps[1:])
+    return chi
 
 
 def prime_sides(
-    twists: Sequence[TwistedCurve], kernel: TriangleKernel, primes: PrimeTable
-) -> List[Tuple[float, float, float]]:
-    """The m = 1, m = 2 and m >= 3 partial sums of the prime side for each
-    twist, in the input order; the twists may have different base curves.
+    curve: CurveModel, ds: Sequence[int], kernel: TriangleKernel, primes: PrimeTable
+) -> np.ndarray:
+    """The m = 1, m = 2 and m >= 3 partial sums of the prime side of the
+    twists of curve by each D of ds, as the rows of a (3, len(ds)) array.
 
     Each is sum over p^m < e^lambda of c_{p^m}(E_D) (log p)/p^m *
     F(m log p / lambda), without the overall factor 2.  Everything but the
-    character comes from the per-(curve, lambda) plan, and the characters
-    of a batch come from one legendre_matrix call per chunk of twists, so
-    every term is the same float the direct sum gives; exact compensated
-    summation over each twist's nonzero terms makes the results independent
-    of term order and of how the twists are batched.
+    character comes from the per-(curve, lambda) plan; the characters come
+    from one matrix per chunk of twists.  The sum is exact fixed point: the
+    plan holds each group's terms as integer multiples of 2^emin split into
+    int64 limbs, the character matrix times the limbs gives each twist's
+    integer exactly, and arith.round_fixed_point rounds it once, so each
+    result is the correctly rounded sum of the twist's terms, the float
+    math.fsum gives, whatever the term order or the batching.
 
     The character is chi_D(p) = (D|p) at odd p and, at p = 2, (D|2) for
     D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
@@ -210,57 +231,119 @@ def prime_sides(
     Q(sqrt(D)), which is the same character.
     """
     cutoff = _require_table(primes, kernel.lam)
-    by_curve: Dict[CurveModel, List[int]] = {}
-    for i, twist in enumerate(twists):
-        by_curve.setdefault(twist.base, []).append(i)
-    out: List[Tuple[float, float, float]] = [None] * len(twists)
-    for curve, rows in by_curve.items():
-        plan = _prime_plan(curve, kernel.lam, primes, cutoff)
-        step = max(1, _CHUNK_CELLS // max(1, plan.primes.size))
-        for start in range(0, len(rows), step):
-            chunk = rows[start : start + step]
-            for i, sums in zip(chunk, _chunk_sums(plan, [twists[i].D for i in chunk])):
-                out[i] = sums
-    return out
+    plan = _prime_plan(curve, kernel.lam, primes, cutoff)
+    ds = np.asarray(ds, dtype=np.int64)
+    sums = [np.empty((ds.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
+    step = max(1, _CHUNK_CELLS // max(1, plan.primes.size))
+    for start in range(0, ds.size, step):
+        chi = _characters(plan.primes, ds[start : start + step])
+        for g, out in zip(plan.groups, sums):
+            np.matmul(chi[:, g.index] ** g.power, g.limbs, out=out[start : start + step])
+    rounded = [round_fixed_point(s, g.emin) for g, s in zip(plan.groups, sums)]
+    return np.array(rounded).reshape(3, ds.size)
 
 
 def prime_side(
     twist: TwistedCurve, kernel: TriangleKernel, primes: PrimeTable
 ) -> Tuple[float, float, float]:
-    """prime_sides of the one twist."""
-    return prime_sides([twist], kernel, primes)[0]
+    """prime_sides of the one twist, as Python floats."""
+    return tuple(prime_sides(twist.base, [twist.D], kernel, primes)[:, 0].tolist())
 
 
-def twist_report(
-    twist: TwistedCurve, kernel: TriangleKernel, sums: Tuple[float, float, float]
-) -> ExplicitFormulaReport:
-    """Assemble the full explicit-formula report of a twist from its
-    prime-side sums (m1, m2, tail)."""
-    lam = kernel.lam
-    m1, m2, tail = sums
-    log_n = math.log(twist.conductor_bound)
+@dataclass(frozen=True)
+class ExplicitFormulaTable:
+    """The explicit-formula decomposition of a batch of twists as columns:
+    row i belongs to twists.D[i], and each column is the ExplicitFormulaReport
+    field of the same name (lam and archimedean are one number per batch)."""
+
+    twists: Twists
+    lam: float
+    log_conductor: np.ndarray
+    prime_sum_m1: np.ndarray
+    prime_sum_m2: np.ndarray
+    prime_sum_tail: np.ndarray
+    archimedean: float
+    total_S: np.ndarray
+    rank_bound: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.twists)
+
+    def report(self, i: int) -> ExplicitFormulaReport:
+        """Row i as a report."""
+        return ExplicitFormulaReport(
+            D=int(self.twists.D[i]),
+            lam=self.lam,
+            log_conductor=float(self.log_conductor[i]),
+            prime_sum_m1=float(self.prime_sum_m1[i]),
+            prime_sum_m2=float(self.prime_sum_m2[i]),
+            prime_sum_tail=float(self.prime_sum_tail[i]),
+            archimedean=self.archimedean,
+            total_S=float(self.total_S[i]),
+            rank_bound=float(self.rank_bound[i]),
+            root_number=int(self.twists.root_number[i]),
+            conductor_exact=bool(self.twists.conductor_exact[i]),
+        )
+
+    def records(self) -> List[dict]:
+        """The output records, one per row: the CSV_COLUMNS fields in order,
+        then the coarse bound (twisted_upper_bound) that only the JSON output
+        carries; every value a Python scalar."""
+        lam, arch = self.lam, self.archimedean
+        rows = zip(
+            self.twists.D.tolist(),
+            self.log_conductor.tolist(),
+            self.twists.conductor_exact.tolist(),
+            self.prime_sum_m1.tolist(),
+            self.prime_sum_m2.tolist(),
+            self.prime_sum_tail.tolist(),
+            self.total_S.tolist(),
+            self.rank_bound.tolist(),
+            self.twists.root_number.tolist(),
+        )
+        return [
+            {
+                "D": D,
+                "lambda": lam,
+                "log_conductor": log_n,
+                "conductor_exact": exact,
+                "prime_m1": m1,
+                "prime_m2": m2,
+                "prime_tail": tail,
+                "archimedean": arch,
+                "total_S": total,
+                "rank_bound": bound,
+                "root_number": root,
+                "twisted_upper_bound": _coarse_bound(D, lam, m1),
+            }
+            for D, log_n, exact, m1, m2, tail, total, bound, root in rows
+        ]
+
+
+def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> ExplicitFormulaTable:
+    """The explicit-formula columns of a batch of twists, from one
+    prime_sides call: total_S = log_conductor - 2*(m1 + m2 + tail) -
+    archimedean and rank_bound = total_S / lambda, evaluated row by row in
+    IEEE arithmetic exactly as for one twist.  log_conductor is math.log of
+    each exact integer conductor bound."""
+    kernel = TriangleKernel(lam)
+    m1, m2, tail = prime_sides(twists.base, twists.D, kernel, primes)
+    log_n = np.array([math.log(n) for n in twists.conductor_bounds()], dtype=float)
     arch = 2.0 * archimedean_integral(kernel) + 2.0 * math.log(2.0 * math.pi)
     total = log_n - 2.0 * (m1 + m2 + tail) - arch
-    return ExplicitFormulaReport(
-        D=twist.D,
-        lam=lam,
-        log_conductor=log_n,
-        prime_sum_m1=m1,
-        prime_sum_m2=m2,
-        prime_sum_tail=tail,
-        archimedean=arch,
-        total_S=total,
-        rank_bound=total / lam,
-        root_number=twist.root_number,
-        conductor_exact=twist.conductor_exact,
-    )
+    return ExplicitFormulaTable(twists, lam, log_n, m1, m2, tail, arch, total, total / lam)
 
 
 def ef_total(
     twist: TwistedCurve, kernel: TriangleKernel, primes: PrimeTable
 ) -> ExplicitFormulaReport:
-    """The full explicit-formula report for one twist."""
-    return twist_report(twist, kernel, prime_side(twist, kernel, primes))
+    """The full explicit-formula report for one twist: the one-row table."""
+    row = twist_columns(twist.base, range(twist.D, twist.D + 1))
+    return evaluate_reports(row, kernel.lam, primes).report(0)
+
+
+def _coarse_bound(D: int, lam: float, m1: float) -> float:
+    return 2.0 * math.log(abs(D)) + 0.5 * lam - 2.0 * m1
 
 
 def twisted_upper_bound(report: ExplicitFormulaReport) -> float:
@@ -268,23 +351,4 @@ def twisted_upper_bound(report: ExplicitFormulaReport) -> float:
     log(D^2) in place of the conductor and the higher powers dropped."""
     if report.D == 0:
         raise ValueError("undefined for D = 0")
-    return 2.0 * math.log(abs(report.D)) + 0.5 * report.lam - 2.0 * report.prime_sum_m1
-
-
-def report_record(r: ExplicitFormulaReport) -> dict:
-    """One output record: the CSV_COLUMNS fields in order, then the derived
-    coarse bound, which only the JSON output carries."""
-    return {
-        "D": r.D,
-        "lambda": r.lam,
-        "log_conductor": r.log_conductor,
-        "conductor_exact": r.conductor_exact,
-        "prime_m1": r.prime_sum_m1,
-        "prime_m2": r.prime_sum_m2,
-        "prime_tail": r.prime_sum_tail,
-        "archimedean": r.archimedean,
-        "total_S": r.total_S,
-        "rank_bound": r.rank_bound,
-        "root_number": r.root_number,
-        "twisted_upper_bound": twisted_upper_bound(r),
-    }
+    return _coarse_bound(report.D, report.lam, report.prime_sum_m1)

@@ -5,24 +5,34 @@ explicit formula equals [r_an + sum over nonzero-height zeros of sinc^2]^k.
 Families are selected by a one-sided smooth weight W(D/T), optionally
 restricted to squarefree D coprime to 2N (the regime where conductors are
 exact and root numbers are defined).
+
+A family is a set of numpy columns (Family): D and the twist invariants
+from one squarefree sieve over the support, W, and the explicit-formula
+columns from one batched prime side.  No object is built per twist; what
+stays per element in Python is what numpy does not round as libm does:
+math.exp in W, math.log of each exact conductor, and the k-th power.  The
+statistics are exact sums over the columns (arith.exact_sum: the floats
+math.fsum gives, without its per-element loop).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from math import comb, fsum
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional
 
-from .arith import PrimeTable
-from .curve import CurveModel, TwistedCurve
-from .explicit_formula import ExplicitFormulaReport, prime_sides, twist_report
-from .kernel import SmoothWeight, TriangleKernel, weight_eval
+import numpy as np
+
+from .arith import PrimeTable, exact_sum
+from .curve import CurveModel, Twists, twist_columns
+from .explicit_formula import ExplicitFormulaTable, evaluate_reports
+from .kernel import SmoothWeight, weight_eval
 
 __all__ = [
     "MomentConfig",
     "MomentRow",
-    "FamilyRow",
+    "Family",
     "EmptyFamilyError",
     "X_k",
     "theoretical_moment_bound",
@@ -30,7 +40,6 @@ __all__ = [
     "lowzero_density_bound",
     "filter_twists",
     "family_twist_values",
-    "evaluate_reports",
     "sweep_family",
     "weighted_moment",
     "sign_partition_stats",
@@ -145,69 +154,64 @@ class MomentConfig:
 
 
 @dataclass(frozen=True)
-class FamilyRow:
-    D: int
-    weight: float
-    report: ExplicitFormulaReport
+class Family:
+    """A twist family as columns, ascending in D: the twists, their weights
+    W(D/T) and, once sweep_family has evaluated them, their explicit-formula
+    columns (table, None before)."""
+
+    twists: Twists
+    weight: np.ndarray
+    table: Optional[ExplicitFormulaTable] = None
+
+    def __len__(self) -> int:
+        return len(self.twists)
+
+    def select(self, keep: np.ndarray) -> "Family":
+        """The unevaluated family of the rows where keep holds."""
+        return Family(self.twists.select(keep), self.weight[keep])
 
 
-def filter_twists(
-    curve: CurveModel, ds: Iterable[int], squarefree: bool, coprime: bool
-) -> List[TwistedCurve]:
-    """The twists by the nonzero D of ds, in order, that are coprime to 2N
-    (a gcd, if asked) and squarefree (read off the twist's own factorisation,
-    if asked).  The only place a D becomes a TwistedCurve."""
-    n2 = 2 * curve.conductor
-    out = []
-    for D in ds:
-        if D == 0 or (coprime and math.gcd(D, n2) != 1):
-            continue
-        twist = TwistedCurve(curve, D)
-        if twist.squarefree or not squarefree:
-            out.append(twist)
-    return out
+def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool) -> Twists:
+    """The twists by the nonzero D of ds (consecutive, ascending) that are
+    coprime to 2N, if asked, and squarefree, if asked, as columns from one
+    sieve over ds (twist_columns).  The only place a D becomes a twist."""
+    twists = twist_columns(curve, ds)
+    keep = twists.D != 0
+    if coprime:
+        keep &= twists.coprime
+    if squarefree:
+        keep &= twists.squarefree
+    return twists.select(keep)
 
 
-def family_twist_values(config: MomentConfig) -> List[Tuple[TwistedCurve, float]]:
-    """(twist, W(D/T)) for every D != 0 inside the weight support with
-    W(D/T) > 0 that passes the filters, ascending in D.  W is evaluated
-    once per D; sign filtering happens later, once root numbers exist."""
-    weights = {D: weight_eval(config.weight, D / config.T) for D in config.support_ds()}
-    ds = (D for D, w in weights.items() if w > 0.0)
+def family_twist_values(config: MomentConfig) -> Family:
+    """The twists by every D != 0 inside the weight support with W(D/T) > 0
+    that pass the filters, with their weights, ascending in D.  W is
+    evaluated once per D, by math.exp as for a single D; sign filtering
+    happens later, once root numbers exist."""
+    ds = config.support_ds()
+    weight = np.array([weight_eval(config.weight, D / config.T) for D in ds], dtype=float)
     twists = filter_twists(config.curve, ds, config.squarefree_only, config.coprime_to_2N)
-    return [(t, weights[t.D]) for t in twists]
+    family = Family(twists, weight[twists.D - ds.start])
+    return family.select(family.weight > 0.0)
 
 
-def evaluate_reports(
-    twists: Sequence[TwistedCurve], lam: float, primes: PrimeTable
-) -> List[ExplicitFormulaReport]:
-    """Explicit-formula reports for a list of twists, in the input order.
-
-    The D-independent prime-side work is shared through the per-(curve,
-    lambda) plan of explicit_formula, and the characters of all the twists
-    come from one batched prime_sides call."""
-    kernel = TriangleKernel(lam)
-    sums = prime_sides(twists, kernel, primes)
-    return [twist_report(twist, kernel, s) for twist, s in zip(twists, sums)]
-
-
-def sweep_family(config: MomentConfig, primes: PrimeTable) -> List[FamilyRow]:
+def sweep_family(config: MomentConfig, primes: PrimeTable) -> Family:
     """Evaluate the explicit formula on every family member, ascending in D.
 
-    Each twist is built once; the sign filter reads its root number before
-    any prime-side work.  Raises EmptyFamilyError when no twist survives.
+    The sign filter reads the root-number column before any prime-side work;
+    the kept rows are evaluated as one batch.  Raises EmptyFamilyError when
+    no twist survives.
     """
-    pairs = family_twist_values(config)
+    family = family_twist_values(config)
     if config.sign != "any":
-        sign = 1 if config.sign == "plus" else -1
-        pairs = [(t, w) for t, w in pairs if t.root_number == sign]
-    if not pairs:
+        family = family.select(family.twists.root_number == (1 if config.sign == "plus" else -1))
+    if not len(family):
         raise EmptyFamilyError(
             f"no twist passes the filters for T={config.T}, support "
             f"({config.weight.support_lo}, {config.weight.support_hi})"
         )
-    reports = evaluate_reports([t for t, _ in pairs], config.lam, primes)
-    return [FamilyRow(D=t.D, weight=w, report=rep) for (t, w), rep in zip(pairs, reports)]
+    return replace(family, table=evaluate_reports(family.twists, config.lam, primes))
 
 
 @dataclass(frozen=True)
@@ -230,26 +234,28 @@ class MomentRow:
         return {**asdict(self), "ratio": self.ratio}
 
 
-def weighted_moment(config: MomentConfig, rows: Sequence[FamilyRow]) -> MomentRow:
-    """Empirical weighted k-th moment of total_S/lambda over the rows of a
-    sweep (nonempty, as sweep_family returns them)."""
-    wsum = fsum(r.weight for r in rows)
-    msum = fsum(r.report.rank_bound ** config.k * r.weight for r in rows)
+def weighted_moment(config: MomentConfig, family: Family) -> MomentRow:
+    """Empirical weighted k-th moment of total_S/lambda over a swept family
+    (nonempty, as sweep_family returns it)."""
+    w = family.weight
+    powered = np.array([b ** config.k for b in family.table.rank_bound.tolist()], dtype=float)
+    wsum = exact_sum(w)
+    msum = exact_sum(powered * w)
     return MomentRow(
         k=config.k,
         x=config.x,
         T=float(config.T),
         filter_flags=config.filter_flags(),
         weighted_count=wsum,
-        family_size=len(rows),
+        family_size=len(family),
         empirical_moment=msum / wsum,
         theoretical_bound=theoretical_moment_bound(config.k),
     )
 
 
-def sign_partition_stats(rows: Sequence[FamilyRow]) -> dict:
+def sign_partition_stats(family: Family) -> dict:
     """Per-root-number averages of the rank bound plus the Markov-type
-    fraction estimators, over the rows of a sweep.
+    fraction estimators, over a swept family.
 
     Writing A+ for the average bound over even twists, ranks there are even,
     so sum r >= 2 * (count with r >= 2) and the rank-0 fraction is at least
@@ -259,34 +265,35 @@ def sign_partition_stats(rows: Sequence[FamilyRow]) -> dict:
     Rows with root number 0 are counted as "undefined"; on a family without
     the squarefree and coprime filters that holds every unclean twist.
     """
+    w = family.weight
+    weighted = w * family.table.rank_bound
+    roots = family.twists.root_number
     out: dict = {
-        "family_size": len(rows),
-        "weighted_count": fsum(r.weight for r in rows),
+        "family_size": len(family),
+        "weighted_count": exact_sum(w),
         "derivation": (
             "rank0_fraction_lb = 1 - avg/2 (even ranks, Markov at 2); "
             "rank1_fraction_lb = (3 - avg)/2 (odd ranks, Markov at 3)"
         ),
     }
     for name, sign in (("plus", 1), ("minus", -1), ("undefined", 0)):
-        sel = [r for r in rows if r.report.root_number == sign]
-        wsum = fsum(r.weight for r in sel)
+        sel = roots == sign
+        size = int(np.count_nonzero(sel))
+        wsum = exact_sum(w[sel])
         rec = {
-            "family_size": len(sel),
+            "family_size": size,
             "weighted_count": wsum,
-            "avg_rank_bound": (
-                fsum(r.weight * r.report.rank_bound for r in sel) / wsum if sel else None
-            ),
+            "avg_rank_bound": exact_sum(weighted[sel]) / wsum if size else None,
         }
-        if sel and sign == 1:
+        if size and sign == 1:
             rec["rank0_fraction_lb"] = max(0.0, 1.0 - rec["avg_rank_bound"] / 2.0)
-        if sel and sign == -1:
+        if size and sign == -1:
             rec["rank1_fraction_lb"] = max(0.0, (3.0 - rec["avg_rank_bound"]) / 2.0)
         out[name] = rec
     return out
 
 
-def empirical_rank_tail(rows: Sequence[FamilyRow], R: float) -> float:
-    """Weighted fraction of the sweep's rows with rank_bound >= R."""
-    wsum = fsum(r.weight for r in rows)
-    tail = fsum(r.weight for r in rows if r.report.rank_bound >= R)
-    return tail / wsum
+def empirical_rank_tail(family: Family, R: float) -> float:
+    """Weighted fraction of a swept family with rank_bound >= R."""
+    w = family.weight
+    return exact_sum(w[family.table.rank_bound >= R]) / exact_sum(w)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from twistrank.arith import kronecker, sieve_primes
+from twistrank.arith import fundamental_discriminant, kronecker, legendre_matrix, sieve_primes
 from twistrank.curve import CurveModel, ap, builtin_catalog, cpm
 from twistrank.kernel import weight_l_eval
 
@@ -106,6 +106,49 @@ def twist_cpm(twist, p: int, m: int) -> int:
     if (2 * E.conductor * D) % p or (p == 2 and (E.conductor * D) % 2 and D % 4 == 1):
         return kronecker(D, p) ** m * cpm(E, p, m)
     return ap(twisted_model(twist), p) ** m
+
+
+def trial_twist_invariants(curve, D: int) -> dict:
+    """The invariants of the twist by D != 0 from one trial-division
+    factorisation of D (fundamental_discriminant): the per-D reference for
+    twist_columns' sieve."""
+    disc = fundamental_discriminant(D)
+    kernel = disc if disc % 4 == 1 else disc // 4  # sign(D) times the squarefree part of |D|
+    squarefree = kernel == D
+    coprime = math.gcd(D, 2 * curve.conductor) == 1
+    clean = squarefree and coprime
+    return {
+        "kernel": kernel,
+        "fundamental_disc": disc,
+        "squarefree": squarefree,
+        "coprime": coprime,
+        "conductor_exact": clean,
+        "root_number": curve.root_number * kronecker(disc, -curve.conductor) if clean else 0,
+        "conductor_bound": (
+            curve.conductor * D**2 if clean else 2**8 * 3**5 * curve.conductor * kernel**2
+        ),
+    }
+
+
+def fsum_prime_sides(plan, ds) -> list:
+    """(m1, m2, tail) per D of ds by compensated summation, the reference for
+    the exact fixed-point sums of explicit_formula.prime_sides: each twist's
+    nonzero plan terms, times its characters (kronecker at 2, legendre_matrix
+    at the odd primes), summed by one math.fsum per group."""
+    out = []
+    for start in range(0, len(ds), 256):
+        block = list(ds[start : start + 256])
+        chi = np.empty((len(block), plan.primes.size), dtype=np.int64)
+        if plan.primes.size:
+            chi[:, 0] = [kronecker(D, 2) if D % 4 == 1 else 0 for D in block]
+            chi[:, 1:] = legendre_matrix(block, plan.primes[1:])
+        for row in chi:
+            sums = []
+            for g in plan.groups:
+                s = row[g.index] ** g.power
+                sums.append(math.fsum((g.terms * s)[s != 0].tolist()))
+            out.append(tuple(sums))
+    return out
 
 
 _QAWO_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=400)

@@ -17,6 +17,7 @@ from twistrank.arith import (
     mobius,
     parity_decompose,
     sieve_primes,
+    squarefree_kernels,
     squarefree_part,
 )
 
@@ -262,3 +263,92 @@ class TestFundamentalDiscriminant:
                 continue
             fd = fundamental_discriminant(d)
             assert fd % 4 in (0, 1)
+
+
+def _signed_squarefree_part(d):
+    return 0 if d == 0 else (1 if d > 0 else -1) * squarefree_part(abs(d))
+
+
+class TestSquarefreeKernels:
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-3000, 3000), (0, 0), (1, 1), (-1, -1), (-16, -16), (-5, 5),
+         (10**12 - 200, 10**12 + 200), (-(10**12) - 100, -(10**12) + 100),
+         # 3 5^2 7^2 11^2: three squares in one d
+         (3 * 25 * 49 * 121 - 3, 3 * 25 * 49 * 121 + 3)],
+    )  # fmt: skip
+    def test_against_trial_division(self, lo, hi):
+        got = squarefree_kernels(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [_signed_squarefree_part(d) for d in range(lo, hi + 1)]
+
+    def test_shared_large_square_factors(self):
+        # 1009^2 1013^2 and 1019^2 have at most one multiple in the window,
+        # and 1009^2 1013^2 is the one d both hit
+        d = 1009**2 * 1013**2
+        got = squarefree_kernels(d - 3, d + 3)
+        assert got.tolist() == [_signed_squarefree_part(n) for n in range(d - 3, d + 3 + 1)]
+        assert got[3] == 1
+
+    def test_cap(self):
+        assert squarefree_kernels(5, 4).size == 0
+        assert squarefree_kernels(10**16, 10**16).tolist() == [1]
+        with pytest.raises(ValueError):
+            squarefree_kernels(10**16, 10**16 + 1)
+        with pytest.raises(ValueError):
+            squarefree_kernels(-(10**16) - 1, 0)
+
+
+class TestExactSum:
+    """The fixed-point sums against math.fsum, repr for repr."""
+
+    @staticmethod
+    def _matrix_sums(values, signs):
+        emin, count = arith.fixed_point_scale(values)
+        limbs = arith.fixed_point_limbs(values, emin, count)
+        return arith.round_fixed_point((signs @ limbs).astype(np.int64), emin).tolist()
+
+    @staticmethod
+    def _fsum_rows(values, signs):
+        return [math.fsum((values * row)[row != 0].tolist()) for row in signs]
+
+    def test_random_signs_and_spread_exponents(self):
+        rng = np.random.default_rng(13)
+        for _ in range(60):
+            n = int(rng.integers(1, 300))
+            values = rng.choice((-1.0, 1.0), n) * np.ldexp(rng.random(n) + 0.5, rng.integers(-60, 11, n))
+            signs = rng.integers(-1, 2, (50, n)).astype(np.int8)
+            assert repr(self._matrix_sums(values, signs)) == repr(self._fsum_rows(values, signs))
+            assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+
+    def test_exact_cancellation_is_zero(self):
+        values = np.array([0.1, 2.0**-60, -0.1, 1e3, -(2.0**-60), -1e3])
+        assert self._matrix_sums(values, np.ones((1, 6), dtype=np.int8)) == [0.0]
+        assert repr(arith.exact_sum(values)) == "0.0" == repr(math.fsum(values.tolist()))
+        assert arith.exact_sum(np.array([-0.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1.0, 2.0**-53],  # halfway, to even: down
+            [1.0 + 2.0**-52, 2.0**-53],  # halfway, to even: up
+            [1.0, 2.0**-53, 2.0**-60],  # just above halfway
+            [1.0, 2.0**-53, -(2.0**-60)],  # just below halfway
+            [-1.0, -(2.0**-53)],
+            [2.0**10, 2.0**-43, 2.0**-60],
+            [2.0**10 + 2.0**-42, 2.0**-43, -(2.0**-60), 2.0**-60],
+        ],
+    )
+    def test_halfway_ties(self, values):
+        values = np.array(values)
+        ones = np.ones((1, values.size), dtype=np.int8)
+        assert repr(self._matrix_sums(values, ones)) == repr([math.fsum(values.tolist())])
+        assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+
+    def test_subnormal_and_wide_ranges(self):
+        rng = np.random.default_rng(17)
+        for lo, hi in ((-1074, -1000), (-1074, 1000), (-200, 1000)):
+            values = rng.choice((-1.0, 1.0), 400) * np.ldexp(rng.random(400) + 0.5, rng.integers(lo, hi, 400))
+            assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+        tiny = np.array([5e-324, 5e-324, -1e-323 * 0.5])
+        assert repr(arith.exact_sum(tiny)) == repr(math.fsum(tiny.tolist()))

@@ -12,6 +12,7 @@ import pytest
 
 import twistrank
 import twistrank.cli as cli_mod
+import twistrank.curve as curve_mod
 import twistrank.family_moments as fm
 import twistrank.verification_lab as vl
 from twistrank.cli import (
@@ -265,28 +266,44 @@ class TestSweep:
 
 
 class TestTwistBudget:
-    def test_over_budget_refused_before_enumeration(self, monkeypatch, capsys):
-        # nothing may enumerate: an unrefused k = 2 sweep would build a dict
+    @pytest.fixture
+    def no_enumeration(self, monkeypatch):
+        # nothing may enumerate: an unrefused k = 2 sweep would hold columns
         # over 5e7 D before any other work
         def no_enumeration(*args, **kwargs):
             raise AssertionError("twist enumeration started")
 
         monkeypatch.setattr(fm, "family_twist_values", no_enumeration)
-        monkeypatch.setattr(fm, "filter_twists", no_enumeration)
+        monkeypatch.setattr(fm, "twist_columns", no_enumeration)
         monkeypatch.setattr(cli_mod, "filter_twists", no_enumeration)
+        monkeypatch.setattr(curve_mod, "squarefree_kernels", no_enumeration)
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+
+    def test_over_budget_refused_before_enumeration(self, no_enumeration, capsys):
         for args in (
             ["sweep", "--curve", "cm32-like", "--k", "2"],  # T = X_2(1e3), about 1.1e8
             ["sweep", "--curve", "cm32-like", "--x", "1e5"],
             ["ef-report", "--curve", "ncm37", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"],
-            # few primes, but 1e5 trial divisions up to sqrt(1e14) = 1e7
-            ["ef-report", "--x", "1e4", "--dmin", str(10**14), "--dmax", str(10**14 + 10**5)],
+            # 1e7 D near 1e14 over about 1e3 primes
+            ["ef-report", "--x", "1e4", "--dmin", str(10**14), "--dmax", str(10**14 + 10**7)],
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
             assert "twists over about" in err and "estimated at" in err, err
             assert "budget of 10 min" in err, err
             assert out == ""
+
+    def test_beyond_sieve_or_memory_cap_refused(self, no_enumeration, capsys):
+        # |D| above 1e16 needs base primes past the prime-table cap; 1e7
+        # candidates at x = 30 fit the time budget but not in memory
+        for args, reason in (
+            (["ef-report", "--x", "100", "--dmin", str(10**16), "--dmax", str(10**16 + 1)], "above the cap"),
+            (["ef-report", "--x", "100", "--dmin", str(-(10**16) - 1), "--dmax", "-5"], "above the cap"),
+            (["sweep", "--x", "30", "--T", "2e7"], "in-memory cap"),
+        ):
+            code, out, err = run(args, capsys)
+            assert code == EXIT_CONFIG, args
+            assert reason in err and out == "", err
 
     def test_default_and_bench_configs_within_budget(self, monkeypatch):
         class Sieved(Exception):
@@ -576,5 +593,5 @@ class TestBenchmarkInterface:
         result = family_twist_values(cfg)
         counts = {}
         tracer._count_family(counts, (cfg,), result)
-        assert isinstance(result, list) and counts["family_moments.kept"] == len(result) > 0
+        assert counts["family_moments.kept"] == len(result) == len(result.twists.D) > 0
         assert counts["family_moments.candidates"] == 49  # D = 51..99

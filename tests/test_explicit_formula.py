@@ -4,21 +4,22 @@ from dataclasses import replace
 import pytest
 
 import twistrank.explicit_formula as ef
-from twistrank.curve import TwistedCurve, cpm
+from twistrank.arith import sieve_primes
+from twistrank.curve import TwistedCurve, cpm, twist_columns
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
     beta_array,
     ef_total,
+    evaluate_reports,
     prime_side,
     prime_sides,
-    report_record,
     twisted_upper_bound,
 )
-from twistrank.family_moments import evaluate_reports
+from twistrank.family_moments import filter_twists
 from twistrank.kernel import TriangleKernel, triangle
 
-from conftest import twist_cpm
+from conftest import fsum_prime_sides, trial_twist_invariants, twist_cpm
 
 
 class TestBeta:
@@ -146,31 +147,83 @@ class TestBatchInvariance:
         return ef._CHUNK_CELLS // primes_1e4.below(self.X).size
 
     @staticmethod
-    def _one_by_one(twists, kern, primes):
-        return [prime_side(tw, kern, primes) for tw in twists]
+    def _one_by_one(curve, ds, kern, primes):
+        return [prime_side(TwistedCurve(curve, D), kern, primes) for D in ds]
 
     def test_batch_lengths_around_the_chunk(self, ncm_curve, primes_1e4, chunk):
         kern = TriangleKernel(math.log(self.X))
         ds = [D for D in range(-(chunk // 2) - 3, chunk // 2 + 3) if D]
         for n in (0, 1, chunk - 1, chunk, chunk + 1):
-            twists = [TwistedCurve(ncm_curve, D) for D in ds[:n]]
-            assert len(twists) == n
-            got = prime_sides(twists, kern, primes_1e4)
-            assert repr(got) == repr(self._one_by_one(twists, kern, primes_1e4)), n
+            got = prime_sides(ncm_curve, ds[:n], kern, primes_1e4)
+            assert got.shape == (3, n)
+            expected = self._one_by_one(ncm_curve, ds[:n], kern, primes_1e4)
+            assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected), n
 
     def test_mixed_curves_in_input_order(self, cm_curve, ncm_curve, bad3_curve, primes_1e4, chunk):
-        # interleaved base curves, each with more than a chunk of twists
+        # each curve over more than a chunk of twists in descending order, and
+        # the table of a run of twists against one-twist reports
         kern = TriangleKernel(math.log(self.X))
-        curves = (ncm_curve, cm_curve, bad3_curve)
         half = 3 * chunk // 2 + 9
         ds = [D for D in range(half, -half, -1) if D]
-        twists = [TwistedCurve(curves[i % 3], D) for i, D in enumerate(ds)]
-        assert min(sum(t.base is c for t in twists) for c in curves) > chunk
-        got = prime_sides(twists, kern, primes_1e4)
-        assert repr(got) == repr(self._one_by_one(twists, kern, primes_1e4))
-        reports = evaluate_reports(twists, kern.lam, primes_1e4)
-        assert [r.D for r in reports] == [t.D for t in twists]
-        assert repr(reports) == repr([ef_total(t, kern, primes_1e4) for t in twists])
+        for curve in (ncm_curve, cm_curve, bad3_curve):
+            got = prime_sides(curve, ds, kern, primes_1e4)
+            expected = self._one_by_one(curve, ds, kern, primes_1e4)
+            assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected), curve.label
+            twists = filter_twists(curve, range(-half, half), False, False)
+            table = evaluate_reports(twists, kern.lam, primes_1e4)
+            assert twists.D.tolist() == [D for D in range(-half, half) if D]
+            reports = [table.report(i) for i in range(len(table))]
+            assert repr(reports) == repr([ef_total(TwistedCurve(curve, D), kern, primes_1e4) for D in twists.D.tolist()])
+
+
+class TestColumnarOracle:
+    """The columnar path against the per-twist references of conftest: the
+    trial-division invariants and the math.fsum prime side."""
+
+    DS = range(-3000, 3001)
+
+    @pytest.fixture(scope="class")
+    def primes_5e4(self):
+        return sieve_primes(50_000)
+
+    @pytest.mark.parametrize("x", [30.0, 1e3, 1e4, 5e4])
+    def test_sums_repr_equal_to_fsum(self, catalog, primes_5e4, x):
+        kern = TriangleKernel(math.log(x))
+        ds = [D for D in self.DS if D]
+        for curve in catalog.values():
+            got = prime_sides(curve, ds, kern, primes_5e4)
+            plan = ef._prime_plan(curve, kern.lam, primes_5e4, ef._require_table(primes_5e4, kern.lam))
+            assert repr([tuple(c) for c in got.T.tolist()]) == repr(fsum_prime_sides(plan, ds)), curve.label
+
+    @staticmethod
+    def _check_invariants(twists, curve):
+        ref = [trial_twist_invariants(curve, D) for D in twists.D.tolist()]
+        for name in ("kernel", "fundamental_disc", "squarefree", "coprime", "conductor_exact", "root_number"):
+            assert getattr(twists, name).tolist() == [r[name] for r in ref], name
+        assert twists.conductor_bounds() == [r["conductor_bound"] for r in ref]
+
+    @pytest.mark.parametrize("filtered", [True, False])
+    def test_invariants_equal_trial_division(self, catalog, filtered):
+        for curve in catalog.values():
+            twists = filter_twists(curve, self.DS, filtered, filtered)
+            expected = [
+                D
+                for D in self.DS
+                if D and (not filtered or trial_twist_invariants(curve, D)["conductor_exact"])
+            ]
+            assert twists.D.tolist() == expected
+            self._check_invariants(twists, curve)
+
+    def test_invariants_near_1e12(self, catalog, primes_1e4):
+        # includes 10^12 = 2^12 5^12, and the same window of negative D
+        for curve in catalog.values():
+            for lo in (10**12 - 150, -(10**12) - 150):
+                twists = filter_twists(curve, range(lo, lo + 301), False, False)
+                self._check_invariants(twists, curve)
+                kern = TriangleKernel(math.log(1e3))
+                plan = ef._prime_plan(curve, kern.lam, primes_1e4, ef._require_table(primes_1e4, kern.lam))
+                got = prime_sides(curve, twists.D, kern, primes_1e4)
+                assert repr([tuple(c) for c in got.T.tolist()]) == repr(fsum_prime_sides(plan, twists.D.tolist()))
 
 
 class TestCharacterAtTwo:
@@ -239,18 +292,21 @@ class TestEfTotal:
 class TestSerialization:
     def test_csv_columns_and_roundtrip(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
-        reports = [ef_total(TwistedCurve(cm_curve, D), kern, primes_1e4) for D in (1, -3)]
-        record = report_record(reports[0])
+        table = evaluate_reports(filter_twists(cm_curve, range(-3, 2), False, False), kern.lam, primes_1e4)
+        records = table.records()
+        assert [r["D"] for r in records] == [-3, -2, -1, 1]
+        record = records[-1]
         assert list(record)[: len(CSV_COLUMNS)] == CSV_COLUMNS
-        assert record["D"] == 1
-        assert record["rank_bound"] == reports[0].rank_bound
+        assert record["rank_bound"] == ef_total(TwistedCurve(cm_curve, 1), kern, primes_1e4).rank_bound
         assert record["conductor_exact"] is True  # the writer spells it true
+        # Python scalars only, as csv and json need
+        assert {type(v) for r in records for v in r.values()} == {int, float, bool}
 
     def test_json(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
-        reports = [ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)]
-        data = [report_record(r) for r in reports]
+        data = evaluate_reports(twist_columns(cm_curve, range(5, 6)), kern.lam, primes_1e4).records()
+        report = ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)
         assert data[0]["D"] == 5
-        assert data[0]["rank_bound"] == reports[0].rank_bound
+        assert data[0]["rank_bound"] == report.rank_bound
         assert list(data[0]) == CSV_COLUMNS + ["twisted_upper_bound"]
-        assert data[0]["twisted_upper_bound"] == twisted_upper_bound(reports[0])
+        assert data[0]["twisted_upper_bound"] == twisted_upper_bound(report)

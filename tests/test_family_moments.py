@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-import twistrank.family_moments as fm
+import twistrank.explicit_formula as ef
 import twistrank.kernel as kernel_mod
 from twistrank import arith
 from twistrank.arith import is_squarefree
@@ -25,6 +25,8 @@ from twistrank.family_moments import (
     SINC_HALF_SQUARED,
 )
 from twistrank.kernel import SmoothWeight, weight_eval
+
+from conftest import trial_twist_invariants
 
 
 @pytest.fixture(scope="module")
@@ -117,18 +119,18 @@ class TestConfigAndFamily:
 
     def test_family_values_filters(self, cm_curve):
         cfg = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
-        pairs = family_twist_values(cfg)
-        assert pairs
-        for t, w in pairs:
-            assert 50.0 < t.D < 100.0
-            assert is_squarefree(t.D) and math.gcd(t.D, 2 * cm_curve.conductor) == 1
-            assert t.base == cm_curve and w == weight_eval(cfg.weight, t.D / cfg.T) > 0.0
+        family = family_twist_values(cfg)
+        assert len(family) and family.twists.base == cm_curve and family.table is None
+        for D, w in zip(family.twists.D.tolist(), family.weight.tolist()):
+            assert 50.0 < D < 100.0
+            assert is_squarefree(D) and math.gcd(D, 2 * cm_curve.conductor) == 1
+            assert w == weight_eval(cfg.weight, D / cfg.T) > 0.0
 
     def test_negative_support_selects_negative_D(self, cm_curve):
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(-1.0, -0.5), T=100.0
         )
-        ds = [t.D for t, _ in family_twist_values(cfg)]
+        ds = family_twist_values(cfg).twists.D.tolist()
         assert ds and all(-100.0 < d < -50.0 for d in ds)
 
     def test_unfiltered_range_includes_even(self, cm_curve):
@@ -141,7 +143,7 @@ class TestConfigAndFamily:
             squarefree_only=False,
             coprime_to_2N=False,
         )
-        ds = [t.D for t, _ in family_twist_values(cfg)]
+        ds = family_twist_values(cfg).twists.D.tolist()
         assert any(d % 2 == 0 for d in ds)
 
     @pytest.mark.parametrize("squarefree", [True, False])
@@ -157,20 +159,21 @@ class TestConfigAndFamily:
                 and (not coprime or math.gcd(D, n2) == 1)
             ]
             twists = filter_twists(curve, range(-300, 301), squarefree, coprime)
-            assert [t.D for t in twists] == expected
-            assert all(t.base == curve and t.squarefree == is_squarefree(abs(t.D)) for t in twists)
+            assert twists.D.tolist() == expected
+            assert twists.base == curve
+            assert twists.squarefree.tolist() == [is_squarefree(abs(D)) for D in expected]
             # d_K = 12 for D = 12 and 3, and d_K = -4 for D = 4 and -1: only
             # the squarefree kernel tells the non-squarefree D apart
-            kept = {t.D for t in filter_twists(curve, (12, -12, 4, -4, 3, -1), squarefree, False)}
-            assert kept == ({3, -1} if squarefree else {12, -12, 4, -4, 3, -1})
-            # input order, not sorted order
-            back = filter_twists(curve, range(300, -301, -1), squarefree, coprime)
-            assert [t.D for t in back] == expected[::-1]
+            kept = set(filter_twists(curve, range(-12, 13), squarefree, False).D.tolist())
+            assert kept & {12, -12, 4, -4, 3, -1} == ({3, -1} if squarefree else {12, -12, 4, -4, 3, -1})
+            # consecutive ascending D only: the sieve runs over an interval
+            with pytest.raises(ValueError):
+                filter_twists(curve, range(300, -301, -1), squarefree, coprime)
 
-    def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch):
-        # W once per D of the support, one factorisation per D that passes
-        # the gcd test, and no separate squarefree test
-        calls = {"weight_eval": [], "fundamental_discriminant": [], "is_squarefree": []}
+    def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch, capsys):
+        # W once per D of the support, one squarefree sieve over the support,
+        # and no trial division on the sweep and ef-report paths
+        calls = {"weight_eval": [], "squarefree_kernels": [], "_factor_trial": []}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -183,19 +186,24 @@ class TestConfigAndFamily:
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
         )
         support = range(211, 420)  # 0.5 < D/T < 1
-        candidates = [D for D in support if weight_eval(cfg.weight, D / cfg.T) > 0.0]
-        coprime = [D for D in candidates if math.gcd(D, 2 * cm_curve.conductor) == 1]
+        coprime = [D for D in support if math.gcd(D, 2 * cm_curve.conductor) == 1]
         # wrapped in every twistrank namespace that binds the function
         for name in calls:
             original = getattr(arith, name, None) or getattr(kernel_mod, name)
             for mod_name, mod in list(sys.modules.items()):
                 if mod_name.startswith("twistrank") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted(name, original))
-        rows = sweep_family(cfg, primes_1e4)
+        family = sweep_family(cfg, primes_1e4)
         assert [u for _, u in calls["weight_eval"]] == [D / cfg.T for D in support]
-        assert [D for (D,) in calls["fundamental_discriminant"]] == coprime
-        assert calls["is_squarefree"] == []
-        assert rows and len(rows) < len(coprime)
+        assert calls["squarefree_kernels"] == [(211, 419)]
+        assert 0 < len(family) < len(coprime)
+        from twistrank.cli import main
+
+        args = ["ef-report", "--curve", "ncm37", "--x", "200", "--dmin", "-300", "--dmax", "300"]
+        assert main(args) == 0 and main(args + ["--squarefree", "--coprime"]) == 0
+        assert main(["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"]) == 0
+        capsys.readouterr()
+        assert calls["_factor_trial"] == []
 
 
 class TestWeightedMoment:
@@ -204,26 +212,26 @@ class TestWeightedMoment:
         cfg = MomentConfig(
             curve=cm_curve, k=2, x=200.0, weight=SmoothWeight(0.9, 1.0), T=14.0
         )
-        assert [t.D for t, _ in family_twist_values(cfg)] == [13]
-        rows = sweep_family(cfg, primes_1e4)
-        moment = weighted_moment(cfg, rows)
+        assert family_twist_values(cfg).twists.D.tolist() == [13]
+        family = sweep_family(cfg, primes_1e4)
+        moment = weighted_moment(cfg, family)
         assert moment.empirical_moment == pytest.approx(
-            rows[0].report.rank_bound ** 2, rel=1e-14
+            family.table.rank_bound[0] ** 2, rel=1e-14
         )
         assert moment.family_size == 1
 
     def test_two_pass_recomputation(self, small_config, small_rows):
         moment = weighted_moment(small_config, small_rows)
-        num = math.fsum(
-            r.report.rank_bound ** small_config.k * r.weight for r in small_rows
-        )
-        den = math.fsum(r.weight for r in small_rows)
+        weights = small_rows.weight.tolist()
+        bounds = small_rows.table.rank_bound.tolist()
+        num = math.fsum(b ** small_config.k * w for b, w in zip(bounds, weights))
+        den = math.fsum(weights)
         assert moment.empirical_moment == pytest.approx(num / den, abs=1e-10)
         assert moment.weighted_count == den
         assert moment.theoretical_bound == 1.5
 
     def test_weight_scaling_invariance(self, small_config, small_rows):
-        scaled = [replace(r, weight=7.25 * r.weight) for r in small_rows]
+        scaled = replace(small_rows, weight=7.25 * small_rows.weight)
         t0 = weighted_moment(small_config, small_rows)
         t1 = weighted_moment(small_config, scaled)
         assert t1.empirical_moment == pytest.approx(t0.empirical_moment, rel=1e-12)
@@ -288,9 +296,9 @@ class TestPartitionAndTail:
         )
         all_rows = sweep_family(base, primes_1e4)
         plus_rows = sweep_family(plus_cfg, primes_1e4)
-        assert {r.D for r in plus_rows} == {
-            r.D for r in all_rows if r.report.root_number == 1
-        }
+        plus = all_rows.twists.root_number == 1
+        assert plus_rows.twists.D.tolist() == all_rows.twists.D[plus].tolist()
+        assert plus_rows.table.rank_bound.tolist() == all_rows.table.rank_bound[plus].tolist()
 
 
     def test_sign_filter_precedes_prime_side(self, ncm_curve, primes_1e4, monkeypatch):
@@ -298,26 +306,26 @@ class TestPartitionAndTail:
         # of the other sign
         evaluated = []
 
-        def counting_prime_sides(twists, kernel, primes):
-            evaluated.extend(twists)
-            return prime_sides(twists, kernel, primes)
+        def counting_prime_sides(curve, ds, kernel, primes):
+            evaluated.extend(ds.tolist())
+            return prime_sides(curve, ds, kernel, primes)
 
-        monkeypatch.setattr(fm, "prime_sides", counting_prime_sides)
+        monkeypatch.setattr(ef, "prime_sides", counting_prime_sides)
         cfg = MomentConfig(
             curve=ncm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
         )
-        rows = sweep_family(cfg, primes_1e4)
-        assert [t.D for t in evaluated] == [r.D for r in rows]
-        assert all(t.root_number == 1 for t in evaluated)
-        assert len(rows) < len(family_twist_values(cfg))
+        family = sweep_family(cfg, primes_1e4)
+        assert evaluated == family.twists.D.tolist()
+        assert all(trial_twist_invariants(ncm_curve, D)["root_number"] == 1 for D in evaluated)
+        assert len(family) < len(family_twist_values(cfg))
 
     def test_empty_after_sign_filter(self, cm_curve, primes_1e4, monkeypatch):
         # on the even-conductor curve every defined sign in a positive family
         # is +1, so a minus sweep is empty before any prime-side work
-        monkeypatch.setattr(fm, "prime_sides", None)
+        monkeypatch.setattr(ef, "prime_sides", None)
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="minus"
         )
-        assert family_twist_values(cfg)
+        assert len(family_twist_values(cfg))
         with pytest.raises(EmptyFamilyError):
             sweep_family(cfg, primes_1e4)
