@@ -176,22 +176,28 @@ def kronecker(a: int, n: int) -> int:
 # A prime p reads a residue table when p <= _TABLE_P_PER_ROW * rows.  The
 # table costs O(p) once and is kept; Euler's criterion costs O(log p) per row
 # and call.  Building the table of p took as long as Euler's criterion over
-# p/12 rows at p = 997 and p/37 rows at p = 9973 (numpy 2.4, x86-64).
+# p/12 rows at p = 997 and p/37 rows at p = 9973 (numpy 2.4, x86-64).  The
+# rule mirrored picks the rows read by reciprocity: a row whose odd part n
+# is at most _TABLE_P_PER_ROW times the columns left to Euler's criterion
+# costs O(n) in tables of its prime factors and a few gathers per cell.
 _TABLE_P_PER_ROW = 16
+# Tables of primes up to this bound are kept (4 KB each at most); a larger
+# prime factor of a reciprocity row builds its table for the one call, so
+# that a run over many D does not keep a table per large prime.
+_KEPT_TABLE_MAX = 1 << 12
+# Reciprocity rows have |d| below this, so |d| and its odd part fit int64.
+_RECIPROCITY_D_MAX = 1 << 62
 
 
-def _residues(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
-    """d mod p in [0, p) for every d of ds (rows) and p of ps (columns), int64."""
-    try:
-        d = np.asarray(ds, dtype=np.int64)
-    except OverflowError:  # some |d| >= 2^63: reduce as Python integers
-        d = np.asarray(ds, dtype=object)
+def _residues(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """d mod p in [0, p) for every d of d (rows) and p of ps (columns), int64;
+    an object array of d (some |d| >= 2^63) is reduced as Python integers."""
+    if d.dtype == object:
         return (d[:, None] % ps.astype(object)).astype(np.int64)
     return d[:, None] % ps
 
 
-@lru_cache(maxsize=4096)
-def _residue_table(p: int) -> np.ndarray:
+def _squares_mod(p: int) -> np.ndarray:
     """(r|p) for r = 0 .. p - 1, read-only: the squares mod p read 1, the
     other nonzero residues -1 and 0 reads 0."""
     table = np.full(p, -1, dtype=np.int8)
@@ -200,6 +206,9 @@ def _residue_table(p: int) -> np.ndarray:
     table[0] = 0
     table.setflags(write=False)
     return table
+
+
+_residue_table = lru_cache(maxsize=4096)(_squares_mod)
 
 
 def _table_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -225,23 +234,102 @@ def _euler_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return np.where(r > 1, -1, r).astype(np.int8)  # r is 0, 1 or p - 1
 
 
+def _odd_factors(n: np.ndarray) -> tuple:
+    """(row, q, k) for every prime power q^k exactly dividing n[row], n an
+    int64 array of odd n >= 1, sorted by row: trial division by the odd
+    primes up to sqrt(max n), vectorized over the rows, and the cofactor
+    above them, which is 1 or prime."""
+    top = int(n.max(initial=1))
+    base = _dense_sieve(max(math.isqrt(top), 2))[1:]
+    row, j = np.nonzero(n[:, None] % base == 0)
+    q = base[j]
+    k = np.zeros_like(q)
+    v = n[row]
+    hit = np.ones(q.size, dtype=bool)
+    while hit.any():
+        hit = v % q == 0
+        v = np.where(hit, v // q, v)
+        k += hit
+    rest = n.copy()
+    np.floor_divide.at(rest, row, q**k)
+    (big,) = np.nonzero(rest > 1)
+    row = np.concatenate((row, big))
+    order = np.argsort(row, kind="stable")
+    q = np.concatenate((q, rest[big]))[order]
+    k = np.concatenate((k, np.ones_like(big)))[order]
+    return row[order], q, k
+
+
+def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """(d|p) for nonzero int64 d with |d| < 2^62 (rows) and odd primes p
+    (columns), from d = sign 2^e n with n odd: quadratic reciprocity gives
+    (d|p) = (-1|p)^[d < 0] (2|p)^e (-1)^((n-1)/2 (p-1)/2) prod_{q^k || n} (p|q)^k,
+    and (p|q) is read off the residue table of q at p mod q."""
+    a = np.abs(d)
+    low = a & -a
+    e = np.frexp(low.astype(np.float64))[1] - 1  # exact: low is a power of 2
+    n = a // low
+    minus = np.where(ps & 2, -1, 1).astype(np.int8)  # (-1|p)
+    two = np.where((ps + 2) & 4, -1, 1).astype(np.int8)  # (2|p): -1 at p = 3, 5 mod 8
+    signs = np.stack((np.ones_like(minus), minus, two, minus * two))
+    out = signs[((d < 0) ^ (n & 3 == 3)) + 2 * (e & 1)]
+    row, q, k = _odd_factors(n)
+    odd = k % 2 == 1
+    if odd.any():
+        qs, which = np.unique(q[odd], return_inverse=True)
+        tables = np.stack(
+            [(_residue_table if f <= _KEPT_TABLE_MAX else _squares_mod)(f)[ps % f] for f in qs.tolist()]
+        )
+        # a row's j-th factor for every row at once: rows are unique per j
+        row_odd = row[odd]
+        rank = np.arange(row_odd.size) - np.searchsorted(row_odd, row_odd)
+        for j in range(int(rank.max()) + 1):
+            at = rank == j
+            out[row_odd[at]] *= tables[which[at]]
+    for r, f in zip(row[~odd].tolist(), q[~odd].tolist()):  # (p|q)^k = 1 but at p = q
+        out[r, ps == f] = 0
+    return out
+
+
 def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     """Legendre symbols (d|p) for every d of ds and every odd prime p of ps,
     as an int8 matrix of shape (len(ds), len(ps)) in {-1, 0, 1}.
 
-    d may be any integer, |d| >= 2^63 included: it is reduced mod p exactly.
-    A prime small next to the number of rows reads a table of (r|p) over
-    the residues r mod p, built once from the squares mod p and kept; every
-    other prime uses Euler's criterion over the whole block.  Both agree
-    with kronecker(d, p) for every odd prime p below 3.0e9, far above the
-    CLI's prime-table cap of 1e8.
+    Three ways, each chosen by its cost.  A prime p at most
+    _TABLE_P_PER_ROW times the number of rows reads, for every row, a table
+    of (r|p) over the residues r mod p, built once from the squares mod p
+    and kept.  On the other primes, a row d != 0 whose odd part n is at most
+    _TABLE_P_PER_ROW times their number is read by quadratic reciprocity
+    off the tables of the primes of n (factored by vectorized trial
+    division); every other cell uses Euler's criterion over the whole
+    block.  All three are exact: the tables and reciprocity for any odd
+    prime p, Euler's criterion for p below 3.0e9, far above the CLI's
+    prime-table cap of 1e8.  d may be any integer, |d| >= 2^63 included:
+    it is reduced mod p exactly.
     """
     ps = np.asarray(ps, dtype=np.int64)
-    res = _residues(ds, ps)
-    table = ps <= _TABLE_P_PER_ROW * len(ds)
-    out = np.empty(res.shape, dtype=np.int8)
-    out[:, table] = _table_symbols(res[:, table], ps[table])
-    out[:, ~table] = _euler_symbols(res[:, ~table], ps[~table])
+    try:
+        d = np.asarray(ds, dtype=np.int64)
+    except OverflowError:  # some |d| >= 2^63: reduced as Python integers
+        d = np.asarray(ds, dtype=object)
+    out = np.empty((d.size, ps.size), dtype=np.int8)
+    table = ps <= _TABLE_P_PER_ROW * d.size
+    out[:, table] = _table_symbols(_residues(d, ps[table]), ps[table])
+    if table.all():
+        return out
+    ps = ps[~table]
+    (cols,) = np.nonzero(~table)
+    small = np.zeros(d.size, dtype=bool)
+    if d.dtype != object:
+        small = (d != 0) & (d > -_RECIPROCITY_D_MAX) & (d < _RECIPROCITY_D_MAX)
+        a = np.abs(np.where(small, d, 1))
+        small &= a // (a & -a) <= _TABLE_P_PER_ROW * ps.size
+    (rows,) = np.nonzero(small)
+    if rows.size:
+        out[rows[:, None], cols] = _reciprocity_symbols(d[rows], ps)
+    (rows,) = np.nonzero(~small)
+    if rows.size:
+        out[rows[:, None], cols] = _euler_symbols(_residues(d[rows], ps), ps)
     return out
 
 

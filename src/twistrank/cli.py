@@ -57,12 +57,16 @@ EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
-AP_SECONDS_PER_PRIME_AT_CAP = 0.12e-3  # measured a_p cost per prime near 1e8 (README)
+# a_p cost per prime near 1e8: measured 49-63 us in blocks of 8,192 primes just
+# below 1e8 (README), with room for the ~30% spread between runs
+AP_SECONDS_PER_PRIME_AT_CAP = 0.08e-3
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
 # measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4), per
 # candidate D: 1.8-3.4 us to weigh, sieve, filter and log the conductor (x = 30
-# to 1e3, D near 1e5 to 1e6); 0.35 us per (kept twist, x / log(x) prime) at
-# x = 1e5, above the 0.06 and 0.27 us at x = 1e3 and 1e4; and the squarefree
+# to 1e3, D near 1e5 to 1e6); per (kept twist, x / log(x) prime), 0.2 and
+# 0.32-0.34 us at x = 1e4 and 1e5 where the character row is Euler's criterion
+# (|D| near 1e9), and 0.05 and 0.08-0.11 us where it is read by reciprocity (an
+# odd part of D up to 16 times the primes: |D| up to 1e5); and the squarefree
 # sieve's base-prime table, 10 ns per unit of sqrt(max |D|) (1.0 s at 1e16)
 TWIST_SECONDS_PER_D = 3.5e-6
 TWIST_SECONDS_PER_PRIME = 0.35e-6

@@ -4,9 +4,10 @@ The trace of Frobenius a_p is computed for good primes p > 3 by
 Shanks-Mestre baby-step giant-step over the Hasse interval (O(p^(1/4))
 group operations; Cohen, A Course in Computational Algebraic Number
 Theory, 7.4), for a block of primes at once: one int64 numpy lane per
-(prime, point) pair, walked in projective coordinates and normalised with
-Montgomery's simultaneous inversion along each lane's walk ("Speeding the
-Pollard and elliptic curve methods of factorization", Math. Comp. 1987).
+(prime, point) pair, walked in Jacobian coordinates (co-Z additions for
+the two walks) and normalised with Montgomery's simultaneous inversion
+along each lane's walk ("Speeding the Pollard and elliptic curve methods
+of factorization", Math. Comp. 1987).
 The primes whose points leave more than one candidate go, as a group, to
 an exhaustive quadratic-character sum over F_p.  Bad primes p > 3 use the
 node/cusp rule, and p in {2, 3}, where short Weierstrass point counting
@@ -26,7 +27,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, kronecker, squarefree_kernels
+from .arith import PrimeTable, kronecker, sieve_primes, squarefree_kernels
 
 __all__ = [
     "CurveModel",
@@ -123,21 +124,25 @@ _BSGS_STRIDE = 2654435761
 # Further x-coordinates searched, for a prime left open, for a point of the
 # curve (E or its twist) that its tries missed.
 _EXTRA_TRIES = 64
-# Lanes per kernel call.  A numpy call costs about 1 us plus 6-8 ns per lane
-# for the int64 remainder, and the lane state is O(lanes * p^(1/4)).  ncm37,
-# fresh ap_array, 2-core VM, at 256 / 512 / 1024 lanes: to 5e4 (the bench's
-# high-lambda table) 0.12 / 0.09 / 0.06 s and +2.2 / +3.2 / +4.9 MB peak
-# RSS; to 1e6, 2.5 / 2.1 / 1.8 s and +4.7 / +7.4 / +11.4 MB.
-_LANES = 512
+# Lanes per kernel call.  A numpy call costs about 1 us plus 5 ns per lane
+# for the int64 remainder, and the lane state is O(lanes * p^(1/4)): about
+# 1.1 KB a lane at p near 5e4 and 2 KB near 1e6.  ncm37, fresh ap_array,
+# 2-core VM, at 512 / 1024 / 2048 lanes: to 5e4 (the bench's high-lambda
+# table) 86-98 / 63-66 / 65-69 ms and +1.5 / +2.1 / +3.3 MB peak RSS; to
+# 1e6, 1.71-1.77 / 1.42-1.44 / 1.18-1.30 s and +1.2 / +2.6 / +5.6 MB.
+_LANES = 1024
 # Primes per _ap_lanes call from ap_array, so that the primes the first try
 # leaves open are gathered over many blocks and fill whole ones.
-_AP_CHUNK = 16 * _LANES
+_AP_CHUNK = 8 * _LANES
 # Below this, every intermediate value of the kernel is below 2 p^2 < 2^63.
 _LANE_P_LIMIT = 1 << 31
 # A step in the match is ((lane << 31 | x) << 1 | giant) << _ROW_BITS | row,
 # with rows below 2^10 (m = isqrt(isqrt(4p)) < 305 for p < 2^31).
 _ROW_BITS = 10
+_ROW_MASK = (1 << _ROW_BITS) - 1
 _TAG = _ROW_BITS + 1  # key >> _TAG is lane << 31 | x
+_NO_X = (1 << 31) - 1  # an x-coordinate no residue of a prime p < 2^31 takes
+_MATCH_BLOCK = 1 << 13  # sorted keys compared with their neighbours at once
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -159,28 +164,57 @@ def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _madd(X1, Y1, Z1, x2, y2, p):
-    """(X1 : Y1 : Z1) + (x2, y2) in homogeneous projective coordinates.
+    """(X1 : Y1 : Z1) + (x2, y2) in Jacobian coordinates (x = X/Z^2,
+    y = Y/Z^3), for int64 arrays.
 
     Exact when the x-coordinates differ, and when the sum is O (Z3 = 0).
     P1 = O and P1 = P2 also give Z3 = 0, wrongly; _madd_checked mends them.
     """
-    u = (y2 * Z1 - Y1) % p
-    v = (x2 * Z1 - X1) % p
-    vv = v * v % p
-    vvv = v * vv % p
-    r = vv * X1 % p
-    w = (u * u % p * Z1 - vvv - 2 * r) % p
-    return v * w % p, (u * (r - w) - vvv * Y1 % p) % p, vvv * Z1 % p
+    zz = Z1 * Z1 % p
+    h = (x2 * zz - X1) % p
+    r = (y2 * (Z1 * zz % p) - Y1) % p
+    hh = h * h % p
+    hhh = h * hh % p
+    v = X1 * hh % p
+    X3 = (r * r - hhh - 2 * v) % p
+    return X3, (r * (v - X3) - Y1 * hhh) % p, Z1 * h % p
 
 
 def _dbl(X, Y, Z, a, p):
-    """2 (X : Y : Z) on y^2 = x^3 + a x + b; O and 2-torsion give Z3 = 0."""
-    w = (a * (Z * Z % p) + 3 * (X * X % p)) % p
-    s = 2 * Y * Z % p
-    r = Y * s % p
-    B = 2 * X * r % p
-    h = (w * w - 2 * B) % p
-    return h * s % p, (w * (B - h) - 2 * (r * r % p)) % p, s * (s * s % p) % p
+    """2 (X : Y : Z) in Jacobian coordinates on y^2 = x^3 + a x + b; O and
+    2-torsion give Z3 = 0."""
+    yy = Y * Y % p
+    s = X * yy % p * 4 % p
+    zz = Z * Z % p
+    m = (3 * (X * X % p) + a * (zz * zz % p)) % p
+    X3 = (m * m - 2 * s) % p
+    return X3, (m * (s - X3) - 8 * (yy * yy % p)) % p, 2 * Y * Z % p
+
+
+def _zaddu(X1, Y1, X2, Y2, Z, p):
+    """(X1 : Y1 : Z) + (X2 : Y2 : Z), two points with one Z in Jacobian
+    coordinates, and the first point again with the sum's Z: Meloni's co-Z
+    addition ("New point addition formulae for ECC applications", WAIFI
+    2007), 7 products against 11 for _madd, for a walk that adds one point
+    over and over.  Returns (X3, Y3, Z3, X1', Y1'); X1 and Y1 are int64.
+
+    Exact when the x-coordinates differ, and when the sum is O (Z3 = 0).
+    Equal points give Z3 = Y3 = 0, and a point O gives Z3 = 0, wrongly.
+    """
+    dx = X1 - X2
+    c = dx * dx % p
+    w1 = X1 * c % p
+    w2 = X2 * c % p
+    dy = Y1 - Y2
+    a1 = Y1 * (w1 - w2) % p
+    X3 = (dy * dy - w1 - w2) % p
+    return X3, (dy * (w1 - X3) - a1) % p, Z * dx % p, w1, a1
+
+
+def _with_z(x, y, Z, p):
+    """The affine point (x, y) in Jacobian coordinates with the given Z."""
+    zz = Z * Z % p
+    return x * zz % p, y * (zz * Z % p) % p
 
 
 def _madd_checked(X1, Y1, Z1, x2, y2, a, p, keep):
@@ -190,7 +224,7 @@ def _madd_checked(X1, Y1, Z1, x2, y2, a, p, keep):
     (i,) = np.nonzero((Z3 == 0) | keep)
     if i.size:
         at_o = Z1[i] == 0
-        # P1 = P2 gives u = v = 0 and so Y3 = 0; a true sum O has Y3 != 0
+        # P1 = P2 gives h = r = 0 and so Y3 = 0; a true sum O has Y3 != 0
         j = i[~at_o & (Y3[i] == 0)]
         if j.size:
             X3[j], Y3[j], Z3[j] = _dbl(x2[j], y2[j], np.ones_like(j), a[j], p[j])
@@ -203,45 +237,68 @@ def _madd_checked(X1, Y1, Z1, x2, y2, a, p, keep):
     return X3, Y3, Z3
 
 
-def _to_affine(X: np.ndarray, Y: np.ndarray, Z: np.ndarray, p: np.ndarray) -> None:
-    """Overwrite (X, Y), a (steps, lanes) walk with nonzero Z, with x and y.
+def _to_affine(
+    X: np.ndarray, Y: Optional[np.ndarray], Z: np.ndarray, p: np.ndarray, c: np.ndarray
+) -> np.ndarray:
+    """Overwrite (X, Y), a (steps, lanes) walk in Jacobian coordinates with
+    nonzero Z, with x = X/Z^2 and y = Y/Z^3 (X alone when Y is None), and
+    return whether c (nonzero, one per lane) is a square mod p.
 
     Montgomery's simultaneous inversion along each lane's walk: prefix
     products of Z, one Fermat power per lane, and back.  It cannot batch
-    across lanes, since each lane has its own modulus.
+    across lanes, since each lane has its own modulus.  The one power
+    u = w^((p-3)/2) of w = z^2 c, with z the product of the walk's Z,
+    gives both 1/z = u^2 w z c and (c|p) = (w|p) = u w.  The walk is
+    stored as int32 (every residue is below 2^31); the products are taken
+    in int64.
     """
-    zinv = np.empty_like(Z)
-    zinv[0] = Z[0]
+    zinv = np.empty(Z.shape, dtype=np.int32)  # prefix products, then inverses
+    z = Z[0].astype(np.int64)
+    zinv[0] = z
     for j in range(1, Z.shape[0]):
-        zinv[j] = zinv[j - 1] * Z[j] % p
-    inv = _powmod(zinv[-1], p - 2, p)
+        z = z * Z[j] % p
+        zinv[j] = z
+    w = z * z % p * c % p
+    u = _powmod(w, (p - 3) // 2, p)
+    inv = u * u % p * w % p * z % p * c % p
     for j in range(Z.shape[0] - 1, 0, -1):
         zinv[j] = inv * zinv[j - 1] % p
         inv = inv * Z[j] % p
     zinv[0] = inv
-    for coord in (X, Y):
-        coord *= zinv
-        coord %= p
+    for j in range(0, Z.shape[0], 4):  # blocks of rows: small int64 temporaries
+        zi = zinv[j : j + 4].astype(np.int64)
+        zz = zi * zi % p
+        X[j : j + 4] = X[j : j + 4] * zz % p
+        if Y is not None:
+            zz *= zi
+            zz %= p
+            Y[j : j + 4] = Y[j : j + 4] * zz % p
+    return u * w % p == 1
 
 
-def _hasse_orders(p, a, x, y):
+def _hasse_orders(p, a, x, y, c):
     """Every k in [-T, T] with (p + 1 + k) P = O, for one point P per lane.
 
     Lane i holds a prime 5 <= p[i] < 2^31, the coefficient a[i] of
-    y^2 = x^3 + a x + b over F_p (the group law needs no b) and an affine
-    point P = (x[i], y[i]); all are int64 arrays.  T = isqrt(4p) and
-    m = isqrt(T) per lane.  Baby steps jP (j = 1..m) and giant steps
-    G_i = (p + 1 + i s) P (s = 2m + 1, |i| <= (T + m) // s) are walked in
-    homogeneous projective coordinates, so no step inverts; each walk is
-    then normalised with one Fermat power per lane (_to_affine).  A giant
-    step G_i = -rP with |r| <= m gives k = i s + r, and the matches come
-    from one sort of lane-tagged x-coordinates.  They are unique only if
-    ord(P) > 2m, so a lane whose baby steps show a smaller order (a step
-    that is O or 2-torsion, or a repeated x) is invalid.  Every product is
-    of two residues, so no intermediate value reaches 2 p^2 < 2^63.
+    y^2 = x^3 + a x + b over F_p (the group law needs no b), an affine
+    point P = (x[i], y[i]) and a nonzero c[i]; all are int64 arrays.
+    T = isqrt(4p) and m = isqrt(T) per lane.  Baby steps jP (j = 1..m)
+    and giant steps G_i = (p + 1 + i s) P (s = 2m + 1, |i| <= (T + m) // s)
+    are walked in Jacobian coordinates, so no step inverts, each walk by
+    co-Z additions of one point (_zaddu); the giant walk's start comes from
+    a 2^w-ary ladder over the baby steps.  Each walk is then normalised
+    with one Fermat power per lane (_to_affine), the giant walk's also
+    giving (c|p).  A giant step G_i = -rP with |r| <= m gives k = i s + r,
+    and the matches come from one sort of lane-tagged x-coordinates.  They
+    are unique only if ord(P) > 2m, so a lane whose baby steps show a
+    smaller order (a step that is O or 2-torsion, or a repeated x) is
+    invalid.  Every product is of two residues, so no intermediate value
+    reaches 2 p^2 < 2^63; the walks are stored as int32, since every
+    residue is below 2^31.
 
-    Returns (valid, lane, k): valid flags each lane, and for the valid
-    lanes the pairs (lane[j], k[j]) are exactly the k above.
+    Returns (valid, lane, k, square): valid flags each lane, for the valid
+    lanes the pairs (lane[j], k[j]) are exactly the k above, and square
+    flags the valid lanes whose c is a square mod p.
     """
     L = p.size
     T = _isqrt(4 * p)
@@ -250,37 +307,34 @@ def _hasse_orders(p, a, x, y):
     lanes = np.arange(L)
     one = np.ones(L, dtype=np.int64)
     # rows 0..M-1 hold jP (j = row + 1), row M holds sP
-    BX = np.empty((M + 1, L), dtype=np.int64)
+    BX = np.empty((M + 1, L), dtype=np.int32)
     BY, BZ = np.empty_like(BX), np.empty_like(BX)
     BX[0], BY[0], BZ[0] = x, y, one
-    BX[1], BY[1], BZ[1] = _dbl(x, y, one, a, p)
+    X, Y, Z = _dbl(x, y, one, a, p)
+    BX[1], BY[1], BZ[1] = X, Y, Z
+    px, py = _with_z(x, y, Z, p)  # P with the Z of the walk's last step
     for j in range(2, M):
-        BX[j], BY[j], BZ[j] = _madd(BX[j - 1], BY[j - 1], BZ[j - 1], x, y, p)
-    mP = _dbl(BX[m - 1, lanes], BY[m - 1, lanes], BZ[m - 1, lanes], a, p)
-    BX[M], BY[M], BZ[M] = _madd(*mP, x, y, p)
+        X, Y, Z, px, py = _zaddu(px, py, X, Y, Z, p)
+        BX[j], BY[j], BZ[j] = X, Y, Z
+    del px, py
+    mP = (B[m - 1, lanes].astype(np.int64) for B in (BX, BY, BZ))
+    BX[M], BY[M], BZ[M] = _madd(*_dbl(*mP, a, p), x, y, p)
     mult = np.arange(1, M + 2)[:, None]  # j of the rows jP
-    live = mult <= m
+    live = mult[:M] <= m
     # a step that is O or 2-torsion shows a small order; on a valid lane
     # only sP can be O (when ord(P) = 2m + 1), and the giant walk keeps it
-    valid = ~(((BZ[:M] == 0) | (BY[:M] == 0)) & live[:M]).any(axis=0)
+    valid = ~(((BZ[:M] == 0) | (BY[:M] == 0)) & live).any(axis=0)
     step_o = BZ[M] == 0
     # the walk first errs at jP = -P, so jP is exact up to j = 2m < ord(P)
     # on a valid lane: those rows are normalised too, for the ladder
     exact = mult <= 2 * m
     exact[M] = True
     BZ[~exact | (BZ == 0)] = 1
-    _to_affine(BX, BY, BZ, p)
+    _to_affine(BX, BY, BZ, p, one)
     del BZ
-    keys = BX[:M] | lanes << 31
-    keys <<= _TAG
-    keys |= np.arange(M)[:, None]
-    baby = np.sort(keys[live[:M]])
-    del keys
-    tag = baby >> _TAG
-    valid[tag[1:][tag[1:] == tag[:-1]] >> 31] = False  # a repeated x
-    v = np.flatnonzero(valid)
+    v = np.flatnonzero(valid)  # a repeated x shows in the match's sort
     if not v.size:
-        return valid, v, v
+        return valid, v, v, valid
 
     p, a, m, T = p[v], a[v], m[v], T[v]
     s = 2 * m + 1
@@ -289,9 +343,11 @@ def _hasse_orders(p, a, x, y):
     # G_{-span} = n0 P by 2^w-ary double-and-add, with the multiples dP
     # (0 < d < 2^w <= min(M, 2m) + 1) read from the baby steps
     w = int(min(M, 2 * int(m.min())) + 1).bit_length() - 1
-    tx, ty = BX[: (1 << w) - 1, v], BY[: (1 << w) - 1, v]
-    sx, sy, step_o = BX[M, v], BY[M, v], step_o[v]
-    del BX
+    tx, ty = (B[: (1 << w) - 1, v].astype(np.int64) for B in (BX, BY))
+    sx, sy = (B[M, v].astype(np.int64) for B in (BX, BY))
+    step_o = step_o[v]
+    BX, BY = BX[:M], BY[:M]  # read again in the match
+    BX[~live] = _NO_X
     cols = np.arange(v.size)
     X, Y, Z = np.zeros_like(p), np.ones_like(p), np.zeros_like(p)
     windows = -(-int(n0.max()).bit_length() // w)
@@ -301,46 +357,90 @@ def _hasse_orders(p, a, x, y):
                 X, Y, Z = _dbl(X, Y, Z, a, p)
         d = n0 >> (w * t) & ((1 << w) - 1)
         X, Y, Z = _madd_checked(X, Y, Z, tx[d - 1, cols], ty[d - 1, cols], a, p, d == 0)
+    del tx, ty
     NG = 2 * int(span.max()) + 1
-    GX = np.empty((NG, v.size), dtype=np.int64)
+    GX = np.empty((NG, v.size), dtype=np.int32)
     GY, GZ = np.empty_like(GX), np.empty_like(GX)
     GX[0], GY[0], GZ[0] = X, Y, Z
+    # The giant steps are co-Z additions of sP ((ux, uy) is sP with the Z
+    # of the last step), exact but after O: there the next step is sP and
+    # the one after it 2 sP (the doubling sP + sP), both set from values
+    # made once.  A walk that starts at sP is taken as one whose step
+    # before was O.
+    ux, uy = _with_z(sx, sy, Z, p)
+    dx, dy, dz = _dbl(sx, sy, np.ones_like(sx), a, p)
+    dux, duy = _with_z(sx, sy, dz, p)
+    after_o = np.flatnonzero(Z == 0)
+    twice = np.flatnonzero((Z != 0) & (X == ux) & (Y == uy))
     for i in range(1, NG):
-        GX[i], GY[i], GZ[i] = _madd_checked(GX[i - 1], GY[i - 1], GZ[i - 1], sx, sy, a, p, step_o)
+        X, Y, Z, ux, uy = _zaddu(ux, uy, X, Y, Z, p)
+        if twice.size:
+            X[twice], Y[twice], Z[twice], ux[twice], uy[twice] = (
+                dx[twice], dy[twice], dz[twice], dux[twice], duy[twice]
+            )
+        twice = after_o
+        if after_o.size:
+            X[after_o], Y[after_o], Z[after_o], ux[after_o], uy[after_o] = (
+                sx[after_o], sy[after_o], 1, sx[after_o], sy[after_o]
+            )
+        after_o = np.flatnonzero(Z == 0)
+        GX[i], GY[i], GZ[i] = X, Y, Z
+    del X, Y, Z, ux, uy
+    # sP = O (ord(P) = 2m + 1): every giant step is the first
+    GX[:, step_o], GY[:, step_o], GZ[:, step_o] = GX[0, step_o], GY[0, step_o], GZ[0, step_o]
     walk = np.arange(NG)[:, None] <= 2 * span
     at_o = GZ == 0
     GZ[at_o] = 1
-    _to_affine(GX, GY, GZ, p)
-    del GZ
-    GX |= v << 31
-    GX <<= 1
-    GX |= 1
-    GX <<= _ROW_BITS
-    GX |= np.arange(NG)[:, None]
-    giant = GX[walk & ~at_o]
-    del GX
+    square = np.zeros(L, dtype=bool)
+    square[v] = _to_affine(GX, None, GZ, p, c[v])  # y only where a step matches
+    # the giant keys follow the baby ones; a step outside the walk, or at
+    # O, gets x = 2^31 - 1, above every residue, and no giant flag, so
+    # that it matches nothing
+    kept = walk & ~at_o
+    GX[~kept] = _NO_X
+    # one sort of ((lane << 31 | x) << 1 | giant) << _ROW_BITS | row over
+    # the baby steps of every lane and the giant steps of the valid ones
+    keys = np.empty(BX.size + GX.size, dtype=np.int64)
+    for part, xs, lane, flag in ((keys[: BX.size], BX, lanes, False), (keys[BX.size :], GX, v, kept)):
+        part = part.reshape(xs.shape)
+        part[...] = xs
+        part |= lane << 31
+        part <<= 1
+        part |= flag
+        part <<= _ROW_BITS
+        part |= np.arange(xs.shape[0])[:, None]
+    del BX, GX, xs, part
+    keys.sort()
 
-    # in one sort, a giant step's baby partner (if any) is the last baby
-    # step at or before it
-    both = np.concatenate((baby[valid[baby >> (_TAG + 31)]], giant))
-    del baby, giant
-    both.sort()
-    is_giant = both >> _ROW_BITS & 1 == 1
-    last = np.arange(both.size)
-    last[is_giant] = -1
-    np.maximum.accumulate(last, out=last)
-    g = np.flatnonzero(is_giant & (last >= 0))
-    b = last[g]
-    hit = both[g] >> _TAG == both[b] >> _TAG
-    g, b = both[g[hit]], both[b[hit]]
-    row, jrow = g & ((1 << _ROW_BITS) - 1), b & ((1 << _ROW_BITS) - 1)
+    ends = list(range(0, keys.size - 1, _MATCH_BLOCK)) + [keys.size - 1]
+    g = np.concatenate(  # the keys that share lane and x with the one before, by blocks
+        [np.flatnonzero((keys[i + 1 : j + 1] ^ keys[i:j]) >> _TAG == 0) + i + 1 for i, j in zip(ends, ends[1:])]
+    )
+    giant = keys[g] >> _ROW_BITS & 1 == 1
+    twice = keys[g[~giant]] >> _TAG  # two baby steps at one x (or at _NO_X)
+    valid[twice[twice & _NO_X != _NO_X] >> 31] = False
+    # a giant step's baby partner, if any, comes first among the keys of
+    # its lane and x, before any other giant step there
+    g = g[giant]
+    b = g - 1
+    back = keys[b] >> _ROW_BITS & 1 == 1
+    while back.any():  # giant steps that share an x
+        b[back] -= 1
+        back &= (b > 0) & (keys[b] >> _ROW_BITS & 1 == 1) & (keys[b] >> _TAG == keys[g] >> _TAG)
+    hit = (keys[b] >> _ROW_BITS & 1 == 0) & (keys[b] >> _TAG == keys[g] >> _TAG)
+    g, b = keys[g[hit]], keys[b[hit]]
+    del keys
+    row, jrow = g & _ROW_MASK, b & _ROW_MASK
     col = np.searchsorted(v, g >> (_TAG + 31))
-    r = np.where(GY[row, col] == BY[jrow, v[col]], -1 - jrow, 1 + jrow)  # G = jP or -jP
+    pc = p[col]
+    zz = GZ[row, col] * GZ[row, col].astype(np.int64) % pc
+    plus = GY[row, col] == BY[jrow, v[col]] * (zz * GZ[row, col] % pc) % pc  # y = Y/Z^3
+    r = np.where(plus, -1 - jrow, 1 + jrow)  # G = jP or -jP
     o_row, o_col = np.nonzero(walk & at_o)  # G = O: r = 0
     row, col = np.concatenate((row, o_row)), np.concatenate((col, o_col))
     k = (row - span[col]) * s[col] + np.concatenate((r, np.zeros_like(o_row)))
-    inside = np.abs(k) <= T[col]
-    return valid, v[col[inside]], k[inside]
+    inside = (np.abs(k) <= T[col]) & valid[v[col]]
+    return valid, v[col[inside]], k[inside], square
 
 
 def _ap_lanes(A: int, B: int, ps: np.ndarray):
@@ -354,15 +454,15 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
     (prime, try) pair is one lane of _hasse_orders, and narrows a_p to the
     candidates whose group order P divides.  The tries run in rounds: a
     round gives each open prime its next try, or all its remaining tries
-    when they fit in one block of lanes.  A prime is settled once the
-    candidates of its tries have one element in common, as when the tries
-    run one by one.
+    when they fit in one block of lanes, and runs whole blocks only; the
+    lanes of a last part block wait for the next round, to share a block
+    with its tries.  A prime is settled once the candidates of its tries
+    have one element in common, as when the tries run one by one.
     """
     n = ps.size
     if n and int(ps.max()) >= _LANE_P_LIMIT:
         raise ValueError(f"a_p by Shanks-Mestre needs p < 2^31, got {int(ps.max())}")
-    Ar = np.array([A % q for q in ps.tolist()], dtype=np.int64)
-    Br = np.array([B % q for q in ps.tolist()], dtype=np.int64)
+    Ar, Br = _mod_each(A, ps), _mod_each(B, ps)
 
     def point(t, q):
         """c = f(x0) and x0 of try t at prime ps[q]."""
@@ -385,10 +485,10 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
             p = ps[qq]
             c, x0 = point(tq, qq)
             cc = c * c % p
-            valid, lane, k = _hasse_orders(p, Ar[qq] * cc % p, c * x0 % p, cc)
+            valid, lane, k, square = _hasse_orders(p, Ar[qq] * cc % p, c * x0 % p, cc, c)
             np.add.at(nvalid, qq[valid], 1)
             # on E, #E = p + 1 - a_p = p + 1 + k; on E', #E' = p + 1 + a_p
-            on_e = _powmod(c, (p - 1) // 2, p)[lane] == 1
+            on_e = square[lane]
             out.append(qq[lane] * W + np.where(on_e, -k, k) + W // 2)
         return np.concatenate(out)
 
@@ -412,15 +512,20 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
         keys = keys[~done]
 
     taken = np.zeros((1, n), dtype=np.int8)
+    wait_t = wait_q = np.zeros(0, dtype=np.int64)  # lanes handed out, not yet run
     while True:
         todo = (rank > taken) & ~settled
-        if todo.sum() > _LANES:
+        todo[:, wait_q] = False
+        if todo.sum() + wait_q.size > _LANES:
             todo &= rank == taken + 1
         t, q = np.nonzero(todo)
+        taken = np.maximum(taken, (rank * todo).max(axis=0))
+        t, q = np.concatenate((wait_t, t)), np.concatenate((wait_q, q))
         if not q.size:
             break
-        taken = np.maximum(taken, (rank * todo).max(axis=0))
-        narrow(t, q)
+        run = q.size - q.size % _LANES or q.size  # whole blocks while a part is left
+        narrow(t[:run], q[:run])
+        wait_t, wait_q = t[run:], q[run:]
 
     # An open prime whose tries all gave points of one curve (every c a
     # square, or none) gets one point of the other: the x0 sequence goes on
@@ -442,30 +547,53 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
     return vals, settled
 
 
+def _mod_each(n: int, ps: np.ndarray) -> np.ndarray:
+    """n mod p in [0, p) for every p of ps, as int64, for any integer n."""
+    if -(1 << 63) <= n < 1 << 63:
+        return np.int64(n) % ps
+    return np.array([n % q for q in ps.tolist()], dtype=np.int64)
+
+
 def _ap_values(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
     """a_p of the model at each prime of ps, as int64 (see ``ap``)."""
     A, B = curve.A, curve.B
-    disc = 4 * A**3 + 27 * B**2
     out = np.empty(ps.size, dtype=np.int64)
-    good = []
-    for i, p in enumerate(ps.tolist()):
-        if p in (2, 3):
-            meta = curve.a2 if p == 2 else curve.a3
+    for p, meta in ((2, curve.a2), (3, curve.a3)):
+        at = ps == p
+        if at.any():
             if meta is None:
-                raise MissingBadPrimeData(
-                    f"curve {curve.label or (A, B)} has no a_{p} metadata"
-                )
-            out[i] = meta
-        elif disc % p == 0:
-            out[i] = _ap_bad(A, B, p)
-        else:
-            good.append(i)
-    if good:
+                raise MissingBadPrimeData(f"curve {curve.label or (A, B)} has no a_{p} metadata")
+            out[at] = meta
+    bad = (_mod_each(4 * A**3 + 27 * B**2, ps) == 0) & (ps > 3)
+    for i in np.flatnonzero(bad).tolist():
+        out[i] = _ap_bad(A, B, int(ps[i]))
+    good = np.flatnonzero(~bad & (ps > 3))
+    if good.size:
         vals, settled = _ap_lanes(A, B, ps[good])
         for i in np.flatnonzero(~settled):  # the ambiguous lanes, as a group
             vals[i] = _ap_char_sum(A, B, int(ps[good[i]]))
         out[good] = vals
     return out
+
+
+# Per curve: the primes of the longest table prefix requested so far and
+# their a_p.  Every PrimeTable lists the primes from 2 upward, so the prefix
+# does not depend on the table's limit.
+_AP_CACHE: dict = {}
+_NO_PRIMES = np.empty(0, dtype=np.int64)
+_NO_PRIMES.setflags(write=False)
+
+
+# ap grows the cached prefix to 2p for a prime p below this: the table to
+# 2^13 takes about 20 ms, one prime about 1 ms.
+_AP_GROW_BELOW = 1 << 12
+
+
+def _cached_ap(curve: CurveModel, p: int) -> Optional[int]:
+    """a_p from the curve's cached ap_array prefix, or None outside it."""
+    ps, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
+    i = int(np.searchsorted(ps, p))
+    return int(vals[i]) if i < ps.size and ps[i] == p else None
 
 
 def ap(curve: CurveModel, p: int) -> int:
@@ -475,19 +603,17 @@ def ap(curve: CurveModel, p: int) -> int:
     run in numpy lanes (``_ap_lanes``), with the exhaustive character sum
     where the points tried leave more than one candidate (tiny p, or a
     group of small exponent on both E and its twist); p < 2^31.  Bad p > 3:
-    the node/cusp rule.  p in {2, 3}: curve metadata.  This is a one-lane
-    call of the path ``ap_array`` runs in blocks, so a table of many primes
-    should come from ``ap_array``.
+    the node/cusp rule.  p in {2, 3}: curve metadata.  a_p is read from the
+    ``ap_array`` cache; a prime below _AP_GROW_BELOW beyond its prefix first
+    extends the prefix to 2p (for a curve with both metadata), so that
+    ascending calls run the lane kernel a few times, not once per prime.
+    Any other p is a one-lane call of the path ``ap_array`` runs in blocks.
     """
-    return int(_ap_values(curve, np.array([p], dtype=np.int64))[0])
-
-
-# Per curve: the primes of the longest table prefix requested so far and
-# their a_p.  Every PrimeTable lists the primes from 2 upward, so the prefix
-# does not depend on the table's limit.
-_AP_CACHE: dict = {}
-_NO_PRIMES = np.empty(0, dtype=np.int64)
-_NO_PRIMES.setflags(write=False)
+    a = _cached_ap(curve, p)
+    if a is None and 3 < p < _AP_GROW_BELOW and None not in (curve.a2, curve.a3):
+        ap_array(curve, sieve_primes(2 * p), 2 * p)
+        a = _cached_ap(curve, p)
+    return int(_ap_values(curve, np.array([p], dtype=np.int64))[0]) if a is None else a
 
 
 def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
@@ -516,9 +642,9 @@ def cpm(curve: CurveModel, p: int, m: int) -> int:
     """
     if m < 1:
         raise ValueError(f"cpm needs m >= 1, got {m}")
-    ps, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
-    i = int(np.searchsorted(ps, p))
-    a = int(vals[i]) if i < ps.size and ps[i] == p else ap(curve, p)
+    a = _cached_ap(curve, p)
+    if a is None:
+        a = ap(curve, p)
     if curve.conductor % p == 0:
         return a**m
     if m == 1:

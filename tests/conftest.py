@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from twistrank.arith import fundamental_discriminant, kronecker, legendre_matrix, sieve_primes
+from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
 from twistrank.curve import CurveModel, ap, builtin_catalog, cpm
 from twistrank.kernel import weight_l_eval
 
@@ -133,15 +133,18 @@ def trial_twist_invariants(curve, D: int) -> dict:
 def fsum_prime_sides(plan, ds) -> list:
     """(m1, m2, tail) per D of ds by compensated summation, the reference for
     the exact fixed-point sums of explicit_formula.prime_sides: each twist's
-    nonzero plan terms, times its characters (kronecker at 2, legendre_matrix
-    at the odd primes), summed by one math.fsum per group."""
+    nonzero plan terms, times its characters (kronecker at 2, Euler's
+    criterion on every cell at the odd primes, none of the residue tables or
+    reciprocity rows of arith.legendre_matrix), summed by one math.fsum per
+    group."""
     out = []
+    odd = plan.primes[1:]
     for start in range(0, len(ds), 256):
         block = list(ds[start : start + 256])
         chi = np.empty((len(block), plan.primes.size), dtype=np.int64)
         if plan.primes.size:
             chi[:, 0] = [kronecker(D, 2) if D % 4 == 1 else 0 for D in block]
-            chi[:, 1:] = legendre_matrix(block, plan.primes[1:])
+            chi[:, 1:] = _euler_symbols(np.array(block, dtype=np.int64)[:, None] % odd, odd)
         for row in chi:
             sums = []
             for g in plan.groups:

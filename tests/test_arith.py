@@ -119,7 +119,7 @@ class TestKronecker:
                 expected = 1 if euler == 1 else -1
                 assert kronecker(d, p) == expected, (d, p)
 
-    def test_legendre_matrix_matches_kronecker(self, primes_1e4):
+    def test_legendre_matrix_matches_kronecker(self, primes_1e4, monkeypatch):
         ps = primes_1e4.primes[1:]  # every odd prime below 1e4
         ds = [1, -1, 2, -3, 5, -7, 12, 30, -97, 3 * 7 * 11 * 13, -(10**8 + 7), 2 * 9973]
         ds += [0, -5 * 9973, -math.prod(range(3, 100, 2)), 9973 * 9967 * 7919]  # multiples of p
@@ -139,6 +139,32 @@ class TestKronecker:
         assert big[: len(ds)].tolist() == expected
         for d, row in list(zip(filler, big[len(ds) :].tolist()))[::97]:
             assert row == [kronecker(d, int(p)) for p in ps], d
+
+        # reciprocity rows: 16 rows over a non-contiguous set of primes below
+        # 2000, so that the tables stop at 16 * 16 = 256 and a row whose odd
+        # part is at most 16 times the columns left is read by reciprocity
+        odd = ps[ps < 2000]
+        sub = odd[np.arange(odd.size) % 3 != 1]
+        rows = 16
+        limit = arith._TABLE_P_PER_ROW * int((sub > arith._TABLE_P_PER_ROW * rows).sum())
+        below = limit - 1  # the largest odd part that qualifies (limit is even)
+        above = next(q for q in range(int(sub[-1]) + 1, limit) if arith.is_prime(q))  # above every column
+        ds = [0, 1, -1, 2, -8, 9 * 25, -27 * 49 * 4, int(sub[-1]) * 4, -int(sub[7]) ** 2]
+        ds += [above, -2 * above, below, -4 * below, below + 2, -(below + 2), 2**40 * (below + 2)]
+        assert len(ds) == rows
+        seen = []
+        original = arith._reciprocity_symbols
+
+        def recording(d, cols):
+            seen.extend(d.tolist())
+            return original(d, cols)
+
+        monkeypatch.setattr(arith, "_reciprocity_symbols", recording)
+        got = legendre_matrix(ds, sub)
+        assert got.tolist() == [[kronecker(d, int(p)) for p in sub] for d in ds]
+        assert set(seen) == set(ds[1:13]), seen  # not 0, nor the odd parts above the limit
+        for d in ds:  # one row: fewer table columns, so every nonzero row qualifies
+            assert legendre_matrix([d], sub).tolist() == [[kronecker(d, int(p)) for p in sub]], d
 
     def test_zero_and_negative_denominators(self):
         assert kronecker(1, 0) == 1

@@ -83,8 +83,11 @@ class TestApTable:
 
     def test_over_budget_refused_with_estimate(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
-        # only tables near the cap are estimated above the budget (11 min
-        # at 1e8); the twists of these runs are estimated inside theirs
+        # every table up to the cap is estimated inside the budget (7.2 min
+        # at 1e8); at twice the measured a_p cost per prime, only tables
+        # near the cap are above it (14.5 min at 1e8, 13.6 min at 9.5e7),
+        # and the twists of these runs are estimated inside theirs
+        monkeypatch.setattr(cli_mod, "AP_SECONDS_PER_PRIME_AT_CAP", 2 * cli_mod.AP_SECONDS_PER_PRIME_AT_CAP)
         for args in (
             ["ap-table", "--limit", "100000000"],
             ["ef-report", "--curve", "ncm37", "--x", "1e8", "--dmin", "1", "--dmax", "1"],
@@ -104,8 +107,10 @@ class TestApTable:
             raise Sieved(limit)
 
         monkeypatch.setattr(cli_mod, "sieve_primes", sentinel)
-        with pytest.raises(Sieved):  # estimated at 9.6 min, inside the budget
+        with pytest.raises(Sieved):  # estimated at 6.4 min, inside the budget
             main(["ap-table", "--limit", "90000000"])
+        with pytest.raises(Sieved):  # 7.2 min: the cap itself
+            main(["ap-table", "--limit", "100000000"])
 
 
 class TestUsageAndConfigErrors:

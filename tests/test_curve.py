@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -274,7 +275,7 @@ class TestApBsgs:
         fx = {x: (x**3 + A * x + B) % p for x in range(min(p, 400))}
         points = [(x, roots[f]) for x, f in fx.items() if f in roots]
         xs, ys = (np.array(c) for c in zip(*points))
-        valid, lane, k = _hasse_orders(np.full(xs.size, p), np.full(xs.size, A % p), xs, ys)
+        valid, lane, k, _ = _hasse_orders(np.full(xs.size, p), np.full(xs.size, A % p), xs, ys, np.ones_like(xs))
         seen_small = False
         for i, P in enumerate(points):
             if not valid[i]:
@@ -289,6 +290,47 @@ class TestApBsgs:
                 Q = _ec_add(Q, P, A % p, p)
             assert sorted(k[lane == i].tolist()) == want, (P, want)
         assert seen_small  # the 2-torsion points at least
+
+    @pytest.mark.parametrize("p", [1423, 1621, 2053, 2161])
+    def test_giant_walk_through_o(self, ncm_curve, p):
+        # at these primes -a_p is a multiple of s = 2m + 1, at giant row 6,
+        # 4, 7 and 5 of 2 span + 1, so the walk of every point of E(F_p) of
+        # order above 2m meets O with two steps after it: the first adds sP
+        # to O, the second doubles sP (P1 = P2); every candidate set is
+        # checked by walking the interval, and holds -a_p of the exhaustive
+        # sum
+        A, B = ncm_curve.A % p, ncm_curve.B % p
+        T = math.isqrt(4 * p)
+        m = math.isqrt(T)
+        s = 2 * m + 1
+        span = (T + m) // s
+        a_p = _ap_char_sum(A, B, p)
+        roots = {y * y % p: y for y in range(1, p)}
+        points = []
+        for x in range(p):
+            P = (x, roots.get((x**3 + A * x + B) % p))
+            if P[1] is None or any(_ec_mul(j, P, A, p) is None for j in range(2, 2 * m + 1)):
+                continue  # a valid lane needs ord(P) > 2m
+            G, sP = _ec_mul(p + 1 - span * s, P, A, p), _ec_mul(s, P, A, p)
+            for i in range(2 * span - 1):  # rows 0 .. 2 span - 2
+                if G is None:
+                    points.append(P)
+                    break
+                G = _ec_add(G, sP, A, p)
+            if len(points) == 6:
+                break
+        xs, ys = (np.array(c) for c in zip(*points))
+        valid, lane, k, _ = _hasse_orders(np.full(xs.size, p), np.full(xs.size, A), xs, ys, np.ones_like(xs))
+        assert len(points) == 6 and valid.all()
+        for i in range(len(points)):
+            want = []
+            Q = _ec_mul(p + 1 - T, points[i], A, p)
+            for kk in range(-T, T + 1):
+                if Q is None:
+                    want.append(kk)
+                Q = _ec_add(Q, points[i], A, p)
+            assert sorted(k[lane == i].tolist()) == want, points[i]
+            assert -a_p in want
 
     def test_ambiguous_candidates_use_exhaustive_sum(self, cm_curve):
         # at tiny p the Hasse interval holds several multiples of every
@@ -338,7 +380,7 @@ class TestApBsgs:
         assert all(kind.any() for kind in kinds)
         for kind in kinds:  # one-lane blocks
             for p, a in list(zip(good[:_LANES][kind].tolist(), exact[:_LANES][kind].tolist()))[:40]:
-                assert ap(curve, p) == a, p
+                assert _ap_values(curve, np.array([p])).tolist() == [a], p
 
     def test_table_prefix_with_bad_primes(self, monkeypatch, bad3_curve, primes_1e3):
         # 2 and 3 from metadata, 5 and 7 bad (the node rule), the rest in
@@ -353,6 +395,23 @@ class TestApBsgs:
         monkeypatch.setattr(curve_mod, "_AP_CHUNK", 7)
         chunked = CurveModel(A=-3, B=12, conductor=105, root_number=1, label="chunks", a2=1, a3=-1)
         assert ap_array(chunked, primes_1e3, 400).tolist() == want
+
+
+# sha256 of ap_array to 1e5 as little-endian int64: every kernel must give
+# these tables bit for bit.
+AP_1E5_SHA256 = {
+    "cm32-like": "ddf4e1c6b90b7b5a02e480abc31ef9aa0929ece3eeecb9ae82d5de1dfde2921a",
+    "ncm37": "3a0ef9aa932a1cfa24d37549f7a6fd9e3c28703e3bbc261b53df6102d4d180fd",
+}
+
+
+def test_ap_table_digests(catalog, primes_1e5):
+    for label, want in AP_1E5_SHA256.items():
+        curve = catalog[label]
+        table = CurveModel(curve.A, curve.B, curve.conductor, curve.root_number, "digest", curve.a2, curve.a3)
+        vals = ap_array(table, primes_1e5, 1e5)  # a fresh cache entry: the whole table
+        assert vals.size == 9592
+        assert hashlib.sha256(vals.astype("<i8").tobytes()).hexdigest() == want, label
 
 
 class TestCpm:
