@@ -17,7 +17,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from math import fsum, gcd
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,8 +29,6 @@ from .arith import (
     mobius,
     parity_decompose,
 )
-from .curve import CurveModel, ap_array
-from .explicit_formula import _require_table, beta_array
 from .kernel import (
     SmoothWeight,
     triangle,
@@ -39,6 +37,12 @@ from .kernel import (
     weight_fourier_derivative,
     weight_l_eval,
 )
+
+# curve and explicit_formula load inside the checks that read a_p (Rankin,
+# Q-sum, step1, logderiv), so the Gauss, j-sum and Poisson checks do not pay
+# for them
+if TYPE_CHECKING:
+    from .curve import CurveModel
 
 __all__ = [
     "CheckResult",
@@ -101,6 +105,8 @@ class CheckResult:
 
 
 def _c2_values(curve: CurveModel, x: float, primes: PrimeTable) -> Tuple[np.ndarray, np.ndarray]:
+    from .curve import ap_array
+
     ps = primes.below(x)
     aps = ap_array(curve, primes, x).astype(float)
     pf = ps.astype(float)
@@ -115,6 +121,8 @@ def rankin_linear_check(curve: CurveModel, x: float, primes: PrimeTable) -> Chec
     The ratio tends to 1 as x grows; the [0.75, 1.25] pass band is
     calibrated for x = 1e5 and convergence is slow below that.
     """
+    from .explicit_formula import _require_table
+
     if not x >= 1e3:
         raise ValueError(f"rankin_linear_check needs x >= 1e3, got {x}")
     _require_table(primes, math.log(x))
@@ -138,6 +146,9 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
 
     Band [0.7, 1.3], calibrated at lam = log(1e5).
     """
+    from .curve import ap_array
+    from .explicit_formula import _require_table
+
     cutoff = _require_table(primes, lam)
     ps = primes.below(cutoff)
     aps = ap_array(curve, primes, cutoff).astype(float)
@@ -501,6 +512,8 @@ def q_term(
 
 
 def _beta_map(curve: CurveModel, x: float, primes: PrimeTable) -> Dict[int, float]:
+    from .explicit_formula import beta_array
+
     ps = primes.below(x)
     betas = beta_array(curve, x, primes)
     return {int(p): float(b) for p, b in zip(ps, betas)}
@@ -639,6 +652,9 @@ def logderiv_partial(
     """|sum_{p<x} a_p (log p) p^(-s) F(log p / log x)| at s = sigma + it
     against the fitted envelope eps (log N + log(|s|+2)) log^2 x,
     for 1 + 1/log x <= sigma <= 2.  Soft pass."""
+    from .curve import ap_array
+    from .explicit_formula import _require_table
+
     logx = math.log(x)
     if not (1.0 + 1.0 / logx - 1e-12 <= sigma <= 2.0 + 1e-12):
         raise ValueError(f"sigma must lie in [1 + 1/log x, 2], got {sigma}")

@@ -280,7 +280,7 @@ class TestTwistBudget:
 
         monkeypatch.setattr(fm, "family_twist_values", no_enumeration)
         monkeypatch.setattr(fm, "twist_columns", no_enumeration)
-        monkeypatch.setattr(cli_mod, "filter_twists", no_enumeration)
+        monkeypatch.setattr(fm, "filter_twists", no_enumeration)
         monkeypatch.setattr(curve_mod, "squarefree_kernels", no_enumeration)
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
 
@@ -513,7 +513,8 @@ class TestImportHygiene:
     def test_commands_skip_quadrature_modules(self, args):
         code, loaded = _probe(_SCIPY_PROBE, *args)
         assert code == EXIT_OK
-        assert "scipy" in loaded
+        # ap-table runs no kernel code, so it loads no scipy at all
+        assert ("scipy" in loaded) == (args[0] != "ap-table")
         assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
 
     def test_verification_functions_load_quadrature_on_demand(self):
@@ -569,6 +570,25 @@ class TestBenchmarkInterface:
         inspect.signature(vl.poisson_check).bind(w, 1, 2, 0, 10, fourier_cache={})
         assert vl.SmoothWeight is SmoothWeight
         assert callable(cli_mod.sieve_primes) and callable(cli_mod.main)
+
+    def test_sieve_is_read_from_the_cli_module(self, monkeypatch):
+        # child.py marks the end of set-up by replacing cli.sieve_primes; a
+        # sieve bound anywhere else would leave setup_s unrecorded
+        calls = []
+        sieve = cli_mod.sieve_primes
+
+        def recording(limit):
+            calls.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(cli_mod, "sieve_primes", recording)
+        assert cli_mod._sieve_for(1000.0).limit == 1000
+        assert calls == [1000]
+
+    def test_verification_lab_loads_scipy(self):
+        # child.py reads sys.modules["scipy"].__version__ after a Poisson group
+        code = "import json, sys\nimport twistrank.verification_lab\nprint(json.dumps('scipy' in sys.modules))"
+        assert _probe(code) is True
 
     def test_tracer_names_resolve(self, cm_curve):
         tracer = _bench_module("tracer")

@@ -1,10 +1,14 @@
 """Every exported name resolves: no ``__all__`` entry and no package-level
-import names a function that is gone."""
+name points at a function that is gone.  Each entry point loads only the
+modules it runs."""
 
-import ast
 import importlib
-import inspect
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,15 +26,43 @@ def test_module_all_resolves(name):
 
 
 def test_package_imports_resolve():
-    tree = ast.parse(inspect.getsource(twistrank))
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert imported
-    for module, name in imported:
+    # the package re-exports lazily, from its name -> module table
+    exported = twistrank._EXPORTS
+    assert exported
+    assert sorted(twistrank.__all__) == sorted(exported)
+    listed = dir(twistrank)
+    for name, module in exported.items():
         source = importlib.import_module(f"twistrank.{module}")
         assert getattr(twistrank, name) is getattr(source, name), (module, name)
-        assert name in getattr(source, "__all__", [name]), (module, name)
+        assert name in source.__all__, (module, name)
+        assert name in listed, name
+    with pytest.raises(AttributeError):
+        twistrank.no_such_name
+
+
+@pytest.mark.parametrize(
+    "statement, modules",
+    [
+        ("import twistrank.cli", ["arith", "cli"]),
+        ("import twistrank.verification_lab", ["arith", "kernel", "verification_lab"]),
+        ("from twistrank import kronecker", ["arith"]),
+        ("import twistrank; twistrank.curve.ap", ["arith", "curve"]),
+    ],
+    ids=["cli", "verification_lab", "kronecker", "submodule"],
+)
+def test_import_footprint(statement, modules):
+    probe = f"""
+import json, sys
+{statement}
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("twistrank", "scipy"))))
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert [m for m in loaded if m.startswith("twistrank")] == ["twistrank"] + [
+        f"twistrank.{m}" for m in modules
+    ]
+    assert "scipy.integrate" not in loaded
