@@ -23,13 +23,12 @@ _MODULE_EXPORTS = {
     ),
     "curve": (
         "CurveModel",
-        "TwistedCurve",
         "ap",
         "builtin_catalog",
         "cpm",
         "load_catalog",
     ),
-    "explicit_formula": ("ExplicitFormulaReport", "ef_total", "prime_side"),
+    "explicit_formula": (),  # reached as twistrank.explicit_formula
     "family_moments": (
         "MomentConfig",
         "MomentRow",

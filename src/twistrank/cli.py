@@ -95,6 +95,7 @@ _CONFIG_KEYS = {
     "only": str,
     "limit": int,
 }
+_FORMATS = ("csv", "json")
 
 
 def _parse_config_file(path: str) -> dict:
@@ -137,7 +138,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--curve", help="catalog label, or explicit 'A,B,N,w,a2,a3'")
         sp.add_argument("--catalog", help="path to a curve catalog file")
         sp.add_argument("--x", type=float, help="prime cutoff x (lambda = log x)")
-        sp.add_argument("--format", choices=("csv", "json"), help="output format")
+        sp.add_argument("--format", choices=_FORMATS, help="output format")
         sp.add_argument("--out", help="output path (default stdout)")
         sp.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
         sp.add_argument("--seed", type=int, help="seed for randomized sampling")
@@ -170,6 +171,9 @@ def _build_parser() -> _Parser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
+    """The config file's values, overridden by the flags given; a value no
+    flag would accept (a non-finite x or T, a format other than csv or json)
+    is refused (exit 2) from the file as from the flags."""
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(_parse_config_file(args.config))
@@ -177,6 +181,11 @@ def _merge_config(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+    for key, val in cfg.items():
+        if _CONFIG_KEYS[key] is float and not math.isfinite(val):
+            raise ConfigError(f"{key} must be finite, got {val}")
+    if cfg.get("format", "csv") not in _FORMATS:
+        raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, got {cfg['format']!r}")
     return cfg
 
 

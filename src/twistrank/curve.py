@@ -16,12 +16,13 @@ degenerates, use caller-supplied metadata.  A twist carries its conductor
 character of Q(sqrt(D))); its coefficients are the base curve's times that
 character, applied by explicit_formula.prime_sides, so no twisted model is
 ever built.  A run of twists is a set of numpy columns (Twists) from one
-squarefree sieve over the D interval; a TwistedCurve is its one-row case.
+squarefree sieve over the D interval; one twist is the one-row range
+range(D, D + 1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional
 
@@ -31,7 +32,6 @@ from .arith import PrimeTable, kronecker, sieve_primes, squarefree_kernels
 
 __all__ = [
     "CurveModel",
-    "TwistedCurve",
     "Twists",
     "twist_columns",
     "MissingBadPrimeData",
@@ -675,11 +675,24 @@ def _kronecker_minus_n(a: np.ndarray, n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Twists:
     """The twists of one base curve by a run of D, as columns (int64 and bool
-    arrays aligned with D); see TwistedCurve for what each invariant means.
+    arrays aligned with D); one twist is the one-row run range(D, D + 1).
 
-    kernel is sign(D) times the squarefree part of |D|, fundamental_disc the
-    discriminant d_K of Q(sqrt(D)), coprime marks gcd(D, 2N) = 1, and
-    root_number is 0 wherever no sign is determined.
+    E_D is y^2 = x^3 + A D^2 x + B D^3, but only its invariants are kept:
+    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E) at every p, so the twisted model
+    is never needed for the coefficients.  kernel is sign(D) times the
+    squarefree part of |D|, fundamental_disc the discriminant d_K of
+    Q(sqrt(D)), which defines the twist's character, squarefree marks
+    D equal to its kernel, and coprime marks gcd(D, 2N) = 1.
+
+    conductor_bounds() is exactly N * D^2 where conductor_exact (squarefree
+    and coprime to 2N); otherwise it is a documented over-estimate
+    (<= 2^8 * 3^5 * N * d^2 with d the kernel).  Note the exact branch
+    follows the N * D^2 convention even though twisting a curve of odd
+    conductor by D = 3 mod 4 also moves the 2-part; the explicit-formula
+    tables flag this through conductor_exact.  root_number is w(E_D) =
+    w(E) * chi_D(-N) = w(E) * (d_K | -N) for a clean D, else 0; it is 0
+    also where chi_D ramifies at a prime of N (N even, D = 3 mod 4), as the
+    relation leaves the sign open there.
     """
 
     base: CurveModel
@@ -737,44 +750,6 @@ def twist_columns(curve: CurveModel, ds: range) -> Twists:
     root = np.zeros(D.size, dtype=np.int64)
     root[clean] = curve.root_number * _kronecker_minus_n(disc[clean], curve.conductor)
     return Twists(curve, D, kernel, disc, squarefree, coprime, root)
-
-
-@dataclass(frozen=True)
-class TwistedCurve:
-    """A base curve paired with a twisting integer D.
-
-    E_D is y^2 = x^3 + A D^2 x + B D^3, but only its invariants are kept:
-    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E) at every p, so the twisted model
-    is never needed for the coefficients.  conductor_bound is
-    exactly N * D^2 for D squarefree and coprime to 2N; otherwise it is a
-    documented over-estimate (<= 2^8 * 3^5 * N * d^2 with d the squarefree
-    part of D).  Note the exact branch follows the N * D^2 convention even
-    though twisting a curve of odd conductor by D = 3 mod 4 also moves the
-    2-part; the explicit-formula reports flag this through conductor_exact.
-    squarefree (D equals its squarefree kernel), conductor_exact (squarefree
-    and coprime to 2N) and fundamental_disc (the discriminant of Q(sqrt(D)),
-    which defines the twist's character) are the one row of twist_columns
-    over range(D, D + 1), so a single twist and a family share one path.
-    root_number is w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a
-    clean D, else 0; it is 0 also where chi_D ramifies at a prime of N (N
-    even, D = 3 mod 4), as the relation leaves the sign open there.
-    """
-
-    base: CurveModel
-    D: int
-    squarefree: bool = field(init=False)
-    conductor_bound: int = field(init=False)
-    conductor_exact: bool = field(init=False)
-    fundamental_disc: int = field(init=False)
-    root_number: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.D == 0:
-            raise ValueError("twisting integer D must be nonzero")
-        row = twist_columns(self.base, range(self.D, self.D + 1))
-        for name in ("squarefree", "conductor_exact", "fundamental_disc", "root_number"):
-            object.__setattr__(self, name, getattr(row, name).item())
-        object.__setattr__(self, "conductor_bound", row.conductor_bounds()[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,19 +26,15 @@ from .arith import (
     legendre_matrix,
     round_fixed_point,
 )
-from .curve import CurveModel, TwistedCurve, Twists, ap_array, cpm, twist_columns
+from .curve import CurveModel, Twists, ap_array, cpm
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
 __all__ = [
-    "ExplicitFormulaReport",
     "ExplicitFormulaTable",
     "InsufficientPrimeTable",
     "prime_sides",
-    "prime_side",
     "evaluate_reports",
-    "ef_total",
     "beta_array",
-    "twisted_upper_bound",
     "CSV_COLUMNS",
 ]
 
@@ -52,29 +48,6 @@ class InsufficientPrimeTable(ValueError):
         )
         self.required = required
         self.limit = limit
-
-
-@dataclass(frozen=True)
-class ExplicitFormulaReport:
-    """One twist's explicit-formula decomposition.
-
-    total_S reconstructs exactly as
-    log_conductor - 2*(prime_m1 + prime_m2 + prime_tail) - archimedean,
-    where archimedean = 2*integral + 2*log(2pi).  root_number is the
-    twist's (see TwistedCurve), 0 where no sign is determined.
-    """
-
-    D: int
-    lam: float
-    log_conductor: float
-    prime_sum_m1: float
-    prime_sum_m2: float
-    prime_sum_tail: float
-    archimedean: float
-    total_S: float
-    rank_bound: float
-    root_number: int
-    conductor_exact: bool
 
 
 CSV_COLUMNS = [
@@ -243,18 +216,14 @@ def prime_sides(
     return np.array(rounded).reshape(3, ds.size)
 
 
-def prime_side(
-    twist: TwistedCurve, kernel: TriangleKernel, primes: PrimeTable
-) -> Tuple[float, float, float]:
-    """prime_sides of the one twist, as Python floats."""
-    return tuple(prime_sides(twist.base, [twist.D], kernel, primes)[:, 0].tolist())
-
-
 @dataclass(frozen=True)
 class ExplicitFormulaTable:
     """The explicit-formula decomposition of a batch of twists as columns:
-    row i belongs to twists.D[i], and each column is the ExplicitFormulaReport
-    field of the same name (lam and archimedean are one number per batch)."""
+    row i belongs to twists.D[i] (lam and archimedean are one number per
+    batch).  Each row's total_S reconstructs exactly as
+    log_conductor - 2*(prime_sum_m1 + prime_sum_m2 + prime_sum_tail) -
+    archimedean, where archimedean = 2*integral + 2*log(2pi); root numbers
+    and conductor_exact are the twists' columns (see Twists)."""
 
     twists: Twists
     lam: float
@@ -268,22 +237,6 @@ class ExplicitFormulaTable:
 
     def __len__(self) -> int:
         return len(self.twists)
-
-    def report(self, i: int) -> ExplicitFormulaReport:
-        """Row i as a report."""
-        return ExplicitFormulaReport(
-            D=int(self.twists.D[i]),
-            lam=self.lam,
-            log_conductor=float(self.log_conductor[i]),
-            prime_sum_m1=float(self.prime_sum_m1[i]),
-            prime_sum_m2=float(self.prime_sum_m2[i]),
-            prime_sum_tail=float(self.prime_sum_tail[i]),
-            archimedean=self.archimedean,
-            total_S=float(self.total_S[i]),
-            rank_bound=float(self.rank_bound[i]),
-            root_number=int(self.twists.root_number[i]),
-            conductor_exact=bool(self.twists.conductor_exact[i]),
-        )
 
     def records(self) -> List[dict]:
         """The output records, one per row: the CSV_COLUMNS fields in order,
@@ -334,21 +287,7 @@ def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> Explicit
     return ExplicitFormulaTable(twists, lam, log_n, m1, m2, tail, arch, total, total / lam)
 
 
-def ef_total(
-    twist: TwistedCurve, kernel: TriangleKernel, primes: PrimeTable
-) -> ExplicitFormulaReport:
-    """The full explicit-formula report for one twist: the one-row table."""
-    row = twist_columns(twist.base, range(twist.D, twist.D + 1))
-    return evaluate_reports(row, kernel.lam, primes).report(0)
-
-
 def _coarse_bound(D: int, lam: float, m1: float) -> float:
-    return 2.0 * math.log(abs(D)) + 0.5 * lam - 2.0 * m1
-
-
-def twisted_upper_bound(report: ExplicitFormulaReport) -> float:
     """The coarser bound 2 log|D| + lambda/2 - 2*(m=1 sum): the shape with
     log(D^2) in place of the conductor and the higher powers dropped."""
-    if report.D == 0:
-        raise ValueError("undefined for D = 0")
-    return _coarse_bound(report.D, report.lam, report.prime_sum_m1)
+    return 2.0 * math.log(abs(D)) + 0.5 * lam - 2.0 * m1

@@ -6,7 +6,8 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
-from twistrank.curve import CurveModel, ap, builtin_catalog, cpm
+from twistrank.curve import CurveModel, ap, builtin_catalog, cpm, twist_columns
+from twistrank.explicit_formula import evaluate_reports, prime_sides
 from twistrank.kernel import weight_l_eval
 
 
@@ -68,33 +69,34 @@ def brute_point_count(A: int, B: int, p: int) -> int:
     return int(sq_count[fx].sum()) + 1
 
 
-def twisted_model(twist) -> CurveModel:
+def twisted_model(curve, D: int) -> CurveModel:
     """E_D as its own Weierstrass model y^2 = x^3 + A D^2 x + B D^3.
 
     At 2 and 3 the metadata is a_p(E) times the character of the
     fundamental discriminant d_K of Q(sqrt(D)) (0 where the twist ramifies),
-    and 0 when p | D.  The conductor is the twist's bound and the root
-    number the base's, as placeholders.
+    and 0 when p | D.  d_K and the conductor (the twist's bound, as a
+    placeholder, beside the base's root number) come from the trial-division
+    reference trial_twist_invariants, not from twist_columns.
     """
-    E, D = twist.base, twist.D
+    twist = trial_twist_invariants(curve, D)
 
     def small(p, meta):
         if meta is None:
             return None
-        return 0 if D % p == 0 else meta * kronecker(twist.fundamental_disc, p)
+        return 0 if D % p == 0 else meta * kronecker(twist["fundamental_disc"], p)
 
     return CurveModel(
-        A=E.A * D**2,
-        B=E.B * D**3,
-        conductor=twist.conductor_bound,
-        root_number=E.root_number,
-        label=f"{E.label or 'curve'}[D={D}]",
-        a2=small(2, E.a2),
-        a3=small(3, E.a3),
+        A=curve.A * D**2,
+        B=curve.B * D**3,
+        conductor=twist["conductor_bound"],
+        root_number=curve.root_number,
+        label=f"{curve.label or 'curve'}[D={D}]",
+        a2=small(2, curve.a2),
+        a3=small(3, curve.a3),
     )
 
 
-def twist_cpm(twist, p: int, m: int) -> int:
+def twist_cpm(curve, D: int, p: int, m: int) -> int:
     """c_{p^m}(E_D), with the twisted model wherever E_D may be bad at p.
 
     Where E_D is good at p by the character -- p coprime to 2ND, or p = 2
@@ -102,10 +104,19 @@ def twist_cpm(twist, p: int, m: int) -> int:
     other p, a_p(E_D) comes from ``twisted_model`` and c_{p^m}(E_D) =
     a_p(E_D)^m.
     """
-    E, D = twist.base, twist.D
-    if (2 * E.conductor * D) % p or (p == 2 and (E.conductor * D) % 2 and D % 4 == 1):
-        return kronecker(D, p) ** m * cpm(E, p, m)
-    return ap(twisted_model(twist), p) ** m
+    if (2 * curve.conductor * D) % p or (p == 2 and (curve.conductor * D) % 2 and D % 4 == 1):
+        return kronecker(D, p) ** m * cpm(curve, p, m)
+    return ap(twisted_model(curve, D), p) ** m
+
+
+def one_row_prime_sides(curve, D: int, kernel, primes) -> tuple:
+    """prime_sides of the one twist by D, as a tuple of Python floats."""
+    return tuple(prime_sides(curve, [D], kernel, primes)[:, 0].tolist())
+
+
+def one_twist(curve, D: int, lam: float, primes) -> dict:
+    """The output record of the one twist by D: the one-row table."""
+    return evaluate_reports(twist_columns(curve, range(D, D + 1)), lam, primes).records()[0]
 
 
 def trial_twist_invariants(curve, D: int) -> dict:

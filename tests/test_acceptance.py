@@ -15,9 +15,9 @@ import numpy as np
 
 from twistrank.arith import is_squarefree, kronecker, parity_decompose
 from twistrank.cli import main as cli_main
-from twistrank.curve import TwistedCurve, ap, cpm
-from twistrank.explicit_formula import ef_total
-from twistrank.family_moments import theoretical_moment_bound
+from twistrank.curve import ap, cpm
+from twistrank.explicit_formula import evaluate_reports
+from twistrank.family_moments import filter_twists, theoretical_moment_bound
 from twistrank.kernel import SmoothWeight, TriangleKernel, mellin_phi, mellin_phi_quadrature
 from twistrank.verification_lab import (
     _chi_table,
@@ -156,21 +156,22 @@ def test_rankin_averages(cm_curve, ncm_curve, primes_1e5):
 
 def test_grh_positivity_proxy(cm_curve, primes_1e4):
     with criterion("GRH positivity proxy: |D| <= 2000 sweep at lambda = log 1e4"):
-        kern = TriangleKernel(math.log(1e4))
+        twists = filter_twists(cm_curve, range(-2000, 2001), True, True)
+        table = evaluate_reports(twists, math.log(1e4), primes_1e4)
+        # the clean D, chosen independently of the filter
+        clean = [
+            D
+            for D in range(-2000, 2001)
+            if D and is_squarefree(abs(D)) and gcd(D, 2 * cm_curve.conductor) == 1
+        ]
+        assert table.twists.D.tolist() == clean
         n_odd = 0
-        n_all = 0
-        for D in range(-2000, 2001):
-            if D == 0 or not is_squarefree(abs(D)):
-                continue
-            if gcd(D, 2 * cm_curve.conductor) != 1:
-                continue
-            rep = ef_total(TwistedCurve(cm_curve, D), kern, primes_1e4)
-            n_all += 1
-            assert rep.rank_bound >= -0.1, (D, rep.rank_bound)
-            if rep.root_number == -1:
+        for D, bound, root in zip(clean, table.rank_bound.tolist(), table.twists.root_number.tolist()):
+            assert bound >= -0.1, (D, bound)
+            if root == -1:
                 n_odd += 1
-                assert rep.rank_bound >= 0.9, (D, rep.rank_bound)
-        assert n_all > 1000 and n_odd > 200  # the sweep is not vacuous
+                assert bound >= 0.9, (D, bound)
+        assert len(clean) > 1000 and n_odd > 200  # the sweep is not vacuous
 
 
 def test_reference_constants(tmp_path):

@@ -23,10 +23,9 @@ from twistrank.cli import (
     PRIME_LIMIT_CAP,
     main,
 )
-from twistrank.curve import TwistedCurve
-from twistrank.explicit_formula import CSV_COLUMNS, ef_total
-from twistrank.family_moments import MomentConfig, family_twist_values
-from twistrank.kernel import SmoothWeight, TriangleKernel
+from twistrank.explicit_formula import CSV_COLUMNS, evaluate_reports
+from twistrank.family_moments import MomentConfig, family_twist_values, filter_twists
+from twistrank.kernel import SmoothWeight
 
 
 def run(args, capsys):
@@ -148,6 +147,34 @@ class TestUsageAndConfigErrors:
     def test_bad_support(self, capsys):
         code, _, err = run(["sweep", "--support", "oops"], capsys)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("ef-report", "x"), ("sweep", "x"), ("sweep", "T"), ("verify", "x")],
+    )
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_refused(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # refused before any sieve, from a flag and from a config file alike
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        for args in ([command, f"--{key}={value}"], [command, "--config", str(cfg)]):
+            code, out, err = run(args, capsys)
+            assert (code, out) == (EXIT_CONFIG, ""), args
+            assert f"{key} must be finite" in err
+
+    @pytest.mark.parametrize("command", ["ap-table", "ef-report", "sweep"])
+    def test_config_file_format_outside_choices(self, tmp_path, capsys, monkeypatch, command):
+        # --format xml is a usage error; the same value from a file must not
+        # fall back to CSV
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format=xml\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "format must be one of csv, json, got 'xml'" in err
+        code, _, _ = run([command, "--format", "xml"], capsys)
+        assert code == EXIT_USAGE
 
 
 class TestEfReport:
@@ -428,15 +455,19 @@ class TestOutputBytes:
         # D = 1 is squarefree and coprime to 2N (conductor exact); D = 2 and
         # D = 4 are not
         args = ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "1", "--dmax", "4"]
-        kern = TriangleKernel(math.log(500.0))
-        reports = [ef_total(TwistedCurve(ncm_curve, D), kern, primes_1e4) for D in (1, 2, 3, 4)]
-        assert [r.conductor_exact for r in reports] == [True, False, True, False]
+        twists = filter_twists(ncm_curve, range(1, 5), False, False)
+        table = evaluate_reports(twists, math.log(500.0), primes_1e4)
+        assert table.twists.D.tolist() == [1, 2, 3, 4]
+        assert table.twists.conductor_exact.tolist() == [True, False, True, False]
         expected = ",".join(CSV_COLUMNS) + "\n"
-        for r in reports:
+        for i, D in enumerate(table.twists.D.tolist()):
             expected += (
-                f"{r.D},{r.lam!r},{r.log_conductor!r},{str(r.conductor_exact).lower()},"
-                f"{r.prime_sum_m1!r},{r.prime_sum_m2!r},{r.prime_sum_tail!r},"
-                f"{r.archimedean!r},{r.total_S!r},{r.rank_bound!r},{r.root_number}\n"
+                f"{D},{table.lam!r},{float(table.log_conductor[i])!r},"
+                f"{str(bool(table.twists.conductor_exact[i])).lower()},"
+                f"{float(table.prime_sum_m1[i])!r},{float(table.prime_sum_m2[i])!r},"
+                f"{float(table.prime_sum_tail[i])!r},{table.archimedean!r},"
+                f"{float(table.total_S[i])!r},{float(table.rank_bound[i])!r},"
+                f"{int(table.twists.root_number[i])}\n"
             )
         code, out, _ = run(args, capsys)
         assert code == EXIT_OK
@@ -450,7 +481,7 @@ class TestOutputBytes:
         data = json.loads(out)
         assert [list(row) for row in data] == [CSV_COLUMNS + ["twisted_upper_bound"]] * 4
         assert [row["conductor_exact"] for row in data] == [True, False, True, False]
-        assert [row["rank_bound"] for row in data] == [r.rank_bound for r in reports]
+        assert [row["rank_bound"] for row in data] == table.rank_bound.tolist()
         assert out == json.dumps(data, indent=2) + "\n"
 
 
@@ -600,6 +631,8 @@ class TestBenchmarkInterface:
             "family_moments.MomentTable.to_csv",
             "family_moments.MomentTable.to_json",
             "curve.TwistedCurve.as_curve_model",
+            "explicit_formula.ef_total",
+            "explicit_formula.prime_side",
         }
         names = [f"{layer}.{func}" for layer, funcs in tracer.SPANS.items() for func in funcs]
         names += [full for funcs in tracer.COUNTERS.values() for full in funcs]

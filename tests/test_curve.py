@@ -9,7 +9,6 @@ from twistrank.arith import is_prime, is_squarefree, kronecker
 from twistrank.curve import (
     CurveModel,
     MissingBadPrimeData,
-    TwistedCurve,
     _LANES,
     _ap_char_sum,
     _ap_lanes,
@@ -19,7 +18,9 @@ from twistrank.curve import (
     ap_array,
     cpm,
     load_catalog,
+    twist_columns,
 )
+from twistrank.family_moments import filter_twists
 
 from conftest import brute_point_count, twisted_model
 
@@ -461,20 +462,24 @@ class TestCpm:
 
 class TestTwisting:
     def test_twisted_model_fields(self, cm_curve, ncm_curve):
-        model = twisted_model(TwistedCurve(cm_curve, -3))
+        model = twisted_model(cm_curve, -3)
         assert (model.A, model.B) == (9, 0)
-        tw2 = TwistedCurve(CurveModel(A=2, B=5, conductor=11, root_number=1, a2=0, a3=0), 3)
-        model2 = twisted_model(tw2)
+        model2 = twisted_model(CurveModel(A=2, B=5, conductor=11, root_number=1, a2=0, a3=0), 3)
         assert (model2.A, model2.B) == (18, 135)
         # metadata: a_p(E) times the character of d_K, and 0 when p | D
-        by5 = twisted_model(TwistedCurve(ncm_curve, 5))
+        by5 = twisted_model(ncm_curve, 5)
         assert (by5.a2, by5.a3) == (2, 3)
-        assert twisted_model(TwistedCurve(ncm_curve, 3)).a2 == 0  # d_K = 12
-        assert twisted_model(TwistedCurve(ncm_curve, 6)).a3 == 0
+        assert twisted_model(ncm_curve, 3).a2 == 0  # d_K = 12
+        assert twisted_model(ncm_curve, 6).a3 == 0
 
-    def test_rejects_zero(self, cm_curve):
-        with pytest.raises(ValueError):
-            TwistedCurve(cm_curve, 0)
+    def test_zero_row(self, cm_curve):
+        # D = 0 is a row of the columns, but no twist: no filter keeps it
+        row = twist_columns(cm_curve, range(0, 1))
+        assert row.D.tolist() == [0]
+        assert row.kernel.tolist() == [0] and row.root_number.tolist() == [0]
+        assert row.squarefree.tolist() == [False] and row.conductor_exact.tolist() == [False]
+        for flags in ((False, False), (True, True)):
+            assert len(filter_twists(cm_curve, range(0, 1), *flags)) == 0
 
     def test_character_rule_matches_twisted_model(self, cm_curve, ncm_curve, bad3_curve, primes_1e3):
         # a_p(E_D) = (D|p) a_p(E) at every p > 3, bad primes of the model
@@ -483,37 +488,39 @@ class TestTwisting:
         for curve in (cm_curve, ncm_curve, bad3_curve):
             base = _ap_values(curve, ps)
             for D in [d for d in range(-20, 21) if d]:
-                model = twisted_model(TwistedCurve(curve, D))
+                model = twisted_model(curve, D)
                 chi = np.array([kronecker(D, p) for p in ps.tolist()])
                 assert (_ap_values(model, ps) == chi * base).all(), (curve.label, D)
 
     def test_p_divides_D(self, ncm_curve):
-        model = twisted_model(TwistedCurve(ncm_curve, 15))
+        model = twisted_model(ncm_curve, 15)
         assert ap(model, 3) == 0
         assert ap(model, 5) == 0
 
     def test_square_twist_restores_ap(self, ncm_curve, primes_1e3):
-        model = twisted_model(TwistedCurve(ncm_curve, 25))
+        model = twisted_model(ncm_curve, 25)
         for p in (7, 11, 13, 17):
             assert ap(model, p) == ap(ncm_curve, p)
 
     def test_sign_flip(self, ncm_curve):
-        model = twisted_model(TwistedCurve(ncm_curve, 3))
+        model = twisted_model(ncm_curve, 3)
         for p in (7, 11, 13):
             assert ap(model, p) == ap(ncm_curve, p) * kronecker(3, p)
 
     def test_conductor_bound(self, cm_curve, ncm_curve):
-        assert TwistedCurve(ncm_curve, 1).conductor_bound == 37
-        tw = TwistedCurve(ncm_curve, 5)
-        assert tw.conductor_exact and tw.conductor_bound == 37 * 25
-        tw4 = TwistedCurve(ncm_curve, 4)
-        assert not tw4.conductor_exact
-        assert tw4.conductor_bound <= 2**8 * 3**5 * 37 * 16
+        tw = twist_columns(ncm_curve, range(1, 6))  # D = 1..5
+        bounds = tw.conductor_bounds()
+        assert bounds[0] == 37
+        assert tw.conductor_exact[4] and bounds[4] == 37 * 25
+        assert not tw.conductor_exact[3]
+        assert bounds[3] <= 2**8 * 3**5 * 37 * 16
         # D = 4 is a square twist: same curve, so the bound must cover N_E
-        assert tw4.conductor_bound >= 37
+        assert bounds[3] >= 37
 
     def test_root_number(self, cm_curve, ncm_curve):
-        assert TwistedCurve(ncm_curve, 1).root_number == ncm_curve.root_number
+        tw = twist_columns(ncm_curve, range(-60, 61))
+        roots = dict(zip(tw.D.tolist(), tw.root_number.tolist()))
+        assert roots[1] == ncm_curve.root_number
         # odd conductor: the relation is defined for every clean D
         seen = set()
         for D in range(-60, 61):
@@ -521,20 +528,19 @@ class TestTwisting:
                 continue
             if math.gcd(D, 2 * ncm_curve.conductor) != 1:
                 continue
-            w = TwistedCurve(ncm_curve, D).root_number
-            seen.add(w)
-            assert w in (-1, 1)
+            seen.add(roots[D])
+            assert roots[D] in (-1, 1)
         assert seen == {-1, 1}
 
     def test_root_number_even_conductor_degenerate(self, cm_curve):
         # chi_D ramifies at 2 for D = 3 mod 4, and -N is even: undetermined
-        assert TwistedCurve(cm_curve, 3).root_number == 0
-        assert TwistedCurve(cm_curve, -3).root_number == -1
-        assert TwistedCurve(cm_curve, 5).root_number == 1
+        tw = twist_columns(cm_curve, range(-3, 6))
+        roots = dict(zip(tw.D.tolist(), tw.root_number.tolist()))
+        assert (roots[3], roots[-3], roots[5]) == (0, -1, 1)
 
     def test_root_number_domainis_clean(self, ncm_curve):
         # D = 4 is not squarefree and D = 37 divides N: no sign is determined
-        for D in (4, 37):
-            twist = TwistedCurve(ncm_curve, D)
-            assert not twist.conductor_exact
-            assert twist.root_number == 0
+        tw = twist_columns(ncm_curve, range(4, 38))
+        for i in (0, 33):  # D = 4 and D = 37
+            assert not tw.conductor_exact[i]
+            assert tw.root_number[i] == 0

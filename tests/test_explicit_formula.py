@@ -5,21 +5,18 @@ import pytest
 
 import twistrank.explicit_formula as ef
 from twistrank.arith import sieve_primes
-from twistrank.curve import TwistedCurve, cpm, twist_columns
+from twistrank.curve import cpm, twist_columns
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
     beta_array,
-    ef_total,
     evaluate_reports,
-    prime_side,
     prime_sides,
-    twisted_upper_bound,
 )
 from twistrank.family_moments import filter_twists
 from twistrank.kernel import TriangleKernel, triangle
 
-from conftest import fsum_prime_sides, trial_twist_invariants, twist_cpm
+from conftest import fsum_prime_sides, one_row_prime_sides, one_twist, trial_twist_invariants, twist_cpm
 
 
 class TestBeta:
@@ -49,7 +46,7 @@ class TestBeta:
 class TestPrimeSide:
     def test_trivial_twist_matches_base_sum(self, ncm_curve, primes_1e4):
         kern = TriangleKernel(math.log(2000.0))
-        m1, m2, tail = prime_side(TwistedCurve(ncm_curve, 1), kern, primes_1e4)
+        m1, m2, tail = one_row_prime_sides(ncm_curve, 1, kern, primes_1e4)
         # base m=1 sum computed independently
         lam = kern.lam
         expect = math.fsum(
@@ -62,31 +59,29 @@ class TestPrimeSide:
     def test_insufficient_table_names_limit(self, cm_curve, primes_1e3):
         kern = TriangleKernel(math.log(50_000.0))
         with pytest.raises(InsufficientPrimeTable) as err:
-            prime_side(TwistedCurve(cm_curve, 5), kern, primes_1e3)
+            prime_sides(cm_curve, [5], kern, primes_1e3)
         assert err.value.required == 50_000
 
     def test_tail_bound(self, cm_curve, ncm_curve, primes_1e4):
         # |tail| stays below the absolute constant 3 fixed by the dominating
         # series sum 2 log n / n^(3/2)
         for curve in (cm_curve, ncm_curve):
-            for D in (1, -3, 5, 12):
-                for x in (100.0, 1e4):
-                    kern = TriangleKernel(math.log(x))
-                    _, _, tail = prime_side(TwistedCurve(curve, D), kern, primes_1e4)
-                    assert abs(tail) <= 3.0
+            for x in (100.0, 1e4):
+                kern = TriangleKernel(math.log(x))
+                tails = prime_sides(curve, [1, -3, 5, 12], kern, primes_1e4)[2]
+                assert (abs(tails) <= 3.0).all()
 
     def test_tail_bound_large_lambda(self, cm_curve, ncm_curve, primes_1e4):
         # at lam = log(1e6) only p < 100 contribute to m >= 3; recompute the
         # tail definition directly without the m = 1 cost
         lam = math.log(1e6)
         for curve in (cm_curve, ncm_curve):
-            tw = TwistedCurve(curve, -7)
             terms = []
             for p in (int(q) for q in primes_1e4.primes if q < 101):
                 pm, m = p**3, 3
                 while pm < 1e6:
                     terms.append(
-                        twist_cpm(tw, p, m) * math.log(p) / pm * triangle(m * math.log(p) / lam)
+                        twist_cpm(curve, -7, p, m) * math.log(p) / pm * triangle(m * math.log(p) / lam)
                     )
                     pm *= p
                     m += 1
@@ -94,20 +89,20 @@ class TestPrimeSide:
 
 
 class TestPrimeSideOracle:
-    """prime_side against the direct term-by-term sum over every p^m."""
+    """prime_sides against the direct term-by-term sum over every p^m."""
 
     @staticmethod
-    def _direct(tw, lam, primes):
+    def _direct(curve, D, lam, primes):
         cutoff = math.exp(lam)
         sums = ([], [], [])
         for p in (int(q) for q in primes.below(cutoff)):
             lp = math.log(p)
             # the m = 1 weight (log p)/p F is formed before the coefficient
             # multiplies it, as in beta_array
-            sums[0].append(twist_cpm(tw, p, 1) * (lp / p * triangle(lp / lam)))
+            sums[0].append(twist_cpm(curve, D, p, 1) * (lp / p * triangle(lp / lam)))
             pm, m = p * p, 2
             while pm < cutoff:
-                term = twist_cpm(tw, p, m) * lp / pm * triangle(m * lp / lam)
+                term = twist_cpm(curve, D, p, m) * lp / pm * triangle(m * lp / lam)
                 sums[min(m, 3) - 1].append(term)
                 pm *= p
                 m += 1
@@ -115,16 +110,14 @@ class TestPrimeSideOracle:
 
     def _check_every_twist(self, curves, x, primes):
         # every D in [-300, 300]: non-squarefree, even and D sharing a prime
-        # with N included
+        # with N included, in one batch per curve
         lam = math.log(x)
         kern = TriangleKernel(lam)
+        ds = [D for D in range(-300, 301) if D]
         for curve in curves:
-            for D in range(-300, 301):
-                if D == 0:
-                    continue
-                tw = TwistedCurve(curve, D)
-                got = prime_side(tw, kern, primes)
-                assert repr(got) == repr(self._direct(tw, lam, primes)), (curve.label, x, D)
+            got = prime_sides(curve, ds, kern, primes).T.tolist()
+            for D, row in zip(ds, got):
+                assert repr(tuple(row)) == repr(self._direct(curve, D, lam, primes)), (curve.label, x, D)
 
     @pytest.mark.parametrize("x", [30.0, 200.0, 1e3, 1e4])
     def test_matches_direct_sum(self, cm_curve, ncm_curve, primes_1e4, x):
@@ -138,7 +131,7 @@ class TestPrimeSideOracle:
 
 
 class TestBatchInvariance:
-    """prime_sides over a batch against one-twist prime_side calls."""
+    """prime_sides and evaluate_reports over a batch against one-row calls."""
 
     X = 1e3
 
@@ -148,7 +141,7 @@ class TestBatchInvariance:
 
     @staticmethod
     def _one_by_one(curve, ds, kern, primes):
-        return [prime_side(TwistedCurve(curve, D), kern, primes) for D in ds]
+        return [one_row_prime_sides(curve, D, kern, primes) for D in ds]
 
     def test_batch_lengths_around_the_chunk(self, ncm_curve, primes_1e4, chunk):
         kern = TriangleKernel(math.log(self.X))
@@ -161,7 +154,7 @@ class TestBatchInvariance:
 
     def test_mixed_curves_in_input_order(self, cm_curve, ncm_curve, bad3_curve, primes_1e4, chunk):
         # each curve over more than a chunk of twists in descending order, and
-        # the table of a run of twists against one-twist reports
+        # the table of a run of twists against one-row tables
         kern = TriangleKernel(math.log(self.X))
         half = 3 * chunk // 2 + 9
         ds = [D for D in range(half, -half, -1) if D]
@@ -172,8 +165,8 @@ class TestBatchInvariance:
             twists = filter_twists(curve, range(-half, half), False, False)
             table = evaluate_reports(twists, kern.lam, primes_1e4)
             assert twists.D.tolist() == [D for D in range(-half, half) if D]
-            reports = [table.report(i) for i in range(len(table))]
-            assert repr(reports) == repr([ef_total(TwistedCurve(curve, D), kern, primes_1e4) for D in twists.D.tolist()])
+            expected = [one_twist(curve, D, kern.lam, primes_1e4) for D in twists.D.tolist()]
+            assert repr(table.records()) == repr(expected), curve.label
 
 
 class TestColumnarOracle:
@@ -230,63 +223,60 @@ class TestCharacterAtTwo:
     """chi_D(2) = (D|2) for D = 1 mod 4 and 0 otherwise, whether or not 2 | N."""
 
     @pytest.mark.parametrize("conductor", [105, 210])
-    def test_pinned_through_the_prime_side(self, bad3_curve, primes_1e3, conductor):
+    def test_pinned_through_the_prime_sides(self, bad3_curve, primes_1e3, conductor):
         # x = 3: p = 2 is the only prime power below e^lambda, so prime_m1 is
         # chi_D(2) c_2 times a weight; x = 5: prime_m2 is the p^m = 4 term
         # alone (c_4 = a_2^2 = 1 when 2 | N, a_2^2 - 4 = -3 otherwise)
         curve = replace(bad3_curve, conductor=conductor)
         at3, at5 = TriangleKernel(math.log(3.0)), TriangleKernel(math.log(5.0))
-        m1_base = prime_side(TwistedCurve(curve, 1), at3, primes_1e3)[0]
-        m2_base = prime_side(TwistedCurve(curve, 1), at5, primes_1e3)[1]
+        m1_base = one_row_prime_sides(curve, 1, at3, primes_1e3)[0]
+        m2_base = one_row_prime_sides(curve, 1, at5, primes_1e3)[1]
         assert m1_base != 0.0 and m2_base != 0.0
-        for D in (d for d in range(-16, 17) if d):
+        ds = [d for d in range(-16, 17) if d]
+        m1s = prime_sides(curve, ds, at3, primes_1e3)[0].tolist()
+        m2s = prime_sides(curve, ds, at5, primes_1e3)[1].tolist()
+        for D, m1, m2 in zip(ds, m1s, m2s):
             chi = {1: 1, 5: -1}.get(D % 8, 0)  # D = 3 mod 4 and even D: 0
-            tw = TwistedCurve(curve, D)
-            m1 = prime_side(tw, at3, primes_1e3)[0]
-            m2 = prime_side(tw, at5, primes_1e3)[1]
             assert (m1, m2) == (chi * m1_base, chi * chi * m2_base), D
 
 
 class TestEfTotal:
+    """The explicit-formula total of one-row tables."""
+
     def test_trivial_twist_exact_conductor(self, ncm_curve, primes_1e4):
-        kern = TriangleKernel(math.log(1000.0))
-        rep = ef_total(TwistedCurve(ncm_curve, 1), kern, primes_1e4)
-        assert rep.log_conductor == math.log(37)
-        assert rep.conductor_exact
-        assert rep.root_number == ncm_curve.root_number
+        rec = one_twist(ncm_curve, 1, math.log(1000.0), primes_1e4)
+        assert rec["log_conductor"] == math.log(37)
+        assert rec["conductor_exact"]
+        assert rec["root_number"] == ncm_curve.root_number
 
     def test_field_identity_reconstructs(self, cm_curve, primes_1e4):
-        kern = TriangleKernel(math.log(5000.0))
         for D in (1, -3, 10, 21):
-            rep = ef_total(TwistedCurve(cm_curve, D), kern, primes_1e4)
-            rebuilt = rep.log_conductor - 2.0 * (
-                rep.prime_sum_m1 + rep.prime_sum_m2 + rep.prime_sum_tail
-            ) - rep.archimedean
-            assert rebuilt == rep.total_S
-            assert rep.rank_bound == rep.total_S / rep.lam
+            rec = one_twist(cm_curve, D, math.log(5000.0), primes_1e4)
+            rebuilt = rec["log_conductor"] - 2.0 * (
+                rec["prime_m1"] + rec["prime_m2"] + rec["prime_tail"]
+            ) - rec["archimedean"]
+            assert rebuilt == rec["total_S"]
+            assert rec["rank_bound"] == rec["total_S"] / rec["lambda"]
 
     def test_minus_D_shares_even_data(self, ncm_curve, primes_1e4):
-        kern = TriangleKernel(math.log(2000.0))
-        a = ef_total(TwistedCurve(ncm_curve, 13), kern, primes_1e4)
-        b = ef_total(TwistedCurve(ncm_curve, -13), kern, primes_1e4)
-        assert a.log_conductor == b.log_conductor
-        assert a.archimedean == b.archimedean
+        a = one_twist(ncm_curve, 13, math.log(2000.0), primes_1e4)
+        b = one_twist(ncm_curve, -13, math.log(2000.0), primes_1e4)
+        assert a["log_conductor"] == b["log_conductor"]
+        assert a["archimedean"] == b["archimedean"]
         # m = 2 differs only at p = 2 through the character at 2
-        assert a.prime_sum_m2 == pytest.approx(b.prime_sum_m2, abs=0.5)
+        assert a["prime_m2"] == pytest.approx(b["prime_m2"], abs=0.5)
 
     def test_rank_bound_scaling(self, cm_curve, primes_1e4):
-        kern = TriangleKernel(math.log(1000.0))
-        rep = ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)
-        assert rep.rank_bound == rep.total_S / math.log(1000.0)
+        rec = one_twist(cm_curve, 5, math.log(1000.0), primes_1e4)
+        assert rec["rank_bound"] == rec["total_S"] / math.log(1000.0)
 
     def test_twisted_upper_bound_majorizes(self, cm_curve, primes_1e4):
         # the coarse bound drops the m>=2 terms and replaces log N by
         # 2log|D| + lambda/2; for clean twists of the shipped curves it
         # stays above total_S once |D| is moderately large
-        kern = TriangleKernel(math.log(1000.0))
         for D in (-103, 101, 145):
-            rep = ef_total(TwistedCurve(cm_curve, D), kern, primes_1e4)
-            assert twisted_upper_bound(rep) >= rep.total_S - 1.0
+            rec = one_twist(cm_curve, D, math.log(1000.0), primes_1e4)
+            assert rec["twisted_upper_bound"] >= rec["total_S"] - 1.0
 
 
 class TestSerialization:
@@ -297,7 +287,7 @@ class TestSerialization:
         assert [r["D"] for r in records] == [-3, -2, -1, 1]
         record = records[-1]
         assert list(record)[: len(CSV_COLUMNS)] == CSV_COLUMNS
-        assert record["rank_bound"] == ef_total(TwistedCurve(cm_curve, 1), kern, primes_1e4).rank_bound
+        assert record["rank_bound"] == one_twist(cm_curve, 1, kern.lam, primes_1e4)["rank_bound"]
         assert record["conductor_exact"] is True  # the writer spells it true
         # Python scalars only, as csv and json need
         assert {type(v) for r in records for v in r.values()} == {int, float, bool}
@@ -305,8 +295,8 @@ class TestSerialization:
     def test_json(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
         data = evaluate_reports(twist_columns(cm_curve, range(5, 6)), kern.lam, primes_1e4).records()
-        report = ef_total(TwistedCurve(cm_curve, 5), kern, primes_1e4)
         assert data[0]["D"] == 5
-        assert data[0]["rank_bound"] == report.rank_bound
         assert list(data[0]) == CSV_COLUMNS + ["twisted_upper_bound"]
-        assert data[0]["twisted_upper_bound"] == twisted_upper_bound(report)
+        # the coarse bound 2 log|D| + lambda/2 - 2*(m=1 sum), in JSON only
+        expected = 2.0 * math.log(5) + 0.5 * kern.lam - 2.0 * data[0]["prime_m1"]
+        assert data[0]["twisted_upper_bound"] == expected

@@ -301,7 +301,7 @@ class TestPartitionAndTail:
         assert plus_rows.table.rank_bound.tolist() == all_rows.table.rank_bound[plus].tolist()
 
 
-    def test_sign_filter_precedes_prime_side(self, ncm_curve, primes_1e4, monkeypatch):
+    def test_sign_filter_precedes_prime_sides(self, ncm_curve, primes_1e4, monkeypatch):
         # the batched prime side sees each kept row once and never a twist
         # of the other sign
         evaluated = []
