@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from functools import cached_property, lru_cache
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -23,12 +23,14 @@ __all__ = [
     "sieve_primes",
     "kronecker",
     "legendre_matrix",
+    "legendre_range",
     "mobius",
     "squarefree_part",
     "squarefree_kernels",
     "SQUAREFREE_SIEVE_MAX",
     "is_squarefree",
     "exact_sum",
+    "ExactSums",
     "fixed_point_scale",
     "fixed_point_limbs",
     "round_fixed_point",
@@ -181,9 +183,9 @@ def kronecker(a: int, n: int) -> int:
 # is at most _TABLE_P_PER_ROW times the columns left to Euler's criterion
 # costs O(n) in tables of its prime factors and a few gathers per cell.
 _TABLE_P_PER_ROW = 16
-# Tables of primes up to this bound are kept (4 KB each at most); a larger
-# prime factor of a reciprocity row builds its table for the one call, so
-# that a run over many D does not keep a table per large prime.
+# Tables of primes up to this bound are kept (563 tables, 1.1 MB in all); a
+# larger prime builds its table for the one call, so that a run over many D
+# or many primes does not keep a table per large prime.
 _KEPT_TABLE_MAX = 1 << 12
 # Reciprocity rows have |d| below this, so |d| and its odd part fit int64.
 _RECIPROCITY_D_MAX = 1 << 62
@@ -208,7 +210,12 @@ def _squares_mod(p: int) -> np.ndarray:
     return table
 
 
-_residue_table = lru_cache(maxsize=4096)(_squares_mod)
+_kept_table = lru_cache(maxsize=None)(_squares_mod)
+
+
+def _residue_table(p: int) -> np.ndarray:
+    """_squares_mod(p), kept for p <= _KEPT_TABLE_MAX."""
+    return _kept_table(p) if p <= _KEPT_TABLE_MAX else _squares_mod(p)
 
 
 def _table_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -277,9 +284,9 @@ def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
     odd = k % 2 == 1
     if odd.any():
         qs, which = np.unique(q[odd], return_inverse=True)
-        tables = np.stack(
-            [(_residue_table if f <= _KEPT_TABLE_MAX else _squares_mod)(f)[ps % f] for f in qs.tolist()]
-        )
+        tables = np.empty((qs.size, ps.size), dtype=np.int8)
+        for table, f in zip(tables, qs.tolist()):
+            table[:] = _residue_table(f)[ps % f]
         # a row's j-th factor for every row at once: rows are unique per j
         row_odd = row[odd]
         rank = np.arange(row_odd.size) - np.searchsorted(row_odd, row_odd)
@@ -330,6 +337,26 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     (rows,) = np.nonzero(~small)
     if rows.size:
         out[rows[:, None], cols] = _euler_symbols(_residues(d[rows], ps), ps)
+    return out
+
+
+def legendre_range(lo: int, off: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """Legendre symbols (lo + t | p) for every t of off (rows, t >= 0) and
+    every odd prime p of ps (columns), as an int8 matrix of shape
+    (len(off), len(ps)).
+
+    Along consecutive d, (d|p) has period p: each column is the residue
+    table of p (_residue_table) laid end to end over the span max(off) + 1
+    from the residue lo mod p, read at off.  That costs O(span + p) per
+    prime (and O(p) to build a table not kept) and one gather per cell, no
+    arithmetic mod p: it pays when the rows are dense in their span.
+    """
+    span = int(off.max(initial=-1)) + 1
+    out = np.empty((off.size, ps.size), dtype=np.int8)
+    for j, (p, start) in enumerate(zip(ps.tolist(), (lo % ps).tolist())):
+        tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
+        tiled[:] = _residue_table(p)
+        out[:, j] = tiled.reshape(-1)[start:][off]
     return out
 
 
@@ -489,21 +516,59 @@ def round_fixed_point(sums: np.ndarray, emin: int) -> np.ndarray:
     return np.where(nonzero.any(axis=1), sign * value, 0.0)
 
 
+class ExactSums:
+    """math.fsum of one float64 column over any subsets of its rows, from
+    one split of the column into fixed point.
+
+    The nonzero values share the scale of fixed_point_scale, and each lies
+    in three consecutive limbs (_limb_pieces), kept as int32 pieces with
+    the int16 index of the first (zeros: pieces 0 at limb 0), 14 bytes a
+    row.  A subset's limb sums are one bincount per piece and block of
+    FIXED_POINT_ROWS values, exact since every partial sum is an integer
+    below 2^53, and one round_fixed_point rounds all the subsets of a call:
+    O(len) numpy work per subset where fsum's partials grow with the range
+    of magnitudes.  A subnormal result, where the final scaling could round
+    twice, is left to math.fsum.
+    """
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+        nonzero = values != 0.0
+        self.emin, count = fixed_point_scale(values[nonzero])
+        self.bins = count + 2
+        first, pieces = _limb_pieces(values, self.emin)
+        self.first = np.where(nonzero, first, 0).astype(np.int16)  # limb indices below count + 2 < 100
+        self.pieces = pieces.astype(np.int32)
+
+    @cached_property
+    def total(self) -> float:
+        """The sum over every row."""
+        return self.sums([None])[0]
+
+    def sums(self, masks: Sequence[Optional[np.ndarray]]) -> List[float]:
+        """The sum over the rows where each boolean mask holds (None: every
+        row), one float per mask."""
+        limbs = np.zeros((len(masks), self.bins), dtype=np.int64)
+        for row, mask in zip(limbs, masks):
+            first, pieces = self.first, self.pieces
+            if mask is not None:
+                first, pieces = first[mask], pieces[:, mask]
+            for start in range(0, first.size, FIXED_POINT_ROWS):
+                block = slice(start, start + FIXED_POINT_ROWS)
+                for i, piece in enumerate(pieces[:, block]):
+                    row += np.bincount(first[block] + i, weights=piece, minlength=self.bins).astype(np.int64)
+        totals = round_fixed_point(limbs, self.emin).tolist()
+        return [
+            math.fsum((self.values if mask is None else self.values[mask]).tolist())
+            if 0.0 < abs(total) < _SMALLEST_NORMAL
+            else total
+            for total, mask in zip(totals, masks)
+        ]
+
+
 def exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values) for a float64 array, by fixed point: each limb's sum
-    is one bincount over blocks of FIXED_POINT_ROWS values, O(len) numpy
-    work where fsum's partials grow with the range of magnitudes.  A
-    subnormal result, where the final scaling could round twice, is left to
-    math.fsum."""
-    values = values[values != 0.0]
-    emin, count = fixed_point_scale(values)
-    sums = np.zeros(count + 2, dtype=np.int64)
-    for start in range(0, values.size, FIXED_POINT_ROWS):
-        first, pieces = _limb_pieces(values[start : start + FIXED_POINT_ROWS], emin)
-        for i, piece in enumerate(pieces):
-            sums += np.bincount(first + i, weights=piece, minlength=count + 2).astype(np.int64)
-    total = float(round_fixed_point(sums[None, :], emin)[0])
-    return math.fsum(values.tolist()) if 0.0 < abs(total) < _SMALLEST_NORMAL else total
+    """math.fsum(values) for a float64 array, by fixed point (ExactSums)."""
+    return ExactSums(values).total
 
 
 def _factor_trial(n: int):

@@ -49,13 +49,20 @@ AP_SECONDS_PER_PRIME_AT_CAP = 0.08e-3
 AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
 # measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4), per
 # candidate D: 1.8-3.4 us to weigh, sieve, filter and log the conductor (x = 30
-# to 1e3, D near 1e5 to 1e6); per (kept twist, x / log(x) prime), 0.2 and
-# 0.32-0.34 us at x = 1e4 and 1e5 where the character row is Euler's criterion
-# (|D| near 1e9), and 0.05 and 0.08-0.11 us where it is read by reciprocity (an
-# odd part of D up to 16 times the primes: |D| up to 1e5); and the squarefree
-# sieve's base-prime table, 10 ns per unit of sqrt(max |D|) (1.0 s at 1e16)
+# to 1e3, D near 1e5 to 1e6; 0.8-1.0 us at x = 1e4 to 1e5); and per (candidate
+# D, prime below x), by how explicit_formula.prime_sides reads the character:
+#   table: a prime up to the span of a run of consecutive D reads its residue
+#     table, 2.7 ns at x = 1e4 (the k = 1 sweep: 3.6e5 candidates, 1,229
+#     primes, 1.2 s), 2.4 ns at 3e4 (9.8e5 candidates, 3,245 primes, 7.7 s)
+#     and 3.6 ns at 1e5 (T = 5e5; the a_p table included);
+#   reciprocity: a D whose odd part is at most 16 times the other primes,
+#     15-32 ns (24 to 801 D near 0 at x = 1e4 to 1e5, tables included);
+#   euler: Euler's criterion elsewhere, 0.14-0.25 us (24 to 801 D near 1e9
+#     and 1e12 at x = 1e4 to 1e5);
+# and the squarefree sieve's base-prime table, 10 ns per unit of sqrt(max |D|)
+# (1.0 s at 1e16).  The prices below are about twice the measured costs.
 TWIST_SECONDS_PER_D = 3.5e-6
-TWIST_SECONDS_PER_PRIME = 0.35e-6
+TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
 # a family is held in memory as columns, about 170 bytes per candidate D
 TWIST_CANDIDATE_CAP = 1 << 22
@@ -242,29 +249,46 @@ def _sieve(limit: int, what: str):
     return sieve_primes(limit)
 
 
+def _twist_cost_estimate(ds: range, x: float) -> float:
+    """Seconds to evaluate the candidate D of ds (consecutive) over the primes
+    below x, about x / log(x) of them, each candidate costed as a kept twist:
+    TWIST_SECONDS_PER_D, plus a TWIST_SECONDS_PER_PRIME price per prime by
+    how its character is read, plus the squarefree sieve's table of base
+    primes up to sqrt(max |D|).  The primes up to len(ds), which the run
+    spans, read tables; the others are read by reciprocity if every |D| is
+    at most 16 times their number, by Euler's criterion otherwise."""
+    n_primes = x / math.log(max(x, 3.0))
+    span = min(x, len(ds))
+    n_table = span / math.log(max(span, 3.0))
+    n_rest = max(n_primes - n_table, 0.0)
+    max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
+    rest = "reciprocity" if max_d <= 16 * n_rest else "euler"
+    per_d = (
+        TWIST_SECONDS_PER_D
+        + n_table * TWIST_SECONDS_PER_PRIME["table"]
+        + n_rest * TWIST_SECONDS_PER_PRIME[rest]
+    )
+    return len(ds) * per_d + math.isqrt(max_d) * SIEVE_SECONDS_PER_ROOT_D
+
+
 def _check_twist_cost(ds: range, x: float, what: str) -> None:
     """Refuse (exit 2), before any enumeration, a run over the candidate D of
     ds with primes below x: when some |D| passes SQUAREFREE_SIEVE_MAX (the
     sieve's base primes, up to sqrt(|D|), would pass PRIME_LIMIT_CAP), when
-    the twists are estimated to take longer than TWIST_BUDGET_S, or when ds
-    holds more than TWIST_CANDIDATE_CAP candidates.  Every candidate is
-    costed as a kept twist over about x / log(x) primes, plus the squarefree
-    sieve's table of base primes up to sqrt(max |D|)."""
-    n_primes = x / math.log(max(x, 3.0))
+    the twists are estimated (_twist_cost_estimate) to take longer than
+    TWIST_BUDGET_S, or when ds holds more than TWIST_CANDIDATE_CAP
+    candidates."""
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
     if max_d > SQUAREFREE_SIEVE_MAX:
         raise ConfigError(
             f"{what} reaches |D| = {max_d}, above the cap {SQUAREFREE_SIEVE_MAX}: the "
             f"squarefree sieve would need primes up to sqrt(|D|), above {PRIME_LIMIT_CAP}"
         )
-    estimate = (
-        len(ds) * (TWIST_SECONDS_PER_D + n_primes * TWIST_SECONDS_PER_PRIME)
-        + math.isqrt(max_d) * SIEVE_SECONDS_PER_ROOT_D
-    )
+    estimate = _twist_cost_estimate(ds, x)
     if estimate > TWIST_BUDGET_S:
         raise ConfigError(
-            f"{what} evaluates up to {len(ds)} twists over about {n_primes:.0f} primes "
-            f"with |D| up to {max_d}, estimated at {estimate / 60:.0f} min, "
+            f"{what} evaluates up to {len(ds)} twists over about {x / math.log(max(x, 3.0)):.0f} "
+            f"primes with |D| up to {max_d}, estimated at {estimate / 60:.0f} min, "
             f"above the budget of {TWIST_BUDGET_S / 60:.0f} min"
         )
     if len(ds) > TWIST_CANDIDATE_CAP:

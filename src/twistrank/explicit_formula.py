@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .arith import (
     fixed_point_limbs,
     fixed_point_scale,
     legendre_matrix,
+    legendre_range,
     round_fixed_point,
 )
 from .curve import CurveModel, Twists, ap_array, cpm
@@ -94,15 +95,29 @@ def _term(c: int, p: int, m: int, lam: float) -> float:
 @dataclass(frozen=True)
 class _Group:
     """One group of the plan (m = 1, m = 2 or m >= 3): for each term, the
-    column of its prime p in the character matrix, its m and its value
-    c_{p^m}(E) (log p)/p^m F(m log p / lambda); limbs and emin hold the
-    values as exact fixed point (arith.fixed_point_limbs)."""
+    column of its prime p in the plan, its m and its value c_{p^m}(E)
+    (log p)/p^m F(m log p / lambda); limbs and emin hold the values as
+    exact fixed point (arith.fixed_point_limbs).  The terms run in
+    ascending p."""
 
-    index: np.ndarray
+    column: np.ndarray
     power: np.ndarray
     terms: np.ndarray
     limbs: np.ndarray
     emin: int
+
+    def add_products(self, sums: np.ndarray, first: int, chi: np.ndarray) -> None:
+        """Add to sums the limbs of the terms whose columns chi holds (chi's
+        column j is the plan's column first + j), each times chi_D(p)^m."""
+        width = chi.shape[1]
+        lo, hi = np.searchsorted(self.column, (first, first + width))
+        if lo == hi:
+            return
+        cols = self.column[lo:hi] - first
+        block = chi if cols.size == width and (cols == np.arange(width)).all() else chi[:, cols]
+        if self.power[lo:hi].max() > 1:
+            block = block ** self.power[lo:hi]
+        sums += block @ self.limbs[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -112,10 +127,11 @@ class _PrimePlan:
     ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda whose
     term is nonzero (c_{p^m}(E) != 0).  At every prime, 2 and those dividing
     N included, c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E), so a twist only flips
-    the sign of a term or zeroes it.
+    the sign of a term or zeroes it.  ``columns`` holds the primes of those
+    terms, ascending: the only primes whose character a twist needs.
     """
 
-    primes: np.ndarray
+    columns: np.ndarray
     groups: Tuple[_Group, ...]
 
 
@@ -124,15 +140,10 @@ class _PrimePlan:
 _PLAN_CACHE: Dict[tuple, _PrimePlan] = {}
 
 
-def _group(index: List[int], power: List[int], terms: np.ndarray) -> _Group:
-    keep = terms != 0.0  # a zero term (F = 0 at the cutoff) adds nothing to any sum
-    terms = terms[keep]
+def _group(column: np.ndarray, power: np.ndarray, terms: np.ndarray) -> _Group:
     emin, count = fixed_point_scale(terms)
     limbs = fixed_point_limbs(terms, emin, count)
-    return _Group(
-        np.asarray(index, dtype=np.int64)[keep], np.asarray(power, dtype=np.int8)[keep],
-        terms, limbs, emin,
-    )  # fmt: skip
+    return _Group(column, power, terms, limbs, emin)
 
 
 def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) -> _PrimePlan:
@@ -144,7 +155,7 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     lp = np.log(ps.astype(float))
     weights = lp / ps.astype(float) * triangle(lp / lam)  # (log p)/p F, as in beta_array
     first = np.flatnonzero(aps)
-    groups = [_group(first, np.ones(first.size), aps[first] * weights[first])]
+    raw = [(first, np.ones(first.size, dtype=np.int8), aps[first] * weights[first])]
     higher = {2: ([], [], []), 3: ([], [], [])}  # index, m and term for m = 2 and m >= 3
     for i, p in enumerate(ps[: int(np.searchsorted(ps, math.sqrt(cutoff))) + 1].tolist()):
         m = 2
@@ -156,29 +167,109 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
                 power.append(m)
                 term.append(_term(c, p, m, lam))
             m += 1
-    groups += [_group(i, m, np.array(t, dtype=float)) for i, m, t in higher.values()]
-    plan = _PrimePlan(primes=ps.copy(), groups=tuple(groups))  # a copy: the cache must not pin the table
+    for index, power, term in higher.values():
+        raw.append((np.array(index, dtype=np.int64), np.array(power, dtype=np.int8), np.array(term)))
+    raw = [(i[t != 0.0], m[t != 0.0], t[t != 0.0]) for i, m, t in raw]  # F = 0 at the cutoff adds nothing
+    used = np.zeros(ps.size, dtype=bool)
+    for index, _, _ in raw:
+        used[index] = True
+    column = np.cumsum(used)
+    column -= 1  # the column of each used prime
+    groups = tuple(_group(column[i], m, t) for i, m, t in raw)
+    plan = _PrimePlan(columns=ps[used], groups=groups)  # a copy: the cache must not pin the table
     _PLAN_CACHE[key] = plan
     return plan
 
 
-# Cells of the character matrix evaluated at once, so that the temporaries of
-# a batch stay O(_CHUNK_CELLS) whatever the number of twists: a family sweep at
-# x = 1e3 peaked 1.2 MB (3.4%) above one twist at a time with 2^16 cells and
-# 0.5 MB with 2^14, which ran as fast.
-_CHUNK_CELLS = 1 << 14
+# A chunk of prime_sides spans about this many times the largest prime
+# read: the span of its D covers every prime, so that each column is read
+# from its prime's residue table, and a table built for the chunk (O(p),
+# for p above arith._KEPT_TABLE_MAX) is read over four periods or more.
+# The rows of a chunk follow from the density of ds in its span, at least
+# _CHUNK_ROWS; each chunk's limb sums are rounded before the next, so
+# temporaries stay O(rows), not O(family).
+_CHUNK_SPAN_PER_PRIME = 4
+_CHUNK_ROWS = 1 << 11
+# A chunk reads the tables of the primes up to its span when the span is at
+# most this many times its rows (consecutive D after a sieve and a sign
+# filter); sparser rows are left to arith.legendre_matrix.  A table for a
+# prime up to this many times the rows pays as well, as in legendre_matrix
+# (arith._TABLE_P_PER_ROW, whose reciprocity rule is the same 16).
+_SPAN_PER_ROW = 16
+# Cells of one block of characters, at least _BLOCK_PRIMES primes wide: the
+# int8 block stays within 16 KB and the int64 copy the product makes of it
+# within 128 KB whenever a chunk has at most 2,048 rows.  Narrower blocks
+# cost more per cell than they save: the product took 20 ns a cell at 3
+# primes and 7 ns at 8 (17,500 rows, numpy 2.4, x86-64).
+_BLOCK_CELLS = 1 << 14
+_BLOCK_PRIMES = 8
+# Cells of one arith.legendre_matrix call on the primes a chunk reads no
+# table of.  Its reciprocity tables grow with the rows of a call: the
+# 24-row window of an ef-report at x = 5e4 took 1.6-2.4 ms in one call
+# and 3.2-4.8 ms in four, but one call raised the process's peak RSS by
+# 0.05-0.09 MB.
+_LEGENDRE_CELLS = 1 << 15
 
 # chi_D(2) by D mod 8: (D|2) for D = 1 mod 4, 0 otherwise
 _CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
 
 
-def _characters(ps: np.ndarray, ds: np.ndarray) -> np.ndarray:
-    """chi_D(p) for every D of ds (rows) and p of ps (columns; 2 leads)."""
-    chi = np.empty((ds.size, ps.size), dtype=np.int8)
-    if ps.size:
-        chi[:, 0] = _CHI_AT_2[ds % 8]
-        chi[:, 1:] = legendre_matrix(ds, ps[1:])
-    return chi
+def _character_blocks(ps: np.ndarray, ds: np.ndarray) -> Iterator[tuple]:
+    """(rows, first, chi) covering the characters chi_D(p) for every D of ds
+    and p of ps (ascending; 2 leads if present): chi holds the rows slice of
+    ds and the columns first .. first + chi.shape[1] - 1 of ps, at most
+    _BLOCK_CELLS cells (or _BLOCK_PRIMES columns, if that is more).
+
+    At 2 the character is read off D mod 8.  If the rows are dense in their
+    span, the odd primes up to the span (up to _SPAN_PER_ROW times the rows
+    if the rows are too large for quadratic reciprocity) are read from their
+    residue tables (arith.legendre_range), blocks of primes at a time; the
+    other primes come from one arith.legendre_matrix call per
+    _LEGENDRE_CELLS cells.
+    """
+    n = ds.size
+    every = slice(0, n)
+    first = int(ps.size > 0 and ps[0] == 2)
+    if first:
+        yield every, 0, _CHI_AT_2[ds & 7][:, None]
+    lo = int(ds.min())
+    off = ds - lo
+    span = int(off.max()) + 1
+    last = first
+    if span <= _SPAN_PER_ROW * n:
+        last = max(first, int(np.searchsorted(ps, span, side="right")))
+        if max(-lo, lo + span - 1) > _SPAN_PER_ROW * (ps.size - last):
+            # |D| too large for legendre_matrix's reciprocity rows (an odd
+            # part at most 16 times the columns): above the span, a table
+            # built for the chunk (O(p)) still beats Euler's criterion
+            # (O(rows log p)) up to _SPAN_PER_ROW * rows
+            last = max(last, int(np.searchsorted(ps, _SPAN_PER_ROW * n, side="right")))
+    width = max(_BLOCK_PRIMES, _BLOCK_CELLS // n)
+    for c in range(first, last, width):
+        yield every, c, legendre_range(lo, off, ps[c : min(c + width, last)])
+    rest = ps[last:]
+    if not rest.size:
+        return
+    step = max(1, _LEGENDRE_CELLS // rest.size)
+    for r in range(0, n, step):
+        rows = slice(r, min(r + step, n))
+        chi = legendre_matrix(ds[rows], rest)
+        width = max(_BLOCK_PRIMES, _BLOCK_CELLS // chi.shape[0])
+        for c in range(0, rest.size, width):
+            yield rows, last + c, chi[:, c : c + width]
+
+
+def _chunks(ds: np.ndarray, top: int) -> Iterator[tuple]:
+    """(start, rows) of the chunks of ds, of equal length up to one row,
+    each spanning about _CHUNK_SPAN_PER_PRIME * top at the density of ds."""
+    if not ds.size:
+        return
+    density = ds.size / (int(ds.max()) - int(ds.min()) + 1)
+    step = max(_CHUNK_ROWS, math.ceil(_CHUNK_SPAN_PER_PRIME * top * density))
+    count = -(-ds.size // step)
+    step = -(-ds.size // count)
+    for start in range(0, ds.size, step):
+        yield start, step
 
 
 def prime_sides(
@@ -189,13 +280,16 @@ def prime_sides(
 
     Each is sum over p^m < e^lambda of c_{p^m}(E_D) (log p)/p^m *
     F(m log p / lambda), without the overall factor 2.  Everything but the
-    character comes from the per-(curve, lambda) plan; the characters come
-    from one matrix per chunk of twists.  The sum is exact fixed point: the
-    plan holds each group's terms as integer multiples of 2^emin split into
-    int64 limbs, the character matrix times the limbs gives each twist's
-    integer exactly, and arith.round_fixed_point rounds it once, so each
+    character comes from the per-(curve, lambda) plan, and characters are
+    evaluated only at the plan's columns, the primes with a nonzero term.
+    The twists go in chunks of rows (_chunks), each spanning a few times
+    the largest column, and the characters of a chunk in blocks of primes
+    (_character_blocks).  The sum is exact fixed point: the plan holds each
+    group's terms as integer multiples of 2^emin split into int64 limbs, a
+    block of characters times its terms' limbs adds each twist's integers
+    exactly, and arith.round_fixed_point rounds them once per chunk, so each
     result is the correctly rounded sum of the twist's terms, the float
-    math.fsum gives, whatever the term order or the batching.
+    math.fsum gives, whatever the term order, the blocks or the batching.
 
     The character is chi_D(p) = (D|p) at odd p and, at p = 2, (D|2) for
     D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
@@ -206,14 +300,16 @@ def prime_sides(
     cutoff = _require_table(primes, kernel.lam)
     plan = _prime_plan(curve, kernel.lam, primes, cutoff)
     ds = np.asarray(ds, dtype=np.int64)
-    sums = [np.empty((ds.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
-    step = max(1, _CHUNK_CELLS // max(1, plan.primes.size))
-    for start in range(0, ds.size, step):
-        chi = _characters(plan.primes, ds[start : start + step])
-        for g, out in zip(plan.groups, sums):
-            np.matmul(chi[:, g.index] ** g.power, g.limbs, out=out[start : start + step])
-    rounded = [round_fixed_point(s, g.emin) for g, s in zip(plan.groups, sums)]
-    return np.array(rounded).reshape(3, ds.size)
+    out = np.empty((3, ds.size))
+    for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
+        chunk = ds[start : start + step]
+        sums = [np.zeros((chunk.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
+        for rows, first, chi in _character_blocks(plan.columns, chunk):
+            for g, s in zip(plan.groups, sums):
+                g.add_products(s[rows], first, chi)
+        for g, s, row in zip(plan.groups, sums, out):
+            row[start : start + chunk.size] = round_fixed_point(s, g.emin)
+    return out
 
 
 @dataclass(frozen=True)

@@ -11,20 +11,23 @@ from one squarefree sieve over the support, W, and the explicit-formula
 columns from one batched prime side.  No object is built per twist; what
 stays per element in Python is what numpy does not round as libm does:
 math.exp in W, math.log of each exact conductor, and the k-th power.  The
-statistics are exact sums over the columns (arith.exact_sum: the floats
-math.fsum gives, without its per-element loop).
+statistics are exact sums over the columns (arith.ExactSums: the floats
+math.fsum gives, without its per-element loop); the weight column and the
+weighted rank bounds are split into fixed point once per family, and every
+total and masked sum of the reductions reads those two splits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from math import comb, fsum
 from typing import Optional
 
 import numpy as np
 
-from .arith import PrimeTable, exact_sum
+from .arith import ExactSums, PrimeTable, exact_sum
 from .curve import CurveModel, Twists, twist_columns
 from .explicit_formula import ExplicitFormulaTable, evaluate_reports
 from .kernel import SmoothWeight, weight_eval
@@ -170,6 +173,16 @@ class Family:
         """The unevaluated family of the rows where keep holds."""
         return Family(self.twists.select(keep), self.weight[keep])
 
+    @cached_property
+    def weight_sums(self) -> ExactSums:
+        """Exact sums of W over subsets of the rows; .total is the weighted count."""
+        return ExactSums(self.weight)
+
+    @cached_property
+    def bound_sums(self) -> ExactSums:
+        """Exact sums of W * rank_bound over subsets of the rows of a swept family."""
+        return ExactSums(self.weight * self.table.rank_bound)
+
 
 def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool) -> Twists:
     """The twists by the nonzero D of ds (consecutive, ascending) that are
@@ -237,10 +250,12 @@ class MomentRow:
 def weighted_moment(config: MomentConfig, family: Family) -> MomentRow:
     """Empirical weighted k-th moment of total_S/lambda over a swept family
     (nonempty, as sweep_family returns it)."""
-    w = family.weight
-    powered = np.array([b ** config.k for b in family.table.rank_bound.tolist()], dtype=float)
-    wsum = exact_sum(w)
-    msum = exact_sum(powered * w)
+    wsum = family.weight_sums.total
+    if config.k == 1:  # b ** 1 is b, so the terms are those of bound_sums
+        msum = family.bound_sums.total
+    else:
+        powered = np.array([b ** config.k for b in family.table.rank_bound.tolist()], dtype=float)
+        msum = exact_sum(powered * family.weight)
     return MomentRow(
         k=config.k,
         x=config.x,
@@ -265,25 +280,24 @@ def sign_partition_stats(family: Family) -> dict:
     Rows with root number 0 are counted as "undefined"; on a family without
     the squarefree and coprime filters that holds every unclean twist.
     """
-    w = family.weight
-    weighted = w * family.table.rank_bound
-    roots = family.twists.root_number
+    classes = (("plus", 1), ("minus", -1), ("undefined", 0))
+    masks = [family.twists.root_number == sign for _, sign in classes]
+    wsums = family.weight_sums.sums(masks)
+    bsums = family.bound_sums.sums(masks)
     out: dict = {
         "family_size": len(family),
-        "weighted_count": exact_sum(w),
+        "weighted_count": family.weight_sums.total,
         "derivation": (
             "rank0_fraction_lb = 1 - avg/2 (even ranks, Markov at 2); "
             "rank1_fraction_lb = (3 - avg)/2 (odd ranks, Markov at 3)"
         ),
     }
-    for name, sign in (("plus", 1), ("minus", -1), ("undefined", 0)):
-        sel = roots == sign
+    for (name, sign), sel, wsum, bsum in zip(classes, masks, wsums, bsums):
         size = int(np.count_nonzero(sel))
-        wsum = exact_sum(w[sel])
         rec = {
             "family_size": size,
             "weighted_count": wsum,
-            "avg_rank_bound": exact_sum(weighted[sel]) / wsum if size else None,
+            "avg_rank_bound": bsum / wsum if size else None,
         }
         if size and sign == 1:
             rec["rank0_fraction_lb"] = max(0.0, 1.0 - rec["avg_rank_bound"] / 2.0)
@@ -295,5 +309,5 @@ def sign_partition_stats(family: Family) -> dict:
 
 def empirical_rank_tail(family: Family, R: float) -> float:
     """Weighted fraction of a swept family with rank_bound >= R."""
-    w = family.weight
-    return exact_sum(w[family.table.rank_bound >= R]) / exact_sum(w)
+    (tail,) = family.weight_sums.sums([family.table.rank_bound >= R])
+    return tail / family.weight_sums.total

@@ -144,22 +144,23 @@ def trial_twist_invariants(curve, D: int) -> dict:
 def fsum_prime_sides(plan, ds) -> list:
     """(m1, m2, tail) per D of ds by compensated summation, the reference for
     the exact fixed-point sums of explicit_formula.prime_sides: each twist's
-    nonzero plan terms, times its characters (kronecker at 2, Euler's
-    criterion on every cell at the odd primes, none of the residue tables or
-    reciprocity rows of arith.legendre_matrix), summed by one math.fsum per
-    group."""
+    nonzero plan terms, times its characters at the plan's columns
+    (kronecker at 2, Euler's criterion on every cell at the odd primes,
+    none of the residue tables or reciprocity rows of arith.legendre_matrix
+    and arith.legendre_range), summed by one math.fsum per group."""
     out = []
-    odd = plan.primes[1:]
+    odd = plan.columns[plan.columns > 2]
     for start in range(0, len(ds), 256):
         block = list(ds[start : start + 256])
-        chi = np.empty((len(block), plan.primes.size), dtype=np.int64)
-        if plan.primes.size:
+        chi = np.empty((len(block), plan.columns.size), dtype=np.int64)
+        if odd.size < plan.columns.size:  # 2 leads
             chi[:, 0] = [kronecker(D, 2) if D % 4 == 1 else 0 for D in block]
-            chi[:, 1:] = _euler_symbols(np.array(block, dtype=np.int64)[:, None] % odd, odd)
+        residues = np.array(block, dtype=np.int64)[:, None] % odd
+        chi[:, plan.columns.size - odd.size :] = _euler_symbols(residues, odd)
         for row in chi:
             sums = []
             for g in plan.groups:
-                s = row[g.index] ** g.power
+                s = row[g.column] ** g.power
                 sums.append(math.fsum((g.terms * s)[s != 0].tolist()))
             out.append(tuple(sums))
     return out

@@ -14,6 +14,7 @@ from twistrank.arith import (
     is_squarefree,
     kronecker,
     legendre_matrix,
+    legendre_range,
     mobius,
     parity_decompose,
     sieve_primes,
@@ -165,6 +166,19 @@ class TestKronecker:
         assert set(seen) == set(ds[1:13]), seen  # not 0, nor the odd parts above the limit
         for d in ds:  # one row: fewer table columns, so every nonzero row qualifies
             assert legendre_matrix([d], sub).tolist() == [[kronecker(d, int(p)) for p in sub]], d
+
+    @pytest.mark.parametrize("lo", [-(10**12) - 7, -5000, -1, 0, 1, 999_983, 10**15 + 3])
+    def test_legendre_range_matches_kronecker(self, primes_1e4, lo):
+        # offsets unsorted, repeated and sparse; primes below, inside and
+        # above the span, and above the largest kept table
+        ps = primes_1e4.primes[1:]
+        ps = np.concatenate((ps[:30], ps[ps > arith._KEPT_TABLE_MAX][:5], ps[-3:]))
+        off = np.array([0, 5, 1, 1, 4999, 2, 300, 0, 4096, 17, 9999, 3], dtype=np.int64)
+        got = legendre_range(lo, off, ps)
+        assert got.dtype == np.int8 and got.shape == (off.size, ps.size)
+        assert got.tolist() == [[kronecker(lo + t, int(p)) for p in ps] for t in off.tolist()]
+        assert legendre_range(lo, off[:0], ps).shape == (0, ps.size)
+        assert legendre_range(lo, off, ps[:0]).shape == (off.size, 0)
 
     def test_zero_and_negative_denominators(self):
         assert kronecker(1, 0) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -313,11 +314,10 @@ class TestTwistBudget:
 
     def test_over_budget_refused_before_enumeration(self, no_enumeration, capsys):
         for args in (
-            ["sweep", "--curve", "cm32-like", "--k", "2"],  # T = X_2(1e3), about 1.1e8
-            ["sweep", "--curve", "cm32-like", "--x", "1e5"],
-            ["ef-report", "--curve", "ncm37", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"],
-            # 1e7 D near 1e14 over about 1e3 primes
-            ["ef-report", "--x", "1e4", "--dmin", str(10**14), "--dmax", str(10**14 + 10**7)],
+            # 2e6 candidates over 72,382 primes read from tables: 12 min
+            ["sweep", "--curve", "cm32-like", "--x", "1e6", "--T", "4e6"],
+            # 1e5 D near 1e12 over 6.2e5 primes, all but 8,686 by Euler's criterion: 6 h
+            ["ef-report", "--x", "1e7", "--dmin", str(10**12), "--dmax", str(10**12 + 10**5)],
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
@@ -332,6 +332,9 @@ class TestTwistBudget:
             (["ef-report", "--x", "100", "--dmin", str(10**16), "--dmax", str(10**16 + 1)], "above the cap"),
             (["ef-report", "--x", "100", "--dmin", str(-(10**16) - 1), "--dmax", "-5"], "above the cap"),
             (["sweep", "--x", "30", "--T", "2e7"], "in-memory cap"),
+            # T = X_2(1e3), about 1.1e8: 3.8 min of twists, but 5.4e7 candidates
+            (["sweep", "--curve", "cm32-like", "--k", "2"], "in-memory cap"),
+            (["ef-report", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"], "in-memory cap"),
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
@@ -349,7 +352,9 @@ class TestTwistBudget:
         commands = [
             ["sweep", "--curve", "cm32-like"],
             ["ef-report", "--curve", "ncm37"],
-            ["sweep", "--curve", "cm32-like", "--x", "1e4"],  # estimated at 4.5 min
+            ["sweep", "--curve", "cm32-like", "--x", "1e4"],  # estimated at 3 s
+            ["sweep", "--curve", "ncm37", "--x", "3e4"],  # estimated at 18 s
+            ["sweep", "--curve", "ncm37", "--x", "1e5"],  # estimated at 2.2 min
         ]
         commands += [
             workloads.make_spec(name, 1).command("out.csv") for name in ("family-sweep", "high-lambda")
@@ -357,6 +362,30 @@ class TestTwistBudget:
         for args in commands:
             with pytest.raises(Sieved):
                 main(args)
+
+    def test_estimate_prices_each_prime_by_how_its_character_is_read(self, ncm_curve):
+        # the estimator's arithmetic, not wall time: about x / log(x) primes,
+        # those up to the run's length at the table price, the rest by
+        # reciprocity near 0 and by Euler's criterion far from it
+        price = cli_mod.TWIST_SECONDS_PER_PRIME
+        per_d, root = cli_mod.TWIST_SECONDS_PER_D, cli_mod.SIEVE_SECONDS_PER_ROOT_D
+        n_primes = 1e4 / math.log(1e4)
+        n_table = 500 / math.log(500)
+        cases = [
+            # a sweep's support is longer than x: every prime reads a table
+            (range(10**5, 3 * 10**5), 1e4, 2 * 10**5 * (per_d + n_primes * price["table"]) + 547 * root),
+            # 500 D near 0: 80 primes read tables, 1,005 reciprocity
+            (range(-250, 250), 1e4, 500 * (per_d + n_table * price["table"] + (n_primes - n_table) * price["reciprocity"]) + 15 * root),
+            # the same length far from 0: Euler's criterion
+            (range(10**9, 10**9 + 500), 1e4, 500 * (per_d + n_table * price["table"] + (n_primes - n_table) * price["euler"]) + 31622 * root),
+        ]  # fmt: skip
+        for ds, x, expected in cases:
+            assert cli_mod._twist_cost_estimate(ds, x) == pytest.approx(expected, rel=1e-12), ds
+        assert cli_mod._twist_cost_estimate(range(0), 1e4) == 0.0
+        # k = 1 at x = 3e4 (9.8e5 candidates): 18 s, where a price of
+        # Euler's criterion on every cell gave 17 min
+        ds = MomentConfig(curve=ncm_curve, k=1, x=3e4, weight=SmoothWeight(0.5, 1.0)).support_ds()
+        assert 15 < cli_mod._twist_cost_estimate(ds, 3e4) < 20
 
 
 class TestVerifyCommand:
@@ -485,6 +514,34 @@ class TestOutputBytes:
         assert out == json.dumps(data, indent=2) + "\n"
 
 
+class TestGoldenBytes:
+    """Outputs pinned by sha256: a change that moves any byte of these
+    (a float rounded differently, a field reordered) fails here."""
+
+    CASES = {
+        "sweep-cm32-like-x1e3-T20000": (
+            ["sweep", "--curve", "cm32-like", "--x", "1000", "--k", "1", "--T", "20000"],
+            {
+                "": "73ee530af1094655f76ac276bd19a914ea97db78c98e7001ba3b1ed0086ef094",
+                ".refs.json": "11bdc0d562591effa0c03aa3a740c65cce51c3e1a196b1d405feb9f9fb336b30",
+            },
+        ),
+        "ef-report-ncm37-x5e4": (
+            ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
+            {"": "2cb816dc2e2f4888d8e3d2f14198d9eec21ba8183c43e82372a95139eb80b032"},
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_sha256(self, tmp_path, capsys, case):
+        args, digests = self.CASES[case]
+        out = tmp_path / "out.csv"
+        code, _, _ = run(args + ["--out", str(out)], capsys)
+        assert code == EXIT_OK
+        got = {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in digests}
+        assert got == digests
+
+
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
     def test_reader_gone_exits_quietly(self, unbuffered):
@@ -505,14 +562,15 @@ class TestClosedPipe:
         assert err == b""
 
 
-# Runs one command in a fresh interpreter and prints which scipy modules it loaded.
-_SCIPY_PROBE = """
+# Runs one command in a fresh interpreter and prints which scipy modules, and
+# whether numpy.ma, it loaded.
+_MODULE_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
 from twistrank.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")]))
 """
 
 
@@ -542,11 +600,26 @@ class TestImportHygiene:
         ids=["ap-table", "ef-report", "sweep", "verify-poisson", "verify-wl_decay"],
     )
     def test_commands_skip_quadrature_modules(self, args):
-        code, loaded = _probe(_SCIPY_PROBE, *args)
+        code, loaded = _probe(_MODULE_PROBE, *args)
         assert code == EXIT_OK
         # ap-table runs no kernel code, so it loads no scipy at all
         assert ("scipy" in loaded) == (args[0] != "ap-table")
         assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--curve", "cm32-like", "--x", "1000", "--T", "20000"],
+            ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "2500", "--dmax", "2523"],
+        ],
+        ids=["sweep", "ef-report"],
+    )
+    def test_twist_commands_skip_numpy_ma(self, args):
+        # a plain np.unique (no return_* argument) imports numpy.ma, 15 ms
+        # and 0.7 MB in a fresh process
+        code, loaded = _probe(_MODULE_PROBE, *args)
+        assert code == EXIT_OK
+        assert "numpy.ma" not in loaded
 
     def test_verification_functions_load_quadrature_on_demand(self):
         code = """

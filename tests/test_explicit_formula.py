@@ -1,11 +1,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import twistrank.explicit_formula as ef
 from twistrank.arith import sieve_primes
-from twistrank.curve import cpm, twist_columns
+from twistrank.curve import ap_array, cpm, twist_columns
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
@@ -131,13 +132,18 @@ class TestPrimeSideOracle:
 
 
 class TestBatchInvariance:
-    """prime_sides and evaluate_reports over a batch against one-row calls."""
+    """prime_sides and evaluate_reports over a batch against one-row calls,
+    with chunks of twists, blocks of primes and arith.legendre_matrix calls
+    shrunk so that a few hundred twists cross each of their boundaries."""
 
-    X = 1e3
+    X = 100.0
 
-    @pytest.fixture(scope="class")
-    def chunk(self, primes_1e4):
-        return ef._CHUNK_CELLS // primes_1e4.below(self.X).size
+    @pytest.fixture
+    def chunk(self, monkeypatch):
+        monkeypatch.setattr(ef, "_CHUNK_ROWS", 1)  # chunks of twice the largest prime, 97
+        monkeypatch.setattr(ef, "_BLOCK_CELLS", 4 * 194)  # 4 primes a block in a full chunk
+        monkeypatch.setattr(ef, "_LEGENDRE_CELLS", 50)  # a few rows a call
+        return 194
 
     @staticmethod
     def _one_by_one(curve, ds, kern, primes):
@@ -187,6 +193,70 @@ class TestColumnarOracle:
             got = prime_sides(curve, ds, kern, primes_5e4)
             plan = ef._prime_plan(curve, kern.lam, primes_5e4, ef._require_table(primes_5e4, kern.lam))
             assert repr([tuple(c) for c in got.T.tolist()]) == repr(fsum_prime_sides(plan, ds)), curve.label
+
+    @staticmethod
+    def _check_sums(curve, ds, x, primes):
+        kern = TriangleKernel(math.log(x))
+        plan = ef._prime_plan(curve, kern.lam, primes, ef._require_table(primes, kern.lam))
+        got = prime_sides(curve, ds, kern, primes)
+        assert got.shape == (3, len(ds))
+        expected = fsum_prime_sides(plan, list(ds))
+        assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected), (curve.label, x, len(ds))
+
+    @pytest.mark.parametrize("lo", [-(10**9), -40, 1, 4977, 10**6 + 1, 10**12])
+    def test_windows_shorter_than_the_largest_prime(self, catalog, primes_1e4, lo):
+        # spans of 1 to 700 D against primes to 9,973: the primes above the
+        # span are read by arith.legendre_matrix (tables, reciprocity rows
+        # near 0, Euler's criterion far from it), those below from tables
+        for curve in catalog.values():
+            for width in (1, 2, 24, 81, 700):
+                self._check_sums(curve, range(lo, lo + width), 1e4, primes_1e4)
+
+    def test_row_counts_at_chunk_and_block_boundaries(self, ncm_curve, primes_1e4):
+        # consecutive D at x = 1e3: one chunk up to `chunk` rows, two above
+        chunk = max(ef._CHUNK_ROWS, ef._CHUNK_SPAN_PER_PRIME * 997)
+        for n in (chunk - 1, chunk, chunk + 1):
+            ds = range(-(n // 2), n - n // 2)
+            assert len(ds) == n and len(list(ef._chunks(np.arange(n), 997))) == (1 if n <= chunk else 2)
+            self._check_sums(ncm_curve, ds, 1e3, primes_1e4)
+        # sparse D at x = 1e4: every prime but 2 goes to arith.legendre_matrix
+        # in calls of `rows` rows, each split into blocks of `width` primes
+        lam = math.log(1e4)
+        plan = ef._prime_plan(ncm_curve, lam, primes_1e4, ef._require_table(primes_1e4, lam))
+        rest = int((plan.columns > 2).sum())
+        rows = ef._LEGENDRE_CELLS // rest
+        width = max(ef._BLOCK_PRIMES, ef._BLOCK_CELLS // rows)
+        assert rest % width and rows < ef._CHUNK_ROWS
+        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
+            self._check_sums(ncm_curve, [10**9 + 1000 * k for k in range(n)], 1e4, primes_1e4)
+
+    def test_sign_filtered_rows(self, catalog, primes_1e4):
+        # the twists of one root number: squarefree, coprime to 2N and
+        # non-contiguous, as a sweep with --sign evaluates them (both signs
+        # of D, since cm32-like's root number depends on the sign of D only)
+        for curve in catalog.values():
+            twists = filter_twists(curve, range(-3000, 3000), True, True)
+            for sign in (1, -1):
+                ds = twists.D[twists.root_number == sign]
+                assert 0 < ds.size < 6000 and np.diff(ds).max() > 1
+                self._check_sums(curve, ds.tolist(), 1e3, primes_1e4)
+
+    def test_cm_curve_reads_only_primes_with_a_term(self, cm_curve, primes_1e4):
+        # a_p = 0 at the p = 3 mod 4 for the CM curve: those columns are
+        # dropped unless p^2 < x gives a term c_{p^2} = -2p (p <= 31)
+        lam = math.log(1e3)
+        plan = ef._prime_plan(cm_curve, lam, primes_1e4, ef._require_table(primes_1e4, lam))
+        ps = primes_1e4.below(1e3).tolist()
+        higher = {p for p in ps if any(cpm(cm_curve, p, m) for m in range(2, 10) if p**m < 1e3)}
+        expected = [p for p, a in zip(ps, ap_array(cm_curve, primes_1e4, 1e3).tolist()) if a or p in higher]
+        assert plan.columns.tolist() == expected
+        assert (len(ps), plan.columns.size) == (168, 86)
+        assert {3, 7, 11, 31} <= higher and 43 not in plan.columns.tolist()
+        self._check_sums(cm_curve, range(-2000, 2000), 1e3, primes_1e4)
+
+    def test_consecutive_D_near_1e6_at_1e4(self, catalog, primes_1e4):
+        for curve in catalog.values():
+            self._check_sums(curve, range(10**6 - 1500, 10**6 + 1500), 1e4, primes_1e4)
 
     @staticmethod
     def _check_invariants(twists, curve):
