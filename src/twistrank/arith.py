@@ -23,7 +23,7 @@ __all__ = [
     "sieve_primes",
     "kronecker",
     "legendre_matrix",
-    "legendre_range",
+    "TABLE_P_PER_ROW",
     "mobius",
     "squarefree_part",
     "squarefree_kernels",
@@ -175,14 +175,19 @@ def kronecker(a: int, n: int) -> int:
     return acc if n == 1 else 0
 
 
-# A prime p reads a residue table when p <= _TABLE_P_PER_ROW * rows.  The
+# A prime p reads a residue table when p <= TABLE_P_PER_ROW * rows.  The
 # table costs O(p) once and is kept; Euler's criterion costs O(log p) per row
 # and call.  Building the table of p took as long as Euler's criterion over
 # p/12 rows at p = 997 and p/37 rows at p = 9973 (numpy 2.4, x86-64).  The
 # rule mirrored picks the rows read by reciprocity: a row whose odd part n
-# is at most _TABLE_P_PER_ROW times the columns left to Euler's criterion
+# is at most TABLE_P_PER_ROW times the columns left to Euler's criterion
 # costs O(n) in tables of its prime factors and a few gathers per cell.
-_TABLE_P_PER_ROW = 16
+# Rows whose span is at most TABLE_P_PER_ROW times their number read each
+# table laid end to end over the span, at most TABLE_P_PER_ROW bytes copied
+# per cell in place of an int64 d mod p: the 141,983 twists of a k = 1
+# ncm37 sweep at x = 1e4 took 1.0-1.2 s that way and 2.0-2.1 s by d mod p,
+# in the same chunks and blocks (numpy 2.4, x86-64).
+TABLE_P_PER_ROW = 16
 # Tables of primes up to this bound are kept (563 tables, 1.1 MB in all); a
 # larger prime builds its table for the one call, so that a run over many D
 # or many primes does not keep a table per large prime.
@@ -218,12 +223,28 @@ def _residue_table(p: int) -> np.ndarray:
     return _kept_table(p) if p <= _KEPT_TABLE_MAX else _squares_mod(p)
 
 
-def _table_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """(r|p) for residues r mod p, read off the primes' tables laid end to end."""
-    if not ps.size:
-        return np.empty(res.shape, dtype=np.int8)
+def _table_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """(d|p) for every d of d (rows) and odd prime p of ps (columns), read
+    off the primes' residue tables.  Along consecutive d, (d|p) has period
+    p: rows whose span is at most TABLE_P_PER_ROW times their number read
+    each prime's table laid end to end over the span, one gather per cell
+    and no arithmetic mod p; other rows read d mod p in the tables laid end
+    to end."""
+    if not (d.size and ps.size):
+        return np.empty((d.size, ps.size), dtype=np.int8)
+    if d.dtype != object:
+        lo = int(d.min())
+        span = int(d.max()) - lo + 1  # Python ints: no int64 overflow
+        if span <= TABLE_P_PER_ROW * d.size:
+            off = d - lo
+            out = np.empty((d.size, ps.size), dtype=np.int8)
+            for column, p, start in zip(out.T, ps.tolist(), (lo % ps).tolist()):
+                tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
+                tiled[:] = _residue_table(p)
+                column[:] = tiled.reshape(-1)[start:][off]
+            return out
     starts = np.cumsum(ps) - ps
-    return np.concatenate([_residue_table(p) for p in ps.tolist()])[starts + res]
+    return np.concatenate([_residue_table(p) for p in ps.tolist()])[starts + _residues(d, ps)]
 
 
 def _euler_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
@@ -303,10 +324,12 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     as an int8 matrix of shape (len(ds), len(ps)) in {-1, 0, 1}.
 
     Three ways, each chosen by its cost.  A prime p at most
-    _TABLE_P_PER_ROW times the number of rows reads, for every row, a table
-    of (r|p) over the residues r mod p, built once from the squares mod p
-    and kept.  On the other primes, a row d != 0 whose odd part n is at most
-    _TABLE_P_PER_ROW times their number is read by quadratic reciprocity
+    TABLE_P_PER_ROW times the number of rows reads, for every row, a table
+    of (r|p) over the residues r mod p, built from the squares mod p (and
+    kept for p <= _KEPT_TABLE_MAX): at d mod p, or, when the rows are dense
+    in their span, laid end to end over the span (_table_symbols).  On the
+    other primes, a row d != 0 whose odd part n is at most
+    TABLE_P_PER_ROW times their number is read by quadratic reciprocity
     off the tables of the primes of n (factored by vectorized trial
     division); every other cell uses Euler's criterion over the whole
     block.  All three are exact: the tables and reciprocity for any odd
@@ -319,44 +342,24 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
         d = np.asarray(ds, dtype=np.int64)
     except OverflowError:  # some |d| >= 2^63: reduced as Python integers
         d = np.asarray(ds, dtype=object)
-    out = np.empty((d.size, ps.size), dtype=np.int8)
-    table = ps <= _TABLE_P_PER_ROW * d.size
-    out[:, table] = _table_symbols(_residues(d, ps[table]), ps[table])
+    table = ps <= TABLE_P_PER_ROW * d.size
     if table.all():
-        return out
+        return _table_symbols(d, ps)
+    out = np.empty((d.size, ps.size), dtype=np.int8)
+    out[:, table] = _table_symbols(d, ps[table])
     ps = ps[~table]
     (cols,) = np.nonzero(~table)
     small = np.zeros(d.size, dtype=bool)
     if d.dtype != object:
         small = (d != 0) & (d > -_RECIPROCITY_D_MAX) & (d < _RECIPROCITY_D_MAX)
         a = np.abs(np.where(small, d, 1))
-        small &= a // (a & -a) <= _TABLE_P_PER_ROW * ps.size
+        small &= a // (a & -a) <= TABLE_P_PER_ROW * ps.size
     (rows,) = np.nonzero(small)
     if rows.size:
         out[rows[:, None], cols] = _reciprocity_symbols(d[rows], ps)
     (rows,) = np.nonzero(~small)
     if rows.size:
         out[rows[:, None], cols] = _euler_symbols(_residues(d[rows], ps), ps)
-    return out
-
-
-def legendre_range(lo: int, off: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """Legendre symbols (lo + t | p) for every t of off (rows, t >= 0) and
-    every odd prime p of ps (columns), as an int8 matrix of shape
-    (len(off), len(ps)).
-
-    Along consecutive d, (d|p) has period p: each column is the residue
-    table of p (_residue_table) laid end to end over the span max(off) + 1
-    from the residue lo mod p, read at off.  That costs O(span + p) per
-    prime (and O(p) to build a table not kept) and one gather per cell, no
-    arithmetic mod p: it pays when the rows are dense in their span.
-    """
-    span = int(off.max(initial=-1)) + 1
-    out = np.empty((off.size, ps.size), dtype=np.int8)
-    for j, (p, start) in enumerate(zip(ps.tolist(), (lo % ps).tolist())):
-        tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
-        tiled[:] = _residue_table(p)
-        out[:, j] = tiled.reshape(-1)[start:][off]
     return out
 
 

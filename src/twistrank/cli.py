@@ -51,12 +51,13 @@ AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated ab
 # candidate D: 1.8-3.4 us to weigh, sieve, filter and log the conductor (x = 30
 # to 1e3, D near 1e5 to 1e6; 0.8-1.0 us at x = 1e4 to 1e5); and per (candidate
 # D, prime below x), by how explicit_formula.prime_sides reads the character:
-#   table: a prime up to the span of a run of consecutive D reads its residue
+#   table: a prime up to 16 times the rows of a chunk reads its residue
 #     table, 2.7 ns at x = 1e4 (the k = 1 sweep: 3.6e5 candidates, 1,229
 #     primes, 1.2 s), 2.4 ns at 3e4 (9.8e5 candidates, 3,245 primes, 7.7 s)
 #     and 3.6 ns at 1e5 (T = 5e5; the a_p table included);
-#   reciprocity: a D whose odd part is at most 16 times the other primes,
-#     15-32 ns (24 to 801 D near 0 at x = 1e4 to 1e5, tables included);
+#   reciprocity: a D whose odd part is at most 16 times the other primes
+#     of a block of characters, 15-32 ns (24 to 801 D near 0 at x = 1e4 to
+#     1e5, tables included);
 #   euler: Euler's criterion elsewhere, 0.14-0.25 us (24 to 801 D near 1e9
 #     and 1e12 at x = 1e4 to 1e5);
 # and the squarefree sieve's base-prime table, 10 ns per unit of sqrt(max |D|)
@@ -251,23 +252,17 @@ def _sieve(limit: int, what: str):
 
 def _twist_cost_estimate(ds: range, x: float) -> float:
     """Seconds to evaluate the candidate D of ds (consecutive) over the primes
-    below x, about x / log(x) of them, each candidate costed as a kept twist:
-    TWIST_SECONDS_PER_D, plus a TWIST_SECONDS_PER_PRIME price per prime by
-    how its character is read, plus the squarefree sieve's table of base
-    primes up to sqrt(max |D|).  The primes up to len(ds), which the run
-    spans, read tables; the others are read by reciprocity if every |D| is
-    at most 16 times their number, by Euler's criterion otherwise."""
-    n_primes = x / math.log(max(x, 3.0))
-    span = min(x, len(ds))
-    n_table = span / math.log(max(span, 3.0))
-    n_rest = max(n_primes - n_table, 0.0)
+    below x, each candidate costed as a kept twist: TWIST_SECONDS_PER_D, plus
+    a TWIST_SECONDS_PER_PRIME price for each prime by how prime_sides reads
+    its character (explicit_formula.character_reads), plus the squarefree
+    sieve's table of base primes up to sqrt(max |D|).  The chunks of the
+    reads are sized for an eighth of the candidates: a sweep's filters keep
+    a fifth or more (about 0.39 of them with no sign filter)."""
+    from .explicit_formula import character_reads
+
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
-    rest = "reciprocity" if max_d <= 16 * n_rest else "euler"
-    per_d = (
-        TWIST_SECONDS_PER_D
-        + n_table * TWIST_SECONDS_PER_PRIME["table"]
-        + n_rest * TWIST_SECONDS_PER_PRIME[rest]
-    )
+    reads = character_reads(len(ds) // 8, max_d, x)
+    per_d = TWIST_SECONDS_PER_D + sum(TWIST_SECONDS_PER_PRIME[way] * n for way, n in reads.items())
     return len(ds) * per_d + math.isqrt(max_d) * SIEVE_SECONDS_PER_ROOT_D
 
 

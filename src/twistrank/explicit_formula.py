@@ -20,11 +20,11 @@ from typing import Dict, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .arith import (
+    TABLE_P_PER_ROW,
     PrimeTable,
     fixed_point_limbs,
     fixed_point_scale,
     legendre_matrix,
-    legendre_range,
     round_fixed_point,
 )
 from .curve import CurveModel, Twists, ap_array, cpm
@@ -34,6 +34,7 @@ __all__ = [
     "ExplicitFormulaTable",
     "InsufficientPrimeTable",
     "prime_sides",
+    "character_reads",
     "evaluate_reports",
     "beta_array",
     "CSV_COLUMNS",
@@ -108,16 +109,22 @@ class _Group:
 
     def add_products(self, sums: np.ndarray, first: int, chi: np.ndarray) -> None:
         """Add to sums the limbs of the terms whose columns chi holds (chi's
-        column j is the plan's column first + j), each times chi_D(p)^m."""
+        column j is the plan's column first + j), each times chi_D(p)^m, in
+        slices of rows of at most _PRODUCT_CELLS cells."""
         width = chi.shape[1]
         lo, hi = np.searchsorted(self.column, (first, first + width))
         if lo == hi:
             return
         cols = self.column[lo:hi] - first
-        block = chi if cols.size == width and (cols == np.arange(width)).all() else chi[:, cols]
-        if self.power[lo:hi].max() > 1:
-            block = block ** self.power[lo:hi]
-        sums += block @ self.limbs[lo:hi]
+        whole = cols.size == width and (cols == np.arange(width)).all()
+        power, limbs = self.power[lo:hi], self.limbs[lo:hi]
+        powered = power.max() > 1
+        step = max(1, _PRODUCT_CELLS // cols.size)
+        for r in range(0, chi.shape[0], step):
+            block = chi[r : r + step] if whole else chi[r : r + step, cols]
+            if powered:
+                block = block**power
+            sums[r : r + step] += block @ limbs
 
 
 @dataclass(frozen=True)
@@ -182,81 +189,73 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 
 
 # A chunk of prime_sides spans about this many times the largest prime
-# read: the span of its D covers every prime, so that each column is read
-# from its prime's residue table, and a table built for the chunk (O(p),
-# for p above arith._KEPT_TABLE_MAX) is read over four periods or more.
-# The rows of a chunk follow from the density of ds in its span, at least
-# _CHUNK_ROWS; each chunk's limb sums are rounded before the next, so
-# temporaries stay O(rows), not O(family).
+# read, at the density of its D, and holds at least _CHUNK_ROWS rows: 2,048
+# rows put every prime up to 32,768 in arith.legendre_matrix's table rule,
+# D at a density of 1/16 or more (a sieve and a sign filter keep about
+# 1/5) read each prime's table laid end to end over the span, a table built
+# for the chunk (p above arith._KEPT_TABLE_MAX) is read over four periods
+# or more.  Each chunk's limb sums are rounded before the next, so a
+# chunk's arrays are O(rows), not O(family): about 90 bytes a row (int64
+# limb sums of 3 groups of 3 limbs, a block of int8 characters and the
+# int64 offsets legendre_matrix reads them at), 1.3 MB at the 14,199 rows
+# of a chunk of the k = 1 ncm37 sweep at x = 1e4 and 14 MB at the 156,600
+# rows of x = 1e5, whose whole run peaks at 293 MB RSS.
 _CHUNK_SPAN_PER_PRIME = 4
 _CHUNK_ROWS = 1 << 11
-# A chunk reads the tables of the primes up to its span when the span is at
-# most this many times its rows (consecutive D after a sieve and a sign
-# filter); sparser rows are left to arith.legendre_matrix.  A table for a
-# prime up to this many times the rows pays as well, as in legendre_matrix
-# (arith._TABLE_P_PER_ROW, whose reciprocity rule is the same 16).
-_SPAN_PER_ROW = 16
-# Cells of one block of characters, at least _BLOCK_PRIMES primes wide: the
-# int8 block stays within 16 KB and the int64 copy the product makes of it
-# within 128 KB whenever a chunk has at most 2,048 rows.  Narrower blocks
-# cost more per cell than they save: the product took 20 ns a cell at 3
-# primes and 7 ns at 8 (17,500 rows, numpy 2.4, x86-64).
-_BLOCK_CELLS = 1 << 14
+# Cells of one block of characters (one arith.legendre_matrix call), at
+# least _BLOCK_PRIMES primes wide.  A short window of D wants wide blocks:
+# a row is read by reciprocity only if its odd part is at most 16 times the
+# block's primes left to it.  The prime side of 800 D near 0 at x = 1e5
+# took 0.50-0.64 s in blocks of 2^14 cells (20 primes) and 0.17-0.20 s in
+# blocks of 2^16 (81 primes); 24 D at x = 5e4 took 3.7-4.9 ms (numpy 2.4,
+# x86-64).  Narrower blocks cost more per cell than they save: the product
+# took 20 ns a cell at 3 primes and 7 ns at 8 (17,500 rows).
+_BLOCK_CELLS = 1 << 16
 _BLOCK_PRIMES = 8
-# Cells of one arith.legendre_matrix call on the primes a chunk reads no
-# table of.  Its reciprocity tables grow with the rows of a call: the
-# 24-row window of an ef-report at x = 5e4 took 1.6-2.4 ms in one call
-# and 3.2-4.8 ms in four, but one call raised the process's peak RSS by
-# 0.05-0.09 MB.
-_LEGENDRE_CELLS = 1 << 15
+# Cells of one slice of rows of a block that the product with the limbs
+# reads: the int64 copy the product makes of a slice stays within 128 KB.
+_PRODUCT_CELLS = 1 << 14
 
 # chi_D(2) by D mod 8: (D|2) for D = 1 mod 4, 0 otherwise
 _CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
 
 
 def _character_blocks(ps: np.ndarray, ds: np.ndarray) -> Iterator[tuple]:
-    """(rows, first, chi) covering the characters chi_D(p) for every D of ds
-    and p of ps (ascending; 2 leads if present): chi holds the rows slice of
-    ds and the columns first .. first + chi.shape[1] - 1 of ps, at most
-    _BLOCK_CELLS cells (or _BLOCK_PRIMES columns, if that is more).
-
-    At 2 the character is read off D mod 8.  If the rows are dense in their
-    span, the odd primes up to the span (up to _SPAN_PER_ROW times the rows
-    if the rows are too large for quadratic reciprocity) are read from their
-    residue tables (arith.legendre_range), blocks of primes at a time; the
-    other primes come from one arith.legendre_matrix call per
-    _LEGENDRE_CELLS cells.
+    """(first, chi) covering the characters chi_D(p) for every D of ds and p
+    of ps (ascending; 2 leads if present): chi holds every row and the
+    columns first .. first + chi.shape[1] - 1 of ps, at most _BLOCK_CELLS
+    cells (or _BLOCK_PRIMES columns, if that is more).  At 2 the character
+    is read off D mod 8, at the odd primes by arith.legendre_matrix, which
+    picks a way for each (a residue table, reciprocity, Euler's criterion).
     """
-    n = ds.size
-    every = slice(0, n)
     first = int(ps.size > 0 and ps[0] == 2)
     if first:
-        yield every, 0, _CHI_AT_2[ds & 7][:, None]
-    lo = int(ds.min())
-    off = ds - lo
-    span = int(off.max()) + 1
-    last = first
-    if span <= _SPAN_PER_ROW * n:
-        last = max(first, int(np.searchsorted(ps, span, side="right")))
-        if max(-lo, lo + span - 1) > _SPAN_PER_ROW * (ps.size - last):
-            # |D| too large for legendre_matrix's reciprocity rows (an odd
-            # part at most 16 times the columns): above the span, a table
-            # built for the chunk (O(p)) still beats Euler's criterion
-            # (O(rows log p)) up to _SPAN_PER_ROW * rows
-            last = max(last, int(np.searchsorted(ps, _SPAN_PER_ROW * n, side="right")))
-    width = max(_BLOCK_PRIMES, _BLOCK_CELLS // n)
-    for c in range(first, last, width):
-        yield every, c, legendre_range(lo, off, ps[c : min(c + width, last)])
-    rest = ps[last:]
-    if not rest.size:
-        return
-    step = max(1, _LEGENDRE_CELLS // rest.size)
-    for r in range(0, n, step):
-        rows = slice(r, min(r + step, n))
-        chi = legendre_matrix(ds[rows], rest)
-        width = max(_BLOCK_PRIMES, _BLOCK_CELLS // chi.shape[0])
-        for c in range(0, rest.size, width):
-            yield rows, last + c, chi[:, c : c + width]
+        yield 0, _CHI_AT_2[ds & 7][:, None]
+    width = max(_BLOCK_PRIMES, _BLOCK_CELLS // max(1, ds.size))
+    for c in range(first, ps.size, width):
+        yield c, legendre_matrix(ds, ps[c : c + width])
+
+
+def character_reads(rows: int, max_d: int, top: float) -> Dict[str, float]:
+    """How prime_sides reads the characters of `rows` consecutive D with |D|
+    up to max_d at the primes up to top: the number of primes, about
+    top / log(top) of them, by way ("table", "reciprocity", "euler").  A
+    chunk of min(rows, max(_CHUNK_ROWS, _CHUNK_SPAN_PER_PRIME * top)) rows
+    reads from residue tables the primes up to TABLE_P_PER_ROW times its
+    rows; the others come in blocks of _BLOCK_CELLS cells, by reciprocity
+    if max_d is at most TABLE_P_PER_ROW times a block's primes, by Euler's
+    criterion otherwise (arith.legendre_matrix)."""
+
+    def count(y: float) -> float:
+        return y / math.log(max(y, 3.0))
+
+    chunk = min(rows, max(_CHUNK_ROWS, math.ceil(_CHUNK_SPAN_PER_PRIME * top)))
+    table = count(min(top, TABLE_P_PER_ROW * chunk))
+    rest = max(count(top) - table, 0.0)
+    width = max(_BLOCK_PRIMES, _BLOCK_CELLS // max(1, chunk))
+    reads = {"table": table, "reciprocity": 0.0, "euler": 0.0}
+    reads["reciprocity" if max_d <= TABLE_P_PER_ROW * min(rest, width) else "euler"] = rest
+    return reads
 
 
 def _chunks(ds: np.ndarray, top: int) -> Iterator[tuple]:
@@ -304,9 +303,9 @@ def prime_sides(
     for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
         chunk = ds[start : start + step]
         sums = [np.zeros((chunk.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
-        for rows, first, chi in _character_blocks(plan.columns, chunk):
+        for first, chi in _character_blocks(plan.columns, chunk):
             for g, s in zip(plan.groups, sums):
-                g.add_products(s[rows], first, chi)
+                g.add_products(s, first, chi)
         for g, s, row in zip(plan.groups, sums, out):
             row[start : start + chunk.size] = round_fixed_point(s, g.emin)
     return out

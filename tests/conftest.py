@@ -146,8 +146,8 @@ def fsum_prime_sides(plan, ds) -> list:
     the exact fixed-point sums of explicit_formula.prime_sides: each twist's
     nonzero plan terms, times its characters at the plan's columns
     (kronecker at 2, Euler's criterion on every cell at the odd primes,
-    none of the residue tables or reciprocity rows of arith.legendre_matrix
-    and arith.legendre_range), summed by one math.fsum per group."""
+    none of the residue tables or reciprocity rows of arith.legendre_matrix),
+    summed by one math.fsum per group."""
     out = []
     odd = plan.columns[plan.columns > 2]
     for start in range(0, len(ds), 256):

@@ -14,7 +14,6 @@ from twistrank.arith import (
     is_squarefree,
     kronecker,
     legendre_matrix,
-    legendre_range,
     mobius,
     parity_decompose,
     sieve_primes,
@@ -126,9 +125,9 @@ class TestKronecker:
         ds += [0, -5 * 9973, -math.prod(range(3, 100, 2)), 9973 * 9967 * 7919]  # multiples of p
         ds += [2**63, -(2**63), -(2**63) - 1, 10**30 + 1, -9973 * 2**70]  # |d| >= 2^63
         expected = [[kronecker(d, int(p)) for p in ps] for d in ds]
-        # batches of len(ds), 1 and all-table rows: below _TABLE_P_PER_ROW
+        # batches of len(ds), 1 and all-table rows: below TABLE_P_PER_ROW
         # * rows a prime reads the residue table, above it Euler's criterion
-        all_table = -(-int(ps[-1]) // arith._TABLE_P_PER_ROW)
+        all_table = -(-int(ps[-1]) // arith.TABLE_P_PER_ROW)
         assert len(ds) < all_table
         got = legendre_matrix(ds, ps)
         assert got.dtype == np.int8 and got.shape == (len(ds), ps.size)
@@ -147,7 +146,7 @@ class TestKronecker:
         odd = ps[ps < 2000]
         sub = odd[np.arange(odd.size) % 3 != 1]
         rows = 16
-        limit = arith._TABLE_P_PER_ROW * int((sub > arith._TABLE_P_PER_ROW * rows).sum())
+        limit = arith.TABLE_P_PER_ROW * int((sub > arith.TABLE_P_PER_ROW * rows).sum())
         below = limit - 1  # the largest odd part that qualifies (limit is even)
         above = next(q for q in range(int(sub[-1]) + 1, limit) if arith.is_prime(q))  # above every column
         ds = [0, 1, -1, 2, -8, 9 * 25, -27 * 49 * 4, int(sub[-1]) * 4, -int(sub[7]) ** 2]
@@ -168,17 +167,29 @@ class TestKronecker:
             assert legendre_matrix([d], sub).tolist() == [[kronecker(d, int(p)) for p in sub]], d
 
     @pytest.mark.parametrize("lo", [-(10**12) - 7, -5000, -1, 0, 1, 999_983, 10**15 + 3])
-    def test_legendre_range_matches_kronecker(self, primes_1e4, lo):
-        # offsets unsorted, repeated and sparse; primes below, inside and
-        # above the span, and above the largest kept table
+    def test_legendre_matrix_dense_rows_read_tables_over_their_span(self, primes_1e4, lo, monkeypatch):
+        # 700 rows, unsorted and repeated, over a span of 10,000 (at most 16
+        # times the rows): every prime reads its table laid end to end over
+        # the span, with no d mod p; primes below, inside and above the
+        # span, and above the largest kept table
         ps = primes_1e4.primes[1:]
         ps = np.concatenate((ps[:30], ps[ps > arith._KEPT_TABLE_MAX][:5], ps[-3:]))
-        off = np.array([0, 5, 1, 1, 4999, 2, 300, 0, 4096, 17, 9999, 3], dtype=np.int64)
-        got = legendre_range(lo, off, ps)
-        assert got.dtype == np.int8 and got.shape == (off.size, ps.size)
-        assert got.tolist() == [[kronecker(lo + t, int(p)) for p in ps] for t in off.tolist()]
-        assert legendre_range(lo, off[:0], ps).shape == (0, ps.size)
-        assert legendre_range(lo, off, ps[:0]).shape == (off.size, 0)
+        off = np.random.default_rng(7).permutation(10_000)[:700]
+        off[:4] = (0, 9_999, 5, 5)
+        ds = (lo + off).tolist()
+        expected = [[kronecker(d, int(p)) for p in ps] for d in ds]
+        original = arith._residues
+        calls = []
+        monkeypatch.setattr(arith, "_residues", lambda d, cols: calls.append(d.size) or original(d, cols))
+        got = legendre_matrix(ds, ps)
+        assert got.dtype == np.int8 and got.shape == (len(ds), ps.size)
+        assert got.tolist() == expected and not calls
+        # the same rows spread 100 times wider read d mod p in the tables
+        sparse = [lo + 100 * t for t in off.tolist()]
+        assert legendre_matrix(sparse, ps).tolist() == [[kronecker(d, int(p)) for p in ps] for d in sparse]
+        assert calls == [len(ds)]
+        assert legendre_matrix(ds[:0], ps).shape == (0, ps.size)
+        assert legendre_matrix(ds, ps[:0]).shape == (len(ds), 0)
 
     def test_zero_and_negative_denominators(self):
         assert kronecker(1, 0) == 1

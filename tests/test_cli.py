@@ -316,7 +316,7 @@ class TestTwistBudget:
         for args in (
             # 2e6 candidates over 72,382 primes read from tables: 12 min
             ["sweep", "--curve", "cm32-like", "--x", "1e6", "--T", "4e6"],
-            # 1e5 D near 1e12 over 6.2e5 primes, all but 8,686 by Euler's criterion: 6 h
+            # 1e5 D near 1e12 over 6.2e5 primes, all but 16,385 by Euler's criterion: 6 h
             ["ef-report", "--x", "1e7", "--dmin", str(10**12), "--dmax", str(10**12 + 10**5)],
         ):
             code, out, err = run(args, capsys)
@@ -365,16 +365,17 @@ class TestTwistBudget:
 
     def test_estimate_prices_each_prime_by_how_its_character_is_read(self, ncm_curve):
         # the estimator's arithmetic, not wall time: about x / log(x) primes,
-        # those up to the run's length at the table price, the rest by
-        # reciprocity near 0 and by Euler's criterion far from it
+        # those up to 16 times a chunk's rows (an eighth of the candidates,
+        # at most 4x) at the table price, the rest by reciprocity near 0 and
+        # by Euler's criterion far from it
         price = cli_mod.TWIST_SECONDS_PER_PRIME
         per_d, root = cli_mod.TWIST_SECONDS_PER_D, cli_mod.SIEVE_SECONDS_PER_ROOT_D
         n_primes = 1e4 / math.log(1e4)
-        n_table = 500 / math.log(500)
+        n_table = 992 / math.log(992)  # 16 * (500 // 8)
         cases = [
-            # a sweep's support is longer than x: every prime reads a table
+            # a sweep's support: chunks of 25,000 rows, every prime reads a table
             (range(10**5, 3 * 10**5), 1e4, 2 * 10**5 * (per_d + n_primes * price["table"]) + 547 * root),
-            # 500 D near 0: 80 primes read tables, 1,005 reciprocity
+            # 500 D near 0: 144 primes read tables, 942 reciprocity
             (range(-250, 250), 1e4, 500 * (per_d + n_table * price["table"] + (n_primes - n_table) * price["reciprocity"]) + 15 * root),
             # the same length far from 0: Euler's criterion
             (range(10**9, 10**9 + 500), 1e4, 500 * (per_d + n_table * price["table"] + (n_primes - n_table) * price["euler"]) + 31622 * root),

@@ -133,17 +133,22 @@ class TestPrimeSideOracle:
 
 class TestBatchInvariance:
     """prime_sides and evaluate_reports over a batch against one-row calls,
-    with chunks of twists, blocks of primes and arith.legendre_matrix calls
-    shrunk so that a few hundred twists cross each of their boundaries."""
+    with chunks of twists, blocks of primes and the slices of rows a
+    product reads shrunk so that a few hundred twists cross each of their
+    boundaries."""
 
     X = 100.0
 
     @pytest.fixture
     def chunk(self, monkeypatch):
-        monkeypatch.setattr(ef, "_CHUNK_ROWS", 1)  # chunks of twice the largest prime, 97
-        monkeypatch.setattr(ef, "_BLOCK_CELLS", 4 * 194)  # 4 primes a block in a full chunk
-        monkeypatch.setattr(ef, "_LEGENDRE_CELLS", 50)  # a few rows a call
-        return 194
+        # chunks of one span of the largest prime, 97, at the density of the
+        # D; blocks of 4 primes; product slices of 25 rows in a 4-prime block
+        monkeypatch.setattr(ef, "_CHUNK_ROWS", 1)
+        monkeypatch.setattr(ef, "_CHUNK_SPAN_PER_PRIME", 1)
+        monkeypatch.setattr(ef, "_BLOCK_PRIMES", 4)
+        monkeypatch.setattr(ef, "_BLOCK_CELLS", 100)
+        monkeypatch.setattr(ef, "_PRODUCT_CELLS", 100)
+        return 97
 
     @staticmethod
     def _one_by_one(curve, ds, kern, primes):
@@ -151,8 +156,15 @@ class TestBatchInvariance:
 
     def test_batch_lengths_around_the_chunk(self, ncm_curve, primes_1e4, chunk):
         kern = TriangleKernel(math.log(self.X))
-        ds = [D for D in range(-(chunk // 2) - 3, chunk // 2 + 3) if D]
-        for n in (0, 1, chunk - 1, chunk, chunk + 1):
+        plan = ef._prime_plan(ncm_curve, kern.lam, primes_1e4, ef._require_table(primes_1e4, kern.lam))
+        assert int(plan.columns[-1]) == chunk
+        ds = [D for D in range(-chunk, chunk) if D]
+        # the shortest prefix of ds that _chunks splits in two
+        split = next(n for n in range(1, len(ds)) if len(list(ef._chunks(np.array(ds[:n]), chunk))) == 2)
+        assert chunk - 2 <= split <= chunk + 2
+        for n in (0, 1, split - 2, split - 1, split, split + 1):
+            count = len(list(ef._chunks(np.array(ds[:n], dtype=np.int64), chunk)))
+            assert count == (0 if n == 0 else 1 if n < split else 2), n
             got = prime_sides(ncm_curve, ds[:n], kern, primes_1e4)
             assert got.shape == (3, n)
             expected = self._one_by_one(ncm_curve, ds[:n], kern, primes_1e4)
@@ -205,30 +217,33 @@ class TestColumnarOracle:
 
     @pytest.mark.parametrize("lo", [-(10**9), -40, 1, 4977, 10**6 + 1, 10**12])
     def test_windows_shorter_than_the_largest_prime(self, catalog, primes_1e4, lo):
-        # spans of 1 to 700 D against primes to 9,973: the primes above the
-        # span are read by arith.legendre_matrix (tables, reciprocity rows
-        # near 0, Euler's criterion far from it), those below from tables
+        # spans of 1 to 700 D against primes to 9,973: arith.legendre_matrix
+        # reads the primes up to 16 times the rows from tables laid over
+        # the span, the others by reciprocity near 0 and by Euler's
+        # criterion far from it
         for curve in catalog.values():
             for width in (1, 2, 24, 81, 700):
                 self._check_sums(curve, range(lo, lo + width), 1e4, primes_1e4)
 
     def test_row_counts_at_chunk_and_block_boundaries(self, ncm_curve, primes_1e4):
         # consecutive D at x = 1e3: one chunk up to `chunk` rows, two above
-        chunk = max(ef._CHUNK_ROWS, ef._CHUNK_SPAN_PER_PRIME * 997)
+        lam = math.log(1e3)
+        top = int(ef._prime_plan(ncm_curve, lam, primes_1e4, ef._require_table(primes_1e4, lam)).columns[-1])
+        chunk = max(ef._CHUNK_ROWS, ef._CHUNK_SPAN_PER_PRIME * top)
         for n in (chunk - 1, chunk, chunk + 1):
             ds = range(-(n // 2), n - n // 2)
-            assert len(ds) == n and len(list(ef._chunks(np.arange(n), 997))) == (1 if n <= chunk else 2)
+            assert len(ds) == n and len(list(ef._chunks(np.arange(n), top))) == (1 if n <= chunk else 2)
             self._check_sums(ncm_curve, ds, 1e3, primes_1e4)
-        # sparse D at x = 1e4: every prime but 2 goes to arith.legendre_matrix
-        # in calls of `rows` rows, each split into blocks of `width` primes
+        # sparse D at x = 1e4 (Euler's criterion): the odd primes fit one
+        # block of _BLOCK_CELLS cells up to `rows` rows, two blocks above
         lam = math.log(1e4)
         plan = ef._prime_plan(ncm_curve, lam, primes_1e4, ef._require_table(primes_1e4, lam))
-        rest = int((plan.columns > 2).sum())
-        rows = ef._LEGENDRE_CELLS // rest
-        width = max(ef._BLOCK_PRIMES, ef._BLOCK_CELLS // rows)
-        assert rest % width and rows < ef._CHUNK_ROWS
-        for n in (rows - 1, rows, rows + 1, 2 * rows + 1):
-            self._check_sums(ncm_curve, [10**9 + 1000 * k for k in range(n)], 1e4, primes_1e4)
+        rows = ef._BLOCK_CELLS // int((plan.columns > 2).sum())
+        for n in (rows - 1, rows, rows + 1):
+            ds = [10**9 + 1000 * k for k in range(n)]
+            blocks = list(ef._character_blocks(plan.columns, np.array(ds)))
+            assert [first for first, _ in blocks][:2] == [0, 1] and len(blocks) == (2 if n <= rows else 3)
+            self._check_sums(ncm_curve, ds, 1e4, primes_1e4)
 
     def test_sign_filtered_rows(self, catalog, primes_1e4):
         # the twists of one root number: squarefree, coprime to 2N and
