@@ -23,7 +23,6 @@ _MODULE_EXPORTS = {
     ),
     "curve": (
         "CurveModel",
-        "ap",
         "builtin_catalog",
         "cpm",
         "load_catalog",

@@ -197,10 +197,7 @@ _RECIPROCITY_D_MAX = 1 << 62
 
 
 def _residues(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """d mod p in [0, p) for every d of d (rows) and p of ps (columns), int64;
-    an object array of d (some |d| >= 2^63) is reduced as Python integers."""
-    if d.dtype == object:
-        return (d[:, None] % ps.astype(object)).astype(np.int64)
+    """d mod p in [0, p) for every d of d (rows) and p of ps (columns), int64."""
     return d[:, None] % ps
 
 
@@ -232,17 +229,16 @@ def _table_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
     to end."""
     if not (d.size and ps.size):
         return np.empty((d.size, ps.size), dtype=np.int8)
-    if d.dtype != object:
-        lo = int(d.min())
-        span = int(d.max()) - lo + 1  # Python ints: no int64 overflow
-        if span <= TABLE_P_PER_ROW * d.size:
-            off = d - lo
-            out = np.empty((d.size, ps.size), dtype=np.int8)
-            for column, p, start in zip(out.T, ps.tolist(), (lo % ps).tolist()):
-                tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
-                tiled[:] = _residue_table(p)
-                column[:] = tiled.reshape(-1)[start:][off]
-            return out
+    lo = int(d.min())
+    span = int(d.max()) - lo + 1  # Python ints: no int64 overflow
+    if span <= TABLE_P_PER_ROW * d.size:
+        off = d - lo
+        out = np.empty((d.size, ps.size), dtype=np.int8)
+        for column, p, start in zip(out.T, ps.tolist(), (lo % ps).tolist()):
+            tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
+            tiled[:] = _residue_table(p)
+            column[:] = tiled.reshape(-1)[start:][off]
+        return out
     starts = np.cumsum(ps) - ps
     return np.concatenate([_residue_table(p) for p in ps.tolist()])[starts + _residues(d, ps)]
 
@@ -334,14 +330,11 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     division); every other cell uses Euler's criterion over the whole
     block.  All three are exact: the tables and reciprocity for any odd
     prime p, Euler's criterion for p below 3.0e9, far above the CLI's
-    prime-table cap of 1e8.  d may be any integer, |d| >= 2^63 included:
-    it is reduced mod p exactly.
+    prime-table cap of 1e8.  Every d must fit int64 (OverflowError
+    otherwise); the twists' D stay below 1e16.
     """
     ps = np.asarray(ps, dtype=np.int64)
-    try:
-        d = np.asarray(ds, dtype=np.int64)
-    except OverflowError:  # some |d| >= 2^63: reduced as Python integers
-        d = np.asarray(ds, dtype=object)
+    d = np.asarray(ds, dtype=np.int64)
     table = ps <= TABLE_P_PER_ROW * d.size
     if table.all():
         return _table_symbols(d, ps)
@@ -349,11 +342,9 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     out[:, table] = _table_symbols(d, ps[table])
     ps = ps[~table]
     (cols,) = np.nonzero(~table)
-    small = np.zeros(d.size, dtype=bool)
-    if d.dtype != object:
-        small = (d != 0) & (d > -_RECIPROCITY_D_MAX) & (d < _RECIPROCITY_D_MAX)
-        a = np.abs(np.where(small, d, 1))
-        small &= a // (a & -a) <= TABLE_P_PER_ROW * ps.size
+    small = (d != 0) & (d > -_RECIPROCITY_D_MAX) & (d < _RECIPROCITY_D_MAX)
+    a = np.abs(np.where(small, d, 1))
+    small &= a // (a & -a) <= TABLE_P_PER_ROW * ps.size
     (rows,) = np.nonzero(small)
     if rows.size:
         out[rows[:, None], cols] = _reciprocity_symbols(d[rows], ps)

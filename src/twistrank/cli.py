@@ -344,9 +344,8 @@ def cmd_ap_table(cfg: dict) -> int:
     records = []
     if limit >= 2:
         primes = _sieve(limit, f"--limit {limit}")
-        aps = ap_array(curve, primes, limit + 1).tolist()
-        for p, a in zip(primes.primes.tolist(), aps):
-            records.append({"p": p, "a_p": a, "c_p2": cpm(curve, p, 2)})
+        columns = (primes.primes, ap_array(curve, primes, limit + 1), cpm(curve, primes, limit + 1, 2))
+        records = [{"p": p, "a_p": a, "c_p2": c} for p, a, c in zip(*(v.tolist() for v in columns))]
     with _output(cfg.get("out")) as out:
         _write_table(cfg, ["p", "a_p", "c_p2"], records, out)
     return EXIT_OK

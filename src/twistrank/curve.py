@@ -28,14 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, kronecker, sieve_primes, squarefree_kernels
+from .arith import PrimeTable, kronecker, squarefree_kernels
 
 __all__ = [
     "CurveModel",
     "Twists",
     "twist_columns",
     "MissingBadPrimeData",
-    "ap",
     "ap_array",
     "cpm",
     "load_catalog",
@@ -555,7 +554,7 @@ def _mod_each(n: int, ps: np.ndarray) -> np.ndarray:
 
 
 def _ap_values(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
-    """a_p of the model at each prime of ps, as int64 (see ``ap``)."""
+    """a_p of the model at each prime of ps, as int64 (see ``ap_array``)."""
     A, B = curve.A, curve.B
     out = np.empty(ps.size, dtype=np.int64)
     for p, meta in ((2, curve.a2), (3, curve.a3)):
@@ -584,43 +583,17 @@ _NO_PRIMES = np.empty(0, dtype=np.int64)
 _NO_PRIMES.setflags(write=False)
 
 
-# ap grows the cached prefix to 2p for a prime p below this: the table to
-# 2^13 takes about 20 ms, one prime about 1 ms.
-_AP_GROW_BELOW = 1 << 12
-
-
-def _cached_ap(curve: CurveModel, p: int) -> Optional[int]:
-    """a_p from the curve's cached ap_array prefix, or None outside it."""
-    ps, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
-    i = int(np.searchsorted(ps, p))
-    return int(vals[i]) if i < ps.size and ps[i] == p else None
-
-
-def ap(curve: CurveModel, p: int) -> int:
-    """Trace of Frobenius a_p of the model, so p + 1 - a_p = #E(F_p) at good p.
+def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
+    """a_p for every prime p < bound in the table, as int64, so that
+    p + 1 - a_p = #E(F_p) at good p.
 
     Good p > 3: Shanks-Mestre baby-step giant-step over the Hasse interval,
     run in numpy lanes (``_ap_lanes``), with the exhaustive character sum
     where the points tried leave more than one candidate (tiny p, or a
     group of small exponent on both E and its twist); p < 2^31.  Bad p > 3:
-    the node/cusp rule.  p in {2, 3}: curve metadata.  a_p is read from the
-    ``ap_array`` cache; a prime below _AP_GROW_BELOW beyond its prefix first
-    extends the prefix to 2p (for a curve with both metadata), so that
-    ascending calls run the lane kernel a few times, not once per prime.
-    Any other p is a one-lane call of the path ``ap_array`` runs in blocks.
-    """
-    a = _cached_ap(curve, p)
-    if a is None and 3 < p < _AP_GROW_BELOW and None not in (curve.a2, curve.a3):
-        ap_array(curve, sieve_primes(2 * p), 2 * p)
-        a = _cached_ap(curve, p)
-    return int(_ap_values(curve, np.array([p], dtype=np.int64))[0]) if a is None else a
-
-
-def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
-    """a_p for every prime p < bound in the table, as int64.
-
-    The longest prefix computed so far is cached per curve; new primes run
-    through the lane kernel in chunks of _AP_CHUNK.
+    the node/cusp rule.  p in {2, 3}: curve metadata.  The longest prefix
+    computed so far is cached per curve; new primes run through the lane
+    kernel in chunks of _AP_CHUNK.
     """
     ps = primes.below(bound)
     _, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
@@ -633,26 +606,23 @@ def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
     return vals[: ps.size]
 
 
-def cpm(curve: CurveModel, p: int, m: int) -> int:
-    """Prime-power coefficient c_{p^m}.
+def cpm(curve: CurveModel, primes: PrimeTable, bound: float, m: int) -> np.ndarray:
+    """Prime-power coefficients c_{p^m} for every prime p < bound in the
+    table, as int64, read from the ``ap_array`` table.
 
-    Good p: the power-sum recurrence c_{p^m} = a_p c_{p^(m-1)} - p c_{p^(m-2)}
-    with c_p = a_p and c_{p^2} = a_p^2 - 2p.  Bad p (p | conductor): a_p^m.
-    a_p is read from the ``ap_array`` cache when p lies in its prefix.
+    Good p: the power-sum recurrence c_{p^k} = a_p c_{p^(k-1)} - p c_{p^(k-2)}
+    from c_1 = a_p and c_0 = 2, so c_{p^2} = a_p^2 - 2p.  Bad p (p | the
+    conductor): a_p^m.  Every intermediate value is at most 4 p^(m/2) in
+    absolute value, so the int64 result is exact for p^m < 2^120.
     """
     if m < 1:
         raise ValueError(f"cpm needs m >= 1, got {m}")
-    a = _cached_ap(curve, p)
-    if a is None:
-        a = ap(curve, p)
-    if curve.conductor % p == 0:
-        return a**m
-    if m == 1:
-        return a
-    prev, cur = a, a * a - 2 * p
-    for _ in range(m - 2):
-        prev, cur = cur, a * cur - p * prev
-    return cur
+    ps = primes.below(bound)
+    a = ap_array(curve, primes, bound)
+    prev, cur = np.full(a.size, 2, dtype=np.int64), a
+    for _ in range(m - 1):
+        prev, cur = cur, a * cur - ps * prev
+    return np.where(_mod_each(curve.conductor, ps) == 0, a**m, cur)
 
 
 # The conductor bound of an unclean twist is 2^8 3^5 N d^2: the largest

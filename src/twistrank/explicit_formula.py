@@ -163,19 +163,20 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     weights = lp / ps.astype(float) * triangle(lp / lam)  # (log p)/p F, as in beta_array
     first = np.flatnonzero(aps)
     raw = [(first, np.ones(first.size, dtype=np.int8), aps[first] * weights[first])]
-    higher = {2: ([], [], []), 3: ([], [], [])}  # index, m and term for m = 2 and m >= 3
-    for i, p in enumerate(ps[: int(np.searchsorted(ps, math.sqrt(cutoff))) + 1].tolist()):
-        m = 2
-        while p**m < cutoff:
-            c = cpm(E, p, m)
-            if c:  # a zero coefficient adds +0.0 for every twist
-                index, power, term = higher[min(m, 3)]
-                index.append(i)
-                power.append(m)
-                term.append(_term(c, p, m, lam))
-            m += 1
-    for index, power, term in higher.values():
-        raw.append((np.array(index, dtype=np.int64), np.array(power, dtype=np.int8), np.array(term)))
+    # index, m and c_{p^m} of the terms with m >= 2, from an empty part
+    higher = [(first[:0], first[:0].astype(np.int8), first[:0])]
+    m = 2
+    while 2**m < cutoff:
+        c = cpm(E, primes, cutoff ** (1 / m) + 1, m)
+        # a zero coefficient adds +0.0 for every twist
+        (index,) = np.nonzero((c != 0) & (ps[: c.size] ** m < cutoff))
+        higher.append((index, np.full(index.size, m, dtype=np.int8), c[index]))
+        m += 1
+    index, power, c = (np.concatenate(part) for part in zip(*higher))
+    order = np.lexsort((power, index))  # ascending p, as add_products needs, then m
+    index, power, c = index[order], power[order], c[order]
+    term = np.array([_term(*t, lam) for t in zip(c.tolist(), ps[index].tolist(), power.tolist())])
+    raw += [(index[at], power[at], term[at]) for at in (power == 2, power >= 3)]
     raw = [(i[t != 0.0], m[t != 0.0], t[t != 0.0]) for i, m, t in raw]  # F = 0 at the cutoff adds nothing
     used = np.zeros(ps.size, dtype=bool)
     for index, _, _ in raw:

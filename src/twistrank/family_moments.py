@@ -200,12 +200,11 @@ def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool)
 def family_twist_values(config: MomentConfig) -> Family:
     """The twists by every D != 0 inside the weight support with W(D/T) > 0
     that pass the filters, with their weights, ascending in D.  W is
-    evaluated once per D, by math.exp as for a single D; sign filtering
-    happens later, once root numbers exist."""
-    ds = config.support_ds()
-    weight = np.array([weight_eval(config.weight, D / config.T) for D in ds], dtype=float)
-    twists = filter_twists(config.curve, ds, config.squarefree_only, config.coprime_to_2N)
-    family = Family(twists, weight[twists.D - ds.start])
+    evaluated once per twist the filters keep, by math.exp as for a single
+    D; sign filtering happens later, once root numbers exist."""
+    twists = filter_twists(config.curve, config.support_ds(), config.squarefree_only, config.coprime_to_2N)
+    weight = np.array([weight_eval(config.weight, D / config.T) for D in twists.D.tolist()], dtype=float)
+    family = Family(twists, weight)
     return family.select(family.weight > 0.0)
 
 

@@ -56,10 +56,8 @@ class TriangleKernel:
 
 
 def triangle(x: ArrayLike) -> ArrayLike:
-    """F(x) = max(0, 1 - |x|)."""
-    if isinstance(x, np.ndarray):
-        return np.maximum(0.0, 1.0 - np.abs(x))
-    return max(0.0, 1.0 - abs(x))
+    """F(x) = max(0, 1 - |x|), elementwise (a float gives a numpy float)."""
+    return np.maximum(0.0, 1.0 - np.abs(x))
 
 
 def mellin_phi(kernel: TriangleKernel, t: float) -> float:
@@ -206,8 +204,8 @@ def _require_wl_params(w: SmoothWeight, l: int) -> tuple:
     return (w.x, w.X_k)
 
 
-def weight_l_eval(w: SmoothWeight, t: ArrayLike, l: Optional[int] = None) -> ArrayLike:
-    """W_l(t) = (log(t^2 X_k^2) + (log x)/2)^l * W(t).
+def weight_l_eval(w: SmoothWeight, t: np.ndarray, l: Optional[int] = None) -> np.ndarray:
+    """W_l(t) = (log(t^2 X_k^2) + (log x)/2)^l * W(t) for an array of t.
 
     Well defined everywhere because W vanishes on a neighborhood of 0.
     """
@@ -217,16 +215,11 @@ def weight_l_eval(w: SmoothWeight, t: ArrayLike, l: Optional[int] = None) -> Arr
     if l == 0:
         return base
     x, X_k = _require_wl_params(w, l)
-    half_logx = 0.5 * math.log(x)
-    if isinstance(t, np.ndarray):
-        out = np.zeros_like(base)
-        nz = base != 0.0
-        ts = t[nz]
-        out[nz] = (np.log(ts * ts * X_k * X_k) + half_logx) ** l * base[nz]
-        return out
-    if base == 0.0:
-        return 0.0
-    return (math.log(t * t * X_k * X_k) + half_logx) ** l * base
+    out = np.zeros_like(base)
+    nz = base != 0.0
+    ts = t[nz]
+    out[nz] = (np.log(ts * ts * X_k * X_k) + 0.5 * math.log(x)) ** l * base[nz]
+    return out
 
 
 # Quadrature nodes one transform may use: each costs about 200 bytes while

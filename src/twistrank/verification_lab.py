@@ -104,31 +104,20 @@ class CheckResult:
 # Rankin-Selberg averages
 
 
-def _c2_values(curve: CurveModel, x: float, primes: PrimeTable) -> Tuple[np.ndarray, np.ndarray]:
-    from .curve import ap_array
-
-    ps = primes.below(x)
-    aps = ap_array(curve, primes, x).astype(float)
-    pf = ps.astype(float)
-    good = (curve.conductor % ps) != 0
-    c2 = np.where(good, aps * aps - 2.0 * pf, aps * aps)
-    return ps, c2
-
-
 def rankin_linear_check(curve: CurveModel, x: float, primes: PrimeTable) -> CheckResult:
     """sum_{p<x} c_{p^2} (log p)/p against -x.
 
     The ratio tends to 1 as x grows; the [0.75, 1.25] pass band is
     calibrated for x = 1e5 and convergence is slow below that.
     """
+    from .curve import cpm
     from .explicit_formula import _require_table
 
     if not x >= 1e3:
         raise ValueError(f"rankin_linear_check needs x >= 1e3, got {x}")
     _require_table(primes, math.log(x))
-    ps, c2 = _c2_values(curve, x, primes)
-    lp = np.log(ps.astype(float))
-    computed = fsum((c2 * lp / ps.astype(float)).tolist())
+    pf = primes.below(x).astype(float)
+    computed = fsum((cpm(curve, primes, x, 2) * np.log(pf) / pf).tolist())
     reference = -x
     ratio = computed / reference
     return CheckResult(

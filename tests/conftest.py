@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -6,9 +7,9 @@ import pytest
 from scipy.integrate import IntegrationWarning, quad
 
 from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
-from twistrank.curve import CurveModel, ap, builtin_catalog, cpm, twist_columns
+from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
-from twistrank.kernel import weight_l_eval
+from twistrank.kernel import weight_eval
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +97,43 @@ def twisted_model(curve, D: int) -> CurveModel:
     )
 
 
+# The primes whose a_p the scalar references read from the ap_array table.
+REFERENCE_PRIME_LIMIT = 100_000
+
+
+@functools.lru_cache(maxsize=None)
+def _ap_by_prime(curve) -> dict:
+    primes = sieve_primes(REFERENCE_PRIME_LIMIT)
+    return dict(zip(primes.primes.tolist(), ap_array(curve, primes, REFERENCE_PRIME_LIMIT).tolist()))
+
+
+def table_ap(curve, p: int) -> int:
+    """a_p of the curve at one prime p < REFERENCE_PRIME_LIMIT, read from its
+    ap_array table."""
+    return _ap_by_prime(curve)[p]
+
+
+def one_prime_ap(curve, p: int) -> int:
+    """a_p of the model at the one prime p, a one-prime call of the kernel
+    behind ap_array (no table, no cache): for the twisted models."""
+    return int(_ap_values(curve, np.array([p], dtype=np.int64))[0])
+
+
+def cpm_reference(curve, p: int, m: int) -> int:
+    """c_{p^m}(E) by the scalar power-sum recurrence in Python integers, the
+    oracle for curve.cpm: at good p, c_{p^m} = a_p c_{p^(m-1)} - p c_{p^(m-2)}
+    with c_p = a_p and c_{p^2} = a_p^2 - 2p; at bad p (p | N), a_p^m."""
+    a = table_ap(curve, p)
+    if curve.conductor % p == 0:
+        return a**m
+    if m == 1:
+        return a
+    prev, cur = a, a * a - 2 * p
+    for _ in range(m - 2):
+        prev, cur = cur, a * cur - p * prev
+    return cur
+
+
 def twist_cpm(curve, D: int, p: int, m: int) -> int:
     """c_{p^m}(E_D), with the twisted model wherever E_D may be bad at p.
 
@@ -105,8 +143,8 @@ def twist_cpm(curve, D: int, p: int, m: int) -> int:
     a_p(E_D)^m.
     """
     if (2 * curve.conductor * D) % p or (p == 2 and (curve.conductor * D) % 2 and D % 4 == 1):
-        return kronecker(D, p) ** m * cpm(curve, p, m)
-    return ap(twisted_model(curve, D), p) ** m
+        return kronecker(D, p) ** m * cpm_reference(curve, p, m)
+    return one_prime_ap(twisted_model(curve, D), p) ** m
 
 
 def one_row_prime_sides(curve, D: int, kernel, primes) -> tuple:
@@ -187,15 +225,25 @@ def qawo_transform(f, lo: float, hi: float, freq: float) -> complex:
     return complex(re, im)
 
 
+def _weight_l_at(w, t: float, l: int) -> float:
+    """W_l(t) = (log(t^2 X_k^2) + (log x)/2)^l W(t) at one point in Python
+    floats, for the quadrature's scalar calls (weight_l_eval takes arrays,
+    and a one-element array per call costs QUADPACK ten times the time)."""
+    base = weight_eval(w, t)
+    if l == 0 or base == 0.0:
+        return base
+    return (math.log(t * t * w.X_k * w.X_k) + 0.5 * math.log(w.x)) ** l * base
+
+
 def qawo_weight_fourier(w, freq: float, l: int = 0) -> complex:
     """hat(W_l)(freq) by QAWO."""
-    return qawo_transform(lambda t: weight_l_eval(w, t, l), w.support_lo, w.support_hi, freq)
+    return qawo_transform(lambda t: _weight_l_at(w, t, l), w.support_lo, w.support_hi, freq)
 
 
 def qawo_weight_fourier_derivative(w, freq: float, l: int = 0) -> complex:
     """hat(W_l)'(freq) = i * (transform of -2 pi t W_l) by QAWO."""
 
     def g(t):
-        return -2.0 * math.pi * t * weight_l_eval(w, t, l)
+        return -2.0 * math.pi * t * _weight_l_at(w, t, l)
 
     return 1j * qawo_transform(g, w.support_lo, w.support_hi, freq)

@@ -531,6 +531,28 @@ class TestGoldenBytes:
             ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
             {"": "2cb816dc2e2f4888d8e3d2f14198d9eec21ba8183c43e82372a95139eb80b032"},
         ),
+        "ap-table-ncm37-1e5": (
+            ["ap-table", "--curve", "ncm37", "--limit", "100000"],
+            {"": "7692b185d3829ec4e5d03f9ebfd32625edaf7358308b93f27c7cf0013bda9c90"},
+        ),
+        "ap-table-cm32-like-1e4-json": (
+            ["ap-table", "--curve", "cm32-like", "--limit", "10000", "--format", "json"],
+            {"": "e4802f70e30a44bf87b6efa27d50dba9ce517db6b5c3f1a3c55026dc9ef47fbb"},
+        ),
+        "sweep-default": (
+            ["sweep"],
+            {
+                "": "210a8a6e92644ba876eb582a5903f287216d521ff867a09e65d2b3d652efc325",
+                ".refs.json": "deb564aa4006a0f66a09ea33e2d32429635b99c7b26a6bfbf7b2953156a42366",
+            },
+        ),
+        "sweep-ncm37-k2-minus": (
+            ["sweep", "--curve", "ncm37", "--x", "1000", "--k", "2", "--T", "3000", "--sign", "minus"],
+            {
+                "": "c65a29fc7529e0e7834f664f2749f4cfdb6ec1f9ea5954ed33d5fcd48670c3bf",
+                ".refs.json": "8194e1a945c6d276a8b86936cc0ae284aa600e1dec7affd3d42fe6fb029609e9",
+            },
+        ),
     }
 
     @pytest.mark.parametrize("case", list(CASES))

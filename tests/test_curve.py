@@ -14,7 +14,6 @@ from twistrank.curve import (
     _ap_lanes,
     _ap_values,
     _hasse_orders,
-    ap,
     ap_array,
     cpm,
     load_catalog,
@@ -22,7 +21,7 @@ from twistrank.curve import (
 )
 from twistrank.family_moments import filter_twists
 
-from conftest import brute_point_count, twisted_model
+from conftest import brute_point_count, cpm_reference, one_prime_ap, twisted_model
 
 
 def _ec_add(P, Q, a, p):
@@ -91,7 +90,7 @@ class TestCatalogMetadata:
         # sits at (5, 18)
         p = 37
         smooth = long_model_count(p, 0, 0, 1, -1, 0) - 1
-        assert ap(ncm_curve, p) == p - smooth == -1
+        assert one_prime_ap(ncm_curve, p) == p - smooth == -1
 
     def test_catalog_parsing(self, tmp_path):
         path = tmp_path / "c.cat"
@@ -119,44 +118,44 @@ class TestCatalogMetadata:
 
 
 class TestAp:
-    def test_examples(self, cm_curve):
-        assert ap(cm_curve, 5) == 2
-        assert ap(cm_curve, 3) == 0
+    def test_examples(self, cm_curve, primes_1e3):
+        assert ap_array(cm_curve, primes_1e3, 6).tolist() == [0, 0, 2]  # a_2, a_3, a_5
 
     def test_point_counts(self, cm_curve, ncm_curve, extra_curve, primes_1e3):
         for curve in (cm_curve, ncm_curve, extra_curve):
             disc = 4 * curve.A**3 + 27 * curve.B**2
-            for p in (int(q) for q in primes_1e3.primes if q < 300):
+            for p, a in zip(primes_1e3.below(300).tolist(), ap_array(curve, primes_1e3, 300).tolist()):
                 if (2 * disc) % p == 0:
                     continue
-                assert p + 1 - ap(curve, p) == brute_point_count(curve.A, curve.B, p)
+                assert p + 1 - a == brute_point_count(curve.A, curve.B, p)
 
     def test_hasse_bound(self, cm_curve, ncm_curve, primes_1e3):
         for curve in (cm_curve, ncm_curve):
-            for p in (int(q) for q in primes_1e3.primes):
+            for p, a in zip(primes_1e3.primes.tolist(), ap_array(curve, primes_1e3, 1e3).tolist()):
                 if curve.discriminant % p == 0:
                     continue
-                assert abs(ap(curve, p)) <= 2 * math.sqrt(p)
+                assert abs(a) <= 2 * math.sqrt(p)
 
-    def test_missing_bad_prime_data(self):
+    def test_missing_bad_prime_data(self, primes_1e3):
         curve = CurveModel(A=1, B=1, conductor=1, root_number=1)
         with pytest.raises(MissingBadPrimeData):
-            ap(curve, 2)
+            ap_array(curve, primes_1e3, 3)
 
     def test_rejects_primes_above_lane_bound(self, ncm_curve):
         # int64 lanes hold every intermediate value only for p < 2^31; the
         # largest prime below it is exact
         p = 2**31 - 1
-        assert _certified_ap(ncm_curve.A, ncm_curve.B, p, ap(ncm_curve, p))
+        assert _certified_ap(ncm_curve.A, ncm_curve.B, p, one_prime_ap(ncm_curve, p))
         with pytest.raises(ValueError, match="2\\^31"):
-            ap(ncm_curve, 2**31 + 11)
+            one_prime_ap(ncm_curve, 2**31 + 11)
 
     def test_ap_array_matches_scalar(self, ncm_curve, primes_1e3):
+        # the table against one-prime calls of its kernel
         arr = ap_array(ncm_curve, primes_1e3, 200)
         ps = primes_1e3.below(200)
         assert len(arr) == len(ps)
         for p, a in zip(ps, arr):
-            assert int(a) == ap(ncm_curve, int(p))
+            assert int(a) == one_prime_ap(ncm_curve, int(p))
         # cache returns a consistent prefix after a larger request
         arr2 = ap_array(ncm_curve, primes_1e3, 500)
         assert arr2[: len(arr)].tolist() == arr.tolist()
@@ -216,7 +215,7 @@ class TestApBsgs:
             assert (_ap_values(curve, good) == exact).all(), curve.label
             fallbacks = good[~settled].tolist()
             for p in fallbacks:
-                assert ap(curve, p) == _ap_char_sum(curve.A, curve.B, p), (curve.label, p)
+                assert one_prime_ap(curve, p) == _ap_char_sum(curve.A, curve.B, p), (curve.label, p)
             # points of the twist settle what E alone leaves open, so only
             # tiny primes reach the exhaustive sum
             assert all(p < 100 for p in fallbacks), (curve.label, fallbacks)
@@ -263,7 +262,7 @@ class TestApBsgs:
         for (p, a), got in zip(pinned, vals.tolist()):
             assert _ap_char_sum(cm_curve.A, cm_curve.B, p) == a
             assert got == a
-            assert ap(cm_curve, p) == a
+            assert one_prime_ap(cm_curve, p) == a
 
     @pytest.mark.parametrize("A, B, p", [(1, 0, 8161), (1, 0, 9857), (-1, 0, 9601), (-16, 16, 1009)])
     def test_hasse_orders_exact(self, A, B, p):
@@ -341,7 +340,7 @@ class TestApBsgs:
         assert not settled.any()
         for p in ps:
             exact = _ap_char_sum(cm_curve.A, cm_curve.B, p)
-            assert ap(cm_curve, p) == exact == p + 1 - brute_point_count(1, 0, p)
+            assert one_prime_ap(cm_curve, p) == exact == p + 1 - brute_point_count(1, 0, p)
 
     def test_points_of_the_missing_curve_settle(self, monkeypatch, cm_curve):
         # every usable try x0 = n * _BSGS_STRIDE (n < 12) gives a square c
@@ -387,8 +386,8 @@ class TestApBsgs:
         # 2 and 3 from metadata, 5 and 7 bad (the node rule), the rest in
         # lanes: every split of the table into calls and chunks agrees
         ps = primes_1e3.below(400)
-        want = [ap(bad3_curve, p) for p in ps.tolist()]
-        assert want[:4] == [bad3_curve.a2, bad3_curve.a3, ap(bad3_curve, 5), ap(bad3_curve, 7)]
+        want = [one_prime_ap(bad3_curve, p) for p in ps.tolist()]
+        assert want[:2] == [bad3_curve.a2, bad3_curve.a3]
         steps = CurveModel(A=-3, B=12, conductor=105, root_number=1, label="steps", a2=1, a3=-1)
         for bound in (3, 4, 6, 8, 100, 400):
             got = ap_array(steps, primes_1e3, bound)
@@ -418,46 +417,52 @@ def test_ap_table_digests(catalog, primes_1e5):
 class TestCpm:
     def test_reads_ap_array_cache(self, monkeypatch, primes_1e3):
         curve = CurveModel(A=3, B=7, conductor=1, root_number=1, label="cpm-cache", a2=0, a3=0)
-        aps = ap_array(curve, primes_1e3, 500).tolist()
+        aps = ap_array(curve, primes_1e3, 500)
         calls = []
+        original = curve_mod._ap_values
 
-        def counting_ap(c, p):
-            calls.append(p)
-            return ap(c, p)
+        def counting(c, ps):
+            calls.append(ps.tolist())
+            return original(c, ps)
 
-        monkeypatch.setattr(curve_mod, "ap", counting_ap)
-        for p, a in zip(primes_1e3.below(500).tolist(), aps):
-            assert cpm(curve, p, 2) == a * a - 2 * p
+        monkeypatch.setattr(curve_mod, "_ap_values", counting)
+        ps = primes_1e3.below(500)
+        assert (cpm(curve, primes_1e3, 500, 2) == aps * aps - 2 * ps).all()
         assert calls == []
-        cpm(curve, 997, 2)  # beyond the cached prefix
-        assert calls == [997]
+        assert cpm(curve, primes_1e3, 1000, 2).size == primes_1e3.primes.size  # beyond the table
+        assert calls == [primes_1e3.primes[ps.size :].tolist()]
 
-    def test_recurrence_identity(self, cm_curve, ncm_curve, primes_1e3):
+    def test_recurrence_identity(self, cm_curve, ncm_curve, primes_1e4):
+        # every prime below 1e4, the bad ones (2 for cm32-like, 37 for
+        # ncm37) included, against the recurrence in Python integers
+        for curve, bad in ((cm_curve, 2), (ncm_curve, 37)):
+            assert curve.conductor % bad == 0
+            ps = primes_1e4.primes.tolist()
+            for m in range(1, 9):
+                got = cpm(curve, primes_1e4, 1e4, m)
+                assert got.dtype == np.int64
+                assert got.tolist() == [cpm_reference(curve, p, m) for p in ps], (curve.label, m)
+
+    def test_example_cm_p5(self, cm_curve, primes_1e3):
+        # c_4 = a_2^2 at the bad prime 2, a_3^2 - 6 and a_5^2 - 10
+        assert cpm(cm_curve, primes_1e3, 6, 2).tolist() == [0, -6, -6]
+
+    def test_bad_prime_powers(self, ncm_curve, primes_1e3):
+        assert ap_array(ncm_curve, primes_1e3, 38)[-1] == -1
+        assert cpm(ncm_curve, primes_1e3, 38, 3)[-1] == -1  # (-1)^3
+
+    def test_hasse_bound_prime_powers(self, cm_curve, ncm_curve, primes_1e4):
+        # |c_{p^m}| <= 2 p^(m/2) at good p, in integers (a_p = 0 gives equality
+        # at even m)
         for curve in (cm_curve, ncm_curve):
-            for p in (int(q) for q in primes_1e3.primes if q < 500):
-                if curve.conductor % p == 0 or p in (2, 3) and curve.discriminant % p == 0:
-                    continue
-                a = ap(curve, p)
-                assert cpm(curve, p, 2) == a * a - 2 * p
+            ps = primes_1e4.primes.tolist()
+            for m in range(1, 9):
+                for p, c in zip(ps, cpm(curve, primes_1e4, 1e4, m).tolist()):
+                    assert curve.conductor % p == 0 or c * c <= 4 * p**m, (curve.label, p, m)
 
-    def test_example_cm_p5(self, cm_curve):
-        assert cpm(cm_curve, 5, 2) == -6
-
-    def test_bad_prime_powers(self, ncm_curve):
-        assert ap(ncm_curve, 37) == -1
-        assert cpm(ncm_curve, 37, 3) == -1  # (-1)^3
-
-    def test_hasse_bound_prime_powers(self, cm_curve, ncm_curve, primes_1e3):
-        for curve in (cm_curve, ncm_curve):
-            for p in (int(q) for q in primes_1e3.primes if q < 500):
-                if curve.conductor % p == 0:
-                    continue
-                for m in range(1, 6):
-                    assert abs(cpm(curve, p, m)) <= 2 * p ** (m / 2) + 1e-9
-
-    def test_m_validation(self, cm_curve):
+    def test_m_validation(self, cm_curve, primes_1e3):
         with pytest.raises(ValueError):
-            cpm(cm_curve, 5, 0)
+            cpm(cm_curve, primes_1e3, 6, 0)
 
 
 class TestTwisting:
@@ -494,18 +499,18 @@ class TestTwisting:
 
     def test_p_divides_D(self, ncm_curve):
         model = twisted_model(ncm_curve, 15)
-        assert ap(model, 3) == 0
-        assert ap(model, 5) == 0
+        assert _ap_values(model, np.array([3, 5])).tolist() == [0, 0]
 
     def test_square_twist_restores_ap(self, ncm_curve, primes_1e3):
         model = twisted_model(ncm_curve, 25)
-        for p in (7, 11, 13, 17):
-            assert ap(model, p) == ap(ncm_curve, p)
+        ps = np.array([7, 11, 13, 17])
+        assert (_ap_values(model, ps) == _ap_values(ncm_curve, ps)).all()
 
     def test_sign_flip(self, ncm_curve):
         model = twisted_model(ncm_curve, 3)
-        for p in (7, 11, 13):
-            assert ap(model, p) == ap(ncm_curve, p) * kronecker(3, p)
+        ps = np.array([7, 11, 13])
+        chi = np.array([kronecker(3, p) for p in ps.tolist()])
+        assert (_ap_values(model, ps) == _ap_values(ncm_curve, ps) * chi).all()
 
     def test_conductor_bound(self, cm_curve, ncm_curve):
         tw = twist_columns(ncm_curve, range(1, 6))  # D = 1..5

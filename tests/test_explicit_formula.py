@@ -6,7 +6,7 @@ import pytest
 
 import twistrank.explicit_formula as ef
 from twistrank.arith import sieve_primes
-from twistrank.curve import ap_array, cpm, twist_columns
+from twistrank.curve import ap_array, twist_columns
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
@@ -17,7 +17,14 @@ from twistrank.explicit_formula import (
 from twistrank.family_moments import filter_twists
 from twistrank.kernel import TriangleKernel, triangle
 
-from conftest import fsum_prime_sides, one_row_prime_sides, one_twist, trial_twist_invariants, twist_cpm
+from conftest import (
+    cpm_reference,
+    fsum_prime_sides,
+    one_row_prime_sides,
+    one_twist,
+    trial_twist_invariants,
+    twist_cpm,
+)
 
 
 class TestBeta:
@@ -51,9 +58,8 @@ class TestPrimeSide:
         # base m=1 sum computed independently
         lam = kern.lam
         expect = math.fsum(
-            cpm(ncm_curve, int(p), 1) * math.log(int(p)) / int(p) * triangle(math.log(int(p)) / lam)
-            for p in primes_1e4.primes
-            if int(p) < 2000
+            a * math.log(p) / p * triangle(math.log(p) / lam)
+            for p, a in zip(primes_1e4.below(2000).tolist(), ap_array(ncm_curve, primes_1e4, 2000).tolist())
         )
         assert m1 == pytest.approx(expect, abs=1e-12)
 
@@ -262,7 +268,7 @@ class TestColumnarOracle:
         lam = math.log(1e3)
         plan = ef._prime_plan(cm_curve, lam, primes_1e4, ef._require_table(primes_1e4, lam))
         ps = primes_1e4.below(1e3).tolist()
-        higher = {p for p in ps if any(cpm(cm_curve, p, m) for m in range(2, 10) if p**m < 1e3)}
+        higher = {p for p in ps if any(cpm_reference(cm_curve, p, m) for m in range(2, 10) if p**m < 1e3)}
         expected = [p for p, a in zip(ps, ap_array(cm_curve, primes_1e4, 1e3).tolist()) if a or p in higher]
         assert plan.columns.tolist() == expected
         assert (len(ps), plan.columns.size) == (168, 86)

@@ -171,8 +171,9 @@ class TestConfigAndFamily:
                 filter_twists(curve, range(300, -301, -1), squarefree, coprime)
 
     def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch, capsys):
-        # W once per D of the support, one squarefree sieve over the support,
-        # and no trial division on the sweep and ef-report paths
+        # W once per twist the filters keep (before the sign filter), one
+        # squarefree sieve over the support, and no trial division on the
+        # sweep and ef-report paths
         calls = {"weight_eval": [], "squarefree_kernels": [], "_factor_trial": []}
 
         def counted(name, fn):
@@ -187,6 +188,7 @@ class TestConfigAndFamily:
         )
         support = range(211, 420)  # 0.5 < D/T < 1
         coprime = [D for D in support if math.gcd(D, 2 * cm_curve.conductor) == 1]
+        kept = [D for D in coprime if is_squarefree(D)]
         # wrapped in every twistrank namespace that binds the function
         for name in calls:
             original = getattr(arith, name, None) or getattr(kernel_mod, name)
@@ -194,7 +196,7 @@ class TestConfigAndFamily:
                 if mod_name.startswith("twistrank") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted(name, original))
         family = sweep_family(cfg, primes_1e4)
-        assert [u for _, u in calls["weight_eval"]] == [D / cfg.T for D in support]
+        assert [u for _, u in calls["weight_eval"]] == [D / cfg.T for D in kept]
         assert calls["squarefree_kernels"] == [(211, 419)]
         assert 0 < len(family) < len(coprime)
         from twistrank.cli import main

@@ -210,24 +210,23 @@ class TestSmoothWeight:
 class TestWeightL:
     def test_l_zero_is_plain_weight(self):
         w = SmoothWeight(0.5, 1.0)
-        for t in (0.3, 0.6, 0.9, 1.5):
-            assert weight_l_eval(w, t, 0) == weight_eval(w, t)
+        ts = np.array([0.3, 0.6, 0.9, 1.5])
+        assert weight_l_eval(w, ts, 0).tolist() == weight_eval(w, ts).tolist()
 
     def test_outside_support_zero(self):
         w = SmoothWeight(0.5, 1.0, l=2, x=math.e, X_k=math.e)
-        assert weight_l_eval(w, 0.1) == 0.0
-        assert weight_l_eval(w, 0.0) == 0.0  # no log(0) blowup
+        assert weight_l_eval(w, np.array([0.1, 0.0])).tolist() == [0.0, 0.0]  # no log(0) blowup
 
     def test_log_factor_value(self):
         w = SmoothWeight(0.5, 1.0, l=1, x=math.e**2, X_k=5.0)
         t = 0.75
         expected = (math.log(t * t * 25.0) + 1.0) * weight_eval(w, t)
-        assert weight_l_eval(w, t) == pytest.approx(expected, rel=1e-14)
+        assert weight_l_eval(w, np.array([t]))[0] == pytest.approx(expected, rel=1e-14)
 
     def test_missing_parameters_rejected(self):
         w = SmoothWeight(0.5, 1.0)
         with pytest.raises(ValueError):
-            weight_l_eval(w, 0.6, 1)
+            weight_l_eval(w, np.array([0.6]), 1)
 
 
 class TestWeightFourier:

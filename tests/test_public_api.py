@@ -46,7 +46,7 @@ def test_package_imports_resolve():
         ("import twistrank.cli", ["arith", "cli"]),
         ("import twistrank.verification_lab", ["arith", "kernel", "verification_lab"]),
         ("from twistrank import kronecker", ["arith"]),
-        ("import twistrank; twistrank.curve.ap", ["arith", "curve"]),
+        ("import twistrank; twistrank.curve.cpm", ["arith", "curve"]),
     ],
     ids=["cli", "verification_lab", "kronecker", "submodule"],
 )
