@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure,
 Outputs are deterministic given (config, seed, version): no timestamps,
 floats in shortest round-trip form.  The three tables (ap-table, ef-report,
 sweep) are written by one writer, _write_table; each command only builds
-its records.
+its records.  The process runs one thread: --threads is accepted and
+ignored, and OpenBLAS starts no worker unless OPENBLAS_NUM_THREADS says so.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO
+
+# No command makes a BLAS call (the one matmul is int8 x int64, which numpy
+# does without BLAS), yet OpenBLAS starts a worker thread when numpy loads it,
+# and that thread costs about half of numpy's import: 140 -> 67 ms, process CPU
+# 196 -> 129 ms (medians of 25 fresh processes, 2-core x86-64 host, OpenBLAS
+# 0.3.31).  OpenBLAS reads the variable once, when numpy loads it, so it is set
+# before the first import that loads numpy; a user's explicit value wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # The numerical modules load inside the commands that run them, so that no
 # command pays for compiling another's.  sieve_primes stays a module global:

@@ -7,12 +7,19 @@ exactly.
 """
 
 import contextlib
+import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+import twistrank
 from twistrank.arith import is_squarefree, kronecker, parity_decompose
 from twistrank.cli import main as cli_main
 from twistrank.curve import ap_array, cpm
@@ -258,3 +265,33 @@ def test_determinism_across_threads(tmp_path):
         assert (tmp_path / "t1.csv.refs.json").read_bytes() == (
             tmp_path / "t8.csv.refs.json"
         ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["sweep", "--curve", "cm32-like", "--x", "1000", "--T", "20000"],
+        ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
+        ["ap-table", "--curve", "ncm37", "--limit", "100000"],
+    ],
+    ids=["sweep", "ef-report", "ap-table"],
+)
+def test_determinism_across_blas_threads(tmp_path, args):
+    # fresh processes, since OpenBLAS reads its thread count once, at load
+    with criterion(f"determinism: {args[0]} bytes equal at 1 and 2 BLAS threads"):
+        src = str(Path(twistrank.__file__).resolve().parents[1])
+        digests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "twistrank.cli", *args, "--out", str(out)],
+                capture_output=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs = sorted(tmp_path.glob(f"{out.name}*"))  # a sweep also writes .refs.json
+            digests[threads] = [hashlib.sha256(f.read_bytes()).hexdigest() for f in outputs]
+        assert digests["1"] == digests["2"]
+        assert len(digests["1"]) == (2 if args[0] == "sweep" else 1)

@@ -597,8 +597,15 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
-def _probe(code, *args):
+def _probe(code, *args, **env_vars):
+    """Run ``code`` in a fresh interpreter; ``env_vars`` set environment
+    variables (a string) or remove them (None)."""
     env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
+    for key, value in env_vars.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
     proc = subprocess.run(
         [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
     )
@@ -665,6 +672,48 @@ print(json.dumps([before, after_fourier, loaded(), phi.real, abs(w), abs(dw)]))
         assert phi == pytest.approx(2.0, abs=1e-10)  # Phi_lambda(1) = lambda
         assert 0.0 < w < 0.5
         assert 0.0 < dw < 1e-4
+
+
+# Runs one command in a fresh interpreter and prints OPENBLAS_NUM_THREADS and
+# the number of the process's OS threads (None without /proc/self/task).
+_THREAD_PROBE = """
+import io, json, os, sys
+from contextlib import redirect_stdout
+from twistrank.cli import main
+with redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+class TestBlasThreads:
+    """No command makes a BLAS call, so the command-line process starts no
+    OpenBLAS worker; a value the user sets is left as it is."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"],
+            ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "-3", "--dmax", "3"],
+            ["ap-table", "--curve", "ncm37", "--limit", "50"],
+            ["verify", "--only", "poisson"],
+        ],
+        ids=["sweep", "ef-report", "ap-table", "verify-poisson"],
+    )
+    def test_one_thread_by_default(self, args):
+        code, value, tasks = _probe(_THREAD_PROBE, *args, OPENBLAS_NUM_THREADS=None)
+        assert code == EXIT_OK
+        assert value == "1"
+        if tasks is None:
+            pytest.skip("no /proc/self/task to count threads in")
+        assert tasks == 1
+
+    def test_user_value_wins(self):
+        args = ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"]
+        code, value, _ = _probe(_THREAD_PROBE, *args, OPENBLAS_NUM_THREADS="2")
+        assert code == EXIT_OK
+        assert value == "2"
 
 
 def _bench_module(name):
