@@ -243,18 +243,24 @@ def _table_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
     return np.concatenate([_residue_table(p) for p in ps.tolist()])[starts + _residues(d, ps)]
 
 
-def _euler_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """(r|p) = r^((p-1)/2) mod p by square-and-multiply over the whole block;
-    the int64 product of two residues bounds p below 3.0e9 (p^2 < 2^63)."""
-    base = res.copy()
+def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """b^e mod p lane by lane for int64 residues b (e and p broadcast
+    against b), by right-to-left square-and-multiply; exact while the int64
+    product of two residues is, p^2 < 2^63 (p below 3.0e9)."""
+    base = b.copy()
     r = np.ones_like(base)
-    e = (ps - 1) // 2
     while e.any():
         r *= np.where(e & 1, base, 1)
-        r %= ps
+        r %= p
         base *= base
-        base %= ps
-        e >>= 1
+        base %= p
+        e = e >> 1
+    return r
+
+
+def _euler_symbols(res: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """(r|p) = r^((p-1)/2) mod p over the whole block (p^2 < 2^63)."""
+    r = _powmod(res, (ps - 1) // 2, ps)
     return np.where(r > 1, -1, r).astype(np.int8)  # r is 0, 1 or p - 1
 
 

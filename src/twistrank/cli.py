@@ -239,13 +239,12 @@ def _load_catalog_cfg(cfg: dict) -> dict:
     return builtin_catalog()
 
 
-def _sieve(limit: int, what: str):
-    """The primes up to limit, refused (exit 2) before any sieving above
-    PRIME_LIMIT_CAP or when the a_p table over them is estimated to take
-    longer than AP_TABLE_BUDGET_S."""
+def _check_prime_table(limit: int, what: str) -> None:
+    """Refuse (exit 2) a prime table up to limit above PRIME_LIMIT_CAP or
+    whose a_p table is estimated to take longer than AP_TABLE_BUDGET_S."""
     if limit > PRIME_LIMIT_CAP:
         raise ConfigError(
-            f"{what} needs a prime table up to {limit}, above the cap {PRIME_LIMIT_CAP}"
+            f"{what} needs a prime table up to {limit:.10g}, above the cap {PRIME_LIMIT_CAP}"
         )
     # about limit / log(limit) primes, each at the a_p cost measured near the
     # cap scaled by (limit / cap)^(1/4), as baby-step giant-step grows with p
@@ -256,6 +255,11 @@ def _sieve(limit: int, what: str):
             f"{what} needs an a_p table up to {limit}, estimated at {estimate / 60:.0f} min, "
             f"above the budget of {AP_TABLE_BUDGET_S / 60:.0f} min"
         )
+
+
+def _sieve(limit: int, what: str):
+    """The primes up to limit, refused (_check_prime_table) before any sieving."""
+    _check_prime_table(limit, what)
     return sieve_primes(limit)
 
 
@@ -277,11 +281,13 @@ def _twist_cost_estimate(ds: range, x: float) -> float:
 
 def _check_twist_cost(ds: range, x: float, what: str) -> None:
     """Refuse (exit 2), before any enumeration, a run over the candidate D of
-    ds with primes below x: when some |D| passes SQUAREFREE_SIEVE_MAX (the
-    sieve's base primes, up to sqrt(|D|), would pass PRIME_LIMIT_CAP), when
-    the twists are estimated (_twist_cost_estimate) to take longer than
-    TWIST_BUDGET_S, or when ds holds more than TWIST_CANDIDATE_CAP
-    candidates."""
+    ds with primes below x: when the prime table up to x is refused (first:
+    pricing the twists of a huge x overflows), when some |D| passes
+    SQUAREFREE_SIEVE_MAX (the sieve's base primes, up to sqrt(|D|), would
+    pass PRIME_LIMIT_CAP), when the twists are estimated
+    (_twist_cost_estimate) to take longer than TWIST_BUDGET_S, or when ds
+    holds more than TWIST_CANDIDATE_CAP candidates."""
+    _check_prime_table(max(math.ceil(x), 3), f"x = {x:g}")
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
     if max_d > SQUAREFREE_SIEVE_MAX:
         raise ConfigError(

@@ -28,7 +28,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, kronecker, squarefree_kernels
+from .arith import PrimeTable, _powmod, kronecker, squarefree_kernels
 
 __all__ = [
     "CurveModel",
@@ -149,16 +149,6 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
     r = np.sqrt(n.astype(np.float64)).astype(np.int64)
     r -= r * r > n
     r += (r + 1) * (r + 1) <= n
-    return r
-
-
-def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """b^e mod p lane by lane, by left-to-right square-and-multiply."""
-    r = np.ones_like(b)
-    b1 = b - 1
-    for i in range(int(e.max()).bit_length() - 1, -1, -1):
-        r = r * r % p
-        r = r * ((e >> i & 1) * b1 + 1) % p  # times b where bit i of e is set
     return r
 
 
@@ -656,13 +646,13 @@ class Twists:
 
     conductor_bounds() is exactly N * D^2 where conductor_exact (squarefree
     and coprime to 2N); otherwise it is a documented over-estimate
-    (<= 2^8 * 3^5 * N * d^2 with d the kernel).  Note the exact branch
-    follows the N * D^2 convention even though twisting a curve of odd
-    conductor by D = 3 mod 4 also moves the 2-part; the explicit-formula
-    tables flag this through conductor_exact.  root_number is w(E_D) =
-    w(E) * chi_D(-N) = w(E) * (d_K | -N) for a clean D, else 0; it is 0
-    also where chi_D ramifies at a prime of N (N even, D = 3 mod 4), as the
-    relation leaves the sign open there.
+    (<= 2^8 * 3^5 * N * d^2 with d the kernel).  The exact branch is not
+    always exact: for a curve of odd conductor and D = 3 mod 4 the twist's
+    conductor is N * 16 * D^2, yet conductor_exact is true there too, as
+    for every squarefree D coprime to 2N (ROADMAP item 2).  root_number is
+    w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a clean D, else 0; it
+    is 0 also where chi_D ramifies at a prime of N (N even, D = 3 mod 4),
+    as the relation leaves the sign open there.
     """
 
     base: CurveModel

@@ -87,12 +87,6 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
     return aps * lp / ps.astype(float) * fv
 
 
-def _term(c: int, p: int, m: int, lam: float) -> float:
-    """c (log p)/p^m F(m log p / lambda) for m >= 2, left to right from c."""
-    lp = math.log(p)
-    return c * lp / p**m * triangle(m * lp / lam)
-
-
 @dataclass(frozen=True)
 class _Group:
     """One group of the plan (m = 1, m = 2 or m >= 3): for each term, the
@@ -175,7 +169,9 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     index, power, c = (np.concatenate(part) for part in zip(*higher))
     order = np.lexsort((power, index))  # ascending p, as add_products needs, then m
     index, power, c = index[order], power[order], c[order]
-    term = np.array([_term(*t, lam) for t in zip(c.tolist(), ps[index].tolist(), power.tolist())])
+    p = ps[index]
+    lp = np.array(list(map(math.log, p.tolist())))  # libm: np.log rounds some integers differently
+    term = c * lp / p**power * triangle(power * lp / lam)  # c (log p)/p^m F(m log p / lambda)
     raw += [(index[at], power[at], term[at]) for at in (power == 2, power >= 3)]
     raw = [(i[t != 0.0], m[t != 0.0], t[t != 0.0]) for i, m, t in raw]  # F = 0 at the cutoff adds nothing
     used = np.zeros(ps.size, dtype=bool)

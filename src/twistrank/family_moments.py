@@ -10,8 +10,9 @@ A family is a set of numpy columns (Family): D and the twist invariants
 from one squarefree sieve over the support, W, and the explicit-formula
 columns from one batched prime side.  No object is built per twist; what
 stays per element in Python is what numpy does not round as libm does:
-math.exp in W, math.log of each exact conductor, and the k-th power.  The
-statistics are exact sums over the columns (arith.ExactSums: the floats
+math.exp in W (one kernel.weight_eval call per family), math.log of each
+exact conductor, and the k-th power.  The statistics are exact sums over
+the columns (arith.ExactSums: the floats
 math.fsum gives, without its per-element loop); the weight column and the
 weighted rank bounds are split into fixed point once per family, and every
 total and masked sum of the reductions reads those two splits.
@@ -200,11 +201,10 @@ def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool)
 def family_twist_values(config: MomentConfig) -> Family:
     """The twists by every D != 0 inside the weight support with W(D/T) > 0
     that pass the filters, with their weights, ascending in D.  W is
-    evaluated once per twist the filters keep, by math.exp as for a single
-    D; sign filtering happens later, once root numbers exist."""
+    evaluated in one call over the twists the filters keep; sign filtering
+    happens later, once root numbers exist."""
     twists = filter_twists(config.curve, config.support_ds(), config.squarefree_only, config.coprime_to_2N)
-    weight = np.array([weight_eval(config.weight, D / config.T) for D in twists.D.tolist()], dtype=float)
-    family = Family(twists, weight)
+    family = Family(twists, weight_eval(config.weight, twists.D / config.T))
     return family.select(family.weight > 0.0)
 
 

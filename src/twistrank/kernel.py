@@ -8,7 +8,7 @@ convergent series), which is all the explicit-formula path needs.  The
 smooth family weight W is a C^3 (in fact C^inf for the exponential shape)
 bump on (lo, hi), and W_l multiplies in the logarithmic factor
 (log(t^2 X_k^2) + (log x)/2)^l whose Fourier transform drives the
-Poisson-summation step.
+Poisson-summation step.  W has one array path; a float is a 0-d array.
 
 The Fourier transforms of W_l are numpy quadrature with exact phases (the
 trapezoid rule for the 'exp' bump, Gauss-Legendre panels or an endpoint
@@ -175,25 +175,20 @@ class SmoothWeight:
 
 
 def weight_eval(w: SmoothWeight, t: ArrayLike) -> ArrayLike:
-    """W(t): 0 outside (lo, hi), smooth positive bump with peak 1 inside."""
+    """W(t): 0 outside (lo, hi), smooth positive bump with peak 1 inside,
+    elementwise (a float gives a numpy float), through libm per element:
+    np.exp is 1 ulp further from the exact value at some points."""
     lo, hi = w.support_lo, w.support_hi
     width = hi - lo
-    if isinstance(t, np.ndarray):
-        inside = (t > lo) & (t < hi)
-        out = np.zeros_like(t, dtype=float)
-        ts = t[inside]
-        prod = (ts - lo) * (hi - ts)
-        if w.shape == "exp":
-            out[inside] = np.exp(4.0 / width**2 - 1.0 / prod)
-        else:
-            out[inside] = (prod / (width * width / 4.0)) ** 4
-        return out
-    if not lo < t < hi:
-        return 0.0
-    prod = (t - lo) * (hi - t)
+    t = np.asarray(t, dtype=float)
+    inside = (t > lo) & (t < hi)
+    prod = (t[inside] - lo) * (hi - t[inside])
+    out = np.zeros(t.shape)
     if w.shape == "exp":
-        return math.exp(4.0 / width**2 - 1.0 / prod)
-    return (prod / (width * width / 4.0)) ** 4
+        out[inside] = list(map(math.exp, (4.0 / width**2 - 1.0 / prod).tolist()))
+    else:
+        out[inside] = [v**4 for v in (prod / (width * width / 4.0)).tolist()]
+    return out[()]
 
 
 def _require_wl_params(w: SmoothWeight, l: int) -> tuple:

@@ -425,10 +425,10 @@ def wl_decay_check(w: SmoothWeight, l: int, x: float, X_k: float) -> CheckResult
     lfac = _l_factor(wl, l)
     worst = 0.0
     worst_at = 0.0
-    for t in _DECAY_GRID:
+    for t, weight in zip(_DECAY_GRID, weight_eval(wl, np.array(_DECAY_GRID)).tolist()):
         bound = gamma * lfac * _decay_shape(w, t)
         measured = max(
-            abs(weight_eval(wl, t)),
+            abs(weight),
             abs(weight_fourier(wl, t, l)),
             abs(weight_fourier_derivative(wl, t, l)),
         )

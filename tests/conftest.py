@@ -9,7 +9,6 @@ from scipy.integrate import IntegrationWarning, quad
 from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
 from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
-from twistrank.kernel import weight_eval
 
 
 @pytest.fixture(scope="session")
@@ -227,10 +226,18 @@ def qawo_transform(f, lo: float, hi: float, freq: float) -> complex:
 
 def _weight_l_at(w, t: float, l: int) -> float:
     """W_l(t) = (log(t^2 X_k^2) + (log x)/2)^l W(t) at one point in Python
-    floats, for the quadrature's scalar calls (weight_l_eval takes arrays,
-    and a one-element array per call costs QUADPACK ten times the time)."""
-    base = weight_eval(w, t)
-    if l == 0 or base == 0.0:
+    floats, from the bump's own formula (see SmoothWeight), not from the
+    code it checks; scalar, as a one-element array per QUADPACK call costs
+    it ten times the time."""
+    lo, hi = w.support_lo, w.support_hi
+    if not lo < t < hi:
+        return 0.0
+    prod = (t - lo) * (hi - t)
+    if w.shape == "exp":
+        base = math.exp(4.0 / (hi - lo) ** 2 - 1.0 / prod)
+    else:
+        base = (4.0 * prod / (hi - lo) ** 2) ** 4
+    if l == 0:
         return base
     return (math.log(t * t * w.X_k * w.X_k) + 0.5 * math.log(w.x)) ** l * base
 

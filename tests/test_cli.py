@@ -226,13 +226,20 @@ class TestEfReport:
         assert float(row[2]) == math.log(37)
         assert row[3] == "true"
 
-    def test_excessive_x_refused(self, capsys):
-        code, _, err = run(
-            ["ef-report", "--curve", "cm32-like", "--x", "1e9", "--dmin", "1", "--dmax", "1"],
-            capsys,
-        )
-        assert code == EXIT_CONFIG
-        assert "prime table" in err
+    def test_excessive_x_refused(self, tmp_path, monkeypatch, capsys):
+        # every x above the prime-table cap is refused with the cap message,
+        # from the flags and from a config file, before the twists are priced
+        # (that overflows a float near 1e308) and before any sieving
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cfg = tmp_path / "x.cfg"
+        for x in ("1e9", "1e200", "1e308"):
+            cfg.write_text(f"x={x}\n")
+            for command in (["ef-report", "--dmin", "1", "--dmax", "1"], ["sweep", "--T", "100"]):
+                for args in (command + ["--x", x], command + ["--config", str(cfg)]):
+                    code, out, err = run(args + ["--curve", "cm32-like"], capsys)
+                    assert code == EXIT_CONFIG, args
+                    assert "needs a prime table" in err and "above the cap" in err, err
+                    assert out == ""
 
 
 class TestSweep:
@@ -552,6 +559,30 @@ class TestGoldenBytes:
                 "": "c65a29fc7529e0e7834f664f2749f4cfdb6ec1f9ea5954ed33d5fcd48670c3bf",
                 ".refs.json": "8194e1a945c6d276a8b86936cc0ae284aa600e1dec7affd3d42fe6fb029609e9",
             },
+        ),
+        "sweep-cm32-like-poly-unfiltered": (
+            ["sweep", "--curve", "cm32-like", "--x", "1000", "--T", "2000", "--weight", "poly"]
+            + ["--no-squarefree", "--no-coprime"],
+            {
+                "": "4184cbf50afa68931a9d9c39c7a1b6ea453b0d28108e682337baaf87e13f2ce2",
+                ".refs.json": "cc376bd8cf06cac90b65fa692d51062ae1e3a8038588281bad9cb35a5aaf6270",
+            },
+        ),
+        "sweep-ncm37-negative-support": (
+            ["sweep", "--curve", "ncm37", "--x", "1000", "--T", "5000", "--support=-1:-0.5"],
+            {
+                "": "606e4b38a93d2414bb171f7b289b48c93831a8610726425c9c7e81c84a015779",
+                ".refs.json": "c39516123a87cf2dede68d24ea4f50c3107a75dc425394e79fd57189e90e6d90",
+            },
+        ),
+        "ef-report-ncm37-x5e4-json": (
+            ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"]
+            + ["--format", "json"],
+            {"": "f050364a6da0149b105a23613a27bf611db5fe12353ee3f056cee970ec1536c0"},
+        ),
+        "verify-seed1": (
+            ["verify", "--seed", "1"],
+            {"": "564e8d7127eb502ff0ece8129768c6b46e18f82dab6d6c8fbb48cc7ed84d4c14"},
         ),
     }
 

@@ -171,9 +171,9 @@ class TestConfigAndFamily:
                 filter_twists(curve, range(300, -301, -1), squarefree, coprime)
 
     def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch, capsys):
-        # W once per twist the filters keep (before the sign filter), one
-        # squarefree sieve over the support, and no trial division on the
-        # sweep and ef-report paths
+        # W in one call over the twists the filters keep (before the sign
+        # filter), one squarefree sieve over the support, and no trial
+        # division on the sweep and ef-report paths
         calls = {"weight_eval": [], "squarefree_kernels": [], "_factor_trial": []}
 
         def counted(name, fn):
@@ -196,7 +196,8 @@ class TestConfigAndFamily:
                 if mod_name.startswith("twistrank") and getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, counted(name, original))
         family = sweep_family(cfg, primes_1e4)
-        assert [u for _, u in calls["weight_eval"]] == [D / cfg.T for D in kept]
+        [(_, u)] = calls["weight_eval"]
+        assert u.tolist() == [D / cfg.T for D in kept]
         assert calls["squarefree_kernels"] == [(211, 419)]
         assert 0 < len(family) < len(coprime)
         from twistrank.cli import main

@@ -203,8 +203,31 @@ class TestSmoothWeight:
         ts = np.linspace(0, 1.2, 50)
         arr = weight_eval(w, ts)
         for t, v in zip(ts, arr):
-            # libm vs numpy exp may differ in the final ulp
+            # one path: test_libm_per_element holds the bits
             assert weight_eval(w, float(t)) == pytest.approx(v, rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("shape", ["exp", "poly"])
+    @pytest.mark.parametrize("lo, hi", [(0.5, 1.0), (0.05, 0.3), (-1.0, -0.5), (-0.9, -0.2)])
+    def test_libm_per_element(self, shape, lo, hi):
+        # an array and a float both give, bit for bit, the bump in Python
+        # floats through libm; np.exp is 1 ulp off math.exp at some points
+        def bump(t):
+            if not lo < t < hi:
+                return 0.0
+            prod = (t - lo) * (hi - t)
+            if shape == "exp":
+                return math.exp(4.0 / (hi - lo) ** 2 - 1.0 / prod)
+            return (prod / ((hi - lo) * (hi - lo) / 4.0)) ** 4
+
+        w = SmoothWeight(lo, hi, shape=shape)
+        pad = 0.1 * (hi - lo)
+        ts = np.concatenate(([lo, hi], np.linspace(lo - pad, hi + pad, 20_002)))
+        expected = [repr(bump(t)) for t in ts.tolist()]
+        assert [repr(v) for v in weight_eval(w, ts).tolist()] == expected
+        assert [repr(v) for v in weight_eval(w, ts.reshape(3, -1)).ravel().tolist()] == expected
+        for t in ts[::401].tolist():
+            v = weight_eval(w, t)
+            assert type(v) is np.float64 and repr(float(v)) == repr(bump(t))
 
 
 class TestWeightL:
