@@ -7,13 +7,19 @@ Subcommands:
              with the reference constants
   verify     the numerical verification suite (one JSON line per check)
 
+Each command takes only the options it reads (twistrank COMMAND --help),
+and a --config file sets the same options, a key=value line each: an
+option or key the command does not take is refused, not ignored.
+--threads is the one exception: every command accepts and ignores it, so
+that existing command lines keep running; the process runs one thread, and
+OpenBLAS starts no worker unless OPENBLAS_NUM_THREADS says so.
+
 Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure,
 141 (128 + SIGPIPE) when the reader closes stdout early (``| head -2``).
 Outputs are deterministic given (config, seed, version): no timestamps,
 floats in shortest round-trip form.  The three tables (ap-table, ef-report,
 sweep) are written by one writer, _write_table; each command only builds
-its records.  The process runs one thread: --threads is accepted and
-ignored, and OpenBLAS starts no worker unless OPENBLAS_NUM_THREADS says so.
+its records.
 """
 
 from __future__ import annotations
@@ -74,7 +80,10 @@ AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated ab
 TWIST_SECONDS_PER_D = 3.5e-6
 TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
-# a family is held in memory as columns, about 170 bytes per candidate D
+# a sweep holds its family as columns, about 170 bytes per candidate D; an
+# ef-report about 860 bytes per written row (its records), so a cap-sized one
+# would need about 3.6 GB (extrapolated from 119, 377 and 1,408 MB peak RSS at
+# 1e5, 4e5 and 1.6e6 D, ncm37 at x = 100)
 TWIST_CANDIDATE_CAP = 1 << 22
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
@@ -92,32 +101,60 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-_CONFIG_KEYS = {
-    "curve": str,
-    "catalog": str,
-    "x": float,
-    "k": int,
-    "dmin": int,
-    "dmax": int,
-    "T": float,
-    "weight": str,
-    "support": str,
-    "squarefree": bool,
-    "coprime": bool,
-    "sign": str,
-    "format": str,
-    "out": str,
-    "threads": int,
-    "seed": int,
-    "only": str,
-    "limit": int,
+# Every option, declared once: a command takes the ones _COMMANDS names for
+# it, as flags and as --config keys, and no other.
+_OPTIONS = {
+    "curve": {"help": "catalog label, or explicit 'A,B,N,w,a2,a3'"},
+    "catalog": {"help": "path to a curve catalog file"},
+    "out": {"help": "output path (default stdout)"},
+    "threads": {"type": int, "help": "accepted and ignored (the process runs one thread), for existing scripts"},
+    "x": {"type": float, "help": "prime cutoff x (lambda = log x)"},
+    "format": {"choices": ("csv", "json"), "help": "output format (default csv)"},
+    "limit": {"type": int, "help": "include primes p <= limit (default 100)"},
+    "dmin": {"type": int, "help": "lowest D (default -50)"},
+    "dmax": {"type": int, "help": "highest D (default 50)"},
+    "k": {"type": int, "help": "moment order (default 1)"},
+    "T": {"type": float, "help": "family scale (default X_k(x, k))"},
+    "weight": {"choices": ("exp", "poly"), "help": "weight shape (default exp)"},
+    "support": {"help": "weight support LO:HI (default 0.5:1)"},
+    "squarefree": {"action": argparse.BooleanOptionalAction, "help": "keep squarefree D only (sweep: default)"},
+    "coprime": {"action": argparse.BooleanOptionalAction, "help": "keep D coprime to 2N only (sweep: default)"},
+    "sign": {"choices": ("any", "plus", "minus"), "help": "root-number filter (default any)"},
+    "seed": {"type": int, "help": "seed of the random j-sum cases (default 1)"},
+    "only": {"help": "run one check group (an unknown one lists them)"},
 }
-_FORMATS = ("csv", "json")
+_COMMANDS = {
+    "ap-table": ("coefficients a_p and c_{p^2}", "curve catalog out threads format limit"),
+    "ef-report": (
+        "explicit-formula report per twist",
+        "curve catalog out threads x format dmin dmax squarefree coprime",
+    ),
+    "sweep": (
+        "weighted moments over a twist family",
+        "curve catalog out threads x format k T weight support squarefree coprime sign",
+    ),
+    "verify": ("run the verification suite", "curve catalog out threads x seed only"),
+}
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _parse_config_file(path: str) -> dict:
-    """Flat key=value config file; '#' comments; unknown keys rejected."""
-    out = {}
+def _options(command: str) -> _Parser:
+    """The options command takes: its flags, and the keys a --config file
+    may set for it."""
+    p = _Parser(add_help=False, allow_abbrev=False)  # a config key is spelt in full
+    for name in _COMMANDS[command][1].split():
+        p.add_argument(f"--{name}", **_OPTIONS[name])
+    return p
+
+
+def _parse_config_file(path: str, command: str) -> dict:
+    """The values a flat key=value config file sets for command, each line
+    read through the command's own options as the flag --key=value (--key
+    or --no-key for a switch, from true/false, 1/0 or yes/no); '#' starts
+    a comment.  A key the command does not take, or a value its flag would
+    refuse, is a config error naming the file and line."""
+    parser = _options(command)
+    values = argparse.Namespace()
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -128,81 +165,37 @@ def _parse_config_file(path: str) -> dict:
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        typ = _CONFIG_KEYS[key]
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = f"--{key}={value}"
+        if _OPTIONS.get(key, {}).get("action") is argparse.BooleanOptionalAction:
+            if value.lower() not in _BOOLEANS:
+                raise ConfigError(f"{path}:{lineno}: {key} takes true or false, got {value!r}")
+            flag = f"--{key}" if _BOOLEANS[value.lower()] else f"--no-{key}"
         try:
-            if typ is bool:
-                if value.lower() not in ("true", "false", "1", "0", "yes", "no"):
-                    raise ValueError(f"not a boolean: {value!r}")
-                out[key] = value.lower() in ("true", "1", "yes")
-            else:
-                out[key] = typ(value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    return out
+            parser.parse_args([flag], namespace=values)
+        except UsageError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
+    return {key: value for key, value in vars(values).items() if value is not None}
 
 
 def _build_parser() -> _Parser:
     p = _Parser(prog="twistrank", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--config", help="key=value config file; flags override it")
-        sp.add_argument("--curve", help="catalog label, or explicit 'A,B,N,w,a2,a3'")
-        sp.add_argument("--catalog", help="path to a curve catalog file")
-        sp.add_argument("--x", type=float, help="prime cutoff x (lambda = log x)")
-        sp.add_argument("--format", choices=_FORMATS, help="output format")
-        sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
-        sp.add_argument("--seed", type=int, help="seed for randomized sampling")
-
-    sp = sub.add_parser("ap-table", help="coefficients a_p and c_{p^2}")
-    common(sp)
-    sp.add_argument("--limit", type=int, help="include primes p <= limit (default 100)")
-
-    sp = sub.add_parser("ef-report", help="explicit-formula report per twist")
-    common(sp)
-    sp.add_argument("--dmin", type=int, help="lowest D (default -50)")
-    sp.add_argument("--dmax", type=int, help="highest D (default 50)")
-    sp.add_argument("--squarefree", action=argparse.BooleanOptionalAction, help="keep squarefree D only")
-    sp.add_argument("--coprime", action=argparse.BooleanOptionalAction, help="keep D coprime to 2N only")
-
-    sp = sub.add_parser("sweep", help="weighted moments over a twist family")
-    common(sp)
-    sp.add_argument("--k", type=int, help="moment order (default 1)")
-    sp.add_argument("--T", type=float, dest="T", help="family scale (default X_k(x, k))")
-    sp.add_argument("--weight", choices=("exp", "poly"), help="weight shape (default exp)")
-    sp.add_argument("--support", help="weight support LO:HI (default 0.5:1)")
-    sp.add_argument("--squarefree", action=argparse.BooleanOptionalAction, help="keep squarefree D only (default)")
-    sp.add_argument("--coprime", action=argparse.BooleanOptionalAction, help="keep D coprime to 2N only (default)")
-    sp.add_argument("--sign", choices=("any", "plus", "minus"), help="root-number filter")
-
-    sp = sub.add_parser("verify", help="run the verification suite")
-    common(sp)
-    sp.add_argument("--only", help="run one check group (an unknown one lists them)")
+    for command, (summary, _) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=summary, parents=[_options(command)])
+        sp.add_argument("--config", help="key=value config file, one option above a line; flags override it")
     return p
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """The config file's values, overridden by the flags given; a value no
-    flag would accept (a non-finite x or T, a format other than csv or json)
-    is refused (exit 2) from the file as from the flags."""
-    cfg = {}
-    if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+    """The config file's values, overridden by the flags given; a non-finite
+    x or T is refused (exit 2) from the file as from the flags."""
+    cfg = _parse_config_file(args.config, args.command) if args.config else {}
+    flags = vars(args).items()
+    cfg.update((key, val) for key, val in flags if val is not None and key not in ("command", "config"))
     for key, val in cfg.items():
-        if _CONFIG_KEYS[key] is float and not math.isfinite(val):
+        if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
-    if cfg.get("format", "csv") not in _FORMATS:
-        raise ConfigError(f"format must be one of {', '.join(_FORMATS)}, got {cfg['format']!r}")
     return cfg
 
 
@@ -239,12 +232,20 @@ def _load_catalog_cfg(cfg: dict) -> dict:
     return builtin_catalog()
 
 
+def _sig10(n: int) -> str:
+    """n to at most 10 significant digits, through Decimal: an int from the
+    command line may pass the float range."""
+    from decimal import Decimal
+
+    return f"{Decimal(n):.10g}"
+
+
 def _check_prime_table(limit: int, what: str) -> None:
     """Refuse (exit 2) a prime table up to limit above PRIME_LIMIT_CAP or
     whose a_p table is estimated to take longer than AP_TABLE_BUDGET_S."""
     if limit > PRIME_LIMIT_CAP:
         raise ConfigError(
-            f"{what} needs a prime table up to {limit:.10g}, above the cap {PRIME_LIMIT_CAP}"
+            f"{what} needs a prime table up to {_sig10(limit)}, above the cap {PRIME_LIMIT_CAP}"
         )
     # about limit / log(limit) primes, each at the a_p cost measured near the
     # cap scaled by (limit / cap)^(1/4), as baby-step giant-step grows with p
@@ -291,7 +292,7 @@ def _check_twist_cost(ds: range, x: float, what: str) -> None:
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
     if max_d > SQUAREFREE_SIEVE_MAX:
         raise ConfigError(
-            f"{what} reaches |D| = {max_d}, above the cap {SQUAREFREE_SIEVE_MAX}: the "
+            f"{what} reaches |D| = {_sig10(max_d)}, above the cap {SQUAREFREE_SIEVE_MAX}: the "
             f"squarefree sieve would need primes up to sqrt(|D|), above {PRIME_LIMIT_CAP}"
         )
     estimate = _twist_cost_estimate(ds, x)
@@ -514,16 +515,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = _merge_config(args)
-        if args.command == "ap-table":
-            return cmd_ap_table(cfg)
-        if args.command == "ef-report":
-            return cmd_ef_report(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise UsageError(f"unknown command {args.command!r}")
+        run = {"ap-table": cmd_ap_table, "ef-report": cmd_ef_report, "sweep": cmd_sweep, "verify": cmd_verify}
+        return run[args.command](_merge_config(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -642,7 +642,9 @@ class Twists:
     is never needed for the coefficients.  kernel is sign(D) times the
     squarefree part of |D|, fundamental_disc the discriminant d_K of
     Q(sqrt(D)), which defines the twist's character, squarefree marks
-    D equal to its kernel, and coprime marks gcd(D, 2N) = 1.
+    D equal to its kernel, and coprime marks gcd(D, 2N) = 1.  E_D and the
+    twist by its kernel d are isomorphic over Q (D = d m^2: x = m^2 X,
+    y = m^3 Y), so a row's prime side is that of its kernel.
 
     conductor_bounds() is exactly N * D^2 where conductor_exact (squarefree
     and coprime to 2N); otherwise it is a documented over-estimate

@@ -136,11 +136,6 @@ class _PrimePlan:
     groups: Tuple[_Group, ...]
 
 
-# Plans keyed by (curve, lambda, table limit): the table limit caps the primes
-# below the cutoff, so the same (curve, lambda) can give different plans.
-_PLAN_CACHE: Dict[tuple, _PrimePlan] = {}
-
-
 def _group(column: np.ndarray, power: np.ndarray, terms: np.ndarray) -> _Group:
     emin, count = fixed_point_scale(terms)
     limbs = fixed_point_limbs(terms, emin, count)
@@ -148,9 +143,6 @@ def _group(column: np.ndarray, power: np.ndarray, terms: np.ndarray) -> _Group:
 
 
 def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) -> _PrimePlan:
-    key = (E, lam, primes.limit)
-    if key in _PLAN_CACHE:
-        return _PLAN_CACHE[key]
     ps = primes.below(cutoff)
     aps = ap_array(E, primes, cutoff)
     lp = np.log(ps.astype(float))
@@ -180,9 +172,7 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     column = np.cumsum(used)
     column -= 1  # the column of each used prime
     groups = tuple(_group(column[i], m, t) for i, m, t in raw)
-    plan = _PrimePlan(columns=ps[used], groups=groups)  # a copy: the cache must not pin the table
-    _PLAN_CACHE[key] = plan
-    return plan
+    return _PrimePlan(columns=ps[used], groups=groups)
 
 
 # A chunk of prime_sides spans about this many times the largest prime
@@ -291,7 +281,9 @@ def prime_sides(
     D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
     moves the node to D x0, so a_p(E_D) = (D|p) a_p(E); at 2 and 3 the
     twist's local data is chi_{d_K}(p) a_p(E) with d_K the discriminant of
-    Q(sqrt(D)), which is the same character.
+    Q(sqrt(D)), which is the same character.  That holds for a squarefree
+    D; a twist by D = d m^2 is the twist by its kernel d, whose prime side
+    evaluate_reports reads for it.
     """
     cutoff = _require_table(primes, kernel.lam)
     plan = _prime_plan(curve, kernel.lam, primes, cutoff)
@@ -370,9 +362,18 @@ def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> Explicit
     prime_sides call: total_S = log_conductor - 2*(m1 + m2 + tail) -
     archimedean and rank_bound = total_S / lambda, evaluated row by row in
     IEEE arithmetic exactly as for one twist.  log_conductor is math.log of
-    each exact integer conductor bound."""
+    each exact integer conductor bound.
+
+    A row's prime side is that of its squarefree kernel d: for D = d m^2
+    the substitution x = m^2 X, y = m^3 Y makes E_D and E_d isomorphic over
+    Q, so they share one L-function, and chi_D would drop the terms at the
+    primes of m.  prime_sides runs once over the distinct kernels, ascending
+    (a squarefree family's D are their own kernels), not row by row: kernels
+    are not dense in their span, and a chunk of them would read its
+    characters by gather rather than from residue tables."""
     kernel = TriangleKernel(lam)
-    m1, m2, tail = prime_sides(twists.base, twists.D, kernel, primes)
+    kernels, row = np.unique(twists.kernel, return_inverse=True)
+    m1, m2, tail = prime_sides(twists.base, kernels, kernel, primes)[:, row]
     log_n = np.array([math.log(n) for n in twists.conductor_bounds()], dtype=float)
     arch = 2.0 * archimedean_integral(kernel) + 2.0 * math.log(2.0 * math.pi)
     total = log_n - 2.0 * (m1 + m2 + tail) - arch

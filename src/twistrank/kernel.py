@@ -104,18 +104,6 @@ EULER_GAMMA = 0.5772156649015329
 ZETA_2 = 1.6449340668482264  # pi^2 / 6
 
 
-@lru_cache(maxsize=None)
-def _arch_cached(lam: float) -> float:
-    # int_0^lam t/(e^t - 1) dt = pi^2/6 - sum_n e^(-n lam) (lam/n + 1/n^2)
-    terms = []
-    for n in itertools.count(1):
-        term = math.exp(-n * lam) * (lam / n + 1.0 / (n * n))
-        if term < 1e-18:
-            break
-        terms.append(term)
-    return EULER_GAMMA - (ZETA_2 - math.fsum(terms)) / lam + math.log1p(-math.exp(-lam))
-
-
 def archimedean_integral(kernel: TriangleKernel) -> float:
     """int_0^inf (F(t/lambda)/(e^t - 1) - 1/(t e^t)) dt in closed form.
 
@@ -133,7 +121,15 @@ def archimedean_integral(kernel: TriangleKernel) -> float:
     adaptive quadrature).  It tends to gamma - pi^2/(6 lambda) as lambda
     grows, with remainder e^(-lambda)/lambda + O(e^(-2 lambda)).
     """
-    return _arch_cached(float(kernel.lam))
+    lam = kernel.lam
+    # int_0^lam t/(e^t - 1) dt = pi^2/6 - sum_n e^(-n lam) (lam/n + 1/n^2)
+    terms = []
+    for n in itertools.count(1):
+        term = math.exp(-n * lam) * (lam / n + 1.0 / (n * n))
+        if term < 1e-18:
+            break
+        terms.append(term)
+    return EULER_GAMMA - (ZETA_2 - math.fsum(terms)) / lam + math.log1p(-math.exp(-lam))
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,14 @@ class TestApTable:
         assert str(PRIME_LIMIT_CAP) in err
         assert out == ""
 
+    def test_limit_past_float_range_refused(self, monkeypatch, capsys):
+        # the message prints the limit to 10 digits without a float, which
+        # overflows past 1e308
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(["ap-table", "--limit", str(10**400)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert "prime table up to 1.000000000e+400, above the cap" in err, err
+
     def test_over_budget_refused_with_estimate(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
         # every table up to the cap is estimated inside the budget (7.2 min
@@ -173,9 +181,78 @@ class TestUsageAndConfigErrors:
         cfg.write_text("format=xml\n")
         code, out, err = run([command, "--config", str(cfg)], capsys)
         assert (code, out) == (EXIT_CONFIG, "")
-        assert "format must be one of csv, json, got 'xml'" in err
+        assert f"{cfg}:1: " in err and "--format" in err and "'xml'" in err, err
         code, _, _ = run([command, "--format", "xml"], capsys)
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ap-table", "--x", "1e6"],
+            ["ap-table", "--seed", "1"],
+            ["ef-report", "--seed", "1"],
+            ["sweep", "--seed", "1"],
+            ["verify", "--format", "csv"],
+        ],
+    )
+    def test_option_the_command_does_not_take(self, capsys, monkeypatch, args):
+        # each command takes only the options it reads: any other is a
+        # usage error, refused before any sieve
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(args, capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert args[1] in err
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("sweep", "limit=5"),
+            ("ap-table", "x=1e6"),
+            ("ef-report", "seed=2"),
+            ("verify", "format=json"),
+        ]
+        + [(command, "config=other.cfg") for command in ("ap-table", "ef-report", "sweep", "verify")],
+    )
+    def test_config_key_the_command_does_not_take(self, tmp_path, capsys, monkeypatch, command, line):
+        # a config file sets the command's own options and no other: the
+        # key is refused with the file and line, not ignored
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {command}\ncurve=ncm37\n{line}\n")
+        code, out, err = run([command, "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        key = line.split("=")[0]
+        assert f"{cfg}:3: " in err and f"--{key}=" in err, err
+
+    @pytest.mark.parametrize("line", ["weight=foo", "sign=foo", "squarefree=maybe", "k=1.5"])
+    def test_config_value_the_flag_refuses(self, tmp_path, capsys, monkeypatch, line):
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"x=200\n{line}\n")
+        code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        key, value = line.split("=")
+        assert f"{cfg}:2: " in err and key in err and repr(value) in err, err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ap-table", "--curve", "ncm37", "--limit", "50"],
+            ["ef-report", "--curve", "ncm37", "--x", "500", "--dmin", "-3", "--dmax", "3"],
+            ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"],
+            ["verify", "--only", "gauss", "--x", "10000"],
+        ],
+        ids=["ap-table", "ef-report", "sweep", "verify"],
+    )
+    def test_threads_accepted_and_ignored(self, tmp_path, capsys, args):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=3\n")
+        outputs = set()
+        for extra in ([], ["--threads", "3"], ["--config", str(cfg)]):
+            code, out, _ = run(args + extra, capsys)
+            assert code == EXIT_OK, extra
+            outputs.add(out)
+        assert len(outputs) == 1
 
 
 class TestEfReport:
@@ -338,6 +415,9 @@ class TestTwistBudget:
         for args, reason in (
             (["ef-report", "--x", "100", "--dmin", str(10**16), "--dmax", str(10**16 + 1)], "above the cap"),
             (["ef-report", "--x", "100", "--dmin", str(-(10**16) - 1), "--dmax", "-5"], "above the cap"),
+            # |D| to 10 significant digits, not all 309 of them
+            (["sweep", "--T", "1e308"], "reaches |D| = 1.000000000e+308, above the cap"),
+            (["ef-report", "--dmax", str(10**20)], "reaches |D| = 1.000000000e+20, above the cap"),
             (["sweep", "--x", "30", "--T", "2e7"], "in-memory cap"),
             # T = X_2(1e3), about 1.1e8: 3.8 min of twists, but 5.4e7 candidates
             (["sweep", "--curve", "cm32-like", "--k", "2"], "in-memory cap"),
@@ -536,7 +616,7 @@ class TestGoldenBytes:
         ),
         "ef-report-ncm37-x5e4": (
             ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
-            {"": "2cb816dc2e2f4888d8e3d2f14198d9eec21ba8183c43e82372a95139eb80b032"},
+            {"": "f1a151bc6f3ec2821f8ebf60c79201251635ea1972e70c626c17b69db8eb3b27"},
         ),
         "ap-table-ncm37-1e5": (
             ["ap-table", "--curve", "ncm37", "--limit", "100000"],
@@ -564,8 +644,8 @@ class TestGoldenBytes:
             ["sweep", "--curve", "cm32-like", "--x", "1000", "--T", "2000", "--weight", "poly"]
             + ["--no-squarefree", "--no-coprime"],
             {
-                "": "4184cbf50afa68931a9d9c39c7a1b6ea453b0d28108e682337baaf87e13f2ce2",
-                ".refs.json": "cc376bd8cf06cac90b65fa692d51062ae1e3a8038588281bad9cb35a5aaf6270",
+                "": "56fc5269bf967f293d85a91693eb375c803c9a4b127350f1834391092ac47dfb",
+                ".refs.json": "be308e225723b451bcd963fa51bdd22c6e67403c54a9f0ffe61cdcda1a29cf97",
             },
         ),
         "sweep-ncm37-negative-support": (
@@ -578,7 +658,7 @@ class TestGoldenBytes:
         "ef-report-ncm37-x5e4-json": (
             ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"]
             + ["--format", "json"],
-            {"": "f050364a6da0149b105a23613a27bf611db5fe12353ee3f056cee970ec1536c0"},
+            {"": "c8ead897bbfc4c9aad25ce1200471b71a8476ef11fb4e33d31b5a567b0b47d1b"},
         ),
         "verify-seed1": (
             ["verify", "--seed", "1"],

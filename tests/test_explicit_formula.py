@@ -361,6 +361,19 @@ class TestEfTotal:
         rec = one_twist(cm_curve, 5, math.log(1000.0), primes_1e4)
         assert rec["rank_bound"] == rec["total_S"] / math.log(1000.0)
 
+    def test_row_prime_side_is_its_kernels(self, ncm_curve, primes_1e4):
+        # E_{d m^2} is isomorphic to E_d over Q (x = m^2 X, y = m^3 Y): a row
+        # at a non-squarefree D carries the prime side of its kernel d,
+        # the terms at 2 and at the primes of m included
+        lam = math.log(1000.0)
+        twists = filter_twists(ncm_curve, range(-60, 61), False, False)
+        assert (twists.kernel != twists.D).sum() > 40
+        records = evaluate_reports(twists, lam, primes_1e4).records()
+        columns = ("prime_m1", "prime_m2", "prime_tail")
+        for D, d, rec in zip(twists.D.tolist(), twists.kernel.tolist(), records):
+            at_kernel = one_twist(ncm_curve, d, lam, primes_1e4)
+            assert repr([rec[c] for c in columns]) == repr([at_kernel[c] for c in columns]), D
+
     def test_twisted_upper_bound_majorizes(self, cm_curve, primes_1e4):
         # the coarse bound drops the m>=2 terms and replaces log N by
         # 2log|D| + lambda/2; for clean twists of the shipped curves it
