@@ -637,14 +637,13 @@ class Twists:
     """The twists of one base curve by a run of D, as columns (int64 and bool
     arrays aligned with D); one twist is the one-row run range(D, D + 1).
 
-    E_D is y^2 = x^3 + A D^2 x + B D^3, but only its invariants are kept:
-    c_{p^m}(E_D) = chi_D(p)^m c_{p^m}(E) at every p, so the twisted model
-    is never needed for the coefficients.  kernel is sign(D) times the
+    E_D is y^2 = x^3 + A D^2 x + B D^3, isomorphic over Q to E_d for its
+    kernel d (D = d m^2: x = m^2 X, y = m^3 Y), and only its invariants are
+    kept: c_{p^m}(E_D) = chi_d(p)^m c_{p^m}(E) at every p, so the twisted
+    model is never needed for the coefficients.  kernel is sign(D) times the
     squarefree part of |D|, fundamental_disc the discriminant d_K of
-    Q(sqrt(D)), which defines the twist's character, squarefree marks
-    D equal to its kernel, and coprime marks gcd(D, 2N) = 1.  E_D and the
-    twist by its kernel d are isomorphic over Q (D = d m^2: x = m^2 X,
-    y = m^3 Y), so a row's prime side is that of its kernel.
+    Q(sqrt(D)), which defines the twist's character chi_d, squarefree marks
+    D equal to its kernel, and coprime marks gcd(D, 2N) = 1.
 
     conductor_bounds() is exactly N * D^2 where conductor_exact (squarefree
     and coprime to 2N); otherwise it is a documented over-estimate

@@ -22,6 +22,7 @@ import numpy as np
 from .arith import (
     TABLE_P_PER_ROW,
     PrimeTable,
+    _euler_symbols,
     fixed_point_limbs,
     fixed_point_scale,
     legendre_matrix,
@@ -207,20 +208,33 @@ _PRODUCT_CELLS = 1 << 14
 _CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
 
 
-def _character_blocks(ps: np.ndarray, ds: np.ndarray) -> Iterator[tuple]:
-    """(first, chi) covering the characters chi_D(p) for every D of ds and p
-    of ps (ascending; 2 leads if present): chi holds every row and the
-    columns first .. first + chi.shape[1] - 1 of ps, at most _BLOCK_CELLS
-    cells (or _BLOCK_PRIMES columns, if that is more).  At 2 the character
-    is read off D mod 8, at the odd primes by arith.legendre_matrix, which
-    picks a way for each (a residue table, reciprocity, Euler's criterion).
+def _character_blocks(ps: np.ndarray, ds: np.ndarray, kernels=None) -> Iterator[tuple]:
+    """(first, chi) covering the characters chi_d(p) for the kernel d of
+    every D of ds (kernels, aligned with ds; ds if None) and p of ps
+    (ascending; 2 leads if present): chi holds every row and the columns
+    first .. first + chi.shape[1] - 1 of ps, at most _BLOCK_CELLS cells (or
+    _BLOCK_PRIMES columns, if that is more).  At 2 the character is read
+    off d mod 8, at the odd primes by arith.legendre_matrix over the D
+    (dense where the kernels are not), which picks a way for each prime;
+    at D = d m^2 the cells of the primes of m, where (D|p) = 0 and not
+    (d|p), take Euler's criterion, sought among the D sorted by m^2.
     """
+    kernels = ds if kernels is None else kernels
     first = int(ps.size > 0 and ps[0] == 2)
     if first:
-        yield 0, _CHI_AT_2[ds & 7][:, None]
+        yield 0, _CHI_AT_2[kernels & 7][:, None]
+    moved = np.flatnonzero(kernels != ds)
+    moved = moved[np.argsort(ds[moved] // kernels[moved])]
+    square = ds[moved] // kernels[moved]  # m^2, ascending
     width = max(_BLOCK_PRIMES, _BLOCK_CELLS // max(1, ds.size))
     for c in range(first, ps.size, width):
-        yield c, legendre_matrix(ds, ps[c : c + width])
+        block = ps[c : c + width]
+        chi = legendre_matrix(ds, block)
+        at = np.searchsorted(square, block[0] ** 2)
+        row, col = np.nonzero(square[at:, None] % block**2 == 0)
+        row, p = moved[at + row], block[col]
+        chi[row, col] = _euler_symbols(kernels[row] % p, p)
+        yield c, chi
 
 
 def character_reads(rows: int, max_d: int, top: float) -> Dict[str, float]:
@@ -259,7 +273,7 @@ def _chunks(ds: np.ndarray, top: int) -> Iterator[tuple]:
 
 
 def prime_sides(
-    curve: CurveModel, ds: Sequence[int], kernel: TriangleKernel, primes: PrimeTable
+    curve: CurveModel, ds: Sequence[int], kernel: TriangleKernel, primes: PrimeTable, kernels=None
 ) -> np.ndarray:
     """The m = 1, m = 2 and m >= 3 partial sums of the prime side of the
     twists of curve by each D of ds, as the rows of a (3, len(ds)) array.
@@ -281,18 +295,18 @@ def prime_sides(
     D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
     moves the node to D x0, so a_p(E_D) = (D|p) a_p(E); at 2 and 3 the
     twist's local data is chi_{d_K}(p) a_p(E) with d_K the discriminant of
-    Q(sqrt(D)), which is the same character.  That holds for a squarefree
-    D; a twist by D = d m^2 is the twist by its kernel d, whose prime side
-    evaluate_reports reads for it.
+    Q(sqrt(D)), which is the same character.  The twist by D = d m^2 is the
+    twist by its kernel d: given kernels (Twists.kernel), D takes chi_d.
     """
     cutoff = _require_table(primes, kernel.lam)
     plan = _prime_plan(curve, kernel.lam, primes, cutoff)
     ds = np.asarray(ds, dtype=np.int64)
+    kernels = ds if kernels is None else np.asarray(kernels, dtype=np.int64)
     out = np.empty((3, ds.size))
     for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
         chunk = ds[start : start + step]
         sums = [np.zeros((chunk.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
-        for first, chi in _character_blocks(plan.columns, chunk):
+        for first, chi in _character_blocks(plan.columns, chunk, kernels[start : start + step]):
             for g, s in zip(plan.groups, sums):
                 g.add_products(s, first, chi)
         for g, s, row in zip(plan.groups, sums, out):
@@ -362,18 +376,12 @@ def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> Explicit
     prime_sides call: total_S = log_conductor - 2*(m1 + m2 + tail) -
     archimedean and rank_bound = total_S / lambda, evaluated row by row in
     IEEE arithmetic exactly as for one twist.  log_conductor is math.log of
-    each exact integer conductor bound.
-
-    A row's prime side is that of its squarefree kernel d: for D = d m^2
-    the substitution x = m^2 X, y = m^3 Y makes E_D and E_d isomorphic over
-    Q, so they share one L-function, and chi_D would drop the terms at the
-    primes of m.  prime_sides runs once over the distinct kernels, ascending
-    (a squarefree family's D are their own kernels), not row by row: kernels
-    are not dense in their span, and a chunk of them would read its
-    characters by gather rather than from residue tables."""
+    each exact integer conductor bound.  A row's prime side is that of its
+    squarefree kernel d, as x = m^2 X, y = m^3 Y makes E_{d m^2} and E_d
+    isomorphic over Q; prime_sides runs over the D, dense in their span
+    where the kernels of a window far from 0 are not."""
     kernel = TriangleKernel(lam)
-    kernels, row = np.unique(twists.kernel, return_inverse=True)
-    m1, m2, tail = prime_sides(twists.base, kernels, kernel, primes)[:, row]
+    m1, m2, tail = prime_sides(twists.base, twists.D, kernel, primes, twists.kernel)
     log_n = np.array([math.log(n) for n in twists.conductor_bounds()], dtype=float)
     arch = 2.0 * archimedean_integral(kernel) + 2.0 * math.log(2.0 * math.pi)
     total = log_n - 2.0 * (m1 + m2 + tail) - arch

@@ -361,12 +361,16 @@ class TestEfTotal:
         rec = one_twist(cm_curve, 5, math.log(1000.0), primes_1e4)
         assert rec["rank_bound"] == rec["total_S"] / math.log(1000.0)
 
-    def test_row_prime_side_is_its_kernels(self, ncm_curve, primes_1e4):
+    @pytest.mark.parametrize("lo", [-60, 3 * 997**2 - 60])
+    def test_row_prime_side_is_its_kernels(self, ncm_curve, primes_1e4, monkeypatch, lo):
         # E_{d m^2} is isomorphic to E_d over Q (x = m^2 X, y = m^3 Y): a row
         # at a non-squarefree D carries the prime side of its kernel d,
-        # the terms at 2 and at the primes of m included
+        # the terms at 2 and at the primes of m included; blocks of 4
+        # primes put the primes of m (997 at D = 3 * 997^2) in later blocks
+        monkeypatch.setattr(ef, "_BLOCK_PRIMES", 4)
+        monkeypatch.setattr(ef, "_BLOCK_CELLS", 100)
         lam = math.log(1000.0)
-        twists = filter_twists(ncm_curve, range(-60, 61), False, False)
+        twists = filter_twists(ncm_curve, range(lo, lo + 121), False, False)
         assert (twists.kernel != twists.D).sum() > 40
         records = evaluate_reports(twists, lam, primes_1e4).records()
         columns = ("prime_m1", "prime_m2", "prime_tail")

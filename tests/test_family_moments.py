@@ -309,9 +309,9 @@ class TestPartitionAndTail:
         # of the other sign
         evaluated = []
 
-        def counting_prime_sides(curve, ds, kernel, primes):
+        def counting_prime_sides(curve, ds, *rest):
             evaluated.extend(ds.tolist())
-            return prime_sides(curve, ds, kernel, primes)
+            return prime_sides(curve, ds, *rest)
 
         monkeypatch.setattr(ef, "prime_sides", counting_prime_sides)
         cfg = MomentConfig(
