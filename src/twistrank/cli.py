@@ -34,12 +34,14 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO
 
-# No command makes a BLAS call (the one matmul is int8 x int64, which numpy
-# does without BLAS), yet OpenBLAS starts a worker thread when numpy loads it,
-# and that thread costs about half of numpy's import: 140 -> 67 ms, process CPU
-# 196 -> 129 ms (medians of 25 fresh processes, 2-core x86-64 host, OpenBLAS
-# 0.3.31).  OpenBLAS reads the variable once, when numpy loads it, so it is set
-# before the first import that loads numpy; a user's explicit value wins.
+# The one BLAS call, the float64 product of explicit_formula.prime_sides, is
+# exact at any thread count and narrow (a block of characters times 3 limb
+# columns), so one thread serves it.  Yet OpenBLAS starts a worker thread when
+# numpy loads it, and that thread costs about half of numpy's import: 140 ->
+# 67 ms, process CPU 196 -> 129 ms (medians of 25 fresh processes, 2-core
+# x86-64 host, OpenBLAS 0.3.31).  OpenBLAS reads the variable once, when
+# numpy loads it, so it is set before the first import that loads numpy; a
+# user's explicit value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 # The numerical modules load inside the commands that run them, so that no
@@ -67,9 +69,9 @@ AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated ab
 # to 1e3, D near 1e5 to 1e6; 0.8-1.0 us at x = 1e4 to 1e5); and per (candidate
 # D, prime below x), by how explicit_formula.prime_sides reads the character:
 #   table: a prime up to 16 times the rows of a chunk reads its residue
-#     table, 2.7 ns at x = 1e4 (the k = 1 sweep: 3.6e5 candidates, 1,229
-#     primes, 1.2 s), 2.4 ns at 3e4 (9.8e5 candidates, 3,245 primes, 7.7 s)
-#     and 3.6 ns at 1e5 (T = 5e5; the a_p table included);
+#     table, 2.0-2.4 ns at x = 1e4 (the k = 1 sweep: 3.6e5 candidates,
+#     1,229 primes, 0.87-1.05 s), 2.4-2.6 ns at 3e4 (9.8e5 candidates, 3,245
+#     primes, 7.5-8.2 s) and 3.6 ns at 1e5 (T = 5e5; the a_p table included);
 #   reciprocity: a D whose odd part is at most 16 times the other primes
 #     of a block of characters, 15-32 ns (24 to 801 D near 0 at x = 1e4 to
 #     1e5, tables included);

@@ -90,36 +90,31 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Group:
-    """One group of the plan (m = 1, m = 2 or m >= 3): for each term, the
-    column of its prime p in the plan, its m and its value c_{p^m}(E)
-    (log p)/p^m F(m log p / lambda); limbs and emin hold the values as
-    exact fixed point (arith.fixed_point_limbs).  The terms run in
-    ascending p."""
+    """One group of the plan (m = 1, m = 2 or m >= 3) as exact fixed point
+    (arith.fixed_point_limbs, in units of 2^emin): odd[j] is the sum of the
+    limbs of the group's terms c_{p^m}(E) (log p)/p^m F(m log p / lambda)
+    with odd m at the plan's column j, even[j] the same for even m, both as
+    float64 integers, each up to its last nonzero column.  The m = 1 and
+    m = 2 groups hold one term per prime, so their limbs stay below 2^30;
+    in m >= 3 at most 12 terms of one parity fit below e^lambda <= 1e8
+    (p = 2, m <= 26), so their sums stay below 2^34."""
 
-    column: np.ndarray
-    power: np.ndarray
-    terms: np.ndarray
-    limbs: np.ndarray
     emin: int
+    odd: np.ndarray
+    even: np.ndarray
 
     def add_products(self, sums: np.ndarray, first: int, chi: np.ndarray) -> None:
-        """Add to sums the limbs of the terms whose columns chi holds (chi's
-        column j is the plan's column first + j), each times chi_D(p)^m, in
-        slices of rows of at most _PRODUCT_CELLS cells."""
-        width = chi.shape[1]
-        lo, hi = np.searchsorted(self.column, (first, first + width))
-        if lo == hi:
-            return
-        cols = self.column[lo:hi] - first
-        whole = cols.size == width and (cols == np.arange(width)).all()
-        power, limbs = self.power[lo:hi], self.limbs[lo:hi]
-        powered = power.max() > 1
-        step = max(1, _PRODUCT_CELLS // cols.size)
-        for r in range(0, chi.shape[0], step):
-            block = chi[r : r + step] if whole else chi[r : r + step, cols]
-            if powered:
-                block = block**power
-            sums[r : r + step] += block @ limbs
+        """Add to the int64 sums the limb sums at the columns chi holds (chi's
+        column j is the plan's column first + j) times chi_D(p)^m: chi times
+        odd and chi^2 times even, one float64 product each.  A block has at
+        most _BLOCK_CELLS = 2^16 columns, so every partial sum of a product
+        is an integer below 2^16 * 2^34 = 2^50 < 2^53: exact in any order the
+        BLAS adds, at any thread count (Ozaki, Ogita, Oishi and Rump 2012)."""
+        for limbs, square in ((self.odd, False), (self.even, True)):
+            w = min(chi.shape[1], len(limbs) - first)
+            if w > 0:
+                b = chi[:, :w].astype(np.float64)
+                sums += ((b * b if square else b) @ limbs[first : first + w]).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -140,14 +135,19 @@ class _PrimePlan:
 def _group(column: np.ndarray, power: np.ndarray, terms: np.ndarray) -> _Group:
     emin, count = fixed_point_scale(terms)
     limbs = fixed_point_limbs(terms, emin, count)
-    return _Group(column, power, terms, limbs, emin)
+    parts = []
+    for at in (power % 2 == 1, power % 2 == 0):
+        part = np.zeros((column[at].max(initial=-1) + 1, count))
+        np.add.at(part, column[at], limbs[at])
+        parts.append(part)
+    return _Group(emin, *parts)
 
 
 def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) -> _PrimePlan:
     ps = primes.below(cutoff)
     aps = ap_array(E, primes, cutoff)
     lp = np.log(ps.astype(float))
-    weights = lp / ps.astype(float) * triangle(lp / lam)  # (log p)/p F, as in beta_array
+    weights = lp / ps.astype(float) * triangle(lp / lam)  # (log p)/p F, before a_p multiplies it
     first = np.flatnonzero(aps)
     raw = [(first, np.ones(first.size, dtype=np.int8), aps[first] * weights[first])]
     # index, m and c_{p^m} of the terms with m >= 2, from an empty part
@@ -160,8 +160,6 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
         higher.append((index, np.full(index.size, m, dtype=np.int8), c[index]))
         m += 1
     index, power, c = (np.concatenate(part) for part in zip(*higher))
-    order = np.lexsort((power, index))  # ascending p, as add_products needs, then m
-    index, power, c = index[order], power[order], c[order]
     p = ps[index]
     lp = np.array(list(map(math.log, p.tolist())))  # libm: np.log rounds some integers differently
     term = c * lp / p**power * triangle(power * lp / lam)  # c (log p)/p^m F(m log p / lambda)
@@ -183,11 +181,12 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 # 1/5) read each prime's table laid end to end over the span, a table built
 # for the chunk (p above arith._KEPT_TABLE_MAX) is read over four periods
 # or more.  Each chunk's limb sums are rounded before the next, so a
-# chunk's arrays are O(rows), not O(family): about 90 bytes a row (int64
-# limb sums of 3 groups of 3 limbs, a block of int8 characters and the
-# int64 offsets legendre_matrix reads them at), 1.3 MB at the 14,199 rows
-# of a chunk of the k = 1 ncm37 sweep at x = 1e4 and 14 MB at the 156,600
-# rows of x = 1e5, whose whole run peaks at 293 MB RSS.
+# chunk's arrays are O(rows), not O(family): about 150 bytes a row (int64
+# limb sums of 3 groups of 3 limbs, a block of int8 characters, its float64
+# copy for the product and the int64 offsets legendre_matrix reads them
+# at), 2 MB at the 14,199 rows of a chunk of the k = 1 ncm37 sweep at
+# x = 1e4 and 23 MB at the 156,600 rows of x = 1e5, whose whole run peaks
+# at 273 MB RSS.
 _CHUNK_SPAN_PER_PRIME = 4
 _CHUNK_ROWS = 1 << 11
 # Cells of one block of characters (one arith.legendre_matrix call), at
@@ -196,13 +195,11 @@ _CHUNK_ROWS = 1 << 11
 # block's primes left to it.  The prime side of 800 D near 0 at x = 1e5
 # took 0.50-0.64 s in blocks of 2^14 cells (20 primes) and 0.17-0.20 s in
 # blocks of 2^16 (81 primes); 24 D at x = 5e4 took 3.7-4.9 ms (numpy 2.4,
-# x86-64).  Narrower blocks cost more per cell than they save: the product
-# took 20 ns a cell at 3 primes and 7 ns at 8 (17,500 rows).
+# x86-64).  Narrower blocks cost more per cell than they save: the float64
+# product with the m = 1 limb sums took 5.9 ns a cell at 3 primes and 1.1 ns
+# at 8 (17,500 rows, OpenBLAS 0.3.31 on one thread).
 _BLOCK_CELLS = 1 << 16
 _BLOCK_PRIMES = 8
-# Cells of one slice of rows of a block that the product with the limbs
-# reads: the int64 copy the product makes of a slice stays within 128 KB.
-_PRODUCT_CELLS = 1 << 14
 
 # chi_D(2) by D mod 8: (D|2) for D = 1 mod 4, 0 otherwise
 _CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
@@ -285,9 +282,10 @@ def prime_sides(
     The twists go in chunks of rows (_chunks), each spanning a few times
     the largest column, and the characters of a chunk in blocks of primes
     (_character_blocks).  The sum is exact fixed point: the plan holds each
-    group's terms as integer multiples of 2^emin split into int64 limbs, a
-    block of characters times its terms' limbs adds each twist's integers
-    exactly, and arith.round_fixed_point rounds them once per chunk, so each
+    group's terms as integer multiples of 2^emin split into limbs and summed
+    per prime and parity of m (_Group), a block of characters times those
+    sums adds each twist's integers exactly into int64, and
+    arith.round_fixed_point rounds them once per chunk, so each
     result is the correctly rounded sum of the twist's terms, the float
     math.fsum gives, whatever the term order, the blocks or the batching.
 
@@ -305,7 +303,7 @@ def prime_sides(
     out = np.empty((3, ds.size))
     for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
         chunk = ds[start : start + step]
-        sums = [np.zeros((chunk.size, g.limbs.shape[1]), dtype=np.int64) for g in plan.groups]
+        sums = [np.zeros((chunk.size, g.odd.shape[1]), dtype=np.int64) for g in plan.groups]
         for first, chi in _character_blocks(plan.columns, chunk, kernels[start : start + step]):
             for g, s in zip(plan.groups, sums):
                 g.add_products(s, first, chi)

@@ -9,6 +9,7 @@ from scipy.integrate import IntegrationWarning, quad
 from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
 from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
+from twistrank.kernel import triangle
 
 
 @pytest.fixture(scope="session")
@@ -178,27 +179,54 @@ def trial_twist_invariants(curve, D: int) -> dict:
     }
 
 
-def fsum_prime_sides(plan, ds) -> list:
+def plan_terms(curve, lam: float, primes) -> list:
+    """The nonzero terms c_{p^m}(E) (log p)/p^m F(m log p / lambda) with
+    p^m < e^lambda, as (p, m, term) arrays for m = 1, m = 2 and m >= 3:
+    a_p from the ap_array table and c_{p^m} from cpm_reference, each term
+    in explicit_formula's operand order (at m = 1, a_p times (log p)/p F
+    with np.log; at m >= 2, c log p / p^m F with libm log)."""
+    cutoff = math.exp(lam)
+    ps = primes.below(cutoff)
+    lp = np.log(ps.astype(float))
+    m1 = ap_array(curve, primes, cutoff) * (lp / ps.astype(float) * triangle(lp / lam))
+    terms = [[(p, 1, t) for p, t in zip(ps.tolist(), m1.tolist())], [], []]
+    for p in ps.tolist():
+        lp, m = math.log(p), 2
+        while p**m < cutoff:
+            term = cpm_reference(curve, p, m) * lp / p**m * triangle(m * lp / lam)
+            terms[min(m, 3) - 1].append((p, m, term))
+            m += 1
+    dtypes = (np.int64, np.int64, float)
+    return [
+        tuple(np.array([g[i] for g in group if g[2] != 0.0], dtype=dt) for i, dt in enumerate(dtypes))
+        for group in terms
+    ]
+
+
+def fsum_prime_sides(curve, lam: float, primes, ds) -> list:
     """(m1, m2, tail) per D of ds by compensated summation, the reference for
     the exact fixed-point sums of explicit_formula.prime_sides: each twist's
-    nonzero plan terms, times its characters at the plan's columns
-    (kronecker at 2, Euler's criterion on every cell at the odd primes,
-    none of the residue tables or reciprocity rows of arith.legendre_matrix),
-    summed by one math.fsum per group."""
+    plan_terms, times its characters at their primes (kronecker at 2,
+    Euler's criterion on every cell at the odd primes, none of the residue
+    tables or reciprocity rows of arith.legendre_matrix), summed by one
+    math.fsum per group."""
+    groups = plan_terms(curve, lam, primes)
+    columns = np.unique(np.concatenate([p for p, _, _ in groups]))
+    groups = [(np.searchsorted(columns, p), m, t) for p, m, t in groups]
     out = []
-    odd = plan.columns[plan.columns > 2]
+    odd = columns[columns > 2]
     for start in range(0, len(ds), 256):
         block = list(ds[start : start + 256])
-        chi = np.empty((len(block), plan.columns.size), dtype=np.int64)
-        if odd.size < plan.columns.size:  # 2 leads
+        chi = np.empty((len(block), columns.size), dtype=np.int64)
+        if odd.size < columns.size:  # 2 leads
             chi[:, 0] = [kronecker(D, 2) if D % 4 == 1 else 0 for D in block]
         residues = np.array(block, dtype=np.int64)[:, None] % odd
-        chi[:, plan.columns.size - odd.size :] = _euler_symbols(residues, odd)
+        chi[:, columns.size - odd.size :] = _euler_symbols(residues, odd)
         for row in chi:
             sums = []
-            for g in plan.groups:
-                s = row[g.column] ** g.power
-                sums.append(math.fsum((g.terms * s)[s != 0].tolist()))
+            for column, m, terms in groups:
+                s = row[column] ** m
+                sums.append(math.fsum((terms * s)[s != 0].tolist()))
             out.append(tuple(sums))
     return out
 

@@ -273,11 +273,14 @@ def test_determinism_across_threads(tmp_path):
         ["sweep", "--curve", "cm32-like", "--x", "1000", "--T", "20000"],
         ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
         ["ap-table", "--curve", "ncm37", "--limit", "100000"],
+        ["ef-report", "--curve", "ncm37", "--x", "1e5", "--dmin", "-400", "--dmax", "400"],
     ],
-    ids=["sweep", "ef-report", "ap-table"],
+    ids=["sweep", "ef-report", "ap-table", "ef-report-801-rows"],
 )
 def test_determinism_across_blas_threads(tmp_path, args):
-    # fresh processes, since OpenBLAS reads its thread count once, at load
+    # fresh processes, since OpenBLAS reads its thread count once, at load;
+    # the 801 rows of the last case meet prime_sides' float64 product in
+    # blocks of 801 rows by 81 primes
     with criterion(f"determinism: {args[0]} bytes equal at 1 and 2 BLAS threads"):
         src = str(Path(twistrank.__file__).resolve().parents[1])
         digests = {}

@@ -799,8 +799,9 @@ print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
 
 
 class TestBlasThreads:
-    """No command makes a BLAS call, so the command-line process starts no
-    OpenBLAS worker; a value the user sets is left as it is."""
+    """The command-line process runs OpenBLAS on one thread, its one BLAS
+    call (the exact float64 product of prime_sides) included, so it starts
+    no OpenBLAS worker; a value the user sets is left as it is."""
 
     @pytest.mark.parametrize(
         "args",

@@ -137,23 +137,51 @@ class TestPrimeSideOracle:
         self._check_every_twist((bad3_curve,), x, primes_1e4)
 
 
+class TestExactProduct:
+    """_Group.add_products at the bounds of its exactness argument."""
+
+    def test_limb_sums_and_product_are_exact_at_their_bounds(self):
+        # terms +-(1 - 2^-53) split into limbs +-(2^30 - 1) and +-(2^23 - 1):
+        # an m = 1 group over a full block of _BLOCK_CELLS columns, and an
+        # m >= 3 group holding 12 terms of each parity (m = 3..26) at each
+        # of its 16 columns, whose limb sums reach 12 (2^30 - 1); one row
+        # of characters all +1, where the partial sums grow the most, and
+        # one of random signs, against the same sums in Python integers
+        n, top = ef._BLOCK_CELLS, (1 << 53) - 1
+        rng = np.random.default_rng(2012)
+        chi = np.array([np.ones(n), rng.choice([-1, 1], size=n)], dtype=np.int8)
+        m1 = (np.arange(n), np.ones(n, dtype=np.int64), rng.choice([-1, 1], size=n))
+        odd_even = np.r_[3:27:2, 4:27:2]
+        m3 = (np.repeat(np.arange(16), 24), np.tile(odd_even, 16), np.repeat(rng.choice([-1, 1], 32), 12))
+        for column, power, sign in (m1, m3):
+            group = ef._group(column, power, sign * math.ldexp(top, -53))
+            sums = np.zeros((2, 2), dtype=np.int64)
+            group.add_products(sums, 0, chi)
+            expected = [
+                [
+                    sum(int(row[c]) ** int(m) * int(s) * limb for c, m, s in zip(column, power, sign))
+                    for limb in (top & ((1 << 30) - 1), top >> 30)
+                ]
+                for row in chi
+            ]
+            assert (group.emin, sums.tolist()) == (-53, expected)
+
+
 class TestBatchInvariance:
     """prime_sides and evaluate_reports over a batch against one-row calls,
-    with chunks of twists, blocks of primes and the slices of rows a
-    product reads shrunk so that a few hundred twists cross each of their
-    boundaries."""
+    with chunks of twists and blocks of primes shrunk so that a few hundred
+    twists cross each of their boundaries."""
 
     X = 100.0
 
     @pytest.fixture
     def chunk(self, monkeypatch):
         # chunks of one span of the largest prime, 97, at the density of the
-        # D; blocks of 4 primes; product slices of 25 rows in a 4-prime block
+        # D; blocks of 4 primes
         monkeypatch.setattr(ef, "_CHUNK_ROWS", 1)
         monkeypatch.setattr(ef, "_CHUNK_SPAN_PER_PRIME", 1)
         monkeypatch.setattr(ef, "_BLOCK_PRIMES", 4)
         monkeypatch.setattr(ef, "_BLOCK_CELLS", 100)
-        monkeypatch.setattr(ef, "_PRODUCT_CELLS", 100)
         return 97
 
     @staticmethod
@@ -209,16 +237,15 @@ class TestColumnarOracle:
         ds = [D for D in self.DS if D]
         for curve in catalog.values():
             got = prime_sides(curve, ds, kern, primes_5e4)
-            plan = ef._prime_plan(curve, kern.lam, primes_5e4, ef._require_table(primes_5e4, kern.lam))
-            assert repr([tuple(c) for c in got.T.tolist()]) == repr(fsum_prime_sides(plan, ds)), curve.label
+            expected = fsum_prime_sides(curve, kern.lam, primes_5e4, ds)
+            assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected), curve.label
 
     @staticmethod
     def _check_sums(curve, ds, x, primes):
         kern = TriangleKernel(math.log(x))
-        plan = ef._prime_plan(curve, kern.lam, primes, ef._require_table(primes, kern.lam))
         got = prime_sides(curve, ds, kern, primes)
         assert got.shape == (3, len(ds))
-        expected = fsum_prime_sides(plan, list(ds))
+        expected = fsum_prime_sides(curve, kern.lam, primes, list(ds))
         assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected), (curve.label, x, len(ds))
 
     @pytest.mark.parametrize("lo", [-(10**9), -40, 1, 4977, 10**6 + 1, 10**12])
@@ -305,9 +332,9 @@ class TestColumnarOracle:
                 twists = filter_twists(curve, range(lo, lo + 301), False, False)
                 self._check_invariants(twists, curve)
                 kern = TriangleKernel(math.log(1e3))
-                plan = ef._prime_plan(curve, kern.lam, primes_1e4, ef._require_table(primes_1e4, kern.lam))
                 got = prime_sides(curve, twists.D, kern, primes_1e4)
-                assert repr([tuple(c) for c in got.T.tolist()]) == repr(fsum_prime_sides(plan, twists.D.tolist()))
+                expected = fsum_prime_sides(curve, kern.lam, primes_1e4, twists.D.tolist())
+                assert repr([tuple(c) for c in got.T.tolist()]) == repr(expected)
 
 
 class TestCharacterAtTwo:
