@@ -12,7 +12,7 @@ The primes whose points leave more than one candidate go, as a group, to
 an exhaustive quadratic-character sum over F_p.  Bad primes p > 3 use the
 node/cusp rule, and p in {2, 3}, where short Weierstrass point counting
 degenerates, use caller-supplied metadata.  A twist carries its conductor
-(N * D^2, or a bound) and its root number (through the quadratic
+(N * d_K^2, or a bound) and its root number (through the quadratic
 character of Q(sqrt(D))); its coefficients are the base curve's times that
 character, applied by explicit_formula.prime_sides, so no twisted model is
 ever built.  A run of twists is a set of numpy columns (Twists) from one
@@ -22,6 +22,7 @@ range(D, D + 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import List, Optional
@@ -645,12 +646,14 @@ class Twists:
     Q(sqrt(D)), which defines the twist's character chi_d, squarefree marks
     D equal to its kernel, and coprime marks gcd(D, 2N) = 1.
 
-    conductor_bounds() is exactly N * D^2 where conductor_exact (squarefree
-    and coprime to 2N); otherwise it is a documented over-estimate
-    (<= 2^8 * 3^5 * N * d^2 with d the kernel).  The exact branch is not
-    always exact: for a curve of odd conductor and D = 3 mod 4 the twist's
-    conductor is N * 16 * D^2, yet conductor_exact is true there too, as
-    for every squarefree D coprime to 2N (ROADMAP item 2).  root_number is
+    conductor_bounds() is N * d_K^2 where conductor_exact (squarefree and
+    coprime to 2N) and gcd(d_K, N) = 1, which on those rows means N odd:
+    the twist by a character of conductor |d_K| prime to N (Atkin-Li 1978),
+    so N * 16 * D^2 at D = 3 mod 4.  Where N is even and D = 3 mod 4 it
+    stays N * D^2, which is not proven, yet conductor_exact is true there
+    too, as for every squarefree D coprime to 2N (ROADMAP item 2).
+    Otherwise it is a documented over-estimate (<= 2^8 * 3^5 * N * d^2 with
+    d the kernel).  root_number is
     w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a clean D, else 0; it
     is 0 also where chi_D ramifies at a prime of N (N even, D = 3 mod 4),
     as the relation leaves the sign open there.
@@ -679,13 +682,17 @@ class Twists:
         )
 
     def conductor_bounds(self) -> List[int]:
-        """N D^2 for a clean D, else 2^8 3^5 N d^2 with d the kernel, as exact
-        Python integers (they pass 2^63 for |D| near 1e9 and beyond)."""
+        """For a clean D, N d_K^2 if gcd(d_K, N) = 1 and N D^2 otherwise; else
+        2^8 3^5 N d^2 with d the kernel; as exact Python integers (they pass
+        2^63 for |D| near 1e9 and beyond)."""
         n = self.base.conductor
         return [
-            n * D * D if exact else _UNCLEAN_BOUND * n * d * d
-            for D, d, exact in zip(
-                self.D.tolist(), self.kernel.tolist(), self.conductor_exact.tolist()
+            n * (f if math.gcd(f, n) == 1 else D) ** 2 if exact else _UNCLEAN_BOUND * n * d * d
+            for D, d, f, exact in zip(
+                self.D.tolist(),
+                self.kernel.tolist(),
+                self.fundamental_disc.tolist(),
+                self.conductor_exact.tolist(),
             )
         ]
 

@@ -174,7 +174,9 @@ def trial_twist_invariants(curve, D: int) -> dict:
         "conductor_exact": clean,
         "root_number": curve.root_number * kronecker(disc, -curve.conductor) if clean else 0,
         "conductor_bound": (
-            curve.conductor * D**2 if clean else 2**8 * 3**5 * curve.conductor * kernel**2
+            curve.conductor * (disc if math.gcd(disc, curve.conductor) == 1 else D) ** 2
+            if clean
+            else 2**8 * 3**5 * curve.conductor * kernel**2
         ),
     }
 

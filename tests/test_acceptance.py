@@ -180,6 +180,20 @@ def test_grh_positivity_proxy(cm_curve, primes_1e4):
         assert len(clean) > 1000 and n_odd > 200  # the sweep is not vacuous
 
 
+def test_grh_invariants_odd_conductor(ncm_curve, primes_1e5):
+    # under GRH total_S >= 0 (every Phi_lambda(rho) >= 0) and, where the
+    # root number is -1, rank_bound >= 1 (a zero at 1/2 adds Phi(1) = lambda);
+    # at D = 3 mod 4 both hold only with the conductor 37 * (4D)^2
+    with criterion("GRH invariants: clean ncm37 twists |D| <= 400 at lambda = log 1e5"):
+        twists = filter_twists(ncm_curve, range(-400, 401), True, True)
+        table = evaluate_reports(twists, math.log(1e5), primes_1e5)
+        roots = table.twists.root_number
+        assert (table.total_S >= 0.0).all(), table.total_S.min()
+        assert (table.rank_bound[roots == -1] >= 1.0).all(), table.rank_bound[roots == -1].min()
+        three = table.twists.D % 4 == 3
+        assert (three.sum(), (three & (roots == -1)).sum()) == (158, 78)  # not vacuous
+
+
 def test_reference_constants(tmp_path):
     with criterion("reference constants echoed exactly"):
         assert theoretical_moment_bound(1) == 1.5

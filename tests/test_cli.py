@@ -616,7 +616,7 @@ class TestGoldenBytes:
         ),
         "ef-report-ncm37-x5e4": (
             ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"],
-            {"": "f1a151bc6f3ec2821f8ebf60c79201251635ea1972e70c626c17b69db8eb3b27"},
+            {"": "1137fee283755920331394ff6d935a8989f7bbd294afeda702b17b3a688b6530"},
         ),
         "ap-table-ncm37-1e5": (
             ["ap-table", "--curve", "ncm37", "--limit", "100000"],
@@ -636,8 +636,8 @@ class TestGoldenBytes:
         "sweep-ncm37-k2-minus": (
             ["sweep", "--curve", "ncm37", "--x", "1000", "--k", "2", "--T", "3000", "--sign", "minus"],
             {
-                "": "c65a29fc7529e0e7834f664f2749f4cfdb6ec1f9ea5954ed33d5fcd48670c3bf",
-                ".refs.json": "8194e1a945c6d276a8b86936cc0ae284aa600e1dec7affd3d42fe6fb029609e9",
+                "": "74bf712dda584fa681da34f3095a36515ee74a539c9304766149496fe0445339",
+                ".refs.json": "7c386bcdedfbbf304fe35e510d912ba0d9fddfce6d980953f7fd9c4489d9d394",
             },
         ),
         "sweep-cm32-like-poly-unfiltered": (
@@ -651,14 +651,14 @@ class TestGoldenBytes:
         "sweep-ncm37-negative-support": (
             ["sweep", "--curve", "ncm37", "--x", "1000", "--T", "5000", "--support=-1:-0.5"],
             {
-                "": "606e4b38a93d2414bb171f7b289b48c93831a8610726425c9c7e81c84a015779",
-                ".refs.json": "c39516123a87cf2dede68d24ea4f50c3107a75dc425394e79fd57189e90e6d90",
+                "": "d33bc876a94427d6e09092dc95e4edacdb351e56104514111927ceeb529100b1",
+                ".refs.json": "8902434d15bf8b2a4a77b2a9cde663e88abccd8c41b90df44558ea03a0752ae7",
             },
         ),
         "ef-report-ncm37-x5e4-json": (
             ["ef-report", "--curve", "ncm37", "--x", "50000", "--dmin", "-40", "--dmax", "40"]
             + ["--format", "json"],
-            {"": "c8ead897bbfc4c9aad25ce1200471b71a8476ef11fb4e33d31b5a567b0b47d1b"},
+            {"": "26ee1b29ae96cb86e231712af298674186f9d16be641d107dc7e5598722a7144"},
         ),
         "verify-seed1": (
             ["verify", "--seed", "1"],
