@@ -34,13 +34,12 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO
 
-# The one BLAS call, the float64 product of explicit_formula.prime_sides, is
-# exact at any thread count and narrow (a block of characters times 3 limb
-# columns), so one thread serves it.  Yet OpenBLAS starts a worker thread when
-# numpy loads it, and that thread costs about half of numpy's import: 140 ->
-# 67 ms, process CPU 196 -> 129 ms (medians of 25 fresh processes, 2-core
-# x86-64 host, OpenBLAS 0.3.31).  OpenBLAS reads the variable once, when
-# numpy loads it, so it is set before the first import that loads numpy; a
+# The one BLAS call, prime_sides' float64 product, is exact at any thread
+# count and narrow, so one thread serves it; yet OpenBLAS starts a worker
+# thread when numpy loads it, and that thread costs about half of numpy's
+# import: 140 -> 67 ms, process CPU 196 -> 129 ms (medians of 25 fresh
+# processes, 2-core x86-64 host, OpenBLAS 0.3.31).  OpenBLAS reads the
+# variable once, so it is set before the first import that loads numpy; a
 # user's explicit value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -647,13 +647,11 @@ class Twists:
     D equal to its kernel, and coprime marks gcd(D, 2N) = 1.
 
     conductor_bounds() is N * d_K^2 where conductor_exact (squarefree and
-    coprime to 2N) and gcd(d_K, N) = 1, which on those rows means N odd:
-    the twist by a character of conductor |d_K| prime to N (Atkin-Li 1978),
-    so N * 16 * D^2 at D = 3 mod 4.  Where N is even and D = 3 mod 4 it
-    stays N * D^2, which is not proven, yet conductor_exact is true there
-    too, as for every squarefree D coprime to 2N (ROADMAP item 2).
-    Otherwise it is a documented over-estimate (<= 2^8 * 3^5 * N * d^2 with
-    d the kernel).  root_number is
+    coprime to 2N) and gcd(d_K, N) = 1, i.e. N odd: chi_D then has conductor
+    |d_K| prime to N (Atkin-Li 1978), so D = 3 mod 4 gives N * 16 * D^2.  For
+    even N it stays N * D^2, unproven at D = 3 mod 4 though conductor_exact
+    is true there too (ROADMAP item 2).  Otherwise it is a documented
+    over-estimate (<= 2^8 * 3^5 * N * d^2 with d the kernel).  root_number is
     w(E_D) = w(E) * chi_D(-N) = w(E) * (d_K | -N) for a clean D, else 0; it
     is 0 also where chi_D ramifies at a prime of N (N even, D = 3 mod 4),
     as the relation leaves the sign open there.
@@ -682,18 +680,14 @@ class Twists:
         )
 
     def conductor_bounds(self) -> List[int]:
-        """For a clean D, N d_K^2 if gcd(d_K, N) = 1 and N D^2 otherwise; else
-        2^8 3^5 N d^2 with d the kernel; as exact Python integers (they pass
-        2^63 for |D| near 1e9 and beyond)."""
+        """N d_K^2 for a clean D (N D^2 if gcd(d_K, N) > 1), else 2^8 3^5 N d^2
+        with d the kernel, as exact Python integers (they pass 2^63 for |D|
+        near 1e9 and beyond)."""
         n = self.base.conductor
+        columns = (self.D, self.kernel, self.fundamental_disc, self.conductor_exact)
         return [
             n * (f if math.gcd(f, n) == 1 else D) ** 2 if exact else _UNCLEAN_BOUND * n * d * d
-            for D, d, f, exact in zip(
-                self.D.tolist(),
-                self.kernel.tolist(),
-                self.fundamental_disc.tolist(),
-                self.conductor_exact.tolist(),
-            )
+            for D, d, f, exact in zip(*(c.tolist() for c in columns))
         ]
 
 

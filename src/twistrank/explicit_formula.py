@@ -90,26 +90,23 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Group:
-    """One group of the plan (m = 1, m = 2 or m >= 3) as exact fixed point
-    (arith.fixed_point_limbs, in units of 2^emin): odd[j] is the sum of the
-    limbs of the group's terms c_{p^m}(E) (log p)/p^m F(m log p / lambda)
-    with odd m at the plan's column j, even[j] the same for even m, both as
-    float64 integers, each up to its last nonzero column.  The m = 1 and
-    m = 2 groups hold one term per prime, so their limbs stay below 2^30;
-    in m >= 3 at most 12 terms of one parity fit below e^lambda <= 1e8
-    (p = 2, m <= 26), so their sums stay below 2^34."""
+    """One group of the plan (m = 1, m = 2 or m >= 3) in the fixed point of
+    arith.fixed_point_limbs (units of 2^emin): odd[j] and even[j] sum the
+    limbs of its terms c_{p^m}(E) (log p)/p^m F(m log p / lambda) with odd
+    and even m at plan column j, as float64 integers, up to the last such
+    column.  Below e^lambda <= 1e8 a column holds at most 12 terms of one
+    parity (p = 2, m <= 26), so every sum is below 12 * 2^30 < 2^34."""
 
     emin: int
     odd: np.ndarray
     even: np.ndarray
 
     def add_products(self, sums: np.ndarray, first: int, chi: np.ndarray) -> None:
-        """Add to the int64 sums the limb sums at the columns chi holds (chi's
-        column j is the plan's column first + j) times chi_D(p)^m: chi times
-        odd and chi^2 times even, one float64 product each.  A block has at
-        most _BLOCK_CELLS = 2^16 columns, so every partial sum of a product
-        is an integer below 2^16 * 2^34 = 2^50 < 2^53: exact in any order the
-        BLAS adds, at any thread count (Ozaki, Ogita, Oishi and Rump 2012)."""
+        """Add to the int64 sums chi_D(p)^m times the limb sums of the columns
+        chi holds (chi's column j is the plan's column first + j), one float64
+        product per parity of m.  A block has at most _BLOCK_CELLS = 2^16
+        columns, so every partial sum is an integer below 2^16 * 2^34 = 2^50:
+        exact in any order the BLAS adds, at any thread count."""
         for limbs, square in ((self.odd, False), (self.even, True)):
             w = min(chi.shape[1], len(limbs) - first)
             if w > 0:
@@ -180,13 +177,12 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 # D at a density of 1/16 or more (a sieve and a sign filter keep about
 # 1/5) read each prime's table laid end to end over the span, a table built
 # for the chunk (p above arith._KEPT_TABLE_MAX) is read over four periods
-# or more.  Each chunk's limb sums are rounded before the next, so a
-# chunk's arrays are O(rows), not O(family): about 150 bytes a row (int64
-# limb sums of 3 groups of 3 limbs, a block of int8 characters, its float64
-# copy for the product and the int64 offsets legendre_matrix reads them
-# at), 2 MB at the 14,199 rows of a chunk of the k = 1 ncm37 sweep at
-# x = 1e4 and 23 MB at the 156,600 rows of x = 1e5, whose whole run peaks
-# at 273 MB RSS.
+# or more.  Each chunk's limb sums are rounded before the next, so its
+# arrays are O(rows), not O(family): about 150 bytes a row (int64 limb sums
+# of 3 groups of 3 limbs, int8 characters and their float64 copy, the int64
+# offsets legendre_matrix reads them at), 2 MB at the 14,199 rows of a chunk
+# of the k = 1 ncm37 sweep at x = 1e4 and 23 MB at the 156,600 rows of
+# x = 1e5, whose whole run peaks at 273 MB RSS.
 _CHUNK_SPAN_PER_PRIME = 4
 _CHUNK_ROWS = 1 << 11
 # Cells of one block of characters (one arith.legendre_matrix call), at
@@ -195,9 +191,8 @@ _CHUNK_ROWS = 1 << 11
 # block's primes left to it.  The prime side of 800 D near 0 at x = 1e5
 # took 0.50-0.64 s in blocks of 2^14 cells (20 primes) and 0.17-0.20 s in
 # blocks of 2^16 (81 primes); 24 D at x = 5e4 took 3.7-4.9 ms (numpy 2.4,
-# x86-64).  Narrower blocks cost more per cell than they save: the float64
-# product with the m = 1 limb sums took 5.9 ns a cell at 3 primes and 1.1 ns
-# at 8 (17,500 rows, OpenBLAS 0.3.31 on one thread).
+# x86-64).  Narrower blocks cost more per cell than they save: the product
+# took 5.9 ns a cell at 3 primes and 1.1 ns at 8 (17,500 rows, one thread).
 _BLOCK_CELLS = 1 << 16
 _BLOCK_PRIMES = 8
 
@@ -282,12 +277,11 @@ def prime_sides(
     The twists go in chunks of rows (_chunks), each spanning a few times
     the largest column, and the characters of a chunk in blocks of primes
     (_character_blocks).  The sum is exact fixed point: the plan holds each
-    group's terms as integer multiples of 2^emin split into limbs and summed
-    per prime and parity of m (_Group), a block of characters times those
-    sums adds each twist's integers exactly into int64, and
-    arith.round_fixed_point rounds them once per chunk, so each
-    result is the correctly rounded sum of the twist's terms, the float
-    math.fsum gives, whatever the term order, the blocks or the batching.
+    group's terms as integer multiples of 2^emin in limbs summed per prime
+    and parity of m (_Group), a block of characters times those adds each
+    twist's integers exactly, and arith.round_fixed_point rounds them once
+    per chunk, so each result is the correctly rounded sum of the twist's
+    terms, the float math.fsum gives, whatever the order or the batching.
 
     The character is chi_D(p) = (D|p) at odd p and, at p = 2, (D|2) for
     D = 1 mod 4 and 0 otherwise.  At a bad prime p > 3 the twisted model
