@@ -43,8 +43,6 @@ _MODULE_EXPORTS = {
         "SmoothWeight",
         "TriangleKernel",
         "archimedean_integral",
-        "mellin_phi",
-        "mellin_phi_quadrature",
         "triangle",
         "weight_eval",
         "weight_fourier",

@@ -10,8 +10,7 @@ coprime pair (pi1, pi2) where pi2 collects the primes of odd exponent.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import cached_property, lru_cache
 from typing import List, Optional, Sequence
 
@@ -72,20 +71,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(namedtuple("PrimeTable", "limit primes")):
     """All primes <= limit in ascending order.
 
     Immutable after construction: the primes array is read-only.
     """
 
-    limit: int
-    primes: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        self.primes.setflags(write=False)
+    def __new__(cls, limit: int, primes: np.ndarray):
+        primes.setflags(write=False)
+        return super().__new__(cls, limit, primes)
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the primes, not the fields: no _replace
         return int(self.primes.size)
 
     def below(self, bound: float) -> np.ndarray:
@@ -188,10 +186,14 @@ def kronecker(a: int, n: int) -> int:
 # ncm37 sweep at x = 1e4 took 1.0-1.2 s that way and 2.0-2.1 s by d mod p,
 # in the same chunks and blocks (numpy 2.4, x86-64).
 TABLE_P_PER_ROW = 16
-# Tables of primes up to this bound are kept (563 tables, 1.1 MB in all); a
-# larger prime builds its table for the one call, so that a run over many D
-# or many primes does not keep a table per large prime.
+# Tables of primes up to this bound are kept for the process (563 tables,
+# 1.1 MB in all).  A larger prime's table lives as long as the ResidueTables
+# of a run of calls, up to _HELD_TABLE_BYTES in all, so that no run keeps a
+# table per large prime: a sweep at x = 1e4 holds all 665 of its tables (4.7
+# MB); at x >= 3e4 the 1,524 up to 18,223 are held and the rest built per
+# call.
 _KEPT_TABLE_MAX = 1 << 12
+_HELD_TABLE_BYTES = 1 << 24
 # Reciprocity rows have |d| below this, so |d| and its odd part fit int64.
 _RECIPROCITY_D_MAX = 1 << 62
 
@@ -215,12 +217,30 @@ def _squares_mod(p: int) -> np.ndarray:
 _kept_table = lru_cache(maxsize=None)(_squares_mod)
 
 
-def _residue_table(p: int) -> np.ndarray:
-    """_squares_mod(p), kept for p <= _KEPT_TABLE_MAX."""
-    return _kept_table(p) if p <= _KEPT_TABLE_MAX else _squares_mod(p)
+class ResidueTables:
+    """The residue tables _squares_mod(p) of a run of legendre_matrix calls,
+    such as the chunks of explicit_formula.prime_sides: a prime up to
+    _KEPT_TABLE_MAX reads the process-wide cache, and a larger prime builds
+    its table once and has it held here while the held tables fit in
+    _HELD_TABLE_BYTES (built again at each call beyond that)."""
+
+    def __init__(self) -> None:
+        self._held: dict = {}
+        self._bytes = 0
+
+    def __getitem__(self, p: int) -> np.ndarray:
+        if p <= _KEPT_TABLE_MAX:
+            return _kept_table(p)
+        table = self._held.get(p)
+        if table is None:
+            table = _squares_mod(p)
+            if self._bytes + p <= _HELD_TABLE_BYTES:
+                self._held[p] = table
+                self._bytes += p
+        return table
 
 
-def _table_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def _table_symbols(d: np.ndarray, ps: np.ndarray, tables: ResidueTables) -> np.ndarray:
     """(d|p) for every d of d (rows) and odd prime p of ps (columns), read
     off the primes' residue tables.  Along consecutive d, (d|p) has period
     p: rows whose span is at most TABLE_P_PER_ROW times their number read
@@ -236,11 +256,11 @@ def _table_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
         out = np.empty((d.size, ps.size), dtype=np.int8)
         for column, p, start in zip(out.T, ps.tolist(), (lo % ps).tolist()):
             tiled = np.empty(((start + span - 1) // p + 1, p), dtype=np.int8)
-            tiled[:] = _residue_table(p)
+            tiled[:] = tables[p]
             column[:] = tiled.reshape(-1)[start:][off]
         return out
     starts = np.cumsum(ps) - ps
-    return np.concatenate([_residue_table(p) for p in ps.tolist()])[starts + _residues(d, ps)]
+    return np.concatenate([tables[p] for p in ps.tolist()])[starts + _residues(d, ps)]
 
 
 def _powmod(b: np.ndarray, e: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -290,7 +310,7 @@ def _odd_factors(n: np.ndarray) -> tuple:
     return row[order], q, k
 
 
-def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
+def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray, tables: ResidueTables) -> np.ndarray:
     """(d|p) for nonzero int64 d with |d| < 2^62 (rows) and odd primes p
     (columns), from d = sign 2^e n with n odd: quadratic reciprocity gives
     (d|p) = (-1|p)^[d < 0] (2|p)^e (-1)^((n-1)/2 (p-1)/2) prod_{q^k || n} (p|q)^k,
@@ -307,45 +327,46 @@ def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
     odd = k % 2 == 1
     if odd.any():
         qs, which = np.unique(q[odd], return_inverse=True)
-        tables = np.empty((qs.size, ps.size), dtype=np.int8)
-        for table, f in zip(tables, qs.tolist()):
-            table[:] = _residue_table(f)[ps % f]
+        symbols = np.empty((qs.size, ps.size), dtype=np.int8)  # (p|q), a row per q
+        for row_q, f in zip(symbols, qs.tolist()):
+            row_q[:] = tables[f][ps % f]
         # a row's j-th factor for every row at once: rows are unique per j
         row_odd = row[odd]
         rank = np.arange(row_odd.size) - np.searchsorted(row_odd, row_odd)
         for j in range(int(rank.max()) + 1):
             at = rank == j
-            out[row_odd[at]] *= tables[which[at]]
+            out[row_odd[at]] *= symbols[which[at]]
     for r, f in zip(row[~odd].tolist(), q[~odd].tolist()):  # (p|q)^k = 1 but at p = q
         out[r, ps == f] = 0
     return out
 
 
-def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
+def legendre_matrix(ds: Sequence[int], ps: np.ndarray, tables: Optional[ResidueTables] = None) -> np.ndarray:
     """Legendre symbols (d|p) for every d of ds and every odd prime p of ps,
     as an int8 matrix of shape (len(ds), len(ps)) in {-1, 0, 1}.
 
     Three ways, each chosen by its cost.  A prime p at most
     TABLE_P_PER_ROW times the number of rows reads, for every row, a table
-    of (r|p) over the residues r mod p, built from the squares mod p (and
-    kept for p <= _KEPT_TABLE_MAX): at d mod p, or, when the rows are dense
-    in their span, laid end to end over the span (_table_symbols).  On the
-    other primes, a row d != 0 whose odd part n is at most
-    TABLE_P_PER_ROW times their number is read by quadratic reciprocity
-    off the tables of the primes of n (factored by vectorized trial
-    division); every other cell uses Euler's criterion over the whole
-    block.  All three are exact: the tables and reciprocity for any odd
+    of (r|p) over the residues r mod p, built from the squares mod p and
+    kept as ResidueTables says (tables, or one for this call if None): at
+    d mod p, or, when the rows are dense in their span, laid end to end
+    over the span (_table_symbols).  On the other primes, a row d != 0
+    whose odd part n is at most TABLE_P_PER_ROW times their number is read
+    by quadratic reciprocity off the tables of the primes of n (factored by
+    vectorized trial division); every other cell uses Euler's criterion
+    over the whole block.  All three are exact: the tables and reciprocity for any odd
     prime p, Euler's criterion for p below 3.0e9, far above the CLI's
     prime-table cap of 1e8.  Every d must fit int64 (OverflowError
     otherwise); the twists' D stay below 1e16.
     """
     ps = np.asarray(ps, dtype=np.int64)
     d = np.asarray(ds, dtype=np.int64)
+    tables = ResidueTables() if tables is None else tables
     table = ps <= TABLE_P_PER_ROW * d.size
     if table.all():
-        return _table_symbols(d, ps)
+        return _table_symbols(d, ps, tables)
     out = np.empty((d.size, ps.size), dtype=np.int8)
-    out[:, table] = _table_symbols(d, ps[table])
+    out[:, table] = _table_symbols(d, ps[table], tables)
     ps = ps[~table]
     (cols,) = np.nonzero(~table)
     small = (d != 0) & (d > -_RECIPROCITY_D_MAX) & (d < _RECIPROCITY_D_MAX)
@@ -353,7 +374,7 @@ def legendre_matrix(ds: Sequence[int], ps: np.ndarray) -> np.ndarray:
     small &= a // (a & -a) <= TABLE_P_PER_ROW * ps.size
     (rows,) = np.nonzero(small)
     if rows.size:
-        out[rows[:, None], cols] = _reciprocity_symbols(d[rows], ps)
+        out[rows[:, None], cols] = _reciprocity_symbols(d[rows], ps, tables)
     (rows,) = np.nonzero(~small)
     if rows.size:
         out[rows[:, None], cols] = _euler_symbols(_residues(d[rows], ps), ps)
@@ -639,8 +660,7 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class ParityDecomposition:
+class ParityDecomposition(namedtuple("ParityDecomposition", "pi pi1 pi2")):
     """Split of a product of primes pi by exponent parity.
 
     pi1 carries the primes of even exponent, pi2 those of odd exponent, so
@@ -648,9 +668,7 @@ class ParityDecomposition:
     when pi is a perfect square.
     """
 
-    pi: int
-    pi1: int
-    pi2: int
+    __slots__ = ()
 
 
 def parity_decompose(tuple_primes: Sequence[int]) -> ParityDecomposition:

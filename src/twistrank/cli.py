@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import gc
 import math
 import os
 import sys
@@ -139,10 +139,9 @@ _COMMANDS = {
 _BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
-def _options(command: str) -> _Parser:
-    """The options command takes: its flags, and the keys a --config file
-    may set for it."""
-    p = _Parser(add_help=False, allow_abbrev=False)  # a config key is spelt in full
+def _add_options(p: _Parser, command: str) -> _Parser:
+    """p with the options command takes: its flags, and the keys a --config
+    file may set for it."""
     for name in _COMMANDS[command][1].split():
         p.add_argument(f"--{name}", **_OPTIONS[name])
     return p
@@ -154,7 +153,7 @@ def _parse_config_file(path: str, command: str) -> dict:
     or --no-key for a switch, from true/false, 1/0 or yes/no); '#' starts
     a comment.  A key the command does not take, or a value its flag would
     refuse, is a config error naming the file and line."""
-    parser = _options(command)
+    parser = _add_options(_Parser(add_help=False, allow_abbrev=False), command)  # keys spelt in full
     values = argparse.Namespace()
     try:
         text = Path(path).read_text()
@@ -183,7 +182,7 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="twistrank", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
     for command, (summary, _) in _COMMANDS.items():
-        sp = sub.add_parser(command, help=summary, parents=[_options(command)])
+        sp = _add_options(sub.add_parser(command, help=summary), command)
         sp.add_argument("--config", help="key=value config file, one option above a line; flags override it")
     return p
 
@@ -334,6 +333,8 @@ def _write_table(cfg: dict, columns: Sequence[str], records: Sequence[dict], out
     csv writes floats with repr, their shortest round-trip form.
     """
     if cfg.get("format", "csv") == "json":
+        import json
+
         json.dump(records, out, indent=2)
         out.write("\n")
         return
@@ -369,8 +370,8 @@ def cmd_ap_table(cfg: dict) -> int:
 
 
 def cmd_ef_report(cfg: dict) -> int:
+    from .curve import filter_twists
     from .explicit_formula import CSV_COLUMNS, evaluate_reports
-    from .family_moments import filter_twists
 
     curve = _resolve_curve(cfg)
     x = cfg.get("x", 1e4)
@@ -423,6 +424,8 @@ def _sidecar_payload(config: MomentConfig, family) -> dict:
 
 
 def cmd_sweep(cfg: dict) -> int:
+    import json
+
     from .family_moments import EmptyFamilyError, MomentConfig, sweep_family, weighted_moment
     from .kernel import SmoothWeight
 
@@ -464,6 +467,8 @@ def cmd_sweep(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
+    import json
+
     from .verification_lab import run_suite, validate_suite_group
 
     catalog = _load_catalog_cfg(cfg)
@@ -513,6 +518,11 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # The heap so far (the interpreter, numpy, this module: about 21k objects)
+    # lives until exit.  Frozen, no collection scans it again, the ones at
+    # exit included; only the first call in a process freezes.
+    if not gc.get_freeze_count():
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,7 +23,7 @@ range(D, D + 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from pathlib import Path
 from typing import List, Optional
 
@@ -35,6 +35,7 @@ __all__ = [
     "CurveModel",
     "Twists",
     "twist_columns",
+    "filter_twists",
     "MissingBadPrimeData",
     "ap_array",
     "cpm",
@@ -47,30 +48,34 @@ class MissingBadPrimeData(ValueError):
     """a_p was requested at p in {2, 3} but the curve carries no metadata."""
 
 
-@dataclass(frozen=True)
-class CurveModel:
+class CurveModel(namedtuple("CurveModel", "A B conductor root_number label a2 a3")):
     """A fixed curve y^2 = x^3 + A x + B with caller-supplied invariants.
 
     conductor and root_number are metadata: the model is assumed
     quasi-minimal and the invariants are not re-derived here.  a2 and a3
-    hold the L-coefficients at 2 and 3 (None if unknown).
+    hold the L-coefficients at 2 and 3 (None if unknown).  Equal fields
+    make equal, equally hashed models (the a_p cache is keyed by them).
     """
 
-    A: int
-    B: int
-    conductor: int
-    root_number: int
-    label: str = ""
-    a2: Optional[int] = None
-    a3: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if 4 * self.A**3 + 27 * self.B**2 == 0:
-            raise ValueError(f"singular model A={self.A}, B={self.B}")
-        if self.conductor < 1:
-            raise ValueError(f"conductor must be >= 1, got {self.conductor}")
-        if self.root_number not in (-1, 1):
-            raise ValueError(f"root number must be +-1, got {self.root_number}")
+    def __new__(
+        cls,
+        A: int,
+        B: int,
+        conductor: int,
+        root_number: int,
+        label: str = "",
+        a2: Optional[int] = None,
+        a3: Optional[int] = None,
+    ):
+        if 4 * A**3 + 27 * B**2 == 0:
+            raise ValueError(f"singular model A={A}, B={B}")
+        if conductor < 1:
+            raise ValueError(f"conductor must be >= 1, got {conductor}")
+        if root_number not in (-1, 1):
+            raise ValueError(f"root number must be +-1, got {root_number}")
+        return super().__new__(cls, A, B, conductor, root_number, label, a2, a3)
 
     @property
     def discriminant(self) -> int:
@@ -633,8 +638,7 @@ def _kronecker_minus_n(a: np.ndarray, n: int) -> np.ndarray:
     return np.where(a < 0, -table[inverse], table[inverse])
 
 
-@dataclass(frozen=True)
-class Twists:
+class Twists(namedtuple("Twists", "base D kernel fundamental_disc squarefree coprime root_number")):
     """The twists of one base curve by a run of D, as columns (int64 and bool
     arrays aligned with D); one twist is the one-row run range(D, D + 1).
 
@@ -657,15 +661,9 @@ class Twists:
     as the relation leaves the sign open there.
     """
 
-    base: CurveModel
-    D: np.ndarray
-    kernel: np.ndarray
-    fundamental_disc: np.ndarray
-    squarefree: np.ndarray
-    coprime: np.ndarray
-    root_number: np.ndarray
+    __slots__ = ()
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the rows, not the fields: no _replace
         return int(self.D.size)
 
     @property
@@ -674,10 +672,7 @@ class Twists:
 
     def select(self, keep: np.ndarray) -> "Twists":
         """The rows where keep (a boolean mask) holds, in order."""
-        return Twists(
-            self.base,
-            *(getattr(self, f.name)[keep] for f in fields(self) if f.name != "base"),
-        )
+        return Twists(self.base, *(column[keep] for column in self[1:]))  # every field but base
 
     def conductor_bounds(self) -> List[int]:
         """N d_K^2 for a clean D (N D^2 if gcd(d_K, N) > 1), else 2^8 3^5 N d^2
@@ -712,6 +707,19 @@ def twist_columns(curve: CurveModel, ds: range) -> Twists:
     root = np.zeros(D.size, dtype=np.int64)
     root[clean] = curve.root_number * _kronecker_minus_n(disc[clean], curve.conductor)
     return Twists(curve, D, kernel, disc, squarefree, coprime, root)
+
+
+def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool) -> Twists:
+    """The twists by the nonzero D of ds (consecutive, ascending) that are
+    coprime to 2N, if asked, and squarefree, if asked, as columns from one
+    sieve over ds (twist_columns).  The only place a D becomes a twist."""
+    twists = twist_columns(curve, ds)
+    keep = twists.D != 0
+    if coprime:
+        keep &= twists.coprime
+    if squarefree:
+        keep &= twists.squarefree
+    return twists.select(keep)
 
 
 # ---------------------------------------------------------------------------

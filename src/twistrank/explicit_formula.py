@@ -14,14 +14,15 @@ lambda, so total_S / lambda upper-bounds the analytic rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from collections import namedtuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .arith import (
     TABLE_P_PER_ROW,
     PrimeTable,
+    ResidueTables,
     _euler_symbols,
     fixed_point_limbs,
     fixed_point_scale,
@@ -88,8 +89,7 @@ def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
     return aps * lp / ps.astype(float) * fv
 
 
-@dataclass(frozen=True)
-class _Group:
+class _Group(namedtuple("_Group", "emin odd even")):
     """One group of the plan (m = 1, m = 2 or m >= 3) in the fixed point of
     arith.fixed_point_limbs (units of 2^emin): odd[j] and even[j] sum the
     limbs of its terms c_{p^m}(E) (log p)/p^m F(m log p / lambda) with odd
@@ -97,9 +97,7 @@ class _Group:
     column.  Below e^lambda <= 1e8 a column holds at most 12 terms of one
     parity (p = 2, m <= 26), so every sum is below 12 * 2^30 < 2^34."""
 
-    emin: int
-    odd: np.ndarray
-    even: np.ndarray
+    __slots__ = ()
 
     def add_products(self, sums: np.ndarray, first: int, chi: np.ndarray) -> None:
         """Add to the int64 sums chi_D(p)^m times the limb sums of the columns
@@ -114,8 +112,7 @@ class _Group:
                 sums += ((b * b if square else b) @ limbs[first : first + w]).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class _PrimePlan:
+class _PrimePlan(namedtuple("_PrimePlan", "columns groups")):
     """The part of prime_sides that does not depend on D.
 
     ``groups`` holds, for m = 1, m = 2 and m >= 3, each p^m < e^lambda whose
@@ -125,8 +122,7 @@ class _PrimePlan:
     terms, ascending: the only primes whose character a twist needs.
     """
 
-    columns: np.ndarray
-    groups: Tuple[_Group, ...]
+    __slots__ = ()
 
 
 def _group(column: np.ndarray, power: np.ndarray, terms: np.ndarray) -> _Group:
@@ -176,7 +172,7 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 # rows put every prime up to 32,768 in arith.legendre_matrix's table rule,
 # D at a density of 1/16 or more (a sieve and a sign filter keep about
 # 1/5) read each prime's table laid end to end over the span, a table built
-# for the chunk (p above arith._KEPT_TABLE_MAX) is read over four periods
+# for the call (p above arith._KEPT_TABLE_MAX) is read over four periods
 # or more.  Each chunk's limb sums are rounded before the next, so its
 # arrays are O(rows), not O(family): about 150 bytes a row (int64 limb sums
 # of 3 groups of 3 limbs, int8 characters and their float64 copy, the int64
@@ -200,16 +196,19 @@ _BLOCK_PRIMES = 8
 _CHI_AT_2 = np.array([0, 1, 0, 0, 0, -1, 0, 0], dtype=np.int8)
 
 
-def _character_blocks(ps: np.ndarray, ds: np.ndarray, kernels=None) -> Iterator[tuple]:
+def _character_blocks(
+    ps: np.ndarray, ds: np.ndarray, kernels=None, tables: Optional[ResidueTables] = None
+) -> Iterator[tuple]:
     """(first, chi) covering the characters chi_d(p) for the kernel d of
     every D of ds (kernels, aligned with ds; ds if None) and p of ps
     (ascending; 2 leads if present): chi holds every row and the columns
     first .. first + chi.shape[1] - 1 of ps, at most _BLOCK_CELLS cells (or
     _BLOCK_PRIMES columns, if that is more).  At 2 the character is read
     off d mod 8, at the odd primes by arith.legendre_matrix over the D
-    (dense where the kernels are not), which picks a way for each prime;
-    at D = d m^2 the cells of the primes of m, where (D|p) = 0 and not
-    (d|p), take Euler's criterion, sought among the D sorted by m^2.
+    (dense where the kernels are not), which picks a way for each prime and
+    keeps residue tables in tables (per block if None); at D = d m^2 the
+    cells of the primes of m, where (D|p) = 0 and not (d|p), take Euler's
+    criterion, sought among the D sorted by m^2.
     """
     kernels = ds if kernels is None else kernels
     first = int(ps.size > 0 and ps[0] == 2)
@@ -221,7 +220,7 @@ def _character_blocks(ps: np.ndarray, ds: np.ndarray, kernels=None) -> Iterator[
     width = max(_BLOCK_PRIMES, _BLOCK_CELLS // max(1, ds.size))
     for c in range(first, ps.size, width):
         block = ps[c : c + width]
-        chi = legendre_matrix(ds, block)
+        chi = legendre_matrix(ds, block, tables)
         at = np.searchsorted(square, block[0] ** 2)
         row, col = np.nonzero(square[at:, None] % block**2 == 0)
         row, p = moved[at + row], block[col]
@@ -295,10 +294,11 @@ def prime_sides(
     ds = np.asarray(ds, dtype=np.int64)
     kernels = ds if kernels is None else np.asarray(kernels, dtype=np.int64)
     out = np.empty((3, ds.size))
+    tables = ResidueTables()  # a large prime's table serves every chunk
     for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
         chunk = ds[start : start + step]
         sums = [np.zeros((chunk.size, g.odd.shape[1]), dtype=np.int64) for g in plan.groups]
-        for first, chi in _character_blocks(plan.columns, chunk, kernels[start : start + step]):
+        for first, chi in _character_blocks(plan.columns, chunk, kernels[start : start + step], tables):
             for g, s in zip(plan.groups, sums):
                 g.add_products(s, first, chi)
         for g, s, row in zip(plan.groups, sums, out):
@@ -306,8 +306,12 @@ def prime_sides(
     return out
 
 
-@dataclass(frozen=True)
-class ExplicitFormulaTable:
+class ExplicitFormulaTable(
+    namedtuple(
+        "ExplicitFormulaTable",
+        "twists lam log_conductor prime_sum_m1 prime_sum_m2 prime_sum_tail archimedean total_S rank_bound",
+    )
+):
     """The explicit-formula decomposition of a batch of twists as columns:
     row i belongs to twists.D[i] (lam and archimedean are one number per
     batch).  Each row's total_S reconstructs exactly as
@@ -315,17 +319,9 @@ class ExplicitFormulaTable:
     archimedean, where archimedean = 2*integral + 2*log(2pi); root numbers
     and conductor_exact are the twists' columns (see Twists)."""
 
-    twists: Twists
-    lam: float
-    log_conductor: np.ndarray
-    prime_sum_m1: np.ndarray
-    prime_sum_m2: np.ndarray
-    prime_sum_tail: np.ndarray
-    archimedean: float
-    total_S: np.ndarray
-    rank_bound: np.ndarray
+    __slots__ = ()
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the rows, not the fields: no _replace
         return len(self.twists)
 
     def records(self) -> List[dict]:

@@ -21,7 +21,7 @@ total and masked sum of the reductions reads those two splits.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from collections import namedtuple
 from functools import cached_property
 from math import comb, fsum
 from typing import Optional
@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import ExactSums, PrimeTable, exact_sum
-from .curve import CurveModel, Twists, twist_columns
+from .curve import CurveModel, Twists, filter_twists
 from .explicit_formula import ExplicitFormulaTable, evaluate_reports
 from .kernel import SmoothWeight, weight_eval
 
@@ -103,39 +103,42 @@ def lowzero_density_bound(k: int) -> float:
     return LOWZERO_DENSITY_BASE ** (-k)
 
 
-@dataclass(frozen=True)
-class MomentConfig:
+class MomentConfig(namedtuple("MomentConfig", "curve k x weight T squarefree_only coprime_to_2N sign")):
     """Parameters of one family sweep.
 
     T defaults to X_k(x, k).  A sign filter requires the squarefree and
     coprimality filters since the root number is only defined there.
     """
 
-    curve: CurveModel
-    k: int
-    x: float
-    weight: SmoothWeight
-    T: Optional[float] = None
-    squarefree_only: bool = True
-    coprime_to_2N: bool = True
-    sign: str = "any"  # any | plus | minus
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
-        if not self.x > math.e:
-            raise ValueError(f"x must exceed e, got {self.x}")
-        if self.sign not in ("any", "plus", "minus"):
-            raise ValueError(f"sign must be any/plus/minus, got {self.sign!r}")
-        if self.sign != "any" and not (self.squarefree_only and self.coprime_to_2N):
+    def __new__(
+        cls,
+        curve: CurveModel,
+        k: int,
+        x: float,
+        weight: SmoothWeight,
+        T: Optional[float] = None,
+        squarefree_only: bool = True,
+        coprime_to_2N: bool = True,
+        sign: str = "any",  # any | plus | minus
+    ):
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        if not x > math.e:
+            raise ValueError(f"x must exceed e, got {x}")
+        if sign not in ("any", "plus", "minus"):
+            raise ValueError(f"sign must be any/plus/minus, got {sign!r}")
+        if sign != "any" and not (squarefree_only and coprime_to_2N):
             raise ValueError(
                 "sign filters need squarefree_only and coprime_to_2N "
                 "(root numbers are defined only there)"
             )
-        if self.T is None:
-            object.__setattr__(self, "T", X_k(self.x, self.k))
-        if not self.T >= 1.0:
-            raise ValueError(f"family scale T must be >= 1, got {self.T}")
+        if T is None:
+            T = X_k(x, k)
+        if not T >= 1.0:
+            raise ValueError(f"family scale T must be >= 1, got {T}")
+        return super().__new__(cls, curve, k, x, weight, T, squarefree_only, coprime_to_2N, sign)
 
     @property
     def lam(self) -> float:
@@ -157,15 +160,17 @@ class MomentConfig:
         return "+".join(parts)
 
 
-@dataclass(frozen=True)
 class Family:
     """A twist family as columns, ascending in D: the twists, their weights
     W(D/T) and, once sweep_family has evaluated them, their explicit-formula
-    columns (table, None before)."""
+    columns (table, None before).  The fields are read-only; the exact sums
+    are made on first use."""
 
-    twists: Twists
-    weight: np.ndarray
-    table: Optional[ExplicitFormulaTable] = None
+    def __init__(self, twists: Twists, weight: np.ndarray, table: Optional[ExplicitFormulaTable] = None):
+        self.__dict__.update(twists=twists, weight=weight, table=table)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to Family.{name}")
 
     def __len__(self) -> int:
         return len(self.twists)
@@ -183,19 +188,6 @@ class Family:
     def bound_sums(self) -> ExactSums:
         """Exact sums of W * rank_bound over subsets of the rows of a swept family."""
         return ExactSums(self.weight * self.table.rank_bound)
-
-
-def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool) -> Twists:
-    """The twists by the nonzero D of ds (consecutive, ascending) that are
-    coprime to 2N, if asked, and squarefree, if asked, as columns from one
-    sieve over ds (twist_columns).  The only place a D becomes a twist."""
-    twists = twist_columns(curve, ds)
-    keep = twists.D != 0
-    if coprime:
-        keep &= twists.coprime
-    if squarefree:
-        keep &= twists.squarefree
-    return twists.select(keep)
 
 
 def family_twist_values(config: MomentConfig) -> Family:
@@ -223,19 +215,16 @@ def sweep_family(config: MomentConfig, primes: PrimeTable) -> Family:
             f"no twist passes the filters for T={config.T}, support "
             f"({config.weight.support_lo}, {config.weight.support_hi})"
         )
-    return replace(family, table=evaluate_reports(family.twists, config.lam, primes))
+    return Family(family.twists, family.weight, evaluate_reports(family.twists, config.lam, primes))
 
 
-@dataclass(frozen=True)
-class MomentRow:
-    k: int
-    x: float
-    T: float
-    filter_flags: str
-    weighted_count: float
-    family_size: int
-    empirical_moment: float
-    theoretical_bound: float
+class MomentRow(
+    namedtuple(
+        "MomentRow",
+        "k x T filter_flags weighted_count family_size empirical_moment theoretical_bound",
+    )
+):
+    __slots__ = ()
 
     @property
     def ratio(self) -> float:
@@ -243,7 +232,7 @@ class MomentRow:
 
     def record(self) -> dict:
         """The output record: the fields in order, then the ratio."""
-        return {**asdict(self), "ratio": self.ratio}
+        return {**self._asdict(), "ratio": self.ratio}
 
 
 def weighted_moment(config: MomentConfig, family: Family) -> MomentRow:

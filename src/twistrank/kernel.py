@@ -12,28 +12,27 @@ Poisson-summation step.  W has one array path; a float is a 0-d array.
 
 The Fourier transforms of W_l are numpy quadrature with exact phases (the
 trapezoid rule for the 'exp' bump, Gauss-Legendre panels or an endpoint
-expansion for 'poly').  Only mellin_phi_quadrature, a verification oracle,
-uses scipy.integrate, which scipy loads on its first call, so no other
-function here imports it.
+expansion for 'poly'); nothing here integrates with scipy.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-import scipy  # scipy.integrate loads on first use, in mellin_phi_quadrature only
+
+# No function here uses scipy.  The import stays because the benchmark reads
+# the scipy version from sys.modules["scipy"] after each command it runs.
+import scipy
 
 __all__ = [
     "TriangleKernel",
     "SmoothWeight",
     "triangle",
-    "mellin_phi",
-    "mellin_phi_quadrature",
     "archimedean_integral",
     "weight_eval",
     "weight_l_eval",
@@ -44,60 +43,20 @@ __all__ = [
 ArrayLike = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class TriangleKernel:
+class TriangleKernel(namedtuple("TriangleKernel", "lam")):
     """Triangle kernel at scale lam (lam = log x in the main pipeline)."""
 
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.lam >= 1.0:
-            raise ValueError(f"kernel scale must be >= 1, got {self.lam}")
+    def __new__(cls, lam: float):
+        if not lam >= 1.0:
+            raise ValueError(f"kernel scale must be >= 1, got {lam}")
+        return super().__new__(cls, lam)
 
 
 def triangle(x: ArrayLike) -> ArrayLike:
     """F(x) = max(0, 1 - |x|), elementwise (a float gives a numpy float)."""
     return np.maximum(0.0, 1.0 - np.abs(x))
-
-
-def mellin_phi(kernel: TriangleKernel, t: float) -> float:
-    """Closed-form Mellin transform on the critical line s = 1 + it:
-
-        Phi_lambda(1 + it) = lambda * (sin(lambda t / 2) / (lambda t / 2))^2
-
-    with the limit lambda at t = 0.  Always >= 0.
-    """
-    lam = kernel.lam
-    u = 0.5 * lam * t
-    if abs(u) < 1e-8:
-        # sinc(u)^2 = 1 - u^2/3 + O(u^4)
-        return lam * (1.0 - u * u / 3.0)
-    s = math.sin(u) / u
-    return lam * s * s
-
-
-def mellin_phi_quadrature(kernel: TriangleKernel, u: complex) -> complex:
-    """The defining integral int F_lambda(x) e^((u-1)x) dx by quadrature.
-
-    Absolute tolerance ~1e-10 on the critical line Re(u) = 1 (the oracle
-    regime); off the line the integrand grows like e^(|Re(u)-1| lambda) and
-    accuracy degrades to relative.  Requires Re(u) in [0, 2].
-    """
-    if not 0.0 <= u.real <= 2.0:
-        raise ValueError(f"Re(u) must lie in [0, 2], got {u.real}")
-    lam = kernel.lam
-    w = complex(u) - 1.0
-
-    def f_re(x: float) -> float:
-        return (1.0 - abs(x) / lam) * math.exp(w.real * x) * math.cos(w.imag * x)
-
-    def f_im(x: float) -> float:
-        return (1.0 - abs(x) / lam) * math.exp(w.real * x) * math.sin(w.imag * x)
-
-    kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400, points=[0.0])
-    re = scipy.integrate.quad(f_re, -lam, lam, **kw)[0]
-    im = scipy.integrate.quad(f_im, -lam, lam, **kw)[0]
-    return complex(re, im)
 
 
 EULER_GAMMA = 0.5772156649015329
@@ -132,8 +91,7 @@ def archimedean_integral(kernel: TriangleKernel) -> float:
     return EULER_GAMMA - (ZETA_2 - math.fsum(terms)) / lam + math.log1p(-math.exp(-lam))
 
 
-@dataclass(frozen=True)
-class SmoothWeight:
+class SmoothWeight(namedtuple("SmoothWeight", "support_lo support_hi shape l x X_k")):
     """Nonnegative C^3 bump supported on (lo, hi), normalized to peak 1.
 
     Supports must satisfy 0 < lo < hi <= 1 or -1 <= lo < hi < 0, keeping the
@@ -145,29 +103,33 @@ class SmoothWeight:
     they may be omitted when only W itself is needed (l = 0).
     """
 
-    support_lo: float
-    support_hi: float
-    shape: str = "exp"
-    l: int = 0
-    x: Optional[float] = None
-    X_k: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        lo, hi = self.support_lo, self.support_hi
+    def __new__(
+        cls,
+        support_lo: float,
+        support_hi: float,
+        shape: str = "exp",
+        l: int = 0,
+        x: Optional[float] = None,
+        X_k: Optional[float] = None,
+    ):
+        lo, hi = support_lo, support_hi
         ok_pos = 0.0 < lo < hi <= 1.0
         ok_neg = -1.0 <= lo < hi < 0.0
         if not (ok_pos or ok_neg):
             raise ValueError(
                 f"support must satisfy 0 < lo < hi <= 1 or -1 <= lo < hi < 0, got ({lo}, {hi})"
             )
-        if self.shape not in ("exp", "poly"):
-            raise ValueError(f"unknown weight shape {self.shape!r}")
-        if self.l < 0:
+        if shape not in ("exp", "poly"):
+            raise ValueError(f"unknown weight shape {shape!r}")
+        if l < 0:
             raise ValueError("l must be nonnegative")
-        if self.x is not None and not self.x > 1.0:
+        if x is not None and not x > 1.0:
             raise ValueError("scale x must exceed 1")
-        if self.X_k is not None and not self.X_k > 0.0:
+        if X_k is not None and not X_k > 0.0:
             raise ValueError("scale X_k must be positive")
+        return super().__new__(cls, support_lo, support_hi, shape, l, x, X_k)
 
 
 def weight_eval(w: SmoothWeight, t: ArrayLike) -> ArrayLike:

@@ -15,7 +15,7 @@ import cmath
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import fsum, gcd
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -314,7 +314,7 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
     """
 
     def fit() -> float:
-        base = replace(w, l=0, x=None, X_k=None)
+        base = SmoothWeight(w.support_lo, w.support_hi, w.shape)
         gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
         for t in _GAMMA_GRID:
             shape = _decay_shape(w, t)
@@ -420,7 +420,7 @@ def wl_decay_check(w: SmoothWeight, l: int, x: float, X_k: float) -> CheckResult
     """|W|, |hat(W_l)| and |hat(W_l)'| against
     gamma * l^3 * (log X_k + log x)^l * min(1, |t|^-k) on |t| <= 100,
     with gamma and the shape's decay rate k from ``fit_weight_gamma``."""
-    wl = replace(w, l=l, x=x, X_k=X_k)
+    wl = SmoothWeight(w.support_lo, w.support_hi, w.shape, l, x, X_k)
     gamma = fit_weight_gamma(w)
     lfac = _l_factor(wl, l)
     worst = 0.0

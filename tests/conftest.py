@@ -233,6 +233,48 @@ def fsum_prime_sides(curve, lam: float, primes, ds) -> list:
     return out
 
 
+def mellin_phi(kernel, t: float) -> float:
+    """Closed-form Mellin transform of the triangle kernel on the critical
+    line s = 1 + it:
+
+        Phi_lambda(1 + it) = lambda * (sin(lambda t / 2) / (lambda t / 2))^2
+
+    with the limit lambda at t = 0.  Always >= 0.
+    """
+    lam = kernel.lam
+    u = 0.5 * lam * t
+    if abs(u) < 1e-8:
+        # sinc(u)^2 = 1 - u^2/3 + O(u^4)
+        return lam * (1.0 - u * u / 3.0)
+    s = math.sin(u) / u
+    return lam * s * s
+
+
+def mellin_phi_quadrature(kernel, u: complex) -> complex:
+    """The defining integral int F_lambda(x) e^((u-1)x) dx by quadrature,
+    the oracle for ``mellin_phi``.
+
+    Absolute tolerance ~1e-10 on the critical line Re(u) = 1 (the oracle
+    regime); off the line the integrand grows like e^(|Re(u)-1| lambda) and
+    accuracy degrades to relative.  Requires Re(u) in [0, 2].
+    """
+    if not 0.0 <= u.real <= 2.0:
+        raise ValueError(f"Re(u) must lie in [0, 2], got {u.real}")
+    lam = kernel.lam
+    w = complex(u) - 1.0
+
+    def f_re(x: float) -> float:
+        return (1.0 - abs(x) / lam) * math.exp(w.real * x) * math.cos(w.imag * x)
+
+    def f_im(x: float) -> float:
+        return (1.0 - abs(x) / lam) * math.exp(w.real * x) * math.sin(w.imag * x)
+
+    kw = dict(epsabs=1e-12, epsrel=1e-12, limit=400, points=[0.0])
+    re = quad(f_re, -lam, lam, **kw)[0]
+    im = quad(f_im, -lam, lam, **kw)[0]
+    return complex(re, im)
+
+
 _QAWO_KW = dict(epsabs=1e-13, epsrel=1e-13, limit=400)
 
 

@@ -25,7 +25,7 @@ from twistrank.cli import main as cli_main
 from twistrank.curve import ap_array, cpm
 from twistrank.explicit_formula import evaluate_reports
 from twistrank.family_moments import filter_twists, theoretical_moment_bound
-from twistrank.kernel import SmoothWeight, TriangleKernel, mellin_phi, mellin_phi_quadrature
+from twistrank.kernel import SmoothWeight, TriangleKernel
 from twistrank.verification_lab import (
     _chi_table,
     gauss_sum_check,
@@ -38,7 +38,7 @@ from twistrank.verification_lab import (
     step1_sum,
 )
 
-from conftest import brute_point_count
+from conftest import brute_point_count, mellin_phi, mellin_phi_quadrature
 from test_verification_lab import oracle_qsum, oracle_step1
 
 

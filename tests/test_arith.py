@@ -156,9 +156,9 @@ class TestKronecker:
         seen = []
         original = arith._reciprocity_symbols
 
-        def recording(d, cols):
+        def recording(d, cols, tables):
             seen.extend(d.tolist())
-            return original(d, cols)
+            return original(d, cols, tables)
 
         monkeypatch.setattr(arith, "_reciprocity_symbols", recording)
         got = legendre_matrix(ds, sub)

@@ -391,8 +391,9 @@ class TestTwistBudget:
             raise AssertionError("twist enumeration started")
 
         monkeypatch.setattr(fm, "family_twist_values", no_enumeration)
-        monkeypatch.setattr(fm, "twist_columns", no_enumeration)
         monkeypatch.setattr(fm, "filter_twists", no_enumeration)
+        monkeypatch.setattr(curve_mod, "filter_twists", no_enumeration)
+        monkeypatch.setattr(curve_mod, "twist_columns", no_enumeration)
         monkeypatch.setattr(curve_mod, "squarefree_kernels", no_enumeration)
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
 
@@ -696,15 +697,18 @@ class TestClosedPipe:
         assert err == b""
 
 
-# Runs one command in a fresh interpreter and prints which scipy modules, and
-# whether numpy.ma, it loaded.
+# Runs one command in a fresh interpreter and prints which scipy and
+# twistrank modules, and whether numpy.ma and dataclasses, it loaded, and how
+# many objects the collector holds frozen.
 _MODULE_PROBE = """
-import io, json, sys
+import gc, io, json, sys
 from contextlib import redirect_stdout
 from twistrank.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "numpy.ma")]))
+watched = ("scipy", "twistrank", "numpy.ma", "dataclasses")
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in watched or m in watched)
+print(json.dumps([code, loaded, gc.get_freeze_count()]))
 """
 
 
@@ -725,9 +729,12 @@ def _probe(code, *args, **env_vars):
 
 
 class TestImportHygiene:
-    """Only the Mellin quadrature oracle needs scipy.integrate (and with it
-    scipy.special): the twist commands and the weight transforms, and so
-    the verify checks built on them, never load either."""
+    """No command and no function of the package needs scipy.integrate (or,
+    with it, scipy.special): the twist commands and the weight transforms,
+    and so the verify checks built on them, never load either.  Each
+    command freezes the heap it starts with, and the table commands build
+    their records without dataclasses; ef-report and ap-table never load
+    family_moments."""
 
     @pytest.mark.parametrize(
         "args",
@@ -741,11 +748,15 @@ class TestImportHygiene:
         ids=["ap-table", "ef-report", "sweep", "verify-poisson", "verify-wl_decay"],
     )
     def test_commands_skip_quadrature_modules(self, args):
-        code, loaded = _probe(_MODULE_PROBE, *args)
+        code, loaded, frozen = _probe(_MODULE_PROBE, *args)
         assert code == EXIT_OK
         # ap-table runs no kernel code, so it loads no scipy at all
         assert ("scipy" in loaded) == (args[0] != "ap-table")
         assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
+        assert frozen > 0
+        if args[0] != "verify":  # verification_lab.CheckResult stays a dataclass
+            assert "dataclasses" not in loaded
+            assert ("twistrank.family_moments" in loaded) == (args[0] == "sweep")
 
     @pytest.mark.parametrize(
         "args",
@@ -758,29 +769,24 @@ class TestImportHygiene:
     def test_twist_commands_skip_numpy_ma(self, args):
         # a plain np.unique (no return_* argument) imports numpy.ma, 15 ms
         # and 0.7 MB in a fresh process
-        code, loaded = _probe(_MODULE_PROBE, *args)
+        code, loaded, _ = _probe(_MODULE_PROBE, *args)
         assert code == EXIT_OK
         assert "numpy.ma" not in loaded
 
-    def test_verification_functions_load_quadrature_on_demand(self):
+    def test_package_and_weight_transforms_skip_quadrature_modules(self):
         code = """
 import json, sys
-from twistrank.kernel import (
-    SmoothWeight, TriangleKernel, mellin_phi_quadrature, weight_fourier, weight_fourier_derivative,
-)
+from twistrank import *
+from twistrank.kernel import weight_fourier_derivative
 def loaded():
     return ["scipy.integrate" in sys.modules, "scipy.special" in sys.modules]
 before = loaded()
 w = weight_fourier(SmoothWeight(0.5, 1.0), 3.0)
 dw = weight_fourier_derivative(SmoothWeight(0.5, 1.0, shape="poly"), 300.0)
-after_fourier = loaded()
-phi = mellin_phi_quadrature(TriangleKernel(2.0), 1.0 + 0j)
-print(json.dumps([before, after_fourier, loaded(), phi.real, abs(w), abs(dw)]))
+print(json.dumps([before, loaded(), abs(w), abs(dw)]))
 """
-        before, after_fourier, after_mellin, phi, w, dw = _probe(code)
+        before, after_fourier, w, dw = _probe(code)
         assert before == after_fourier == [False, False]
-        assert after_mellin == [True, True]
-        assert phi == pytest.approx(2.0, abs=1e-10)  # Phi_lambda(1) = lambda
         assert 0.0 < w < 0.5
         assert 0.0 < dw < 1e-4
 

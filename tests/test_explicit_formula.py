@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -345,7 +344,7 @@ class TestCharacterAtTwo:
         # x = 3: p = 2 is the only prime power below e^lambda, so prime_m1 is
         # chi_D(2) c_2 times a weight; x = 5: prime_m2 is the p^m = 4 term
         # alone (c_4 = a_2^2 = 1 when 2 | N, a_2^2 - 4 = -3 otherwise)
-        curve = replace(bad3_curve, conductor=conductor)
+        curve = bad3_curve._replace(conductor=conductor)
         at3, at5 = TriangleKernel(math.log(3.0)), TriangleKernel(math.log(5.0))
         m1_base = one_row_prime_sides(curve, 1, at3, primes_1e3)[0]
         m2_base = one_row_prime_sides(curve, 1, at5, primes_1e3)[1]

@@ -9,14 +9,14 @@ from twistrank.kernel import (
     SmoothWeight,
     TriangleKernel,
     archimedean_integral,
-    mellin_phi,
-    mellin_phi_quadrature,
     triangle,
     weight_eval,
     weight_fourier,
     weight_fourier_derivative,
     weight_l_eval,
 )
+
+from conftest import mellin_phi, mellin_phi_quadrature
 
 
 class TestTriangle:
