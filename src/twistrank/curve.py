@@ -58,6 +58,7 @@ class CurveModel(namedtuple("CurveModel", "A B conductor root_number label a2 a3
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(
         cls,

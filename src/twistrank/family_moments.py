@@ -111,6 +111,7 @@ class MomentConfig(namedtuple("MomentConfig", "curve k x weight T squarefree_onl
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(
         cls,

@@ -47,6 +47,7 @@ class TriangleKernel(namedtuple("TriangleKernel", "lam")):
     """Triangle kernel at scale lam (lam = log x in the main pipeline)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(cls, lam: float):
         if not lam >= 1.0:
@@ -104,6 +105,7 @@ class SmoothWeight(namedtuple("SmoothWeight", "support_lo support_hi shape l x X
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace validates too
 
     def __new__(
         cls,

@@ -126,3 +126,20 @@ def test_constructor_defaults():
         "k": 1, "x": 100.0, "T": 100.0, "filter_flags": "any", "weighted_count": 2.0,
         "family_size": 3, "empirical_moment": 3.0, "theoretical_bound": 1.5, "ratio": 2.0,
     }  # fmt: skip
+
+
+@pytest.mark.parametrize(
+    "record, changes, message",
+    [
+        (CurveModel(A=1, B=0, conductor=64, root_number=1), {"conductor": 0}, "conductor must be >= 1, got 0"),
+        (TriangleKernel(2.0), {"lam": 0.5}, "kernel scale must be >= 1, got 0.5"),
+        (SmoothWeight(0.5, 1.0), {"shape": "cubic"}, "unknown weight shape 'cubic'"),
+        (_config(), {"T": 0.5}, "family scale T must be >= 1, got 0.5"),
+    ],
+    ids=["CurveModel", "TriangleKernel", "SmoothWeight", "MomentConfig"],
+)
+def test_replace_validates(record, changes, message):
+    with pytest.raises(ValueError) as info:
+        record._replace(**changes)
+    assert str(info.value) == message
+    assert record._replace() == record
