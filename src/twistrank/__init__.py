@@ -14,12 +14,10 @@ _MODULE_EXPORTS = {
     "arith": (
         "ParityDecomposition",
         "PrimeTable",
-        "fundamental_discriminant",
         "kronecker",
         "mobius",
         "parity_decompose",
         "sieve_primes",
-        "squarefree_part",
     ),
     "curve": (
         "CurveModel",

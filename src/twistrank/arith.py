@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ __all__ = [
     "legendre_matrix",
     "TABLE_P_PER_ROW",
     "mobius",
-    "squarefree_part",
     "squarefree_kernels",
     "SQUAREFREE_SIEVE_MAX",
     "is_squarefree",
@@ -38,7 +37,6 @@ __all__ = [
     "euler_phi",
     "parity_decompose",
     "is_prime",
-    "fundamental_discriminant",
 ]
 
 # Witness set makes Miller-Rabin deterministic for n < 3.3e24, far past the
@@ -186,14 +184,14 @@ def kronecker(a: int, n: int) -> int:
 # ncm37 sweep at x = 1e4 took 1.0-1.2 s that way and 2.0-2.1 s by d mod p,
 # in the same chunks and blocks (numpy 2.4, x86-64).
 TABLE_P_PER_ROW = 16
-# Tables of primes up to this bound are kept for the process (563 tables,
-# 1.1 MB in all).  A larger prime's table lives as long as the ResidueTables
-# of a run of calls, up to _HELD_TABLE_BYTES in all, so that no run keeps a
-# table per large prime: a sweep at x = 1e4 holds all 665 of its tables (4.7
-# MB); at x >= 3e4 the 1,524 up to 18,223 are held and the rest built per
+# A prime's table lives as long as the ResidueTables of a run of calls, up
+# to _HELD_TABLE_BYTES in all, so that no run keeps a table per large
+# prime: a k = 1 ncm37 sweep at x = 1e4 holds all 1,221 of its tables (5.7
+# MB); at x = 3e4 the 2,020 up to 17,683 are held and the rest built per
 # call.
-_KEPT_TABLE_MAX = 1 << 12
 _HELD_TABLE_BYTES = 1 << 24
+# Residues per step of a table build and of curve's exhaustive a_p sum.
+_CHAR_SUM_CHUNK = 1 << 20
 # Reciprocity rows have |d| below this, so |d| and its odd part fit int64.
 _RECIPROCITY_D_MAX = 1 << 62
 
@@ -204,33 +202,30 @@ def _residues(d: np.ndarray, ps: np.ndarray) -> np.ndarray:
 
 
 def _squares_mod(p: int) -> np.ndarray:
-    """(r|p) for r = 0 .. p - 1, read-only: the squares mod p read 1, the
-    other nonzero residues -1 and 0 reads 0."""
+    """(r|p) for r = 0 .. p - 1 and an odd prime p, read-only: the squares
+    mod p read 1, the other nonzero residues -1 and 0 reads 0.  Built
+    _CHAR_SUM_CHUNK residues a step."""
     table = np.full(p, -1, dtype=np.int8)
-    r = np.arange(1, (p + 1) // 2, dtype=np.int64)
-    table[r * r % p] = 1
+    half = (p + 1) // 2  # r and p - r: one square
+    for lo in range(1, half, _CHAR_SUM_CHUNK):
+        r = np.arange(lo, min(lo + _CHAR_SUM_CHUNK, half), dtype=np.int64)
+        table[r * r % p] = 1
     table[0] = 0
     table.setflags(write=False)
     return table
 
 
-_kept_table = lru_cache(maxsize=None)(_squares_mod)
-
-
 class ResidueTables:
     """The residue tables _squares_mod(p) of a run of legendre_matrix calls,
-    such as the chunks of explicit_formula.prime_sides: a prime up to
-    _KEPT_TABLE_MAX reads the process-wide cache, and a larger prime builds
-    its table once and has it held here while the held tables fit in
-    _HELD_TABLE_BYTES (built again at each call beyond that)."""
+    such as the chunks of explicit_formula.prime_sides: each is built once
+    and held here while the held tables fit in _HELD_TABLE_BYTES (built
+    again at each call beyond that)."""
 
     def __init__(self) -> None:
         self._held: dict = {}
         self._bytes = 0
 
     def __getitem__(self, p: int) -> np.ndarray:
-        if p <= _KEPT_TABLE_MAX:
-            return _kept_table(p)
         table = self._held.get(p)
         if table is None:
             table = _squares_mod(p)
@@ -314,7 +309,7 @@ def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray, tables: ResidueTables) -
     """(d|p) for nonzero int64 d with |d| < 2^62 (rows) and odd primes p
     (columns), from d = sign 2^e n with n odd: quadratic reciprocity gives
     (d|p) = (-1|p)^[d < 0] (2|p)^e (-1)^((n-1)/2 (p-1)/2) prod_{q^k || n} (p|q)^k,
-    and (p|q) is read off the residue table of q at p mod q."""
+    and (p|q) is read off the residue tables of the q (_table_symbols)."""
     a = np.abs(d)
     low = a & -a
     e = np.frexp(low.astype(np.float64))[1] - 1  # exact: low is a power of 2
@@ -327,9 +322,7 @@ def _reciprocity_symbols(d: np.ndarray, ps: np.ndarray, tables: ResidueTables) -
     odd = k % 2 == 1
     if odd.any():
         qs, which = np.unique(q[odd], return_inverse=True)
-        symbols = np.empty((qs.size, ps.size), dtype=np.int8)  # (p|q), a row per q
-        for row_q, f in zip(symbols, qs.tolist()):
-            row_q[:] = tables[f][ps % f]
+        symbols = _table_symbols(ps, qs, tables).T  # (p|q), a row per q
         # a row's j-th factor for every row at once: rows are unique per j
         row_odd = row[odd]
         rank = np.arange(row_odd.size) - np.searchsorted(row_odd, row_odd)
@@ -391,8 +384,8 @@ _SIEVE_BLOCK = 1 << 18
 
 
 def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
-    """sign(d) * squarefree_part(|d|) for every d in [lo, hi], as int64, with 0
-    at d = 0: the kernel of d, which equals d exactly when d is squarefree.
+    """The kernel of each d in [lo, hi] as int64: sign(d) times the product of
+    the primes to an odd power in d (0 at d = 0), d itself iff d is squarefree.
 
     A sieve over the interval: each prime q <= sqrt(max |d|) divides q^2 out
     of its multiples for as long as it divides them.  What is left of d has
@@ -630,20 +623,6 @@ def mobius(n: int) -> int:
     return -1 if k % 2 else 1
 
 
-def squarefree_part(n: int) -> int:
-    """Product of the primes dividing n to an odd power.
-
-    n / squarefree_part(n) is always a perfect square.
-    """
-    if n < 1:
-        raise ValueError(f"squarefree_part needs n >= 1, got {n}")
-    out = 1
-    for p, e in _factor_trial(n):
-        if e % 2:
-            out *= p
-    return out
-
-
 def is_squarefree(n: int) -> bool:
     if n < 1:
         raise ValueError(f"is_squarefree needs n >= 1, got {n}")
@@ -691,17 +670,3 @@ def parity_decompose(tuple_primes: Sequence[int]) -> ParityDecomposition:
         else:
             pi2 *= p
     return ParityDecomposition(pi=pi, pi1=pi1, pi2=pi2)
-
-
-def fundamental_discriminant(d: int) -> int:
-    """Discriminant of Q(sqrt(d)): the squarefree kernel d0, or 4*d0.
-
-    d0 = sign(d) * squarefree_part(|d|); the result is d0 when d0 = 1 mod 4
-    and 4*d0 otherwise. For square d the kernel is 1 (the trivial field).
-    """
-    if d == 0:
-        raise ValueError("no discriminant for d = 0")
-    d0 = squarefree_part(abs(d))
-    if d < 0:
-        d0 = -d0
-    return d0 if d0 % 4 == 1 else 4 * d0

@@ -200,7 +200,7 @@ def _merge_config(args: argparse.Namespace) -> dict:
 
 
 def _resolve_curve(cfg: dict) -> CurveModel:
-    from .curve import CurveModel
+    from .curve import parse_curve_fields
 
     spec = cfg.get("curve", "cm32-like")
     if "," in spec:
@@ -208,13 +208,9 @@ def _resolve_curve(cfg: dict) -> CurveModel:
         if len(parts) != 6:
             raise ConfigError("explicit curve needs 6 fields: A,B,N,w,a2,a3")
         try:
-            a, b, n, w, a2, a3 = (int(v) for v in parts)
+            return parse_curve_fields(parts, "explicit")
         except ValueError as exc:
             raise ConfigError(f"bad explicit curve spec: {exc}") from exc
-        try:
-            return CurveModel(A=a, B=b, conductor=n, root_number=w, label="explicit", a2=a2, a3=a3)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     catalog = _load_catalog_cfg(cfg)
     if spec not in catalog:
         raise ConfigError(f"curve {spec!r} not in catalog (have: {', '.join(sorted(catalog))})")
@@ -471,10 +467,10 @@ def cmd_verify(cfg: dict) -> int:
 
     from .verification_lab import run_suite, validate_suite_group
 
-    catalog = _load_catalog_cfg(cfg)
     if "curve" in cfg:
         curves = [_resolve_curve(cfg)]
     else:
+        catalog = _load_catalog_cfg(cfg)
         curves = [catalog[label] for label in sorted(catalog)]
     try:
         validate_suite_group(cfg.get("only"))

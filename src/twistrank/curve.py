@@ -29,6 +29,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import arith
 from .arith import PrimeTable, _powmod, kronecker, squarefree_kernels
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "ap_array",
     "cpm",
     "load_catalog",
+    "parse_curve_fields",
     "builtin_catalog",
 ]
 
@@ -83,27 +85,18 @@ class CurveModel(namedtuple("CurveModel", "A B conductor root_number label a2 a3
         return -16 * (4 * self.A**3 + 27 * self.B**2)
 
 
-# x-values per step of the exhaustive sum.
-_CHAR_SUM_CHUNK = 1 << 20
-
-
 def _ap_char_sum(A: int, B: int, p: int) -> int:
-    """a_p = -sum_x (x^3+Ax+B | p) for an odd good prime p < 2^31, vectorized.
+    """a_p = -sum_x (x^3+Ax+B | p) for an odd good prime p < 2^31, read off
+    the table arith._squares_mod(p) in steps of arith._CHAR_SUM_CHUNK x.
 
-    It takes p bytes for the table of squares and O(_CHAR_SUM_CHUNK) for
-    the rest, so a prime near the 1e8 table cap needs 0.1 GB, not 3 GB.
+    It takes p bytes for the table and O(arith._CHAR_SUM_CHUNK) for the
+    rest, so a prime near the 1e8 table cap needs 0.1 GB, not 3 GB.
     """
-    square = np.zeros(p, dtype=bool)
-    for lo in range(0, p // 2 + 1, _CHAR_SUM_CHUNK):  # x and p - x: one square
-        x = np.arange(lo, min(lo + _CHAR_SUM_CHUNK, p // 2 + 1), dtype=np.int64)
-        square[x * x % p] = True
+    table = arith._squares_mod(p)
     total = 0
-    for lo in range(0, p, _CHAR_SUM_CHUNK):
-        x = np.arange(lo, min(lo + _CHAR_SUM_CHUNK, p), dtype=np.int64)
-        fx = ((x * x % p + A % p) * x + B % p) % p
-        nonzero = fx != 0
-        # (f | p) is 1 on a nonzero square and -1 off the squares
-        total += 2 * int(np.count_nonzero(square[fx] & nonzero)) - int(np.count_nonzero(nonzero))
+    for lo in range(0, p, arith._CHAR_SUM_CHUNK):
+        x = np.arange(lo, min(lo + arith._CHAR_SUM_CHUNK, p), dtype=np.int64)
+        total += int(table[((x * x % p + A % p) * x + B % p) % p].sum(dtype=np.int64))
     return -total
 
 
@@ -727,11 +720,22 @@ def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool)
 # Curve catalog
 
 
+def parse_curve_fields(fields: List[str], label: str) -> CurveModel:
+    """The curve of the six integer fields A, B, N_E, w(E), a_2, a_3 under
+    label, for a catalog line and an explicit --curve alike; ValueError for
+    a non-integer field or a model CurveModel refuses."""
+    try:
+        a, b, n, w, a2, a3 = (int(v) for v in fields)
+    except ValueError as exc:
+        raise ValueError(f"non-integer field: {exc}") from exc
+    return CurveModel(A=a, B=b, conductor=n, root_number=w, label=label, a2=a2, a3=a3)
+
+
 def load_catalog(path) -> dict:
     """Parse a curve catalog file.
 
     One record per line: label, A, B, N_E, w(E), a_2, a_3 (comma-separated);
-    '#' starts a comment.
+    '#' starts a comment.  Every error names the file and line.
     """
     catalog: dict = {}
     text = Path(path).read_text()
@@ -743,15 +747,12 @@ def load_catalog(path) -> dict:
         if len(parts) != 7:
             raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
         label = parts[0]
-        try:
-            a, b, n, w, a2, a3 = (int(v) for v in parts[1:])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer field: {exc}") from exc
         if label in catalog:
             raise ValueError(f"{path}:{lineno}: duplicate label {label!r}")
-        catalog[label] = CurveModel(
-            A=a, B=b, conductor=n, root_number=w, label=label, a2=a2, a3=a3
-        )
+        try:
+            catalog[label] = parse_curve_fields(parts[1:], label)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return catalog
 
 

@@ -171,14 +171,13 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
 # read, at the density of its D, and holds at least _CHUNK_ROWS rows: 2,048
 # rows put every prime up to 32,768 in arith.legendre_matrix's table rule,
 # D at a density of 1/16 or more (a sieve and a sign filter keep about
-# 1/5) read each prime's table laid end to end over the span, a table built
-# for the call (p above arith._KEPT_TABLE_MAX) is read over four periods
-# or more.  Each chunk's limb sums are rounded before the next, so its
-# arrays are O(rows), not O(family): about 150 bytes a row (int64 limb sums
-# of 3 groups of 3 limbs, int8 characters and their float64 copy, the int64
-# offsets legendre_matrix reads them at), 2 MB at the 14,199 rows of a chunk
-# of the k = 1 ncm37 sweep at x = 1e4 and 23 MB at the 156,600 rows of
-# x = 1e5, whose whole run peaks at 273 MB RSS.
+# 1/5) read each prime's table laid end to end over the span, each table
+# over four periods or more.  Each chunk's limb sums are rounded before the
+# next, so its arrays are O(rows), not O(family): about 150 bytes a row
+# (int64 limb sums of 3 groups of 3 limbs, int8 characters and their
+# float64 copy, the int64 offsets legendre_matrix reads them at), 2 MB at
+# the 14,199 rows of a chunk of the k = 1 ncm37 sweep at x = 1e4 and 23 MB
+# at the 156,600 rows of x = 1e5, whose whole run peaks at 273 MB RSS.
 _CHUNK_SPAN_PER_PRIME = 4
 _CHUNK_ROWS = 1 << 11
 # Cells of one block of characters (one arith.legendre_matrix call), at

@@ -31,6 +31,7 @@ from .arith import (
 )
 from .kernel import (
     SmoothWeight,
+    _require_wl_params,
     triangle,
     weight_eval,
     weight_fourier,
@@ -331,9 +332,8 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
 def _l_factor(w: SmoothWeight, l: int) -> float:
     if l == 0:
         return 1.0
-    if w.x is None or w.X_k is None:
-        raise ValueError("l > 0 needs the weight's x and X_k parameters")
-    return max(1, l**3) * (math.log(w.X_k) + math.log(w.x)) ** l
+    x, X_k = _require_wl_params(w, l)
+    return max(1, l**3) * (math.log(X_k) + math.log(x)) ** l
 
 
 def poisson_required_truncation(w: SmoothWeight, l: int, q: int, j: int = 0) -> int:
@@ -694,11 +694,14 @@ def _random_jsum_case(rng: random.Random) -> Tuple[Tuple[int, ...], int]:
             return tup, m
 
 
+def _selects(only: Optional[str], group: str) -> bool:
+    """Whether `only` (None: every group) names a prefix of group or a check in it."""
+    return only is None or group.startswith(only) or only.startswith(group)
+
+
 def validate_suite_group(only: Optional[str]) -> None:
     """Raise for an `only` filter that matches no suite group."""
-    if only is not None and not any(
-        g.startswith(only) or only.startswith(g) for g in SUITE_GROUPS
-    ):
+    if not any(_selects(only, g) for g in SUITE_GROUPS):
         raise ValueError(f"unknown check name {only!r}; groups: {', '.join(SUITE_GROUPS)}")
 
 
@@ -715,18 +718,14 @@ def run_suite(
     (e.g. 'gauss'); it must match one of SUITE_GROUPS.
     """
     validate_suite_group(only)
-
-    def want(group: str) -> bool:
-        return only is None or group.startswith(only) or only.startswith(group)
-
     results: List[CheckResult] = []
 
-    if want("rankin"):
+    if _selects(only, "rankin"):
         for curve in curves:
             results.append(rankin_linear_check(curve, x, primes))
             results.append(rankin_square_check(curve, math.log(x), primes))
 
-    if want("gauss"):
+    if _selects(only, "gauss"):
         for q in range(1, 121, 2):
             if not is_squarefree(q):
                 continue
@@ -738,7 +737,7 @@ def run_suite(
             worst.name = f"gauss[q={q},worst_m]"
             results.append(worst)
 
-    if want("jsum"):
+    if _selects(only, "jsum"):
         rng = random.Random(seed)
         for _ in range(40):
             tup, m = _random_jsum_case(rng)
@@ -747,7 +746,7 @@ def run_suite(
         results.append(jsum_crt_check((3, 3, 5), 15))  # pi1*pi2 | m
         results.append(jsum_crt_check((3, 5), 5))  # delta2 > 1
 
-    if want("poisson"):
+    if _selects(only, "poisson"):
         for q in range(1, 13):
             T = float(max(400, 150 * q))
             for l in (0, 1):
@@ -761,23 +760,23 @@ def run_suite(
                 worst.name = f"poisson[q={q},l={l},worst_j]"
                 results.append(worst)
 
-    if want("wl_decay"):
+    if _selects(only, "wl_decay"):
         w = _default_weight(1000.0, x=100.0)
         for l in (1, 2, 3):
             results.append(wl_decay_check(w, l, x=100.0, X_k=1000.0))
 
-    if want("qsum"):
+    if _selects(only, "qsum"):
         for curve in curves:
             for r in (1, 2):
                 for n in (1, 7):
                     results.append(q_sum(r, n, min(2000.0, 1000.0**r), 1000.0, curve, primes))
 
-    if want("step1"):
+    if _selects(only, "step1"):
         for curve in curves:
             for r in (1, 2, 3):
                 results.append(step1_sum(r, min(2000.0, 1000.0**r), 1000.0, curve, primes))
 
-    if want("logderiv"):
+    if _selects(only, "logderiv"):
         for curve in curves:
             logx = math.log(1e4)
             for sigma, t in ((1.0 + 1.0 / logx, 0.0), (1.0 + 1.0 / logx, 10.0), (1.5, 3.0), (2.0, 0.0)):

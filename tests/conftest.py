@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from twistrank.arith import _euler_symbols, fundamental_discriminant, kronecker, sieve_primes
+from twistrank.arith import _euler_symbols, _factor_trial, kronecker, sieve_primes
 from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
 from twistrank.kernel import triangle
@@ -155,6 +155,32 @@ def one_row_prime_sides(curve, D: int, kernel, primes) -> tuple:
 def one_twist(curve, D: int, lam: float, primes) -> dict:
     """The output record of the one twist by D: the one-row table."""
     return evaluate_reports(twist_columns(curve, range(D, D + 1)), lam, primes).records()[0]
+
+
+def squarefree_part(n: int) -> int:
+    """Product of the primes dividing n to an odd power, by trial division:
+    the scalar oracle of arith.squarefree_kernels.  n / squarefree_part(n)
+    is always a perfect square."""
+    if n < 1:
+        raise ValueError(f"squarefree_part needs n >= 1, got {n}")
+    out = 1
+    for p, e in _factor_trial(n):
+        if e % 2:
+            out *= p
+    return out
+
+
+def fundamental_discriminant(d: int) -> int:
+    """Discriminant of Q(sqrt(d)): the squarefree kernel d0 = sign(d)
+    squarefree_part(|d|) when d0 = 1 mod 4, and 4 d0 otherwise; the scalar
+    oracle of twist_columns' fundamental_disc.  For square d the kernel is
+    1 (the trivial field)."""
+    if d == 0:
+        raise ValueError("no discriminant for d = 0")
+    d0 = squarefree_part(abs(d))
+    if d < 0:
+        d0 = -d0
+    return d0 if d0 % 4 == 1 else 4 * d0
 
 
 def trial_twist_invariants(curve, D: int) -> dict:

@@ -9,7 +9,6 @@ from twistrank import arith
 from twistrank.arith import (
     ParityDecomposition,
     euler_phi,
-    fundamental_discriminant,
     is_prime,
     is_squarefree,
     kronecker,
@@ -18,8 +17,9 @@ from twistrank.arith import (
     parity_decompose,
     sieve_primes,
     squarefree_kernels,
-    squarefree_part,
 )
+
+from conftest import fundamental_discriminant, squarefree_part
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -172,9 +172,9 @@ class TestKronecker:
         # 700 rows, unsorted and repeated, over a span of 10,000 (at most 16
         # times the rows): every prime reads its table laid end to end over
         # the span, with no d mod p; primes below, inside and above the
-        # span, and above the largest kept table
+        # span, and above 4096
         ps = primes_1e4.primes[1:]
-        ps = np.concatenate((ps[:30], ps[ps > arith._KEPT_TABLE_MAX][:5], ps[-3:]))
+        ps = np.concatenate((ps[:30], ps[ps > 4096][:5], ps[-3:]))
         off = np.random.default_rng(7).permutation(10_000)[:700]
         off[:4] = (0, 9_999, 5, 5)
         ds = (lo + off).tolist()
@@ -232,6 +232,18 @@ class TestKronecker:
         assert kronecker(-1, 0) * kronecker(-1, -1) == -kronecker(-1, 0)
         # for a <= -2, (a|0) = 0 and the identity holds
         assert kronecker(-2, 0) * kronecker(-2, -1) == kronecker(-2, 0) == 0
+
+
+class TestSquaresMod:
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 29, 31, 101])
+    def test_table_across_chunk_boundaries(self, p, monkeypatch):
+        # squares of 7 residues a step: r = 1 .. (p - 1) / 2 takes one step
+        # up to p = 13, crosses a boundary at 17, ends on one at 29 and
+        # takes three or more steps from 31 on
+        monkeypatch.setattr(arith, "_CHAR_SUM_CHUNK", 7)
+        table = arith._squares_mod(p)
+        assert table.dtype == np.int8 and not table.flags.writeable
+        assert table.tolist() == [kronecker(r, p) for r in range(p)]
 
 
 class TestMobiusSquarefree:

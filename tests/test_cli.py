@@ -255,6 +255,44 @@ class TestUsageAndConfigErrors:
         assert len(outputs) == 1
 
 
+class TestCurveRecords:
+    """An explicit --curve and a catalog line go through one parser,
+    curve.parse_curve_fields; a catalog error names its file and line."""
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1,2,3", "explicit curve needs 6 fields: A,B,N,w,a2,a3"),
+            (
+                "1.5,0,64,1,0,0",
+                "bad explicit curve spec: non-integer field: invalid literal for int() with base 10: '1.5'",
+            ),
+            ("0,0,11,1,-2,-1", "bad explicit curve spec: singular model A=0, B=0"),
+            ("1,0,64,2,0,0", "bad explicit curve spec: root number must be +-1, got 2"),
+        ],
+        ids=["3-fields", "float", "singular", "root-number-2"],
+    )
+    def test_explicit_curve_errors(self, capsys, monkeypatch, spec, message):
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(["ap-table", "--curve", spec], capsys)
+        assert (code, out, err) == (EXIT_CONFIG, "", f"config error: {message}\n")
+
+    def test_catalog_error_names_file_and_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        cat = tmp_path / "bad.cat"
+        cat.write_text("good, 1, 0, 64, 1, 0, 0\nbad, 0, 0, 11, 1, -2, -1\n")
+        code, out, err = run(["ap-table", "--catalog", str(cat), "--curve", "good"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == f"config error: catalog error: {cat}:2: singular model A=0, B=0\n"
+
+    def test_verify_reads_the_catalog_once(self, capsys, monkeypatch):
+        calls = []
+        builtin = curve_mod.builtin_catalog
+        monkeypatch.setattr(curve_mod, "builtin_catalog", lambda: calls.append(1) or builtin())
+        code, _, _ = run(["verify", "--curve", "ncm37", "--only", "gauss", "--x", "10000"], capsys)
+        assert code == EXIT_OK and len(calls) == 1
+
+
 class TestEfReport:
     def test_sorted_rows_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
@@ -896,6 +934,8 @@ class TestBenchmarkInterface:
             "curve.TwistedCurve.as_curve_model",
             "explicit_formula.ef_total",
             "explicit_formula.prime_side",
+            "arith.squarefree_part",
+            "arith.fundamental_discriminant",
         }
         names = [f"{layer}.{func}" for layer, funcs in tracer.SPANS.items() for func in funcs]
         names += [full for funcs in tracer.COUNTERS.values() for full in funcs]

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import twistrank.curve as curve_mod
+from twistrank import arith
 from twistrank.arith import is_prime, is_squarefree, kronecker
 from twistrank.curve import (
     CurveModel,
@@ -128,6 +129,15 @@ class TestAp:
                 if (2 * disc) % p == 0:
                     continue
                 assert p + 1 - a == brute_point_count(curve.A, curve.B, p)
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 29, 101])
+    def test_char_sum_across_chunk_boundaries(self, cm_curve, ncm_curve, extra_curve, p, monkeypatch):
+        # x and the squares in steps of 7 (_ap_char_sum reads the step from
+        # arith at call time): one step at p = 5 and 7, several past them
+        monkeypatch.setattr(arith, "_CHAR_SUM_CHUNK", 7)
+        for curve in (cm_curve, ncm_curve, extra_curve):
+            if (2 * (4 * curve.A**3 + 27 * curve.B**2)) % p:
+                assert _ap_char_sum(curve.A, curve.B, p) == p + 1 - brute_point_count(curve.A, curve.B, p)
 
     def test_hasse_bound(self, cm_curve, ncm_curve, primes_1e3):
         for curve in (cm_curve, ncm_curve):

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import twistrank.explicit_formula as ef
+from twistrank import arith
 from twistrank.arith import sieve_primes
 from twistrank.curve import ap_array, twist_columns
 from twistrank.explicit_formula import (
@@ -218,6 +220,53 @@ class TestBatchInvariance:
             assert twists.D.tolist() == [D for D in range(-half, half) if D]
             expected = [one_twist(curve, D, kern.lam, primes_1e4) for D in twists.D.tolist()]
             assert repr(table.records()) == repr(expected), curve.label
+
+
+class TestResidueTables:
+    """prime_sides keeps its residue tables in one arith.ResidueTables per
+    call: each table is built at most once while the held tables fit in
+    _HELD_TABLE_BYTES, and none outlives the call."""
+
+    X = 1000.0
+    DS = range(1, 6001)  # two chunks at x = 1e3
+
+    @pytest.fixture
+    def builds(self, ncm_curve, primes_1e4, monkeypatch):
+        ap_array(ncm_curve, primes_1e4, self.X)  # the exhaustive sums of the a_p table build tables too
+        counts = Counter()
+        original = arith._squares_mod
+
+        def counting(p):
+            counts[p] += 1
+            return original(p)
+
+        monkeypatch.setattr(arith, "_squares_mod", counting)
+        return counts
+
+    def _chunks(self):
+        return len(list(ef._chunks(np.asarray(self.DS, dtype=np.int64), int(self.X))))
+
+    def test_each_table_built_once_per_call(self, ncm_curve, primes_1e4, builds):
+        assert self._chunks() == 2
+        kern = TriangleKernel(math.log(self.X))
+        prime_sides(ncm_curve, self.DS, kern, primes_1e4)
+        assert builds and set(builds.values()) == {1}
+        once = set(builds)
+        prime_sides(ncm_curve, self.DS, kern, primes_1e4)  # no process-wide store: built again
+        assert builds == Counter(dict.fromkeys(once, 2))
+
+    def test_tables_past_the_bound_are_built_per_chunk(self, ncm_curve, primes_1e4, builds, monkeypatch):
+        kern = TriangleKernel(math.log(self.X))
+        expected = prime_sides(ncm_curve, self.DS, kern, primes_1e4)
+        builds.clear()
+        monkeypatch.setattr(arith, "_HELD_TABLE_BYTES", 4096)
+        got = prime_sides(ncm_curve, self.DS, kern, primes_1e4)
+        assert repr(got.tolist()) == repr(expected.tolist())
+        # the tables are read in ascending p: the small ones are held, the
+        # ones past 4096 bytes in all are built again in the second chunk
+        held = [p for p in sorted(builds) if builds[p] == 1]
+        assert held == sorted(builds)[: len(held)] and 0 < sum(held) <= 4096
+        assert set(builds.values()) == {1, self._chunks()}
 
 
 class TestColumnarOracle:

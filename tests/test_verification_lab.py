@@ -254,6 +254,13 @@ class TestPoisson:
         trunc = poisson_required_truncation(w, 0, 5)
         assert poisson_check(w, 0, 5, 2, trunc).passed
 
+    def test_truncation_refuses_l_without_x(self):
+        # W_l with l > 0 needs x as well as X_k (kernel._require_wl_params)
+        w = SmoothWeight(0.5, 1.0, shape="exp", l=0, X_k=600.0)
+        assert poisson_required_truncation(w, 0, 5) > 0
+        with pytest.raises(ValueError, match="W_l with l > 0 needs the x and X_k scale parameters"):
+            poisson_required_truncation(w, 1, 5)
+
 
 # The fit every weight shape shared before the per-shape decay rates: gamma
 # for a |t|^-3 envelope on this grid, with 4x headroom.
