@@ -371,6 +371,8 @@ def cmd_ef_report(cfg: dict) -> int:
 
     curve = _resolve_curve(cfg)
     x = cfg.get("x", 1e4)
+    if not (x > 0.0 and math.log(x) >= 1.0):  # the kernel scale lambda = log x is at least 1
+        raise ConfigError(f"x must be at least e (lambda = log x >= 1), got {x:g}")
     dmin = cfg.get("dmin", -50)
     dmax = cfg.get("dmax", 50)
     if dmin > dmax:

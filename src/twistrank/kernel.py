@@ -10,9 +10,10 @@ bump on (lo, hi), and W_l multiplies in the logarithmic factor
 (log(t^2 X_k^2) + (log x)/2)^l whose Fourier transform drives the
 Poisson-summation step.  W has one array path; a float is a 0-d array.
 
-The Fourier transforms of W_l are numpy quadrature with exact phases (the
-trapezoid rule for the 'exp' bump, Gauss-Legendre panels or an endpoint
-expansion for 'poly'); nothing here integrates with scipy.
+The Fourier transforms of W_l are one numpy trapezoid rule with exact
+phases, for the 'exp' bump only: the paper uses W through Poisson summation
+over D, which ``verify`` checks for that bump, and ``sweep`` reads W alone,
+so the 'poly' bump has no transform.  Nothing here integrates with scipy.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import namedtuple
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -98,7 +98,8 @@ class SmoothWeight(namedtuple("SmoothWeight", "support_lo support_hi shape l x X
     Supports must satisfy 0 < lo < hi <= 1 or -1 <= lo < hi < 0, keeping the
     weight away from 0 so the logarithmic factor in W_l stays finite.
     shape 'exp' is the C^inf bump exp(-1/((t-lo)(hi-t))); shape 'poly' is
-    ((t-lo)(hi-t))^4, exactly C^3 at the endpoints.
+    ((t-lo)(hi-t))^4, exactly C^3 at the endpoints.  Both can be evaluated;
+    only 'exp' has a Fourier transform (see ``weight_fourier``).
 
     l, x and X_k parametrize W_l(t) = (log(t^2 X_k^2) + (log x)/2)^l W(t);
     they may be omitted when only W itself is needed (l = 0).
@@ -182,16 +183,8 @@ def weight_l_eval(w: SmoothWeight, t: np.ndarray, l: Optional[int] = None) -> np
 _MAX_NODES = 1 << 20
 
 
-def _check_node_count(count: int, lo: float, hi: float) -> None:
-    if count > _MAX_NODES:
-        raise ValueError(
-            f"the transform of a weight on ({lo}, {hi}) needs {count} quadrature nodes, more than "
-            f"{_MAX_NODES}: the support is too narrow or too close to 0"
-        )
-
-
 def _trapezoid_nodes(lo: float, hi: float, freq: float):
-    """Uniform trapezoid nodes lo + h j, j = 1..n-1, for the C^inf 'exp' bump.
+    """Step h and indices j of the trapezoid nodes lo + h j, j = 1..n-1.
 
     With h = width/n the trapezoid sum is the transform plus its aliases at
     freq - k n/width (k != 0).  Beyond a gap G from 0, |hat(W_l)| falls like
@@ -211,41 +204,12 @@ def _trapezoid_nodes(lo: float, hi: float, freq: float):
         if gap <= span % m <= m - gap:
             n = m
             break
-    _check_node_count(n, lo, hi)
-    h = width / n
-    return np.array([lo]), h, np.arange(1, n), np.array([h])
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre() -> tuple:
-    """16-point Gauss-Legendre nodes and weights on [-1, 1], made on first
-    use so that importing this module does not load numpy.polynomial.
-
-    A panel of the 'poly' rule spans at most half a cycle and lies no closer
-    to 0 (the log singularity of W_l) than its own width, so 16 points leave
-    an error far below double rounding.
-    """
-    return np.polynomial.legendre.leggauss(16)
-
-
-def _gauss_panel_nodes(lo: float, hi: float, freq: float):
-    """Composite Gauss-Legendre nodes o_i + h j, j = 0..P-1, for 'poly'.
-
-    On its closed support W_l is a polynomial times a power of log|t|, which
-    is analytic there, so Gauss-Legendre panels converge geometrically.  P
-    gives about 2 panels per cycle, and keeps each panel within its own
-    width of the support's end nearest 0.
-    """
-    width = hi - lo
-    panels = max(math.ceil(2.0 * abs(freq) * width), math.ceil(width / min(abs(lo), abs(hi))))
-    _check_node_count(16 * panels, lo, hi)
-    h = width / panels
-    x, wx = _gauss_legendre()
-    return lo + 0.5 * h * (1.0 + x), h, np.arange(panels), 0.5 * h * wx
-
-
-# Quadrature nodes o_i + h j and weights w_i of W_l's transform, per shape.
-_NODE_RULE = {"exp": _trapezoid_nodes, "poly": _gauss_panel_nodes}
+    if n > _MAX_NODES:
+        raise ValueError(
+            f"the transform of a weight on ({lo}, {hi}) needs {n} quadrature nodes, more than "
+            f"{_MAX_NODES}: the support is too narrow"
+        )
+    return width / n, np.arange(1, n)
 
 
 def _split(a):
@@ -268,102 +232,50 @@ def _frac(x):
     return x - np.rint(x)
 
 
-def _cycles(freq: float, offsets: np.ndarray, h: float, j: np.ndarray) -> np.ndarray:
-    """freq (o_i + h j) mod 1, in [-1/2, 1/2], with an error of a few ulps.
+def _cycles(freq: float, lo: float, h: float, j: np.ndarray) -> np.ndarray:
+    """freq (lo + h j) mod 1, in [-1/2, 1/2], with an error of a few ulps.
 
     The phase is taken from the node's definition, not from its rounded
     value: one ulp of a node times 2 pi freq would cost about 1e-15 at
     freq = 400.  Every product is split so that it is exact (j < 2^26,
     which _MAX_NODES ensures).
     """
-    po, eo = _two_product(freq, offsets)
+    po, eo = _two_product(freq, lo)
     ph, eh = _two_product(freq, h)
     hh, hl = _split(ph)
     steps = _frac(hh * j) + _frac(hl * j) + eh * j
-    return _frac((_frac(po) + eo)[:, None] + steps)
-
-
-# Terms of the 'poly' endpoint expansion.  It is used where 2 pi |freq| d
-# reaches twice their number (d: the distance from the support to 0), and
-# there the last term is below (2e)^-40 of the first.
-_SERIES_TERMS = 40
-
-
-def _endpoint_taylor(w: SmoothWeight, l: int, moment: int, end: float) -> np.ndarray:
-    """Taylor coefficients in s of t^moment W_l(t) at t = end + s, 'poly' shape.
-
-    W is the polynomial ((t - lo)(hi - t))^4 / (width/2)^8, and the log
-    factor log(t^2 X_k^2) + (log x)/2 is its value at end minus
-    2 sum_k (-s/end)^k / k, which converges for |s| < |end|.
-    """
-    lo, hi = w.support_lo, w.support_hi
-    n = _SERIES_TERMS
-    quad = np.array([(end - lo) * (hi - end), hi + lo - 2.0 * end, -1.0]) / (0.5 * (hi - lo)) ** 2
-    square = np.convolve(quad, quad)
-    coef = np.zeros(n)
-    coef[:9] = np.convolve(square, square)
-    if l:
-        k = np.arange(1, n)
-        log_factor = np.concatenate(
-            ([math.log(end * end * w.X_k * w.X_k) + 0.5 * math.log(w.x)], -2.0 * (-1.0 / end) ** k / k)
-        )
-        for _ in range(l):
-            coef = np.convolve(coef, log_factor)[:n]
-    if moment:
-        coef = np.convolve(coef, [end, 1.0])[:n]
-    return coef
-
-
-def _endpoint_expansion(w: SmoothWeight, freq: float, l: int, moment: int) -> complex:
-    """int f(t) e^(-i u t) dt over the support, u = 2 pi freq and f =
-    t^moment W_l, by repeated integration by parts:
-
-        sum_k (f^(k)(lo) e^(-i u lo) - f^(k)(hi) e^(-i u hi)) / (i u)^(k+1).
-
-    f is analytic on a disc of radius d about each end, so f^(k) grows like
-    k! / d^k and the terms fall like k! / (u d)^k; the first nonzero one is
-    the jump of the fourth derivative of the C^3 bump.
-    """
-    u = 2.0 * math.pi * freq
-    k = np.arange(_SERIES_TERMS)
-    scale = np.cumprod(np.maximum(k, 1) / (1j * u))  # k! / (i u)^(k+1)
-    ends = np.array([w.support_lo, w.support_hi])
-    phase = np.exp(-2j * math.pi * _cycles(freq, ends, 0.0, np.zeros(1)).ravel())
-    lo_terms = phase[0] * scale * _endpoint_taylor(w, l, moment, w.support_lo)
-    hi_terms = -phase[1] * scale * _endpoint_taylor(w, l, moment, w.support_hi)
-    terms = np.concatenate((lo_terms, hi_terms))
-    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return _frac(_frac(po) + eo + steps)
 
 
 def _transform(w: SmoothWeight, freq: float, l: int, moment: int) -> complex:
-    """int t^moment W_l(t) e^(-2 pi i freq t) dt.
+    """int t^moment W_l(t) e^(-2 pi i freq t) dt for the 'exp' bump.
 
-    sum_i w_i f(t_i) e^(-2 pi i freq t_i) over the nodes of the shape's rule
-    in _NODE_RULE, or for 'poly' at high frequency the endpoint expansion.
-    Both are summed with math.fsum, so no BLAS decides the result.
+    The trapezoid sum of h f(t) e^(-2 pi i freq t) at t = lo + h j, summed
+    with math.fsum, so no BLAS decides the result.  Its error falls faster
+    than any power of h only because W is C^inf and flat at both ends; the
+    C^3 'poly' bump would leave an algebraic one, and no command takes its
+    transform, so it is refused here, where every transform passes.
     """
-    lo, hi = w.support_lo, w.support_hi
-    if w.shape == "poly" and 2.0 * math.pi * abs(freq) * min(abs(lo), abs(hi)) >= 2 * _SERIES_TERMS:
-        return _endpoint_expansion(w, freq, l, moment)
-    offsets, h, j, weights = _NODE_RULE[w.shape](lo, hi, freq)
-    t = offsets[:, None] + h * j
-    terms = (weights[:, None] * t**moment * weight_l_eval(w, t, l)).ravel()
-    angle = 2.0 * math.pi * _cycles(freq, offsets, h, j).ravel()
+    if w.shape != "exp":
+        raise ValueError(f"the Fourier transform of W is implemented for the 'exp' bump only, not {w.shape!r}")
+    lo = w.support_lo
+    h, j = _trapezoid_nodes(lo, w.support_hi, freq)
+    t = lo + h * j
+    terms = h * t**moment * weight_l_eval(w, t, l)
+    angle = 2.0 * math.pi * _cycles(freq, lo, h, j)
     return complex(math.fsum((terms * np.cos(angle)).tolist()), -math.fsum((terms * np.sin(angle)).tolist()))
 
 
 def weight_fourier(w: SmoothWeight, freq: float, l: int = 0) -> complex:
     """Fourier transform hat(W_l)(freq) = int W_l(t) e^(-2 pi i freq t) dt.
 
-    numpy quadrature with exact phases (see _transform):
-    - 'exp': the trapezoid rule, at most about (|freq| + G) width or 3 G
-      width nodes (G = (4/width^2 + 55)^2 width / (4 pi)), so 100 + |freq|/2
-      up to |freq| = 400 and about 300 beyond at the suite's width 0.5;
-    - 'poly': Gauss-Legendre panels, 16 max(2 |freq|, 1/d) width nodes with
-      d the distance from the support to 0, up to 2 pi |freq| d = 80; above
-      it a 40-term endpoint expansion of fixed cost.
-    A call that would need more than _MAX_NODES nodes (an 'exp' width below
-    about 2e-3, a 'poly' support very close to 0) raises ValueError.
+    The trapezoid rule with exact phases (see _transform), at most about
+    (|freq| + G) width or 3 G width nodes (G = (4/width^2 + 55)^2 width /
+    (4 pi)), so 100 + |freq|/2 up to |freq| = 400 and about 300 beyond at
+    the suite's width 0.5.  Only the 'exp' bump has a transform: the
+    Poisson step of ``verify`` is checked for it, and ``sweep`` reads W,
+    never hat(W), so a 'poly' weight raises ValueError.  So does a call
+    that would need more than _MAX_NODES nodes (a width below about 2e-3).
     For the support (0.5, 1), l <= 3 and |freq| <= 800 it is within
     1e-15 (1 + int |W_l|) of a 30-digit reference, and within 4e-12 of QAWO
     quadrature out to 4.2e5.  Narrow 'exp' supports lose digits to W

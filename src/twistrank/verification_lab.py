@@ -290,26 +290,27 @@ _GAMMA_GRID = (
     0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0,
     14.0, 16.0, 20.0, 24.0, 32.0, 48.0, 64.0, 96.0,
 )
-# Decay rate k of the envelope gamma * lfac * min(1, |t|^-k), per weight shape.
-# 'poly' is exactly C^3 and keeps |t|^-3.  The C^inf 'exp' bump decays faster
-# than any power, but past t ~ 75 its transform nears the roundoff of a
-# double-precision quadrature (~1e-15, the floor of QAWO; 1.8e-18 at 96); at
-# k = 8 that level times 96^8 stays far below the fitted peak near t = 9, so
-# the fit follows the transform, not the roundoff at the top of the grid.
-_DECAY_RATE = {"exp": 8, "poly": 3}
+# Decay rate k of the envelope gamma * lfac * min(1, |t|^-k).  Only the 'exp'
+# bump has a transform (kernel.weight_fourier), so there is one rate.  That
+# C^inf bump decays faster than any power, but past t ~ 75 its transform nears
+# the roundoff of a double-precision quadrature (~1e-15, the floor of QAWO;
+# 1.8e-18 at 96); at k = 8 that level times 96^8 stays far below the fitted
+# peak near t = 9, so the fit follows the transform, not the roundoff at the
+# top of the grid.
+_DECAY_RATE = 8
 
 
-def _decay_shape(w: SmoothWeight, t: float) -> float:
-    """min(1, |t|^-k) with the decay rate k of the weight's shape."""
-    return min(1.0, abs(t) ** -_DECAY_RATE[w.shape]) if t else 1.0
+def _decay_shape(t: float) -> float:
+    """min(1, |t|^-k) with the decay rate k = _DECAY_RATE."""
+    return min(1.0, abs(t) ** -_DECAY_RATE) if t else 1.0
 
 
 def fit_weight_gamma(w: SmoothWeight) -> float:
     """Fit the decay constant gamma so that |W|, |hat(W_0)| and
     |hat(W_0)'| all stay below gamma * min(1, |t|^-k), with the decay rate
-    k of the weight's shape (3 for 'poly', 8 for 'exp').
+    k = _DECAY_RATE (8).
 
-    Fitted once per weight shape on a fixed grid (with headroom for the
+    Fitted once per support on a fixed grid (with headroom for the
     l-dependent factors), then frozen; used by the decay and truncation
     bounds.
     """
@@ -318,7 +319,7 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
         base = SmoothWeight(w.support_lo, w.support_hi, w.shape)
         gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
         for t in _GAMMA_GRID:
-            shape = _decay_shape(w, t)
+            shape = _decay_shape(t)
             gamma = max(
                 gamma,
                 abs(weight_fourier(base, t, 0)) / shape,
@@ -352,7 +353,7 @@ def poisson_required_truncation(w: SmoothWeight, l: int, q: int, j: int = 0) -> 
     if w.X_k is None:
         raise ValueError("the weight needs X_k (the lattice scale T)")
     T = w.X_k
-    k = _DECAY_RATE[w.shape]
+    k = _DECAY_RATE
     gamma = fit_weight_gamma(w)
     m_tail = math.ceil(q / T * (2.0 * gamma * _l_factor(w, l) * 1e8 / (k - 1)) ** (1.0 / (k - 1)))
     return max(m_tail, math.ceil(q / T) + 1)
@@ -419,14 +420,14 @@ _DECAY_GRID = (0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 35.0, 60.0, 100.0)
 def wl_decay_check(w: SmoothWeight, l: int, x: float, X_k: float) -> CheckResult:
     """|W|, |hat(W_l)| and |hat(W_l)'| against
     gamma * l^3 * (log X_k + log x)^l * min(1, |t|^-k) on |t| <= 100,
-    with gamma and the shape's decay rate k from ``fit_weight_gamma``."""
+    with gamma from ``fit_weight_gamma`` and k = _DECAY_RATE."""
     wl = SmoothWeight(w.support_lo, w.support_hi, w.shape, l, x, X_k)
     gamma = fit_weight_gamma(w)
     lfac = _l_factor(wl, l)
     worst = 0.0
     worst_at = 0.0
     for t, weight in zip(_DECAY_GRID, weight_eval(wl, np.array(_DECAY_GRID)).tolist()):
-        bound = gamma * lfac * _decay_shape(w, t)
+        bound = gamma * lfac * _decay_shape(t)
         measured = max(
             abs(weight),
             abs(weight_fourier(wl, t, l)),

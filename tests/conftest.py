@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from twistrank.arith import _euler_symbols, _factor_trial, kronecker, sieve_primes
+from twistrank.arith import _euler_symbols, _factor_trial, _powmod, kronecker, sieve_primes
 from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
 from twistrank.kernel import triangle
@@ -68,6 +68,35 @@ def brute_point_count(A: int, B: int, p: int) -> int:
     xs = np.arange(p, dtype=np.int64)
     fx = ((xs * xs % p + A % p) * xs + B % p) % p
     return int(sq_count[fx].sum()) + 1
+
+
+def cm32_like_ap(ps: np.ndarray) -> np.ndarray:
+    """a_p of y^2 = x^3 + x at odd primes p < 3e9, in closed form (Ireland
+    and Rosen, A Classical Introduction to Modern Number Theory, ch. 18 §4):
+    0 at p = 3 mod 4; at p = 1 mod 4, p = a^2 + b^2 with b even and
+    a = 1 mod 4, and a_p = 2a.  The square root i of -1 mod p is c^((p-1)/4)
+    for a non-residue c; Euclid on (p, i), stopped at the first remainder
+    below sqrt(p), leaves one of a, b (Hermite-Serret)."""
+    ps = np.asarray(ps, dtype=np.int64)
+    out = np.zeros_like(ps)
+    split = ps[ps % 4 == 1]
+    root = np.zeros_like(split)
+    for c in range(2, 1000):
+        todo = root == 0
+        if not todo.any():
+            break
+        q = split[todo]
+        r = _powmod(np.full_like(q, c), (q - 1) // 4, q)
+        root[todo] = np.where(r * r % q == q - 1, r, 0)
+    assert root.all()
+    prev, rem = split.copy(), root
+    while (big := rem * rem > split).any():
+        prev[big], rem[big] = rem[big], prev[big] % rem[big]
+    other = np.rint(np.sqrt((split - rem * rem).astype(float))).astype(np.int64)
+    assert (rem * rem + other * other == split).all()
+    odd = np.where(rem % 2 == 1, rem, other)
+    out[ps % 4 == 1] = 2 * np.where(odd % 4 == 1, odd, -odd)
+    return out
 
 
 def twisted_model(curve, D: int) -> CurveModel:

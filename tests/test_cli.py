@@ -356,6 +356,22 @@ class TestEfReport:
                     assert "needs a prime table" in err and "above the cap" in err, err
                     assert out == ""
 
+    @pytest.mark.parametrize("x", ["0", "-5", "1", "2"])
+    def test_x_below_e_refused(self, x, monkeypatch, capsys):
+        # lambda = log x must be at least 1: refused with a message naming x,
+        # before any sieving
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        code, out, err = run(["ef-report", "--curve", "ncm37", "--x", x, "--dmin", "1", "--dmax", "1"], capsys)
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert f"x must be at least e (lambda = log x >= 1), got {x}" in err, err
+
+    def test_x_at_e_runs(self, capsys):
+        code, out, _ = run(
+            ["ef-report", "--curve", "ncm37", "--x", repr(math.e), "--dmin", "1", "--dmax", "1"], capsys
+        )
+        assert code == EXIT_OK
+        assert out.splitlines()[1].split(",")[:2] == ["1", "1.0"]
+
 
 class TestSweep:
     def test_sidecar_constants(self, tmp_path, capsys):
@@ -820,7 +836,7 @@ def loaded():
     return ["scipy.integrate" in sys.modules, "scipy.special" in sys.modules]
 before = loaded()
 w = weight_fourier(SmoothWeight(0.5, 1.0), 3.0)
-dw = weight_fourier_derivative(SmoothWeight(0.5, 1.0, shape="poly"), 300.0)
+dw = weight_fourier_derivative(SmoothWeight(0.5, 1.0), 30.0)
 print(json.dumps([before, loaded(), abs(w), abs(dw)]))
 """
         before, after_fourier, w, dw = _probe(code)

@@ -22,7 +22,7 @@ from twistrank.curve import (
 )
 from twistrank.family_moments import filter_twists
 
-from conftest import brute_point_count, cpm_reference, one_prime_ap, twisted_model
+from conftest import brute_point_count, cm32_like_ap, cpm_reference, one_prime_ap, twisted_model
 
 
 def _ec_add(P, Q, a, p):
@@ -138,6 +138,16 @@ class TestAp:
         for curve in (cm_curve, ncm_curve, extra_curve):
             if (2 * (4 * curve.A**3 + 27 * curve.B**2)) % p:
                 assert _ap_char_sum(curve.A, curve.B, p) == p + 1 - brute_point_count(curve.A, curve.B, p)
+
+    def test_cm32_like_closed_form_below_1e6(self, cm_curve, monkeypatch):
+        # every a_p of y^2 = x^3 + x below 1e6 against the closed form of the
+        # CM curve; a fresh cache, so the whole table is computed here
+        monkeypatch.setattr(curve_mod, "_AP_CACHE", {})
+        primes = arith.sieve_primes(1_000_000)
+        ps = primes.primes
+        assert ps.size == 78_498
+        expected = np.concatenate(([cm_curve.a2, cm_curve.a3], cm32_like_ap(ps[2:])))
+        assert np.array_equal(ap_array(cm_curve, primes, 1_000_000), expected)
 
     def test_hasse_bound(self, cm_curve, ncm_curve, primes_1e3):
         for curve in (cm_curve, ncm_curve):

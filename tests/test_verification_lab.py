@@ -11,7 +11,7 @@ import twistrank.verification_lab as vl
 from twistrank.arith import parity_decompose
 from twistrank.curve import ap_array
 from twistrank.explicit_formula import InsufficientPrimeTable, beta_array
-from twistrank.kernel import SmoothWeight, weight_fourier, weight_fourier_derivative, weight_l_eval
+from twistrank.kernel import SmoothWeight, weight_eval, weight_fourier, weight_fourier_derivative, weight_l_eval
 from twistrank.verification_lab import (
     PoissonTruncationError,
     fit_weight_gamma,
@@ -224,11 +224,10 @@ class TestPoisson:
         with pytest.raises(PoissonTruncationError) as err:
             poisson_check(default_weight, 0, 5, 0, required - 1)
         assert err.value.required == required
-        # the C^3 poly weight decays only like |t|^-3 and needs hundreds
+        # the C^3 poly weight has no transform, so no truncation is long enough
         poly = SmoothWeight(0.5, 1.0, shape="poly", l=0, x=100.0, X_k=600.0)
-        with pytest.raises(PoissonTruncationError) as err:
-            poisson_check(poly, 0, 5, 0, 3)
-        assert err.value.required > 100
+        with pytest.raises(ValueError, match="'poly'"):
+            poisson_check(poly, 0, 5, 0, 10**6)
 
     def test_periodicity_in_j(self, default_weight):
         q = 9
@@ -249,11 +248,6 @@ class TestPoisson:
         assert res.passed
         assert res.computed == pytest.approx(lead, rel=1e-3)
 
-    def test_poly_shape(self):
-        w = SmoothWeight(0.5, 1.0, shape="poly", l=0, x=100.0, X_k=600.0)
-        trunc = poisson_required_truncation(w, 0, 5)
-        assert poisson_check(w, 0, 5, 2, trunc).passed
-
     def test_truncation_refuses_l_without_x(self):
         # W_l with l > 0 needs x as well as X_k (kernel._require_wl_params)
         w = SmoothWeight(0.5, 1.0, shape="exp", l=0, X_k=600.0)
@@ -262,8 +256,46 @@ class TestPoisson:
             poisson_required_truncation(w, 1, 5)
 
 
-# The fit every weight shape shared before the per-shape decay rates: gamma
-# for a |t|^-3 envelope on this grid, with 4x headroom.
+_POLY = SmoothWeight(0.5, 1.0, shape="poly", l=1, x=100.0, X_k=600.0)
+
+
+class TestPolyWeight:
+    """The C^3 'poly' bump is evaluated (sweep --weight poly) but has no
+    Fourier transform: every entry point that needs one refuses it."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda w: weight_fourier(w, 3.0, 1),
+            lambda w: weight_fourier_derivative(w, 3.0, 1),
+            fit_weight_gamma,
+            lambda w: poisson_required_truncation(w, 1, 5),
+            lambda w: poisson_check(w, 1, 5, 0, 10**6),
+            lambda w: wl_decay_check(w, 1, 100.0, 600.0),
+        ],
+        ids=[
+            "weight_fourier",
+            "weight_fourier_derivative",
+            "fit_weight_gamma",
+            "poisson_required_truncation",
+            "poisson_check",
+            "wl_decay_check",
+        ],
+    )
+    def test_transform_refused(self, call):
+        with pytest.raises(ValueError, match="'exp' bump only, not 'poly'"):
+            call(_POLY)
+
+    def test_weight_still_evaluates(self):
+        ts = np.array([0.4, 0.6, 0.75, 1.0])
+        bump = ((0.6 - 0.5) * (1.0 - 0.6) / 0.0625) ** 4
+        assert weight_eval(_POLY, ts).tolist() == [0.0, bump, 1.0, 0.0]
+        log_factor = math.log(0.36 * 600.0**2) + 0.5 * math.log(100.0)
+        assert weight_l_eval(_POLY, ts)[1] == pytest.approx(log_factor * bump, rel=1e-14)
+
+
+# A gamma fit for a |t|^-3 envelope on this grid, with 4x headroom: the
+# longer truncation that the short |t|^-8 one is checked against.
 _T3_GRID = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0, 48.0, 64.0, 96.0)
 
 
@@ -311,7 +343,7 @@ class TestPoissonOracle:
 
     @pytest.mark.parametrize(
         "shape,q,l,T",
-        [("exp", 1, 0, 600.0), ("exp", 7, 1, 4200.0), ("poly", 5, 0, 600.0), ("poly", 2, 1, 600.0)],
+        [("exp", 1, 0, 600.0), ("exp", 7, 1, 4200.0)],
     )
     def test_matches_full_length_sums(self, shape, q, l, T):
         w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=T)
@@ -319,10 +351,7 @@ class TestPoissonOracle:
         cache = {}
         for j in sorted({0, q // 2, q - 1}):
             M = t3_truncation(w, l, q, j)
-            if shape == "poly":  # k = 3 keeps the |t|^-3 tail length
-                assert trunc == M
-            else:
-                assert trunc < M
+            assert trunc < M
             res = poisson_check(w, l, q, j, trunc)
             assert res.passed
             assert abs(res.reference - full_transform_side(w, l, q, j, M, cache)) <= 1e-8
@@ -338,7 +367,7 @@ _DENSE_GRID = np.concatenate([np.arange(0.0, 64.0, 0.25), np.geomspace(64.0, 4.2
 _QAWO_FLOOR = 1e-11
 
 
-@pytest.mark.parametrize("shape,k", [("exp", 8), ("poly", 3)])
+@pytest.mark.parametrize("shape,k", [("exp", 8)])
 def test_envelope_bounds_qawo_on_dense_grid(shape, k):
     gamma = fit_weight_gamma(SmoothWeight(0.5, 1.0, shape=shape))
     for l in range(4):
@@ -351,22 +380,18 @@ def test_envelope_bounds_qawo_on_dense_grid(shape, k):
             worst = max(worst, measured / max(env, _QAWO_FLOOR))
         assert worst <= 1.0, (shape, l, worst)
         if l == 0:
-            # the fit grid catches the l = 0 peak (exp near t = 9, poly near
-            # t = 3.25) within 10 %, leaving the 4x headroom to the l factors
+            # the fit grid catches the l = 0 peak (near t = 9) within 10 %,
+            # leaving the 4x headroom to the l factors
             assert worst <= 1.1 / 4.0, (shape, worst)
 
 
 def _suite_transform_cases():
     """(weight, l, frequency) for every transform the default suite asks
-    for: the gamma fit and the decay checks (for both shapes) and the
-    Poisson block (T m / q)."""
-    cases = []
-    for shape in ("exp", "poly"):
-        base = SmoothWeight(0.5, 1.0, shape=shape)
-        cases += [(base, 0, t) for t in vl._GAMMA_GRID]
-        for l in (1, 2, 3):
-            w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=1000.0)
-            cases += [(w, l, t) for t in vl._DECAY_GRID]
+    for: the gamma fit, the decay checks and the Poisson block (T m / q)."""
+    cases = [(SmoothWeight(0.5, 1.0), 0, t) for t in vl._GAMMA_GRID]
+    for l in (1, 2, 3):
+        w = SmoothWeight(0.5, 1.0, l=l, x=100.0, X_k=1000.0)
+        cases += [(w, l, t) for t in vl._DECAY_GRID]
     for q in range(1, 13):
         T = float(max(400, 150 * q))
         for l in (0, 1):
@@ -390,11 +415,10 @@ def test_transforms_match_qawo_on_suite_frequencies():
     assert worst <= 1.0, worst
 
 
-@pytest.mark.parametrize("shape", ["exp", "poly"])
+@pytest.mark.parametrize("shape", ["exp"])
 def test_transforms_match_qawo_at_high_frequency(shape):
-    # the 'poly' endpoint expansion and the 'exp' trapezoid at a count far
-    # below |freq| * width, out to the dense grid's reach; QAWO is good to
-    # about 1e-11 absolute there
+    # the trapezoid at a count far below |freq| * width, out to the dense
+    # grid's reach; QAWO is good to about 1e-11 absolute there
     for l in range(4):
         w = SmoothWeight(0.5, 1.0, shape=shape, l=l, x=100.0, X_k=600.0)
         for t in np.geomspace(20.0, 4.2e5, 25):
