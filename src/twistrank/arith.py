@@ -1,10 +1,11 @@
 """Exact integer arithmetic underpinning every prime sum in the toolkit.
 
 Everything here is pure and deterministic: a segmented Eratosthenes sieve,
-the full Kronecker symbol and its batched Legendre matrix, Mobius/squarefree
-helpers with a squarefree-kernel sieve over an interval, exact fixed-point
-sums of floats, and the exponent-parity split of a product of primes into a
-coprime pair (pi1, pi2) where pi2 collects the primes of odd exponent.
+the full Kronecker symbol and its batched Legendre matrix, one factoriser
+under the Mobius/squarefree helpers, a squarefree-kernel sieve over an
+interval, exact fixed-point sums of floats, and the exponent-parity split
+of a product of primes into a coprime pair (pi1, pi2) where pi2 collects
+the primes of odd exponent.
 """
 
 from __future__ import annotations
@@ -585,42 +586,20 @@ def exact_sum(values: np.ndarray) -> float:
     return ExactSums(values).total
 
 
-def _factor_trial(n: int):
-    """Yield (prime, exponent) pairs by trial division; n <= ~1e12."""
-    for p in (2, 3):
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            yield p, e
-    d = 5
-    step = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            yield d, e
-        d += step
-        step = 6 - step  # alternate +2, +4 over 6k+-1
-    if n > 1:
-        yield n, 1
+def _factorisation(n: int) -> list:
+    """(p, k) for every prime power p^k exactly dividing n >= 1 (n below
+    2^63), p ascending: the power of 2, then _odd_factors on the odd part."""
+    twos = (n & -n).bit_length() - 1
+    _, q, k = _odd_factors(np.array([n >> twos], dtype=np.int64))
+    return [(2, twos)] * (twos > 0) + list(zip(q.tolist(), k.tolist()))
 
 
 def mobius(n: int) -> int:
     """Mobius function: 0 on square factors, else (-1)^(number of primes)."""
     if n < 1:
         raise ValueError(f"mobius needs n >= 1, got {n}")
-    if n == 1:
-        return 1
-    k = 0
-    for _, e in _factor_trial(n):
-        if e > 1:
-            return 0
-        k += 1
-    return -1 if k % 2 else 1
+    powers = [k for _, k in _factorisation(n)]
+    return 0 if max(powers, default=1) > 1 else (-1) ** len(powers)
 
 
 def is_squarefree(n: int) -> bool:
@@ -630,11 +609,11 @@ def is_squarefree(n: int) -> bool:
 
 
 def euler_phi(n: int) -> int:
-    """Euler totient by trial-division factorization."""
+    """Euler totient, from the factorisation of n."""
     if n < 1:
         raise ValueError(f"euler_phi needs n >= 1, got {n}")
     out = n
-    for p, _ in _factor_trial(n):
+    for p, _ in _factorisation(n):
         out = out // p * (p - 1)
     return out
 

@@ -32,7 +32,7 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, TextIO
 
 # The one BLAS call, prime_sides' float64 product, is exact at any thread
 # count and narrow, so one thread serves it; yet OpenBLAS starts a worker
@@ -82,9 +82,10 @@ TWIST_SECONDS_PER_D = 3.5e-6
 TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
 # a sweep holds its family as columns, about 170 bytes per candidate D; an
-# ef-report about 860 bytes per written row (its records), so a cap-sized one
-# would need about 3.6 GB (extrapolated from 119, 377 and 1,408 MB peak RSS at
-# 1e5, 4e5 and 1.6e6 D, ncm37 at x = 100)
+# ef-report, which writes its rows as it makes them, about 380 bytes per row
+# (its columns), so a cap-sized one would need about 1.6 GB (extrapolated
+# from 53, 92, 190 and 624 MB peak RSS at 5e4, 1.5e5, 4e5 and 1.6e6 D, ncm37
+# at x = 100)
 TWIST_CANDIDATE_CAP = 1 << 22
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
@@ -309,6 +310,31 @@ def _sieve_for(x: float):
     return _sieve(max(math.ceil(x), 3), f"x = {x:g}")  # primes below e^lambda = x
 
 
+def _check_model(curve: CurveModel, primes) -> None:
+    """Refuse (exit 2) a curve whose model and conductor N disagree at a
+    prime p of the table: a_p takes the bad primes from the model's
+    discriminant, the c_{p^m} and the conductor from N.  Every p | N must
+    divide the discriminant, and every p > 3 dividing it must divide N.
+    When p^4 | A and p^6 | B the message gives the model scaled down by p."""
+    from .curve import _mod_each
+
+    ps = primes.primes
+    in_n = _mod_each(curve.conductor, ps) == 0
+    in_disc = _mod_each(curve.discriminant, ps) == 0
+    wrong = (in_n & ~in_disc) | (in_disc & ~in_n & (ps > 3))
+    if not wrong.any():
+        return
+    i = int(wrong.argmax())  # the least such p
+    p, A, B, n = int(ps[i]), curve.A, curve.B, curve.conductor
+    if in_n[i]:
+        why = f"p = {p} divides the conductor {n} but not the model's discriminant"
+    else:
+        why = f"p = {p} divides the model's discriminant but not the conductor {n}"
+    if A % p**4 == 0 and B % p**6 == 0:
+        why += f"; the model is not minimal at {p}: A/{p}^4 = {A // p**4}, B/{p}^6 = {B // p**6}"
+    raise ConfigError(f"curve {curve.label or (A, B)} disagrees with its conductor: {why}")
+
+
 @contextmanager
 def _output(path: Optional[str]) -> Iterator[TextIO]:
     """stdout when path is None, flushed on exit so that a closed pipe raises
@@ -321,17 +347,18 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
             yield fh
 
 
-def _write_table(cfg: dict, columns: Sequence[str], records: Sequence[dict], out: TextIO) -> None:
+def _write_table(cfg: dict, columns: Sequence[str], records: Iterable[dict], out: TextIO) -> None:
     """Write records in the configured format.
 
     JSON: the list of records with indent 2 and a trailing newline.  CSV: the
-    header, then each record's values under columns, booleans as true/false;
-    csv writes floats with repr, their shortest round-trip form.
+    header, then each record's values under columns as the records come,
+    booleans as true/false; csv writes floats with repr, their shortest
+    round-trip form.
     """
     if cfg.get("format", "csv") == "json":
         import json
 
-        json.dump(records, out, indent=2)
+        json.dump(list(records), out, indent=2)
         out.write("\n")
         return
     writer = csv.writer(out, lineterminator="\n")
@@ -358,6 +385,7 @@ def cmd_ap_table(cfg: dict) -> int:
     records = []
     if limit >= 2:
         primes = _sieve(limit, f"--limit {limit}")
+        _check_model(curve, primes)
         columns = (primes.primes, ap_array(curve, primes, limit + 1), cpm(curve, primes, limit + 1, 2))
         records = [{"p": p, "a_p": a, "c_p2": c} for p, a, c in zip(*(v.tolist() for v in columns))]
     with _output(cfg.get("out")) as out:
@@ -380,6 +408,7 @@ def cmd_ef_report(cfg: dict) -> int:
     ds = range(dmin, dmax + 1)
     _check_twist_cost(ds, x, f"D in [{dmin}, {dmax}] at x = {x:g}")
     primes = _sieve_for(x)
+    _check_model(curve, primes)
     squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
     twists = filter_twists(curve, ds, squarefree, coprime)
     table = evaluate_reports(twists, math.log(x), primes)
@@ -447,6 +476,7 @@ def cmd_sweep(cfg: dict) -> int:
         raise ConfigError(str(exc)) from exc
     _check_twist_cost(config.support_ds(), x, f"a sweep with T = {config.T:g} at x = {x:g}")
     primes = _sieve_for(x)
+    _check_model(curve, primes)
     try:
         family = sweep_family(config, primes)
     except EmptyFamilyError as exc:
@@ -480,6 +510,8 @@ def cmd_verify(cfg: dict) -> int:
         raise UsageError(str(exc)) from exc
     x = cfg.get("x", 1e5)
     primes = _sieve_for(max(x, 1e4))
+    for curve in curves:
+        _check_model(curve, primes)
     results = run_suite(
         curves,
         primes,

@@ -30,7 +30,7 @@ from typing import List, Optional
 import numpy as np
 
 from . import arith
-from .arith import PrimeTable, _powmod, kronecker, squarefree_kernels
+from .arith import PrimeTable, _euler_symbols, _factorisation, _powmod, legendre_matrix, squarefree_kernels
 
 __all__ = [
     "CurveModel",
@@ -110,7 +110,7 @@ def _ap_bad(A: int, B: int, p: int) -> int:
     if A % p == 0 and B % p == 0:
         return 0
     x0 = (-3 * B * pow(2 * A, -1, p)) % p
-    return 1 if kronecker(3 * x0, p) == 1 else -1
+    return 1 if arith._squares_mod(p)[3 * x0 % p] == 1 else -1
 
 
 # x-coordinates tried per prime before falling back to the exhaustive sum.
@@ -519,20 +519,14 @@ def _ap_lanes(A: int, B: int, ps: np.ndarray):
     # An open prime whose tries all gave points of one curve (every c a
     # square, or none) gets one point of the other: the x0 sequence goes on
     # to the first c of the missing symbol.
-    extra = []
-    for q in np.flatnonzero(~settled).tolist():
-        p = int(ps[q])
-        symbols = {pow(c, (p - 1) // 2, p) for c in point(np.arange(_BSGS_TRIES), q)[0].tolist() if c}
-        if len(symbols) != 1:
-            continue
-        for t in range(_BSGS_TRIES, _BSGS_TRIES + _EXTRA_TRIES):
-            c = int(point(t, q)[0])
-            if c and pow(c, (p - 1) // 2, p) not in symbols:
-                extra.append((t, q))
-                break
-    if extra:
-        t, q = (np.array(v) for v in zip(*extra))
-        narrow(t, q)
+    q = np.flatnonzero(~settled)
+    c = point(np.arange(_BSGS_TRIES + _EXTRA_TRIES)[:, None], q)[0]
+    symbols = _euler_symbols(c, ps[q])  # a row per try, 0 where c = 0
+    square, nonsquare = ((symbols[:_BSGS_TRIES] == s).any(axis=0) for s in (1, -1))
+    hit = symbols[_BSGS_TRIES:] == np.where(square, -1, 1)
+    one = (square != nonsquare) & hit.any(axis=0)
+    if one.any():
+        narrow(_BSGS_TRIES + hit.argmax(axis=0)[one], q[one])
     return vals, settled
 
 
@@ -621,15 +615,20 @@ _UNCLEAN_BOUND = 2**8 * 3**5
 
 
 def _kronecker_minus_n(a: np.ndarray, n: int) -> np.ndarray:
-    """kronecker(a, -n) for every a of the array, n >= 1.
-
-    (a|n) has period 8n in a (8 for the 2-part, the odd part of n for the
-    Jacobi part), and (a|-n) is (a|n) negated for a < 0, so one kronecker
-    call per residue class of a mod 8n present covers the array.
-    """
-    residues, inverse = np.unique(a % (8 * n), return_inverse=True)
-    table = np.array([kronecker(r, n) for r in residues.tolist()], dtype=np.int64)
-    return np.where(a < 0, -table[inverse], table[inverse])
+    """kronecker(a, -n) for every a of an int64 array, 1 <= n < 3e9: for
+    n = 2^e times its odd part, (a|-1) (a|2)^e prod_{q^k || n} (a|q)^k, with
+    the (a|q) read by arith.legendre_matrix over the odd primes q of n."""
+    if n >= 3 * 10**9:  # legendre_matrix is exact at primes below 3.0e9
+        raise ValueError(f"root numbers need a conductor below 3000000000, got {n}")
+    out = np.where(a < 0, -1, 1)
+    factors = _factorisation(n)
+    if factors and factors[0][0] == 2:
+        two = np.where((a + 2) & 4, -1, 1) * (a & 1)  # (a|2): 0 at even a, -1 at a = 3, 5 mod 8
+        out *= two ** factors.pop(0)[1]
+    if factors:
+        q, k = (np.array(v) for v in zip(*factors))
+        out *= (legendre_matrix(a, q).astype(np.int64) ** k).prod(axis=1)
+    return out
 
 
 class Twists(namedtuple("Twists", "base D kernel fundamental_disc squarefree coprime root_number")):
@@ -687,8 +686,8 @@ def twist_columns(curve: CurveModel, ds: range) -> Twists:
 
     The kernels come from one squarefree sieve over the range
     (arith.squarefree_kernels), the gcd with 2N from numpy, and the root
-    numbers from one kronecker call per residue class mod 8N; nothing is
-    done per D in Python.  |D| <= arith.SQUAREFREE_SIEVE_MAX.
+    numbers from legendre_matrix at the primes of N (_kronecker_minus_n);
+    nothing is done per D in Python.  |D| <= arith.SQUAREFREE_SIEVE_MAX.
     """
     if ds.step != 1:
         raise ValueError(f"twist_columns needs consecutive ascending D, got step {ds.step}")

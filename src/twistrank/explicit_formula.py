@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -323,10 +323,11 @@ class ExplicitFormulaTable(
     def __len__(self) -> int:  # the rows, not the fields: no _replace
         return len(self.twists)
 
-    def records(self) -> List[dict]:
-        """The output records, one per row: the CSV_COLUMNS fields in order,
-        then the coarse bound (twisted_upper_bound) that only the JSON output
-        carries; every value a Python scalar."""
+    def records(self) -> Iterator[dict]:
+        """The output records, one per row and yielded as they are made: the
+        CSV_COLUMNS fields in order, then the coarse bound
+        (twisted_upper_bound) that only the JSON output carries; every value
+        a Python scalar."""
         lam, arch = self.lam, self.archimedean
         rows = zip(
             self.twists.D.tolist(),
@@ -339,8 +340,8 @@ class ExplicitFormulaTable(
             self.rank_bound.tolist(),
             self.twists.root_number.tolist(),
         )
-        return [
-            {
+        for D, log_n, exact, m1, m2, tail, total, bound, root in rows:
+            yield {
                 "D": D,
                 "lambda": lam,
                 "log_conductor": log_n,
@@ -354,8 +355,6 @@ class ExplicitFormulaTable(
                 "root_number": root,
                 "twisted_upper_bound": _coarse_bound(D, lam, m1),
             }
-            for D, log_n, exact, m1, m2, tail, total, bound, root in rows
-        ]
 
 
 def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> ExplicitFormulaTable:

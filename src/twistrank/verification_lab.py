@@ -23,6 +23,8 @@ import numpy as np
 
 from .arith import (
     PrimeTable,
+    _factorisation,
+    _squares_mod,
     euler_phi,
     is_squarefree,
     kronecker,
@@ -163,16 +165,23 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
 
 
 def _chi_table(q: int) -> np.ndarray:
-    return np.array([kronecker(j, q) for j in range(q)], dtype=np.int64)
+    """(j|q) for j = 0 .. q - 1 and an odd q >= 1: the product over the
+    p^k || q of the residue table _squares_mod(p) at j mod p, to the k."""
+    j = np.arange(q)
+    chi = np.ones(q, dtype=np.int64)
+    for p, k in _factorisation(q):
+        chi *= _squares_mod(p)[j % p] ** k
+    return chi
 
 
 def gauss_sum_check(q: int, m: int, _chi: Optional[np.ndarray] = None) -> CheckResult:
-    """Direct enumeration of sum_j (j|q) e(mj/q) against the classical
-    evaluation (m|q) * eps_q * sqrt(q), eps_q = 1 (q = 1 mod 4) or i.
+    """Direct enumeration of sum_j (j|q) e(mj/q) over the residue tables
+    (_chi_table; a caller passing _chi checked q squarefree) against the
+    classical (m|q) * eps_q * sqrt(q), eps_q = 1 (q = 1 mod 4) or i.
     """
     if q < 1 or q % 2 == 0:
         raise ValueError(f"modulus must be odd and positive, got {q}")
-    if not is_squarefree(q):
+    if _chi is None and not is_squarefree(q):
         raise ValueError(f"modulus must be squarefree, got {q}")
     chi = _chi if _chi is not None else _chi_table(q)
     j = np.arange(q)
@@ -195,8 +204,8 @@ def jsum_crt_check(tuple_primes: Sequence[int], m: int) -> CheckResult:
     """The j-sum of the Poisson step against its CRT factorization.
 
     Enumerated side: sum over j mod pi1*pi2 of prod_i (j|p_i) * e(mj/(pi1*pi2)),
-    the product character carrying the implicit coprimality to pi1.  Closed
-    side, for delta_2 = gcd(pi2, m):
+    the product character (from the residue tables) carrying the implicit
+    coprimality to pi1.  Closed side, for delta_2 = gcd(pi2, m):
 
         0                                                if delta_2 > 1,
         mu(pi1') phi(delta_1) (pi1|pi2) (m|pi2) eps * sqrt(pi2)  otherwise,
@@ -219,11 +228,7 @@ def jsum_crt_check(tuple_primes: Sequence[int], m: int) -> CheckResult:
     j = np.arange(Q)
     total = np.ones(Q, dtype=np.int64)
     for p, e in sorted(Counter(int(t) for t in tuple_primes).items()):
-        vals = _chi_table(p)[j % p]
-        if e % 2 == 0:
-            total *= (vals != 0).astype(np.int64)
-        else:
-            total *= vals
+        total *= _squares_mod(p)[j % p] if e % 2 else j % p != 0
     computed = complex(np.sum(total * np.exp(2j * np.pi * m / Q * j)))
 
     delta1 = gcd(pd.pi1, abs(m))

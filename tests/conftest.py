@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import IntegrationWarning, quad
 
-from twistrank.arith import _euler_symbols, _factor_trial, _powmod, kronecker, sieve_primes
+from twistrank.arith import _euler_symbols, _powmod, kronecker, sieve_primes
 from twistrank.curve import CurveModel, _ap_values, ap_array, builtin_catalog, twist_columns
 from twistrank.explicit_formula import evaluate_reports, prime_sides
 from twistrank.kernel import triangle
@@ -183,7 +183,33 @@ def one_row_prime_sides(curve, D: int, kernel, primes) -> tuple:
 
 def one_twist(curve, D: int, lam: float, primes) -> dict:
     """The output record of the one twist by D: the one-row table."""
-    return evaluate_reports(twist_columns(curve, range(D, D + 1)), lam, primes).records()[0]
+    return next(evaluate_reports(twist_columns(curve, range(D, D + 1)), lam, primes).records())
+
+
+def factor_trial(n: int):
+    """Yield (prime, exponent) pairs by trial division over 2, 3 and the
+    6k +- 1; n <= ~1e12.  The scalar oracle of arith's factorisation,
+    independent of it."""
+    for p in (2, 3):
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            yield p, e
+    d = 5
+    step = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
+        d += step
+        step = 6 - step  # alternate +2, +4 over 6k+-1
+    if n > 1:
+        yield n, 1
 
 
 def squarefree_part(n: int) -> int:
@@ -193,7 +219,7 @@ def squarefree_part(n: int) -> int:
     if n < 1:
         raise ValueError(f"squarefree_part needs n >= 1, got {n}")
     out = 1
-    for p, e in _factor_trial(n):
+    for p, e in factor_trial(n):
         if e % 2:
             out *= p
     return out

@@ -19,7 +19,7 @@ from twistrank.arith import (
     squarefree_kernels,
 )
 
-from conftest import fundamental_discriminant, squarefree_part
+from conftest import factor_trial, fundamental_discriminant, squarefree_part
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -277,6 +277,22 @@ class TestMobiusSquarefree:
         for fn in (mobius, squarefree_part, euler_phi):
             with pytest.raises(ValueError):
                 fn(0)
+
+    def test_factorisation_against_trial_division_to_1e12(self):
+        # mobius and euler_phi read arith._factorisation (vectorized trial
+        # division over the odd part); the conftest trial division is an
+        # independent oracle, past the sieve oracle's 2e5: squares of
+        # primes near 1e6 and prime cofactors above 1e6 included
+        rng = np.random.default_rng(12)
+        ns = [int(n) for n in rng.integers(1, 10**12, size=40)]
+        ns += [int(n) for n in rng.integers(2 * 10**5, 10**7, size=40)]
+        ns += [999983**2, 1000003**2, 8 * 999983**2, 999983 * 1000003, 12 * 1000003, 2**39, 10**12 - 11, 10**12]
+        for n in ns:
+            factors = list(factor_trial(n))
+            assert arith._factorisation(n) == factors, n
+            mu = 0 if any(e > 1 for _, e in factors) else (-1) ** len(factors)
+            phi = math.prod(p ** (e - 1) * (p - 1) for p, e in factors)
+            assert (mobius(n), euler_phi(n)) == (mu, phi), n
 
     def test_euler_phi_small(self):
         brute = lambda n: sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)

@@ -15,6 +15,7 @@ from twistrank.curve import (
     _ap_lanes,
     _ap_values,
     _hasse_orders,
+    _kronecker_minus_n,
     ap_array,
     cpm,
     load_catalog,
@@ -556,6 +557,27 @@ class TestTwisting:
             seen.add(roots[D])
             assert roots[D] in (-1, 1)
         assert seen == {-1, 1}
+
+    def test_kronecker_minus_n_matches_scalar_symbol(self):
+        # (a|-1) (a|2)^e prod (a|q)^k over the odd q^k || n against the
+        # scalar kronecker, on odd, even and mixed n with 2-parts up to 2^10,
+        # and at the largest prime below the cap, read by Euler's criterion
+        moduli = [1, 2, 3, 4, 8, 9, 11, 37, 45, 64, 96, 243, 1024, 1155, 3072, 13312, 30030, 119808, 120120]
+        moduli.append(2999999929)
+        rng = np.random.default_rng(27)
+        a = np.concatenate(
+            (
+                rng.integers(-(10**15), 10**15, size=3000),
+                rng.integers(-(10**4), 10**4, size=3000),
+                np.arange(-1500, 1500),
+            )
+        )
+        for n in moduli:
+            got = _kronecker_minus_n(a, n)
+            assert got.tolist() == [kronecker(v, -n) for v in a.tolist()], n
+        assert _kronecker_minus_n(a[:0], 37).tolist() == []
+        with pytest.raises(ValueError, match="conductor below 3000000000, got 3000000019"):
+            _kronecker_minus_n(a, 3000000019)
 
     def test_root_number_even_conductor_degenerate(self, cm_curve):
         # chi_D ramifies at 2 for D = 3 mod 4, and -N is even: undetermined

@@ -219,7 +219,7 @@ class TestBatchInvariance:
             table = evaluate_reports(twists, kern.lam, primes_1e4)
             assert twists.D.tolist() == [D for D in range(-half, half) if D]
             expected = [one_twist(curve, D, kern.lam, primes_1e4) for D in twists.D.tolist()]
-            assert repr(table.records()) == repr(expected), curve.label
+            assert repr(list(table.records())) == repr(expected), curve.label
 
 
 class TestResidueTables:
@@ -448,7 +448,7 @@ class TestEfTotal:
         lam = math.log(1000.0)
         twists = filter_twists(ncm_curve, range(lo, lo + 121), False, False)
         assert (twists.kernel != twists.D).sum() > 40
-        records = evaluate_reports(twists, lam, primes_1e4).records()
+        records = list(evaluate_reports(twists, lam, primes_1e4).records())
         columns = ("prime_m1", "prime_m2", "prime_tail")
         for D, d, rec in zip(twists.D.tolist(), twists.kernel.tolist(), records):
             at_kernel = one_twist(ncm_curve, d, lam, primes_1e4)
@@ -467,7 +467,7 @@ class TestSerialization:
     def test_csv_columns_and_roundtrip(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
         table = evaluate_reports(filter_twists(cm_curve, range(-3, 2), False, False), kern.lam, primes_1e4)
-        records = table.records()
+        records = list(table.records())
         assert [r["D"] for r in records] == [-3, -2, -1, 1]
         record = records[-1]
         assert list(record)[: len(CSV_COLUMNS)] == CSV_COLUMNS
@@ -478,7 +478,7 @@ class TestSerialization:
 
     def test_json(self, cm_curve, primes_1e4):
         kern = TriangleKernel(math.log(500.0))
-        data = evaluate_reports(twist_columns(cm_curve, range(5, 6)), kern.lam, primes_1e4).records()
+        data = list(evaluate_reports(twist_columns(cm_curve, range(5, 6)), kern.lam, primes_1e4).records())
         assert data[0]["D"] == 5
         assert list(data[0]) == CSV_COLUMNS + ["twisted_upper_bound"]
         # the coarse bound 2 log|D| + lambda/2 - 2*(m=1 sum), in JSON only

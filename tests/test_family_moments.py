@@ -172,9 +172,10 @@ class TestConfigAndFamily:
 
     def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch, capsys):
         # W in one call over the twists the filters keep (before the sign
-        # filter), one squarefree sieve over the support, and no trial
-        # division on the sweep and ef-report paths
-        calls = {"weight_eval": [], "squarefree_kernels": [], "_factor_trial": []}
+        # filter), one squarefree sieve over the support, and on the sweep
+        # and ef-report paths no factorisation but the conductor's (for the
+        # root numbers)
+        calls = {"weight_eval": [], "squarefree_kernels": [], "_factorisation": []}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -206,7 +207,7 @@ class TestConfigAndFamily:
         assert main(args) == 0 and main(args + ["--squarefree", "--coprime"]) == 0
         assert main(["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"]) == 0
         capsys.readouterr()
-        assert calls["_factor_trial"] == []
+        assert set(calls["_factorisation"]) == {(37,), (cm_curve.conductor,)}
 
 
 class TestWeightedMoment:

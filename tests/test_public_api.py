@@ -2,6 +2,7 @@
 name points at a function that is gone.  Each entry point loads only the
 modules it runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -66,3 +67,17 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("twistrank
         f"twistrank.{m}" for m in modules
     ]
     assert "scipy.integrate" not in loaded
+
+
+def test_kronecker_named_by_arith_and_verification_lab_only():
+    # every other module reads (r|p) off arith's residue tables; the scalar
+    # symbol is the public name and the reference side of verify's identities
+    src = Path(twistrank.__file__).resolve().parent
+    naming = {
+        path.stem
+        for path in src.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        # identifiers: names, attributes, imports and definitions, not strings
+        if "kronecker" in (getattr(node, field, None) for field in ("id", "attr", "name"))
+    }
+    assert naming == {"arith", "verification_lab"}

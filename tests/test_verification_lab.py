@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import twistrank.verification_lab as vl
-from twistrank.arith import parity_decompose
+from twistrank.arith import kronecker, parity_decompose
 from twistrank.curve import ap_array
 from twistrank.explicit_formula import InsufficientPrimeTable, beta_array
 from twistrank.kernel import SmoothWeight, weight_eval, weight_fourier, weight_fourier_derivative, weight_l_eval
 from twistrank.verification_lab import (
     PoissonTruncationError,
+    _chi_table,
     fit_weight_gamma,
     gauss_sum_check,
     jsum_crt_check,
@@ -144,6 +145,17 @@ class TestGaussSums:
             gauss_sum_check(4, 1)
         with pytest.raises(ValueError):
             gauss_sum_check(9, 1)
+
+    def test_tables_match_scalar_symbol(self):
+        # the enumerated side's (j|q), from the residue tables of the primes
+        # of q, against the scalar kronecker, squarefree q or not
+        for q in range(1, 200, 2):
+            assert _chi_table(q).tolist() == [kronecker(j, q) for j in range(q)], q
+
+    def test_given_table_skips_squarefree_check(self):
+        # a caller passing _chi vouches for q; without it q = 9 is refused
+        res = gauss_sum_check(9, 1, _chi=_chi_table(9))
+        assert not res.passed  # (j|9) is the principal character mod 3
 
     def test_moderate_sweep(self):
         for q in (15, 21, 35, 105):
