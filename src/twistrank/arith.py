@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from functools import cached_property
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -88,6 +88,17 @@ class PrimeTable(namedtuple("PrimeTable", "limit primes")):
     def below(self, bound: float) -> np.ndarray:
         """Primes p < bound as a read-only view."""
         return self.primes[: int(np.searchsorted(self.primes, bound, side="left"))]
+
+
+_ROW_BLOCK = 4096  # rows per block of _column_rows
+
+
+def _column_rows(*columns: np.ndarray) -> Iterator[tuple]:
+    """The rows of equal-length numpy columns as tuples of Python scalars,
+    converted _ROW_BLOCK rows at a time: a table written as its rows come
+    holds its columns and one block, never a Python list per column."""
+    for i in range(0, len(columns[0]), _ROW_BLOCK):
+        yield from zip(*(c[i : i + _ROW_BLOCK].tolist() for c in columns))
 
 
 def _dense_sieve(limit: int) -> np.ndarray:

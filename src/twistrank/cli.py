@@ -46,7 +46,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # The numerical modules load inside the commands that run them, so that no
 # command pays for compiling another's.  sieve_primes stays a module global:
 # the benchmark replaces cli.sieve_primes to mark the end of set-up.
-from .arith import SQUAREFREE_SIEVE_MAX, sieve_primes
+from .arith import SQUAREFREE_SIEVE_MAX, _column_rows, sieve_primes
 
 if TYPE_CHECKING:
     from .curve import CurveModel
@@ -59,10 +59,6 @@ EXIT_VERIFY = 3
 EXIT_PIPE = 141
 
 PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
-# a_p cost per prime near 1e8: measured 49-63 us in blocks of 8,192 primes just
-# below 1e8 (README), with room for the ~30% spread between runs
-AP_SECONDS_PER_PRIME_AT_CAP = 0.08e-3
-AP_TABLE_BUDGET_S = 600.0  # refuse prime tables whose a_p table is estimated above this
 # measured twist costs on a 2-core x86-64 machine (Python 3.11, numpy 2.4), per
 # candidate D: 1.8-3.4 us to weigh, sieve, filter and log the conductor (x = 30
 # to 1e3, D near 1e5 to 1e6; 0.8-1.0 us at x = 1e4 to 1e5); and per (candidate
@@ -82,10 +78,10 @@ TWIST_SECONDS_PER_D = 3.5e-6
 TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
 # a sweep holds its family as columns, about 170 bytes per candidate D; an
-# ef-report, which writes its rows as it makes them, about 380 bytes per row
-# (its columns), so a cap-sized one would need about 1.6 GB (extrapolated
-# from 53, 92, 190 and 624 MB peak RSS at 5e4, 1.5e5, 4e5 and 1.6e6 D, ncm37
-# at x = 100)
+# ef-report, which writes its rows as it makes them, a block at a time,
+# about 250 bytes per row (its columns), so a cap-sized one would need about
+# 1.1 GB (extrapolated from 46, 71, 134 and 434 MB peak RSS at 5e4, 1.5e5,
+# 4e5 and 1.6e6 D, ncm37 at x = 100)
 TWIST_CANDIDATE_CAP = 1 << 22
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
@@ -238,20 +234,10 @@ def _sig10(n: int) -> str:
 
 
 def _check_prime_table(limit: int, what: str) -> None:
-    """Refuse (exit 2) a prime table up to limit above PRIME_LIMIT_CAP or
-    whose a_p table is estimated to take longer than AP_TABLE_BUDGET_S."""
+    """Refuse (exit 2) a prime table up to limit above PRIME_LIMIT_CAP."""
     if limit > PRIME_LIMIT_CAP:
         raise ConfigError(
             f"{what} needs a prime table up to {_sig10(limit)}, above the cap {PRIME_LIMIT_CAP}"
-        )
-    # about limit / log(limit) primes, each at the a_p cost measured near the
-    # cap scaled by (limit / cap)^(1/4), as baby-step giant-step grows with p
-    per_prime = AP_SECONDS_PER_PRIME_AT_CAP * (limit / PRIME_LIMIT_CAP) ** 0.25
-    estimate = limit / math.log(limit) * per_prime
-    if estimate > AP_TABLE_BUDGET_S:
-        raise ConfigError(
-            f"{what} needs an a_p table up to {limit}, estimated at {estimate / 60:.0f} min, "
-            f"above the budget of {AP_TABLE_BUDGET_S / 60:.0f} min"
         )
 
 
@@ -314,22 +300,32 @@ def _check_model(curve: CurveModel, primes) -> None:
     """Refuse (exit 2) a curve whose model and conductor N disagree at a
     prime p of the table: a_p takes the bad primes from the model's
     discriminant, the c_{p^m} and the conductor from N.  Every p | N must
-    divide the discriminant, and every p > 3 dividing it must divide N.
-    When p^4 | A and p^6 | B the message gives the model scaled down by p."""
+    divide the discriminant, every p > 3 dividing it must divide N, and the
+    model must be minimal at every p > 3 of N, as a_p reads A = B = 0 mod p
+    as additive reduction.  When p^4 | A and p^6 | B the message gives the
+    model scaled down by p."""
     from .curve import _mod_each
 
     ps = primes.primes
-    in_n = _mod_each(curve.conductor, ps) == 0
+    A, B, n = curve.A, curve.B, curve.conductor
+    in_n = _mod_each(n, ps) == 0
     in_disc = _mod_each(curve.discriminant, ps) == 0
-    wrong = (in_n & ~in_disc) | (in_disc & ~in_n & (ps > 3))
+    # a model not minimal at p has p | gcd(A, B): only those p are checked
+    scaled = in_n & (_mod_each(math.gcd(A, B), ps) == 0) & (ps > 3)
+    for i in scaled.nonzero()[0].tolist():
+        p = int(ps[i])
+        scaled[i] = A % p**4 == 0 and B % p**6 == 0
+    wrong = (in_n & ~in_disc) | (in_disc & ~in_n & (ps > 3)) | scaled
     if not wrong.any():
         return
     i = int(wrong.argmax())  # the least such p
-    p, A, B, n = int(ps[i]), curve.A, curve.B, curve.conductor
-    if in_n[i]:
+    p = int(ps[i])
+    if not in_disc[i]:
         why = f"p = {p} divides the conductor {n} but not the model's discriminant"
-    else:
+    elif not in_n[i]:
         why = f"p = {p} divides the model's discriminant but not the conductor {n}"
+    else:
+        why = f"p = {p} divides the conductor {n} and the model's discriminant"
     if A % p**4 == 0 and B % p**6 == 0:
         why += f"; the model is not minimal at {p}: A/{p}^4 = {A // p**4}, B/{p}^6 = {B // p**6}"
     raise ConfigError(f"curve {curve.label or (A, B)} disagrees with its conductor: {why}")
@@ -387,7 +383,7 @@ def cmd_ap_table(cfg: dict) -> int:
         primes = _sieve(limit, f"--limit {limit}")
         _check_model(curve, primes)
         columns = (primes.primes, ap_array(curve, primes, limit + 1), cpm(curve, primes, limit + 1, 2))
-        records = [{"p": p, "a_p": a, "c_p2": c} for p, a, c in zip(*(v.tolist() for v in columns))]
+        records = ({"p": p, "a_p": a, "c_p2": c} for p, a, c in _column_rows(*columns))
     with _output(cfg.get("out")) as out:
         _write_table(cfg, ["p", "a_p", "c_p2"], records, out)
     return EXIT_OK

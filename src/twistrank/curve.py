@@ -559,9 +559,9 @@ def _ap_values(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
     return out
 
 
-# Per curve: the primes of the longest table prefix requested so far and
-# their a_p.  Every PrimeTable lists the primes from 2 upward, so the prefix
-# does not depend on the table's limit.
+# Per curve: a_p at the primes of the longest table prefix requested so far,
+# and nothing else.  Every PrimeTable lists the primes from 2 upward, so the
+# i-th value belongs to the i-th prime of any table.
 _AP_CACHE: dict = {}
 _NO_PRIMES = np.empty(0, dtype=np.int64)
 _NO_PRIMES.setflags(write=False)
@@ -580,13 +580,12 @@ def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
     kernel in chunks of _AP_CHUNK.
     """
     ps = primes.below(bound)
-    _, vals = _AP_CACHE.get(curve, (_NO_PRIMES, _NO_PRIMES))
+    vals = _AP_CACHE.get(curve, _NO_PRIMES)
     if vals.size < ps.size:
         new = [_ap_values(curve, ps[i : i + _AP_CHUNK]) for i in range(vals.size, ps.size, _AP_CHUNK)]
         vals = np.concatenate((vals, *new))
         vals.setflags(write=False)
-        # a copy of the primes, so the cache does not pin the whole table
-        _AP_CACHE[curve] = (ps.copy(), vals)
+        _AP_CACHE[curve] = vals
     return vals[: ps.size]
 
 

@@ -23,6 +23,7 @@ from .arith import (
     TABLE_P_PER_ROW,
     PrimeTable,
     ResidueTables,
+    _column_rows,
     _euler_symbols,
     fixed_point_limbs,
     fixed_point_scale,
@@ -324,21 +325,21 @@ class ExplicitFormulaTable(
         return len(self.twists)
 
     def records(self) -> Iterator[dict]:
-        """The output records, one per row and yielded as they are made: the
-        CSV_COLUMNS fields in order, then the coarse bound
-        (twisted_upper_bound) that only the JSON output carries; every value
-        a Python scalar."""
+        """The output records, one per row and yielded as they are made, a
+        block of rows at a time (arith._column_rows): the CSV_COLUMNS fields
+        in order, then the coarse bound (twisted_upper_bound) that only the
+        JSON output carries; every value a Python scalar."""
         lam, arch = self.lam, self.archimedean
-        rows = zip(
-            self.twists.D.tolist(),
-            self.log_conductor.tolist(),
-            self.twists.conductor_exact.tolist(),
-            self.prime_sum_m1.tolist(),
-            self.prime_sum_m2.tolist(),
-            self.prime_sum_tail.tolist(),
-            self.total_S.tolist(),
-            self.rank_bound.tolist(),
-            self.twists.root_number.tolist(),
+        rows = _column_rows(
+            self.twists.D,
+            self.log_conductor,
+            self.twists.conductor_exact,
+            self.prime_sum_m1,
+            self.prime_sum_m2,
+            self.prime_sum_tail,
+            self.total_S,
+            self.rank_bound,
+            self.twists.root_number,
         )
         for D, log_n, exact, m1, m2, tail, total, bound, root in rows:
             yield {

@@ -42,8 +42,8 @@ from .kernel import (
 )
 
 # curve and explicit_formula load inside the checks that read a_p (Rankin,
-# Q-sum, step1, logderiv), so the Gauss, j-sum and Poisson checks do not pay
-# for them
+# Hasse, Q-sum, step1, logderiv), so the Gauss, j-sum and Poisson checks do
+# not pay for them
 if TYPE_CHECKING:
     from .curve import CurveModel
 
@@ -52,6 +52,7 @@ __all__ = [
     "PoissonTruncationError",
     "rankin_linear_check",
     "rankin_square_check",
+    "hasse_check",
     "gauss_sum_check",
     "jsum_crt_check",
     "poisson_check",
@@ -157,6 +158,24 @@ def rankin_square_check(curve: CurveModel, lam: float, primes: PrimeTable) -> Ch
         ratio_or_error=ratio,
         passed=0.7 <= ratio <= 1.3,
         parameters={"curve": curve.label, "lam": lam, "band": [0.7, 1.3]},
+    )
+
+
+def hasse_check(curve: CurveModel, x: float, primes: PrimeTable) -> CheckResult:
+    """Hasse's bound a_p^2 <= 4p, in integers, at every prime p < x of the
+    ap_array table; reports the largest a_p^2 / (4p)."""
+    from .curve import ap_array
+
+    ps = primes.below(x)
+    aps = ap_array(curve, primes, x)
+    computed = float((aps * aps / (4.0 * ps)).max(initial=0.0))
+    return CheckResult(
+        name=f"hasse[{curve.label},x={x:g}]",
+        computed=computed,
+        reference=1.0,
+        ratio_or_error=computed,
+        passed=bool(np.all(aps * aps <= 4 * ps)),
+        parameters={"curve": curve.label, "x": x, "primes": int(ps.size)},
     )
 
 
@@ -682,7 +701,7 @@ def logderiv_partial(
 # ---------------------------------------------------------------------------
 # Default suite
 
-SUITE_GROUPS = ("rankin", "gauss", "jsum", "poisson", "wl_decay", "qsum", "step1", "logderiv")
+SUITE_GROUPS = ("rankin", "hasse", "gauss", "jsum", "poisson", "wl_decay", "qsum", "step1", "logderiv")
 
 
 def _default_weight(T: float, x: float, l: int = 0) -> SmoothWeight:
@@ -730,6 +749,10 @@ def run_suite(
         for curve in curves:
             results.append(rankin_linear_check(curve, x, primes))
             results.append(rankin_square_check(curve, math.log(x), primes))
+
+    if _selects(only, "hasse"):
+        for curve in curves:  # at the rankin group's x: its a_p table, cached
+            results.append(hasse_check(curve, x, primes))
 
     if _selects(only, "gauss"):
         for q in range(1, 121, 2):

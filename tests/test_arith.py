@@ -221,8 +221,9 @@ class TestKronecker:
     @settings(max_examples=300, deadline=None)
     def test_multiplicative_in_denominator(self, a, m, n):
         # the one exception of the Kronecker symbol: a = -1 with one of m, n
-        # zero and the other negative (pinned in test_denominator_exception)
-        assume(not (a == -1 and m * n == 0 and min(m, n) < 0))
+        # zero, where (-1|0) = 1 while the other factor (-1|m) is -1 for
+        # m < 0 and for m = 3 mod 4 (pinned in test_denominator_exception)
+        assume(not (a == -1 and m * n == 0))
         assert kronecker(a, m) * kronecker(a, n) == kronecker(a, m * n)
 
     def test_denominator_exception(self):
@@ -230,6 +231,9 @@ class TestKronecker:
         assert kronecker(-1, 0) == 1
         assert kronecker(-1, -1) == -1
         assert kronecker(-1, 0) * kronecker(-1, -1) == -kronecker(-1, 0)
+        # and (-1|3) = -1, so (-1|3)(-1|0) != (-1|3 * 0); (-1|5) = 1 keeps it
+        assert kronecker(-1, 3) * kronecker(-1, 0) == -kronecker(-1, 0)
+        assert kronecker(-1, 5) * kronecker(-1, 0) == kronecker(-1, 0)
         # for a <= -2, (a|0) = 0 and the identity holds
         assert kronecker(-2, 0) * kronecker(-2, -1) == kronecker(-2, 0) == 0
 

@@ -77,9 +77,8 @@ class TestApTable:
     def test_limit_above_cap_refused(self, monkeypatch, capsys):
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
         code, out, err = run(["ap-table", "--limit", "100000001"], capsys)
-        assert code == EXIT_CONFIG
-        assert str(PRIME_LIMIT_CAP) in err
-        assert out == ""
+        assert (code, out) == (EXIT_CONFIG, "")
+        assert err == "config error: --limit 100000001 needs a prime table up to 100000001, above the cap 100000000\n"
 
     def test_limit_past_float_range_refused(self, monkeypatch, capsys):
         # the message prints the limit to 10 digits without a float, which
@@ -89,25 +88,8 @@ class TestApTable:
         assert (code, out) == (EXIT_CONFIG, "")
         assert "prime table up to 1.000000000e+400, above the cap" in err, err
 
-    def test_over_budget_refused_with_estimate(self, monkeypatch, capsys):
-        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
-        # every table up to the cap is estimated inside the budget (7.2 min
-        # at 1e8); at twice the measured a_p cost per prime, only tables
-        # near the cap are above it (14.5 min at 1e8, 13.6 min at 9.5e7),
-        # and the twists of these runs are estimated inside theirs
-        monkeypatch.setattr(cli_mod, "AP_SECONDS_PER_PRIME_AT_CAP", 2 * cli_mod.AP_SECONDS_PER_PRIME_AT_CAP)
-        for args in (
-            ["ap-table", "--limit", "100000000"],
-            ["ef-report", "--curve", "ncm37", "--x", "1e8", "--dmin", "1", "--dmax", "1"],
-            ["sweep", "--curve", "cm32-like", "--x", "1e8", "--T", "100"],
-            ["verify", "--only", "gauss", "--x", "9.5e7"],
-        ):
-            code, out, err = run(args, capsys)
-            assert code == EXIT_CONFIG, args
-            assert "a_p table" in err and "estimated at" in err and "budget of 10 min" in err, err
-            assert out == ""
-
-    def test_within_budget_reaches_sieve(self, monkeypatch):
+    def test_cap_reaches_sieve(self, monkeypatch):
+        # the cap is the whole admission rule: the table at the cap is sieved
         class Sieved(Exception):
             pass
 
@@ -115,10 +97,36 @@ class TestApTable:
             raise Sieved(limit)
 
         monkeypatch.setattr(cli_mod, "sieve_primes", sentinel)
-        with pytest.raises(Sieved):  # estimated at 6.4 min, inside the budget
-            main(["ap-table", "--limit", "90000000"])
-        with pytest.raises(Sieved):  # 7.2 min: the cap itself
-            main(["ap-table", "--limit", "100000000"])
+        with pytest.raises(Sieved):
+            main(["ap-table", "--limit", str(PRIME_LIMIT_CAP)])
+
+    # sha256 of `ap-table --curve ncm37 --limit 100000 --format json`: the
+    # rows made a block at a time give the bytes of one list of every record
+    JSON_1E5_SHA256 = "34facc02dd0ab3c17f50afc57d96ab91ee8f9ae3d894cfaa73971d9d3830106e"
+
+    def test_json_rows_in_blocks_unchanged(self, tmp_path, capsys):
+        out = tmp_path / "ap.json"
+        args = ["ap-table", "--curve", "ncm37", "--limit", "100000", "--format", "json", "--out", str(out)]
+        assert run(args, capsys)[0] == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.JSON_1E5_SHA256
+
+    def test_memory_per_row(self):
+        # the rows are made a block at a time from the three columns: peak
+        # RSS grows by less than 120 bytes per row between 2e5 and 1e6
+        # (about 40 measured; about 370 with every row held as a dict)
+        env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
+
+        def peak_rss(limit):
+            args = ["ap-table", "--curve", "ncm37", "--limit", str(limit)]
+            proc = subprocess.Popen([sys.executable, "-m", "twistrank.cli", *args], stdout=subprocess.DEVNULL, env=env)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == EXIT_OK
+            return usage.ru_maxrss * 1024  # kilobytes on Linux
+
+        rows = len(cli_mod.sieve_primes(1_000_000)) - len(cli_mod.sieve_primes(200_000))
+        per_row = (peak_rss(1_000_000) - peak_rss(200_000)) / rows
+        assert per_row < 120, per_row
 
 
 class TestUsageAndConfigErrors:
@@ -293,6 +301,14 @@ class TestCurveRecords:
         "discriminant but not the conductor 11; the model is not minimal at 5: "
         "A/5^4 = -13392, B/5^6 = -1080432\n"
     )
+    # 11a1 scaled by 11, a prime of its conductor: 11 divides N and the
+    # discriminant, but a_11 would read the model as additive
+    SCALED_AT_11 = "-196072272,-1914051194352,11,1,-2,-1"
+    SCALED_AT_11_MESSAGE = (
+        "config error: curve explicit disagrees with its conductor: p = 11 divides the conductor 11 "
+        "and the model's discriminant; the model is not minimal at 11: "
+        "A/11^4 = -13392, B/11^6 = -1080432\n"
+    )
     NODE_AT_7 = "1,2,3,1,0,0"
     NODE_MESSAGE = (
         "config error: curve explicit disagrees with its conductor: p = 3 divides the conductor 3 "
@@ -312,7 +328,11 @@ class TestCurveRecords:
     def test_model_disagreeing_with_conductor_refused(self, capsys, args):
         # a_p takes the bad primes from the discriminant, c_{p^m} and the
         # conductor from N: every command refuses a model where they differ
-        for spec, message in ((self.SCALED_11A1, self.SCALED_MESSAGE), (self.NODE_AT_7, self.NODE_MESSAGE)):
+        for spec, message in (
+            (self.SCALED_11A1, self.SCALED_MESSAGE),
+            (self.NODE_AT_7, self.NODE_MESSAGE),
+            (self.SCALED_AT_11, self.SCALED_AT_11_MESSAGE),
+        ):
             code, out, err = run(args[:1] + [f"--curve={spec}"] + args[1:], capsys)
             assert (code, out, err) == (EXIT_CONFIG, "", message), spec
 
@@ -415,9 +435,10 @@ class TestEfReport:
 
 
     def test_memory_per_row(self):
-        # the rows are written as they are made: peak RSS grows by less than
-        # 600 bytes per row between 5e4 and 1.5e5 rows (about 380 measured;
-        # about 900 with the records held as one list)
+        # the rows are written as they are made, a block at a time: peak RSS
+        # grows by less than 320 bytes per row between 5e4 and 1.5e5 rows
+        # (about 250 measured; about 380 with whole columns as lists, about
+        # 900 with the records held as one list)
         env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
 
         def peak_rss(rows):
@@ -429,7 +450,7 @@ class TestEfReport:
             return usage.ru_maxrss * 1024  # kilobytes on Linux
 
         per_row = (peak_rss(150_000) - peak_rss(50_000)) / 100_000
-        assert per_row < 600, per_row
+        assert per_row < 320, per_row
 
 
 class TestSweep:
@@ -622,8 +643,16 @@ class TestVerifyCommand:
         monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
         code, out, err = run(["verify", "--only", "bogus"], capsys)
         assert code == EXIT_USAGE
-        assert "bogus" in err
+        assert "bogus" in err and "hasse" in err
         assert out == ""
+
+    def test_only_hasse(self, tmp_path, capsys):
+        out = tmp_path / "v.jsonl"
+        code, _, _ = run(["verify", "--only", "hasse", "--x", "10000", "--out", str(out)], capsys)
+        assert code == EXIT_OK
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert [r["name"] for r in records[:-1]] == ["hasse[cm32-like,x=10000]", "hasse[ncm37,x=10000]"]
+        assert records[-1]["summary"] == {"checks": 2, "passed": 2, "failed": 0, "warnings": 0}
 
     def test_only_jsum_seeded(self, tmp_path, capsys):
         a = tmp_path / "a.jsonl"
@@ -776,7 +805,7 @@ class TestGoldenBytes:
         ),
         "verify-seed1": (
             ["verify", "--seed", "1"],
-            {"": "564e8d7127eb502ff0ece8129768c6b46e18f82dab6d6c8fbb48cc7ed84d4c14"},
+            {"": "d96df2d8fb5c971954713c0f47595682bfff9183397fb1b373edc2bf51f876ff"},
         ),
     }
 

@@ -7,6 +7,7 @@ from math import fsum, gcd
 import numpy as np
 import pytest
 
+import twistrank.curve as curve_mod
 import twistrank.verification_lab as vl
 from twistrank.arith import kronecker, parity_decompose
 from twistrank.curve import ap_array
@@ -124,6 +125,29 @@ class TestRankin:
     def test_domain(self, cm_curve, primes_1e3):
         with pytest.raises(ValueError):
             rankin_linear_check(cm_curve, 100.0, primes_1e3)
+
+
+class TestHasse:
+    def test_catalog_curves_pass(self, cm_curve, ncm_curve, primes_1e4):
+        for curve in (cm_curve, ncm_curve):
+            res = vl.hasse_check(curve, 1e4, primes_1e4)
+            aps = ap_array(curve, primes_1e4, 1e4).tolist()
+            worst = max(a * a / (4 * p) for p, a in zip(primes_1e4.below(1e4).tolist(), aps))
+            assert res.passed and res.computed == worst < 1.0, curve.label
+            assert res.parameters["primes"] == 1229
+
+    def test_doctored_table_fails(self, ncm_curve, primes_1e4, monkeypatch):
+        # one a_p just past 2 sqrt(p), at the last prime below 1e4 (9973)
+        real = curve_mod.ap_array
+
+        def doctored(curve, primes, bound):
+            aps = real(curve, primes, bound).copy()
+            aps[-1] = math.isqrt(4 * 9973) + 1
+            return aps
+
+        monkeypatch.setattr(curve_mod, "ap_array", doctored)
+        res = vl.hasse_check(ncm_curve, 1e4, primes_1e4)
+        assert not res.passed and 1.0 < res.computed < 1.01
 
 
 class TestGaussSums:
