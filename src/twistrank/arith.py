@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from functools import cached_property
 from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
@@ -28,13 +27,11 @@ __all__ = [
     "squarefree_kernels",
     "SQUAREFREE_SIEVE_MAX",
     "is_squarefree",
-    "exact_sum",
     "ExactSums",
     "fixed_point_scale",
     "fixed_point_limbs",
     "round_fixed_point",
     "FIXED_POINT_BITS",
-    "FIXED_POINT_ROWS",
     "euler_phi",
     "parity_decompose",
     "is_prime",
@@ -395,7 +392,7 @@ SQUAREFREE_SIEVE_MAX = 10**16
 _SIEVE_BLOCK = 1 << 18
 
 
-def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
+def squarefree_kernels(lo: int, hi: int, base: Optional[np.ndarray] = None) -> np.ndarray:
     """The kernel of each d in [lo, hi] as int64: sign(d) times the product of
     the primes to an odd power in d (0 at d = 0), d itself iff d is squarefree.
 
@@ -403,8 +400,9 @@ def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
     of its multiples for as long as it divides them.  What is left of d has
     no square factor q^2 with q below sqrt(|d|), and so none at all.  Primes
     with several multiples of q^2 in the interval take a strided slice each;
-    the others, at most one multiple each, go in vectorized blocks.  Raises
-    ValueError for |d| above SQUAREFREE_SIEVE_MAX.
+    the others, at most one multiple each, go in vectorized blocks; base, if
+    given, holds the q (ascending, and any beyond).  Raises ValueError for
+    |d| above SQUAREFREE_SIEVE_MAX.
     """
     if lo > hi:
         return np.empty(0, dtype=np.int64)
@@ -417,7 +415,8 @@ def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
     if zero is not None:
         rem[zero] = 1  # every q^2 divides 0
     if top >= 4:
-        qs = sieve_primes(math.isqrt(top)).primes
+        root = math.isqrt(top)
+        qs = sieve_primes(root).primes if base is None else base[: np.searchsorted(base, root, side="right")]
         several = qs * qs < size
         for q in qs[several].tolist():
             q2 = q * q
@@ -450,13 +449,9 @@ def squarefree_kernels(lo: int, hi: int) -> np.ndarray:
 # exact integer arithmetic in any order (the error-free splitting of Ozaki,
 # Ogita, Oishi and Rump, "Error-free transformations of matrix
 # multiplication...", Numer. Algorithms 2012), and one rounding per row
-# follows.  exact_sum adds limb columns by float64 bincount, exact for
-# blocks of FIXED_POINT_ROWS values (every partial sum an integer below
-# 2^53).  round_fixed_point needs 27 <= FIXED_POINT_BITS <= 30.
+# follows.  round_fixed_point needs 27 <= FIXED_POINT_BITS <= 30.
 FIXED_POINT_BITS = 30
-FIXED_POINT_ROWS = 1 << (53 - FIXED_POINT_BITS)
 _LIMB_MASK = (1 << FIXED_POINT_BITS) - 1
-_SMALLEST_NORMAL = 2.0**-1022
 
 
 def fixed_point_scale(values: np.ndarray) -> tuple:
@@ -520,7 +515,7 @@ def round_fixed_point(sums: np.ndarray, emin: int) -> np.ndarray:
     and a sticky bit for everything lower give an int64 T of 61 or 62 bits
     with |value| = T 2^s up to the sticky bit, so the int64-to-float64
     conversion rounds as the exact value rounds, and ldexp scales exactly
-    whenever the result is a normal float (exact_sum checks that).
+    whenever the result is a normal float.
     """
     n = len(sums)
     sign = np.where(_digits(sums)[1] < 0, -1, 1)
@@ -543,58 +538,45 @@ def round_fixed_point(sums: np.ndarray, emin: int) -> np.ndarray:
 
 
 class ExactSums:
-    """math.fsum of one float64 column over any subsets of its rows, from
-    one split of the column into fixed point.
+    """math.fsum of a float64 column over subsets of its rows, the rows
+    added a window at a time (add) and the sums read at the end (totals),
+    with no row held past its window.
 
-    The nonzero values share the scale of fixed_point_scale, and each lies
-    in three consecutive limbs (_limb_pieces), kept as int32 pieces with
-    the int16 index of the first (zeros: pieces 0 at limb 0), 14 bytes a
-    row.  A subset's limb sums are one bincount per piece and block of
-    FIXED_POINT_ROWS values, exact since every partial sum is an integer
-    below 2^53, and one round_fixed_point rounds all the subsets of a call:
-    O(len) numpy work per subset where fsum's partials grow with the range
-    of magnitudes.  A subnormal result, where the final scaling could round
-    twice, is left to math.fsum.
+    A window's nonzero values share the scale of fixed_point_scale, 2^emin,
+    and each lies in three consecutive limbs (_limb_pieces).  A subset's
+    limb sums are int64 (below 2^30 times the window's rows); they make one
+    exact Python integer in units of 2^emin, and the windows add as
+    integers at the least emin so far.  Each total then rounds once, by an
+    integer true division, which CPython rounds correctly, subnormals
+    included: the float math.fsum gives over all the rows added.
     """
 
-    def __init__(self, values: np.ndarray):
-        self.values = values
+    def __init__(self, subsets: int):
+        self._ints = [0] * subsets
+        self._emin = 0  # the sums are integers in units of 2^_emin
+
+    def add(self, values: np.ndarray, masks: Sequence[Optional[np.ndarray]]) -> None:
+        """Add to the i-th sum the rows of values where masks[i], a boolean
+        mask, holds (None: every row)."""
         nonzero = values != 0.0
-        self.emin, count = fixed_point_scale(values[nonzero])
-        self.bins = count + 2
-        first, pieces = _limb_pieces(values, self.emin)
-        self.first = np.where(nonzero, first, 0).astype(np.int16)  # limb indices below count + 2 < 100
-        self.pieces = pieces.astype(np.int32)
+        emin, count = fixed_point_scale(values[nonzero])
+        first, pieces = _limb_pieces(values, emin)
+        first = np.where(nonzero, first, 0)
+        if emin < self._emin:
+            self._ints = [s << (self._emin - emin) for s in self._ints]
+            self._emin = emin
+        for i, mask in enumerate(masks):
+            f, p = (first, pieces) if mask is None else (first[mask], pieces[:, mask])
+            limbs = np.zeros(count + 2, dtype=np.int64)
+            for j, piece in enumerate(p):
+                np.add.at(limbs, f + j, piece)
+            value = sum(limb << (FIXED_POINT_BITS * j) for j, limb in enumerate(limbs.tolist()))
+            self._ints[i] += value << (emin - self._emin)
 
-    @cached_property
-    def total(self) -> float:
-        """The sum over every row."""
-        return self.sums([None])[0]
-
-    def sums(self, masks: Sequence[Optional[np.ndarray]]) -> List[float]:
-        """The sum over the rows where each boolean mask holds (None: every
-        row), one float per mask."""
-        limbs = np.zeros((len(masks), self.bins), dtype=np.int64)
-        for row, mask in zip(limbs, masks):
-            first, pieces = self.first, self.pieces
-            if mask is not None:
-                first, pieces = first[mask], pieces[:, mask]
-            for start in range(0, first.size, FIXED_POINT_ROWS):
-                block = slice(start, start + FIXED_POINT_ROWS)
-                for i, piece in enumerate(pieces[:, block]):
-                    row += np.bincount(first[block] + i, weights=piece, minlength=self.bins).astype(np.int64)
-        totals = round_fixed_point(limbs, self.emin).tolist()
-        return [
-            math.fsum((self.values if mask is None else self.values[mask]).tolist())
-            if 0.0 < abs(total) < _SMALLEST_NORMAL
-            else total
-            for total, mask in zip(totals, masks)
-        ]
-
-
-def exact_sum(values: np.ndarray) -> float:
-    """math.fsum(values) for a float64 array, by fixed point (ExactSums)."""
-    return ExactSums(values).total
+    def totals(self) -> List[float]:
+        """The sums, one float each."""
+        scale = 1 << -self._emin
+        return [s / scale for s in self._ints]
 
 
 def _factorisation(n: int) -> list:

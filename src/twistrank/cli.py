@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import itertools
 import math
 import os
 import sys
@@ -46,7 +47,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 # The numerical modules load inside the commands that run them, so that no
 # command pays for compiling another's.  sieve_primes stays a module global:
 # the benchmark replaces cli.sieve_primes to mark the end of set-up.
-from .arith import SQUAREFREE_SIEVE_MAX, _column_rows, sieve_primes
+from .arith import _ROW_BLOCK, SQUAREFREE_SIEVE_MAX, ResidueTables, _column_rows, sieve_primes
 
 if TYPE_CHECKING:
     from .curve import CurveModel
@@ -72,17 +73,14 @@ PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 #     1e5, tables included);
 #   euler: Euler's criterion elsewhere, 0.14-0.25 us (24 to 801 D near 1e9
 #     and 1e12 at x = 1e4 to 1e5);
-# and the squarefree sieve's base-prime table, 10 ns per unit of sqrt(max |D|)
-# (1.0 s at 1e16).  The prices below are about twice the measured costs.
+# the squarefree sieve's base-prime table, 10 ns per unit of sqrt(max |D|)
+# (1.0 s at 1e16); and per row an ef-report writes, 11-15 us as CSV and 19-26
+# us as JSON (1e6 D, ncm37 at x = 100).  The prices below are about twice the
+# measured costs.
 TWIST_SECONDS_PER_D = 3.5e-6
+TWIST_SECONDS_PER_ROW = {"csv": 25e-6, "json": 50e-6}
 TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
-# a sweep holds its family as columns, about 170 bytes per candidate D; an
-# ef-report, which writes its rows as it makes them, a block at a time,
-# about 250 bytes per row (its columns), so a cap-sized one would need about
-# 1.1 GB (extrapolated from 46, 71, 134 and 434 MB peak RSS at 5e4, 1.5e5,
-# 4e5 and 1.6e6 D, ncm37 at x = 100)
-TWIST_CANDIDATE_CAP = 1 << 22
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
 
 
@@ -247,30 +245,30 @@ def _sieve(limit: int, what: str):
     return sieve_primes(limit)
 
 
-def _twist_cost_estimate(ds: range, x: float) -> float:
+def _twist_cost_estimate(ds: range, x: float, per_row: float = 0.0) -> float:
     """Seconds to evaluate the candidate D of ds (consecutive) over the primes
     below x, each candidate costed as a kept twist: TWIST_SECONDS_PER_D, plus
     a TWIST_SECONDS_PER_PRIME price for each prime by how prime_sides reads
-    its character (explicit_formula.character_reads), plus the squarefree
-    sieve's table of base primes up to sqrt(max |D|).  The chunks of the
-    reads are sized for an eighth of the candidates: a sweep's filters keep
-    a fifth or more (about 0.39 of them with no sign filter)."""
+    its character (explicit_formula.character_reads), plus per_row for
+    writing its row (ef-report), plus the squarefree sieve's table of base
+    primes up to sqrt(max |D|).  The chunks of the reads are sized for an
+    eighth of the candidates: a sweep's filters keep a fifth or more (about
+    0.39 of them with no sign filter)."""
     from .explicit_formula import character_reads
 
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
     reads = character_reads(len(ds) // 8, max_d, x)
-    per_d = TWIST_SECONDS_PER_D + sum(TWIST_SECONDS_PER_PRIME[way] * n for way, n in reads.items())
+    per_d = TWIST_SECONDS_PER_D + per_row + sum(TWIST_SECONDS_PER_PRIME[way] * n for way, n in reads.items())
     return len(ds) * per_d + math.isqrt(max_d) * SIEVE_SECONDS_PER_ROOT_D
 
 
-def _check_twist_cost(ds: range, x: float, what: str) -> None:
+def _check_twist_cost(ds: range, x: float, what: str, per_row: float = 0.0) -> None:
     """Refuse (exit 2), before any enumeration, a run over the candidate D of
     ds with primes below x: when the prime table up to x is refused (first:
     pricing the twists of a huge x overflows), when some |D| passes
     SQUAREFREE_SIEVE_MAX (the sieve's base primes, up to sqrt(|D|), would
-    pass PRIME_LIMIT_CAP), when the twists are estimated
-    (_twist_cost_estimate) to take longer than TWIST_BUDGET_S, or when ds
-    holds more than TWIST_CANDIDATE_CAP candidates."""
+    pass PRIME_LIMIT_CAP), or when the twists are estimated
+    (_twist_cost_estimate, with per_row) to take longer than TWIST_BUDGET_S."""
     _check_prime_table(max(math.ceil(x), 3), f"x = {x:g}")
     max_d = max(abs(ds[0]), abs(ds[-1])) if ds else 0
     if max_d > SQUAREFREE_SIEVE_MAX:
@@ -278,17 +276,12 @@ def _check_twist_cost(ds: range, x: float, what: str) -> None:
             f"{what} reaches |D| = {_sig10(max_d)}, above the cap {SQUAREFREE_SIEVE_MAX}: the "
             f"squarefree sieve would need primes up to sqrt(|D|), above {PRIME_LIMIT_CAP}"
         )
-    estimate = _twist_cost_estimate(ds, x)
+    estimate = _twist_cost_estimate(ds, x, per_row)
     if estimate > TWIST_BUDGET_S:
         raise ConfigError(
             f"{what} evaluates up to {len(ds)} twists over about {x / math.log(max(x, 3.0)):.0f} "
             f"primes with |D| up to {max_d}, estimated at {estimate / 60:.0f} min, "
             f"above the budget of {TWIST_BUDGET_S / 60:.0f} min"
-        )
-    if len(ds) > TWIST_CANDIDATE_CAP:
-        raise ConfigError(
-            f"{what} holds {len(ds)} candidate D, above the in-memory cap of "
-            f"{TWIST_CANDIDATE_CAP}"
         )
 
 
@@ -346,7 +339,8 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
 def _write_table(cfg: dict, columns: Sequence[str], records: Iterable[dict], out: TextIO) -> None:
     """Write records in the configured format.
 
-    JSON: the list of records with indent 2 and a trailing newline.  CSV: the
+    JSON: the bytes of json.dump(list(records), indent=2) and a trailing
+    newline, written _ROW_BLOCK records at a time as they come.  CSV: the
     header, then each record's values under columns as the records come,
     booleans as true/false; csv writes floats with repr, their shortest
     round-trip form.
@@ -354,8 +348,11 @@ def _write_table(cfg: dict, columns: Sequence[str], records: Iterable[dict], out
     if cfg.get("format", "csv") == "json":
         import json
 
-        json.dump(list(records), out, indent=2)
-        out.write("\n")
+        records, sep = iter(records), "["
+        while block := list(itertools.islice(records, _ROW_BLOCK)):
+            out.write(sep + json.dumps(block, indent=2)[1:-2])  # the records, without "[" and "\n]"
+            sep = ","
+        out.write("[]\n" if sep == "[" else "\n]\n")
         return
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
@@ -390,8 +387,7 @@ def cmd_ap_table(cfg: dict) -> int:
 
 
 def cmd_ef_report(cfg: dict) -> int:
-    from .curve import filter_twists
-    from .explicit_formula import CSV_COLUMNS, evaluate_reports
+    from .explicit_formula import CSV_COLUMNS, evaluate_reports, twist_windows
 
     curve = _resolve_curve(cfg)
     x = cfg.get("x", 1e4)
@@ -402,14 +398,17 @@ def cmd_ef_report(cfg: dict) -> int:
     if dmin > dmax:
         raise ConfigError(f"empty D range [{dmin}, {dmax}]")
     ds = range(dmin, dmax + 1)
-    _check_twist_cost(ds, x, f"D in [{dmin}, {dmax}] at x = {x:g}")
+    per_row = TWIST_SECONDS_PER_ROW[cfg.get("format", "csv")]
+    _check_twist_cost(ds, x, f"D in [{dmin}, {dmax}] at x = {x:g}", per_row)
     primes = _sieve_for(x)
     _check_model(curve, primes)
-    squarefree, coprime = bool(cfg.get("squarefree")), bool(cfg.get("coprime"))
-    twists = filter_twists(curve, ds, squarefree, coprime)
-    table = evaluate_reports(twists, math.log(x), primes)
+    windows = twist_windows(curve, ds, bool(cfg.get("squarefree")), bool(cfg.get("coprime")), x)
+    residues = ResidueTables()  # for every window
+    tables = (evaluate_reports(twists, math.log(x), primes, residues) for twists in windows)
+    first = next(tables)  # a refused curve (a conductor past 3e9) fails here, before any output
+    records = (rec for table in itertools.chain([first], tables) for rec in table.records())
     with _output(cfg.get("out")) as out:
-        _write_table(cfg, CSV_COLUMNS, table.records(), out)
+        _write_table(cfg, CSV_COLUMNS, records, out)
     return EXIT_OK
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -666,19 +666,17 @@ class Twists(namedtuple("Twists", "base D kernel fundamental_disc squarefree cop
         """The rows where keep (a boolean mask) holds, in order."""
         return Twists(self.base, *(column[keep] for column in self[1:]))  # every field but base
 
-    def conductor_bounds(self) -> List[int]:
+    def conductor_bounds(self) -> Iterator[int]:
         """N d_K^2 for a clean D (N D^2 if gcd(d_K, N) > 1), else 2^8 3^5 N d^2
         with d the kernel, as exact Python integers (they pass 2^63 for |D|
-        near 1e9 and beyond)."""
+        near 1e9 and beyond), made a block of rows at a time."""
         n = self.base.conductor
-        columns = (self.D, self.kernel, self.fundamental_disc, self.conductor_exact)
-        return [
-            n * (f if math.gcd(f, n) == 1 else D) ** 2 if exact else _UNCLEAN_BOUND * n * d * d
-            for D, d, f, exact in zip(*(c.tolist() for c in columns))
-        ]
+        rows = arith._column_rows(self.D, self.kernel, self.fundamental_disc, self.conductor_exact)
+        for D, d, f, exact in rows:
+            yield n * (f if math.gcd(f, n) == 1 else D) ** 2 if exact else _UNCLEAN_BOUND * n * d * d
 
 
-def twist_columns(curve: CurveModel, ds: range) -> Twists:
+def twist_columns(curve: CurveModel, ds: range, base: Optional[np.ndarray] = None) -> Twists:
     """The invariants of the twists of curve by every D of ds, a range of
     consecutive integers in ascending order (D = 0 gives a row with kernel
     0 that no filter keeps).
@@ -686,11 +684,12 @@ def twist_columns(curve: CurveModel, ds: range) -> Twists:
     The kernels come from one squarefree sieve over the range
     (arith.squarefree_kernels), the gcd with 2N from numpy, and the root
     numbers from legendre_matrix at the primes of N (_kronecker_minus_n);
-    nothing is done per D in Python.  |D| <= arith.SQUAREFREE_SIEVE_MAX.
+    nothing is done per D in Python.  |D| <= arith.SQUAREFREE_SIEVE_MAX;
+    base, if given, holds the sieve's primes (arith.squarefree_kernels).
     """
     if ds.step != 1:
         raise ValueError(f"twist_columns needs consecutive ascending D, got step {ds.step}")
-    kernel = squarefree_kernels(ds.start, ds.stop - 1)
+    kernel = squarefree_kernels(ds.start, ds.stop - 1, base)
     D = np.arange(ds.start, ds.start + kernel.size, dtype=np.int64)
     disc = np.where(kernel % 4 == 1, kernel, 4 * kernel)
     squarefree = (kernel == D) & (D != 0)
@@ -701,11 +700,14 @@ def twist_columns(curve: CurveModel, ds: range) -> Twists:
     return Twists(curve, D, kernel, disc, squarefree, coprime, root)
 
 
-def filter_twists(curve: CurveModel, ds: range, squarefree: bool, coprime: bool) -> Twists:
+def filter_twists(
+    curve: CurveModel, ds: range, squarefree: bool, coprime: bool, base: Optional[np.ndarray] = None
+) -> Twists:
     """The twists by the nonzero D of ds (consecutive, ascending) that are
     coprime to 2N, if asked, and squarefree, if asked, as columns from one
-    sieve over ds (twist_columns).  The only place a D becomes a twist."""
-    twists = twist_columns(curve, ds)
+    sieve over ds (twist_columns, with base).  The only place a D becomes a
+    twist."""
+    twists = twist_columns(curve, ds, base)
     keep = twists.D != 0
     if coprime:
         keep &= twists.coprime

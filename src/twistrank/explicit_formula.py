@@ -29,8 +29,9 @@ from .arith import (
     fixed_point_scale,
     legendre_matrix,
     round_fixed_point,
+    sieve_primes,
 )
-from .curve import CurveModel, Twists, ap_array, cpm
+from .curve import CurveModel, Twists, ap_array, cpm, filter_twists
 from .kernel import TriangleKernel, archimedean_integral, triangle
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "prime_sides",
     "character_reads",
     "evaluate_reports",
+    "twist_windows",
     "beta_array",
     "CSV_COLUMNS",
 ]
@@ -168,8 +170,8 @@ def _prime_plan(E: CurveModel, lam: float, primes: PrimeTable, cutoff: float) ->
     return _PrimePlan(columns=ps[used], groups=groups)
 
 
-# A chunk of prime_sides spans about this many times the largest prime
-# read, at the density of its D, and holds at least _CHUNK_ROWS rows: 2,048
+# A chunk of prime_sides spans about this many times e^lambda, at the
+# density of its D, and holds at least _CHUNK_ROWS rows: 2,048
 # rows put every prime up to 32,768 in arith.legendre_matrix's table rule,
 # D at a density of 1/16 or more (a sieve and a sign filter keep about
 # 1/5) read each prime's table laid end to end over the span, each table
@@ -250,7 +252,7 @@ def character_reads(rows: int, max_d: int, top: float) -> Dict[str, float]:
     return reads
 
 
-def _chunks(ds: np.ndarray, top: int) -> Iterator[tuple]:
+def _chunks(ds: np.ndarray, top: float) -> Iterator[tuple]:
     """(start, rows) of the chunks of ds, of equal length up to one row,
     each spanning about _CHUNK_SPAN_PER_PRIME * top at the density of ds."""
     if not ds.size:
@@ -264,7 +266,7 @@ def _chunks(ds: np.ndarray, top: int) -> Iterator[tuple]:
 
 
 def prime_sides(
-    curve: CurveModel, ds: Sequence[int], kernel: TriangleKernel, primes: PrimeTable, kernels=None
+    curve: CurveModel, ds: Sequence[int], kernel: TriangleKernel, primes: PrimeTable, kernels=None, tables=None
 ) -> np.ndarray:
     """The m = 1, m = 2 and m >= 3 partial sums of the prime side of the
     twists of curve by each D of ds, as the rows of a (3, len(ds)) array.
@@ -274,8 +276,9 @@ def prime_sides(
     character comes from the per-(curve, lambda) plan, and characters are
     evaluated only at the plan's columns, the primes with a nonzero term.
     The twists go in chunks of rows (_chunks), each spanning a few times
-    the largest column, and the characters of a chunk in blocks of primes
-    (_character_blocks).  The sum is exact fixed point: the plan holds each
+    e^lambda, and the characters of a chunk in blocks of primes
+    (_character_blocks), reading the residue tables kept in tables (one
+    per call if None).  The sum is exact fixed point: the plan holds each
     group's terms as integer multiples of 2^emin in limbs summed per prime
     and parity of m (_Group), a block of characters times those adds each
     twist's integers exactly, and arith.round_fixed_point rounds them once
@@ -294,8 +297,8 @@ def prime_sides(
     ds = np.asarray(ds, dtype=np.int64)
     kernels = ds if kernels is None else np.asarray(kernels, dtype=np.int64)
     out = np.empty((3, ds.size))
-    tables = ResidueTables()  # a large prime's table serves every chunk
-    for start, step in _chunks(ds, int(plan.columns[-1]) if plan.columns.size else 0):
+    tables = ResidueTables() if tables is None else tables  # a prime's table serves every chunk
+    for start, step in _chunks(ds, cutoff):
         chunk = ds[start : start + step]
         sums = [np.zeros((chunk.size, g.odd.shape[1]), dtype=np.int64) for g in plan.groups]
         for first, chi in _character_blocks(plan.columns, chunk, kernels[start : start + step], tables):
@@ -358,18 +361,37 @@ class ExplicitFormulaTable(
             }
 
 
-def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable) -> ExplicitFormulaTable:
+# D per window of twist_windows, at least: a window's columns, about 100
+# bytes per candidate D, are all a sweep or an ef-report holds of its family.
+_WINDOW_D = 1 << 18
+
+
+def twist_windows(curve: CurveModel, ds: range, squarefree: bool, coprime: bool, x: float) -> Iterator[Twists]:
+    """filter_twists over consecutive windows of ds (consecutive, ascending),
+    each at least _WINDOW_D D and whole chunks of prime_sides at e^lambda = x
+    (_CHUNK_SPAN_PER_PRIME * x D each), the chunks one pass would make; the
+    squarefree sieve's base primes, to sqrt(max |D|), are sieved once."""
+    span = math.ceil(_CHUNK_SPAN_PER_PRIME * x)
+    width = -(-_WINDOW_D // span) * span
+    top = max(abs(ds[0]), abs(ds[-1])) if ds else 0
+    base = sieve_primes(max(math.isqrt(top), 2)).primes
+    for start in range(0, len(ds), width):
+        yield filter_twists(curve, ds[start : start + width], squarefree, coprime, base)
+
+
+def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable, tables=None) -> ExplicitFormulaTable:
     """The explicit-formula columns of a batch of twists, from one
-    prime_sides call: total_S = log_conductor - 2*(m1 + m2 + tail) -
-    archimedean and rank_bound = total_S / lambda, evaluated row by row in
-    IEEE arithmetic exactly as for one twist.  log_conductor is math.log of
-    each exact integer conductor bound.  A row's prime side is that of its
-    squarefree kernel d, as x = m^2 X, y = m^3 Y makes E_{d m^2} and E_d
-    isomorphic over Q; prime_sides runs over the D, dense in their span
-    where the kernels of a window far from 0 are not."""
+    prime_sides call (given the residue tables): total_S = log_conductor -
+    2*(m1 + m2 + tail) - archimedean and rank_bound = total_S / lambda,
+    evaluated row by row in IEEE arithmetic exactly as for one twist.
+    log_conductor is math.log of each exact integer conductor bound, a block
+    of rows at a time.  A row's prime side is that of its squarefree kernel
+    d, as x = m^2 X, y = m^3 Y makes E_{d m^2} and E_d isomorphic over Q;
+    prime_sides runs over the D, dense in their span where the kernels of a
+    window far from 0 are not."""
     kernel = TriangleKernel(lam)
-    m1, m2, tail = prime_sides(twists.base, twists.D, kernel, primes, twists.kernel)
-    log_n = np.array([math.log(n) for n in twists.conductor_bounds()], dtype=float)
+    m1, m2, tail = prime_sides(twists.base, twists.D, kernel, primes, twists.kernel, tables)
+    log_n = np.fromiter(map(math.log, twists.conductor_bounds()), dtype=float, count=len(twists))
     arch = 2.0 * archimedean_integral(kernel) + 2.0 * math.log(2.0 * math.pi)
     total = log_n - 2.0 * (m1 + m2 + tail) - arch
     return ExplicitFormulaTable(twists, lam, log_n, m1, m2, tail, arch, total, total / lam)

@@ -6,44 +6,42 @@ Families are selected by a one-sided smooth weight W(D/T), optionally
 restricted to squarefree D coprime to 2N (the regime where conductors are
 exact and root numbers are defined).
 
-A family is a set of numpy columns (Family): D and the twist invariants
-from one squarefree sieve over the support, W, and the explicit-formula
-columns from one batched prime side.  No object is built per twist; what
-stays per element in Python is what numpy does not round as libm does:
-math.exp in W (one kernel.weight_eval call per family), math.log of each
-exact conductor, and the k-th power.  The statistics are exact sums over
-the columns (arith.ExactSums: the floats
-math.fsum gives, without its per-element loop); the weight column and the
-weighted rank bounds are split into fixed point once per family, and every
-total and masked sum of the reductions reads those two splits.
+A family is walked once, in consecutive windows of D (family_windows):
+per window one squarefree sieve, W over the twists the filters keep, the
+rows of weight 0 and of the other sign dropped, one batched prime side, and
+the rows folded into the exact sums the statistics read (FamilySums,
+carried across windows as integers: the floats math.fsum gives over the
+whole family).  No object is built per twist, and no column outlives its
+window.  What stays per element in Python is what numpy does not round as
+libm does: math.exp in W, math.log of each exact conductor, and the k-th
+power.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import cached_property
 from math import comb, fsum
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
-from .arith import ExactSums, PrimeTable, exact_sum
-from .curve import CurveModel, Twists, filter_twists
-from .explicit_formula import ExplicitFormulaTable, evaluate_reports
+from .arith import ExactSums, PrimeTable, ResidueTables
+from .curve import CurveModel, filter_twists
+from .explicit_formula import ExplicitFormulaTable, evaluate_reports, twist_windows
 from .kernel import SmoothWeight, weight_eval
 
 __all__ = [
     "MomentConfig",
     "MomentRow",
-    "Family",
+    "FamilySums",
     "EmptyFamilyError",
     "X_k",
     "theoretical_moment_bound",
     "rank_density_bound",
     "lowzero_density_bound",
     "filter_twists",
-    "family_twist_values",
+    "family_windows",
     "sweep_family",
     "weighted_moment",
     "sign_partition_stats",
@@ -53,6 +51,7 @@ __all__ = [
     "RANK_DENSITY_BASE",
     "LOWZERO_DENSITY_BASE",
     "SINC_HALF_SQUARED",
+    "RANK_TAIL_LEVELS",
 ]
 
 # Reference constants for the k = 1 comparisons and the density bounds.
@@ -61,6 +60,10 @@ HEATH_BROWN_K1 = 1.5
 RANK_DENSITY_BASE = 1.44467
 LOWZERO_DENSITY_BASE = 1.402408
 SINC_HALF_SQUARED = 0.9193953884  # (sin(1/2) / (1/2))^2
+
+# The root-number classes of sign_partition_stats; the levels R of empirical_rank_tail.
+ROOT_CLASSES = (("plus", 1), ("minus", -1), ("undefined", 0))
+RANK_TAIL_LEVELS = (0, 1, 2)
 
 
 class EmptyFamilyError(ValueError):
@@ -161,62 +164,59 @@ class MomentConfig(namedtuple("MomentConfig", "curve k x weight T squarefree_onl
         return "+".join(parts)
 
 
-class Family:
-    """A twist family as columns, ascending in D: the twists, their weights
-    W(D/T) and, once sweep_family has evaluated them, their explicit-formula
-    columns (table, None before).  The fields are read-only; the exact sums
-    are made on first use."""
+class FamilySums:
+    """The exact sums (arith.ExactSums) a swept family's statistics read, its
+    rows added a window at a time: with B the rank bound and W the weight, the
+    count, W, W*B and, for k > 1, W*B^k over every row; per root number (+1,
+    -1, 0) the count, W and W*B; and W over the rows with B >= R, R in
+    RANK_TAIL_LEVELS."""
 
-    def __init__(self, twists: Twists, weight: np.ndarray, table: Optional[ExplicitFormulaTable] = None):
-        self.__dict__.update(twists=twists, weight=weight, table=table)
+    def __init__(self, k: int):
+        self.k, self.size, self.class_sizes = k, 0, [0] * len(ROOT_CLASSES)
+        self.weight = ExactSums(1 + len(ROOT_CLASSES) + len(RANK_TAIL_LEVELS))  # all, classes, tails
+        self.bound = ExactSums(1 + len(ROOT_CLASSES))  # all, classes
+        self.power = ExactSums(1)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to Family.{name}")
-
-    def __len__(self) -> int:
-        return len(self.twists)
-
-    def select(self, keep: np.ndarray) -> "Family":
-        """The unevaluated family of the rows where keep holds."""
-        return Family(self.twists.select(keep), self.weight[keep])
-
-    @cached_property
-    def weight_sums(self) -> ExactSums:
-        """Exact sums of W over subsets of the rows; .total is the weighted count."""
-        return ExactSums(self.weight)
-
-    @cached_property
-    def bound_sums(self) -> ExactSums:
-        """Exact sums of W * rank_bound over subsets of the rows of a swept family."""
-        return ExactSums(self.weight * self.table.rank_bound)
+    def add(self, weight: np.ndarray, table: ExplicitFormulaTable) -> None:
+        """Fold in the rows of one evaluated window, weight aligned with table."""
+        bound = table.rank_bound
+        classes = [table.twists.root_number == sign for _, sign in ROOT_CLASSES]
+        self.size += len(table)
+        self.class_sizes = [n + int(np.count_nonzero(sel)) for n, sel in zip(self.class_sizes, classes)]
+        self.weight.add(weight, [None, *classes, *(bound >= R for R in RANK_TAIL_LEVELS)])
+        self.bound.add(weight * bound, [None, *classes])
+        if self.k > 1:
+            self.power.add(np.array([b**self.k for b in bound.tolist()], dtype=float) * weight, [None])
 
 
-def family_twist_values(config: MomentConfig) -> Family:
-    """The twists by every D != 0 inside the weight support with W(D/T) > 0
-    that pass the filters, with their weights, ascending in D.  W is
-    evaluated in one call over the twists the filters keep; sign filtering
-    happens later, once root numbers exist."""
-    twists = filter_twists(config.curve, config.support_ds(), config.squarefree_only, config.coprime_to_2N)
-    family = Family(twists, weight_eval(config.weight, twists.D / config.T))
-    return family.select(family.weight > 0.0)
+def family_windows(config: MomentConfig, primes: PrimeTable) -> Iterator[tuple]:
+    """(weight, table) per window (twist_windows) of the twists by every D != 0
+    in the weight support with W(D/T) > 0 that pass the filters, sign included,
+    ascending in D.  W is one call over the twists a window's filters keep; the
+    sign filter reads the root numbers before any prime-side work."""
+    flags = (config.squarefree_only, config.coprime_to_2N)
+    tables = ResidueTables()  # each residue table built once for every window
+    for twists in twist_windows(config.curve, config.support_ds(), *flags, config.x):
+        weight = weight_eval(config.weight, twists.D / config.T)
+        keep = weight > 0.0
+        if config.sign != "any":
+            keep &= twists.root_number == (1 if config.sign == "plus" else -1)
+        if keep.any():
+            yield weight[keep], evaluate_reports(twists.select(keep), config.lam, primes, tables)
 
 
-def sweep_family(config: MomentConfig, primes: PrimeTable) -> Family:
-    """Evaluate the explicit formula on every family member, ascending in D.
-
-    The sign filter reads the root-number column before any prime-side work;
-    the kept rows are evaluated as one batch.  Raises EmptyFamilyError when
-    no twist survives.
-    """
-    family = family_twist_values(config)
-    if config.sign != "any":
-        family = family.select(family.twists.root_number == (1 if config.sign == "plus" else -1))
-    if not len(family):
+def sweep_family(config: MomentConfig, primes: PrimeTable) -> FamilySums:
+    """The sums of the family (family_windows), each window folded in as it
+    is evaluated.  Raises EmptyFamilyError when no twist survives."""
+    sums = FamilySums(config.k)
+    for weight, table in family_windows(config, primes):
+        sums.add(weight, table)
+    if not sums.size:
         raise EmptyFamilyError(
             f"no twist passes the filters for T={config.T}, support "
             f"({config.weight.support_lo}, {config.weight.support_hi})"
         )
-    return Family(family.twists, family.weight, evaluate_reports(family.twists, config.lam, primes))
+    return sums
 
 
 class MomentRow(
@@ -236,28 +236,24 @@ class MomentRow(
         return {**self._asdict(), "ratio": self.ratio}
 
 
-def weighted_moment(config: MomentConfig, family: Family) -> MomentRow:
+def weighted_moment(config: MomentConfig, family: FamilySums) -> MomentRow:
     """Empirical weighted k-th moment of total_S/lambda over a swept family
     (nonempty, as sweep_family returns it)."""
-    wsum = family.weight_sums.total
-    if config.k == 1:  # b ** 1 is b: bound_sums saves a split, 1 ms of a 4,000-twist sweep
-        msum = family.bound_sums.total
-    else:
-        powered = np.array([b ** config.k for b in family.table.rank_bound.tolist()], dtype=float)
-        msum = exact_sum(powered * family.weight)
+    wsum = family.weight.totals()[0]
+    msum = (family.power if config.k > 1 else family.bound).totals()[0]
     return MomentRow(
         k=config.k,
         x=config.x,
         T=float(config.T),
         filter_flags=config.filter_flags(),
         weighted_count=wsum,
-        family_size=len(family),
+        family_size=family.size,
         empirical_moment=msum / wsum,
         theoretical_bound=theoretical_moment_bound(config.k),
     )
 
 
-def sign_partition_stats(family: Family) -> dict:
+def sign_partition_stats(family: FamilySums) -> dict:
     """Per-root-number averages of the rank bound plus the Markov-type
     fraction estimators, over a swept family.
 
@@ -269,20 +265,18 @@ def sign_partition_stats(family: Family) -> dict:
     Rows with root number 0 are counted as "undefined"; on a family without
     the squarefree and coprime filters that holds every unclean twist.
     """
-    classes = (("plus", 1), ("minus", -1), ("undefined", 0))
-    masks = [family.twists.root_number == sign for _, sign in classes]
-    wsums = family.weight_sums.sums(masks)
-    bsums = family.bound_sums.sums(masks)
+    weights = family.weight.totals()
+    bounds = family.bound.totals()
     out: dict = {
-        "family_size": len(family),
-        "weighted_count": family.weight_sums.total,
+        "family_size": family.size,
+        "weighted_count": weights[0],
         "derivation": (
             "rank0_fraction_lb = 1 - avg/2 (even ranks, Markov at 2); "
             "rank1_fraction_lb = (3 - avg)/2 (odd ranks, Markov at 3)"
         ),
     }
-    for (name, sign), sel, wsum, bsum in zip(classes, masks, wsums, bsums):
-        size = int(np.count_nonzero(sel))
+    for i, (name, sign) in enumerate(ROOT_CLASSES):
+        size, wsum, bsum = family.class_sizes[i], weights[1 + i], bounds[1 + i]
         rec = {
             "family_size": size,
             "weighted_count": wsum,
@@ -296,7 +290,8 @@ def sign_partition_stats(family: Family) -> dict:
     return out
 
 
-def empirical_rank_tail(family: Family, R: float) -> float:
-    """Weighted fraction of a swept family with rank_bound >= R."""
-    (tail,) = family.weight_sums.sums([family.table.rank_bound >= R])
-    return tail / family.weight_sums.total
+def empirical_rank_tail(family: FamilySums, R: float) -> float:
+    """Weighted fraction of a swept family with rank_bound >= R, for R in
+    RANK_TAIL_LEVELS (ValueError otherwise)."""
+    weights = family.weight.totals()
+    return weights[1 + len(ROOT_CLASSES) + RANK_TAIL_LEVELS.index(R)] / weights[0]

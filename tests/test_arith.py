@@ -383,6 +383,13 @@ class TestSquarefreeKernels:
             squarefree_kernels(-(10**16) - 1, 0)
 
 
+def exact_sum(values):
+    """The sum of every row of values by arith.ExactSums, one window."""
+    sums = arith.ExactSums(1)
+    sums.add(values, [None])
+    return sums.totals()[0]
+
+
 class TestExactSum:
     """The fixed-point sums against math.fsum, repr for repr."""
 
@@ -403,13 +410,13 @@ class TestExactSum:
             values = rng.choice((-1.0, 1.0), n) * np.ldexp(rng.random(n) + 0.5, rng.integers(-60, 11, n))
             signs = rng.integers(-1, 2, (50, n)).astype(np.int8)
             assert repr(self._matrix_sums(values, signs)) == repr(self._fsum_rows(values, signs))
-            assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+            assert repr(exact_sum(values)) == repr(math.fsum(values.tolist()))
 
     def test_exact_cancellation_is_zero(self):
         values = np.array([0.1, 2.0**-60, -0.1, 1e3, -(2.0**-60), -1e3])
         assert self._matrix_sums(values, np.ones((1, 6), dtype=np.int8)) == [0.0]
-        assert repr(arith.exact_sum(values)) == "0.0" == repr(math.fsum(values.tolist()))
-        assert arith.exact_sum(np.array([-0.0, 0.0])) == 0.0
+        assert repr(exact_sum(values)) == "0.0" == repr(math.fsum(values.tolist()))
+        assert exact_sum(np.array([-0.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize(
         "values",
@@ -427,12 +434,40 @@ class TestExactSum:
         values = np.array(values)
         ones = np.ones((1, values.size), dtype=np.int8)
         assert repr(self._matrix_sums(values, ones)) == repr([math.fsum(values.tolist())])
-        assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+        assert repr(exact_sum(values)) == repr(math.fsum(values.tolist()))
 
     def test_subnormal_and_wide_ranges(self):
         rng = np.random.default_rng(17)
         for lo, hi in ((-1074, -1000), (-1074, 1000), (-200, 1000)):
             values = rng.choice((-1.0, 1.0), 400) * np.ldexp(rng.random(400) + 0.5, rng.integers(lo, hi, 400))
-            assert repr(arith.exact_sum(values)) == repr(math.fsum(values.tolist()))
+            assert repr(exact_sum(values)) == repr(math.fsum(values.tolist()))
         tiny = np.array([5e-324, 5e-324, -1e-323 * 0.5])
-        assert repr(arith.exact_sum(tiny)) == repr(math.fsum(tiny.tolist()))
+        assert repr(exact_sum(tiny)) == repr(math.fsum(tiny.tolist()))
+
+    def test_windows_add_as_integers(self):
+        # subsets summed a window at a time, each window at its own scale,
+        # give math.fsum over the whole column
+        rng = np.random.default_rng(19)
+        for lo, hi in ((-1074, -1000), (-60, 11), (-1074, 1000)):
+            values = rng.choice((-1.0, 1.0), 900) * np.ldexp(rng.random(900) + 0.5, rng.integers(lo, hi, 900))
+            masks = [None, values > 0, np.abs(values) < 1e-300]
+            sums = arith.ExactSums(len(masks))
+            for start in range(0, values.size, 97):
+                window = slice(start, start + 97)
+                sums.add(values[window], [None if m is None else m[window] for m in masks])
+            expected = [math.fsum((values if m is None else values[m]).tolist()) for m in masks]
+            assert repr(sums.totals()) == repr(expected)
+        # windows of normal values whose total is subnormal
+        sums = arith.ExactSums(1)
+        for window in ([2.0**-1000, 3 * 2.0**-1074], [-(2.0**-1000)], [5 * 2.0**-1074]):
+            sums.add(np.array(window), [None])
+        whole = [2.0**-1000, 3 * 2.0**-1074, -(2.0**-1000), 5 * 2.0**-1074]
+        assert sums.totals() == [math.fsum(whole)] == [2.0**-1071]
+
+    def test_subnormal_totals_round_once(self):
+        # sets whose total is subnormal, against math.fsum
+        rng = np.random.default_rng(23)
+        for _ in range(2000):
+            n = int(rng.integers(1, 12))
+            values = rng.choice((-1.0, 1.0), n) * np.ldexp(rng.random(n), rng.integers(-1074, -1022, n))
+            assert repr(exact_sum(values)) == repr(math.fsum(values.tolist()))

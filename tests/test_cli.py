@@ -14,6 +14,7 @@ import pytest
 import twistrank
 import twistrank.cli as cli_mod
 import twistrank.curve as curve_mod
+import twistrank.explicit_formula as ef_mod
 import twistrank.family_moments as fm
 import twistrank.verification_lab as vl
 from twistrank.cli import (
@@ -25,7 +26,7 @@ from twistrank.cli import (
     main,
 )
 from twistrank.explicit_formula import CSV_COLUMNS, evaluate_reports
-from twistrank.family_moments import MomentConfig, family_twist_values, filter_twists
+from twistrank.family_moments import MomentConfig, filter_twists
 from twistrank.kernel import SmoothWeight
 
 
@@ -434,11 +435,22 @@ class TestEfReport:
         assert out.splitlines()[1].split(",")[:2] == ["1", "1.0"]
 
 
+    @pytest.mark.parametrize("command", [["ef-report", "--dmin", "1", "--dmax", "5"], ["sweep", "--T", "60"]])
+    def test_conductor_past_3e9_refused_without_file(self, tmp_path, capsys, command):
+        # y^2 = x^3 + x with N = 3000000019: the root numbers' symbols are
+        # exact only below 3e9; the refusal comes before the output opens
+        out = tmp_path / "never.csv"
+        args = command + ["--curve=1,0,3000000019,1,0,0", "--x", "100", "--out", str(out)]
+        code, _, err = run(args, capsys)
+        assert code == EXIT_CONFIG and "conductor below 3000000000" in err, err
+        assert not out.exists()
+
     def test_memory_per_row(self):
-        # the rows are written as they are made, a block at a time: peak RSS
-        # grows by less than 320 bytes per row between 5e4 and 1.5e5 rows
-        # (about 250 measured; about 380 with whole columns as lists, about
-        # 900 with the records held as one list)
+        # the rows are written as they are made, a block at a time, and the
+        # conductor bounds logged a block at a time: peak RSS grows by less
+        # than 160 bytes per row between 5e4 and 1.5e5 rows (about 80
+        # measured; about 250 with the bounds as one list, about 380 with
+        # whole columns as lists, about 900 with the records held as one list)
         env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
 
         def peak_rss(rows):
@@ -450,7 +462,7 @@ class TestEfReport:
             return usage.ru_maxrss * 1024  # kilobytes on Linux
 
         per_row = (peak_rss(150_000) - peak_rss(50_000)) / 100_000
-        assert per_row < 320, per_row
+        assert per_row < 160, per_row
 
 
 class TestSweep:
@@ -506,6 +518,23 @@ class TestSweep:
         assert code == EXIT_OK
         assert out.splitlines()[1].split(",")[3] == "squarefree+coprime+sign=any"
 
+    def test_memory_flat_across_windows(self):
+        # a sweep walks its support in windows of 2^18 D: peak RSS grows by
+        # less than 25 bytes per candidate D from 1e6 to 2e6 candidates
+        # (about 4 measured; about 100 when the family was held as columns)
+        env = dict(os.environ, PYTHONPATH=str(Path(twistrank.__file__).resolve().parents[1]))
+
+        def peak_rss(T):
+            args = ["sweep", "--x", "30", "--T", T]
+            proc = subprocess.Popen([sys.executable, "-m", "twistrank.cli", *args], stdout=subprocess.DEVNULL, env=env)
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            assert proc.returncode == EXIT_OK
+            return usage.ru_maxrss * 1024  # kilobytes on Linux
+
+        per_candidate = (peak_rss("4e6") - peak_rss("2e6")) / 1e6
+        assert per_candidate < 25, per_candidate
+
     def test_empty_family_exits_2_without_file(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code, _, err = run(
@@ -519,12 +548,12 @@ class TestSweep:
 class TestTwistBudget:
     @pytest.fixture
     def no_enumeration(self, monkeypatch):
-        # nothing may enumerate: an unrefused k = 2 sweep would hold columns
-        # over 5e7 D before any other work
+        # nothing may enumerate: a refused run must not start its windows
         def no_enumeration(*args, **kwargs):
             raise AssertionError("twist enumeration started")
 
-        monkeypatch.setattr(fm, "family_twist_values", no_enumeration)
+        monkeypatch.setattr(fm, "twist_windows", no_enumeration)
+        monkeypatch.setattr(ef_mod, "twist_windows", no_enumeration)
         monkeypatch.setattr(fm, "filter_twists", no_enumeration)
         monkeypatch.setattr(curve_mod, "filter_twists", no_enumeration)
         monkeypatch.setattr(curve_mod, "twist_columns", no_enumeration)
@@ -537,6 +566,8 @@ class TestTwistBudget:
             ["sweep", "--curve", "cm32-like", "--x", "1e6", "--T", "4e6"],
             # 1e5 D near 1e12 over 6.2e5 primes, all but 16,385 by Euler's criterion: 6 h
             ["ef-report", "--x", "1e7", "--dmin", str(10**12), "--dmax", str(10**12 + 10**5)],
+            # 2e7 D at x = 1e4: 3.0 min of twists, 11 min with the rows written
+            ["ef-report", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"],
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
@@ -544,19 +575,14 @@ class TestTwistBudget:
             assert "budget of 10 min" in err, err
             assert out == ""
 
-    def test_beyond_sieve_or_memory_cap_refused(self, no_enumeration, capsys):
-        # |D| above 1e16 needs base primes past the prime-table cap; 1e7
-        # candidates at x = 30 fit the time budget but not in memory
+    def test_beyond_sieve_cap_refused(self, no_enumeration, capsys):
+        # |D| above 1e16 needs base primes past the prime-table cap
         for args, reason in (
             (["ef-report", "--x", "100", "--dmin", str(10**16), "--dmax", str(10**16 + 1)], "above the cap"),
             (["ef-report", "--x", "100", "--dmin", str(-(10**16) - 1), "--dmax", "-5"], "above the cap"),
             # |D| to 10 significant digits, not all 309 of them
             (["sweep", "--T", "1e308"], "reaches |D| = 1.000000000e+308, above the cap"),
             (["ef-report", "--dmax", str(10**20)], "reaches |D| = 1.000000000e+20, above the cap"),
-            (["sweep", "--x", "30", "--T", "2e7"], "in-memory cap"),
-            # T = X_2(1e3), about 1.1e8: 3.8 min of twists, but 5.4e7 candidates
-            (["sweep", "--curve", "cm32-like", "--k", "2"], "in-memory cap"),
-            (["ef-report", "--x", "1e4", "--dmin", "-10000000", "--dmax", "10000000"], "in-memory cap"),
         ):
             code, out, err = run(args, capsys)
             assert code == EXIT_CONFIG, args
@@ -577,6 +603,8 @@ class TestTwistBudget:
             ["sweep", "--curve", "cm32-like", "--x", "1e4"],  # estimated at 3 s
             ["sweep", "--curve", "ncm37", "--x", "3e4"],  # estimated at 18 s
             ["sweep", "--curve", "ncm37", "--x", "1e5"],  # estimated at 2.2 min
+            # T = X_2(1e3), about 1.1e8: 5.4e7 candidates, walked in windows
+            ["sweep", "--curve", "cm32-like", "--k", "2"],  # estimated at 3.8 min
         ]
         commands += [
             workloads.make_spec(name, 1).command("out.csv") for name in ("family-sweep", "high-lambda")
@@ -605,6 +633,12 @@ class TestTwistBudget:
         for ds, x, expected in cases:
             assert cli_mod._twist_cost_estimate(ds, x) == pytest.approx(expected, rel=1e-12), ds
         assert cli_mod._twist_cost_estimate(range(0), 1e4) == 0.0
+        # an ef-report adds the price of writing each row, by format
+        ds, x, expected = cases[0]
+        for fmt, per_row in (("csv", 25e-6), ("json", 50e-6)):
+            assert cli_mod.TWIST_SECONDS_PER_ROW[fmt] == per_row
+            got = cli_mod._twist_cost_estimate(ds, x, per_row)
+            assert got == pytest.approx(expected + 2 * 10**5 * per_row, rel=1e-12), fmt
         # k = 1 at x = 3e4 (9.8e5 candidates): 18 s, where a price of
         # Euler's criterion on every cell gave 17 min
         ds = MomentConfig(curve=ncm_curve, k=1, x=3e4, weight=SmoothWeight(0.5, 1.0)).support_ds()
@@ -818,6 +852,16 @@ class TestGoldenBytes:
         got = {suffix: hashlib.sha256(Path(f"{out}{suffix}").read_bytes()).hexdigest() for suffix in digests}
         assert got == digests
 
+    @pytest.mark.parametrize("case", [case for case in CASES if case.startswith(("sweep", "ef-report"))])
+    def test_sha256_in_small_windows(self, tmp_path, capsys, monkeypatch, case):
+        # the families walked in windows of 37 D (hundreds of windows for a
+        # sweep, three for the ef-reports): a chunk span of one D at every x
+        # makes each window 37 D and its prime side one chunk, and the sums
+        # carried across windows give the same bytes
+        monkeypatch.setattr(ef_mod, "_WINDOW_D", 37)
+        monkeypatch.setattr(ef_mod, "_CHUNK_SPAN_PER_PRIME", 1e-9)
+        self.test_sha256(tmp_path, capsys, case)
+
 
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
@@ -1026,7 +1070,7 @@ class TestBenchmarkInterface:
         code = "import json, sys\nimport twistrank.verification_lab\nprint(json.dumps('scipy' in sys.modules))"
         assert _probe(code) is True
 
-    def test_tracer_names_resolve(self, cm_curve):
+    def test_tracer_names_resolve(self):
         tracer = _bench_module("tracer")
         # deleted from the program before the tracer caught up; the tracer's
         # next change retires them
@@ -1040,6 +1084,7 @@ class TestBenchmarkInterface:
             "explicit_formula.prime_side",
             "arith.squarefree_part",
             "arith.fundamental_discriminant",
+            "family_moments.family_twist_values",
         }
         names = [f"{layer}.{func}" for layer, funcs in tracer.SPANS.items() for func in funcs]
         names += [full for funcs in tracer.COUNTERS.values() for full in funcs]
@@ -1052,11 +1097,3 @@ class TestBenchmarkInterface:
             if not callable(obj):
                 unresolved.add(full)
         assert unresolved <= stale
-
-        # the enumeration hook reads args[0] as the config and len(result)
-        cfg = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
-        result = family_twist_values(cfg)
-        counts = {}
-        tracer._count_family(counts, (cfg,), result)
-        assert counts["family_moments.kept"] == len(result) == len(result.twists.D) > 0
-        assert counts["family_moments.candidates"] == 49  # D = 51..99

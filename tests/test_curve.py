@@ -535,7 +535,7 @@ class TestTwisting:
 
     def test_conductor_bound(self, cm_curve, ncm_curve):
         tw = twist_columns(ncm_curve, range(1, 6))  # D = 1..5
-        bounds = tw.conductor_bounds()
+        bounds = list(tw.conductor_bounds())
         assert bounds[0] == 37
         assert tw.conductor_exact[4] and bounds[4] == 37 * 25
         assert not tw.conductor_exact[3]

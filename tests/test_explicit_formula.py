@@ -15,8 +15,9 @@ from twistrank.explicit_formula import (
     evaluate_reports,
     prime_sides,
 )
-from twistrank.family_moments import filter_twists
-from twistrank.kernel import TriangleKernel, triangle
+from twistrank.cli import main
+from twistrank.family_moments import MomentConfig, filter_twists, sweep_family
+from twistrank.kernel import SmoothWeight, TriangleKernel, triangle
 
 from conftest import (
     cpm_reference,
@@ -177,13 +178,13 @@ class TestBatchInvariance:
 
     @pytest.fixture
     def chunk(self, monkeypatch):
-        # chunks of one span of the largest prime, 97, at the density of the
-        # D; blocks of 4 primes
+        # chunks of one span of e^lambda = 100 at the density of the D;
+        # blocks of 4 primes
         monkeypatch.setattr(ef, "_CHUNK_ROWS", 1)
         monkeypatch.setattr(ef, "_CHUNK_SPAN_PER_PRIME", 1)
         monkeypatch.setattr(ef, "_BLOCK_PRIMES", 4)
         monkeypatch.setattr(ef, "_BLOCK_CELLS", 100)
-        return 97
+        return 100
 
     @staticmethod
     def _one_by_one(curve, ds, kern, primes):
@@ -191,8 +192,6 @@ class TestBatchInvariance:
 
     def test_batch_lengths_around_the_chunk(self, ncm_curve, primes_1e4, chunk):
         kern = TriangleKernel(math.log(self.X))
-        plan = ef._prime_plan(ncm_curve, kern.lam, primes_1e4, ef._require_table(primes_1e4, kern.lam))
-        assert int(plan.columns[-1]) == chunk
         ds = [D for D in range(-chunk, chunk) if D]
         # the shortest prefix of ds that _chunks splits in two
         split = next(n for n in range(1, len(ds)) if len(list(ef._chunks(np.array(ds[:n]), chunk))) == 2)
@@ -220,6 +219,20 @@ class TestBatchInvariance:
             assert twists.D.tolist() == [D for D in range(-half, half) if D]
             expected = [one_twist(curve, D, kern.lam, primes_1e4) for D in twists.D.tolist()]
             assert repr(list(table.records())) == repr(expected), curve.label
+
+    def test_windows_are_whole_chunks_of_one_pass(self, ncm_curve, chunk, monkeypatch):
+        # windows of at least _WINDOW_D = 250 D and whole chunk spans (100 D
+        # at x = 100), in order: together the twists of one filter_twists
+        # pass, split at chunk boundaries
+        monkeypatch.setattr(ef, "_WINDOW_D", 250)
+        ds = range(-1234, 1000)
+        windows = list(ef.twist_windows(ncm_curve, ds, True, True, self.X))
+        whole = filter_twists(ncm_curve, ds, True, True)
+        assert np.concatenate([w.D for w in windows]).tolist() == whole.D.tolist()
+        for i, w in enumerate(windows):
+            assert ds.start + 300 * i <= w.D.min() and w.D.max() < ds.start + 300 * (i + 1)
+            assert len(list(ef._chunks(w.D, chunk))) <= 3
+        assert len(windows) == 8
 
 
 class TestResidueTables:
@@ -254,6 +267,20 @@ class TestResidueTables:
         once = set(builds)
         prime_sides(ncm_curve, self.DS, kern, primes_1e4)  # no process-wide store: built again
         assert builds == Counter(dict.fromkeys(once, 2))
+
+    def test_a_family_builds_each_table_once(self, ncm_curve, primes_1e4, builds, monkeypatch, tmp_path):
+        # a sweep's windows and an ef-report's share one ResidueTables: three
+        # windows of 4,000 D at x = 1e3, each table of the prime side built
+        # once (the root numbers read the table of 37 once a window)
+        monkeypatch.setattr(ef, "_WINDOW_D", 1000)
+        config = MomentConfig(curve=ncm_curve, k=1, x=self.X, weight=SmoothWeight(0.5, 1.0), T=24000.0)
+        assert len(list(ef.twist_windows(ncm_curve, config.support_ds(), True, True, self.X))) == 3
+        assert sweep_family(config, primes_1e4).size
+        assert builds and set(builds.values()) - {builds[37]} == {1}
+        builds.clear()
+        out = tmp_path / "ef.csv"
+        assert main(["ef-report", "--curve", "ncm37", "--x", "1000", "--dmin", "1", "--dmax", "12000", "--out", str(out)]) == 0
+        assert builds and set(builds.values()) - {builds[37]} == {1}
 
     def test_tables_past_the_bound_are_built_per_chunk(self, ncm_curve, primes_1e4, builds, monkeypatch):
         kern = TriangleKernel(math.log(self.X))
@@ -359,7 +386,7 @@ class TestColumnarOracle:
         ref = [trial_twist_invariants(curve, D) for D in twists.D.tolist()]
         for name in ("kernel", "fundamental_disc", "squarefree", "coprime", "conductor_exact", "root_number"):
             assert getattr(twists, name).tolist() == [r[name] for r in ref], name
-        assert twists.conductor_bounds() == [r["conductor_bound"] for r in ref]
+        assert list(twists.conductor_bounds()) == [r["conductor_bound"] for r in ref]
 
     @pytest.mark.parametrize("filtered", [True, False])
     def test_invariants_equal_trial_division(self, catalog, filtered):

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import twistrank.explicit_formula as ef
@@ -9,12 +10,13 @@ from twistrank import arith
 from twistrank.arith import is_squarefree
 from twistrank.explicit_formula import prime_sides
 from twistrank.family_moments import (
+    RANK_TAIL_LEVELS,
     EmptyFamilyError,
-    Family,
+    FamilySums,
     MomentConfig,
     X_k,
     empirical_rank_tail,
-    family_twist_values,
+    family_windows,
     filter_twists,
     lowzero_density_bound,
     rank_density_bound,
@@ -43,6 +45,12 @@ def small_config(cm_curve):
 @pytest.fixture(scope="module")
 def small_rows(small_config, primes_1e4):
     return sweep_family(small_config, primes_1e4)
+
+
+def family_columns(config, primes):
+    """(D, W, rank_bound, root_number) of the swept family, every window's rows joined."""
+    rows = [(t.twists.D, w, t.rank_bound, t.twists.root_number) for w, t in family_windows(config, primes)]
+    return tuple(np.concatenate(column) for column in zip(*rows))
 
 
 @pytest.fixture(scope="module")
@@ -117,23 +125,24 @@ class TestConfigAndFamily:
         cfg = MomentConfig(curve=cm_curve, k=2, x=100.0, weight=w)
         assert cfg.T == pytest.approx(X_k(100.0, 2))
 
-    def test_family_values_filters(self, cm_curve):
+    def test_family_values_filters(self, cm_curve, primes_1e4):
         cfg = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
-        family = family_twist_values(cfg)
-        assert len(family) and family.twists.base == cm_curve and family.table is None
-        for D, w in zip(family.twists.D.tolist(), family.weight.tolist()):
+        assert all(table.twists.base == cm_curve for _, table in family_windows(cfg, primes_1e4))
+        ds, weights, _, _ = family_columns(cfg, primes_1e4)
+        assert ds.size
+        for D, w in zip(ds.tolist(), weights.tolist()):
             assert 50.0 < D < 100.0
             assert is_squarefree(D) and math.gcd(D, 2 * cm_curve.conductor) == 1
             assert w == weight_eval(cfg.weight, D / cfg.T) > 0.0
 
-    def test_negative_support_selects_negative_D(self, cm_curve):
+    def test_negative_support_selects_negative_D(self, cm_curve, primes_1e4):
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(-1.0, -0.5), T=100.0
         )
-        ds = family_twist_values(cfg).twists.D.tolist()
+        ds = family_columns(cfg, primes_1e4)[0].tolist()
         assert ds and all(-100.0 < d < -50.0 for d in ds)
 
-    def test_unfiltered_range_includes_even(self, cm_curve):
+    def test_unfiltered_range_includes_even(self, cm_curve, primes_1e4):
         cfg = MomentConfig(
             curve=cm_curve,
             k=1,
@@ -143,7 +152,7 @@ class TestConfigAndFamily:
             squarefree_only=False,
             coprime_to_2N=False,
         )
-        ds = family_twist_values(cfg).twists.D.tolist()
+        ds = family_columns(cfg, primes_1e4)[0].tolist()
         assert any(d % 2 == 0 for d in ds)
 
     @pytest.mark.parametrize("squarefree", [True, False])
@@ -172,7 +181,8 @@ class TestConfigAndFamily:
 
     def test_sweep_work_counts(self, cm_curve, primes_1e4, monkeypatch, capsys):
         # W in one call over the twists the filters keep (before the sign
-        # filter), one squarefree sieve over the support, and on the sweep
+        # filter), one squarefree sieve over the support (a family of one
+        # window), and on the sweep
         # and ef-report paths no factorisation but the conductor's (for the
         # root numbers)
         calls = {"weight_eval": [], "squarefree_kernels": [], "_factorisation": []}
@@ -199,8 +209,9 @@ class TestConfigAndFamily:
         family = sweep_family(cfg, primes_1e4)
         [(_, u)] = calls["weight_eval"]
         assert u.tolist() == [D / cfg.T for D in kept]
-        assert calls["squarefree_kernels"] == [(211, 419)]
-        assert 0 < len(family) < len(coprime)
+        [(lo, hi, _)] = calls["squarefree_kernels"]
+        assert (lo, hi) == (211, 419)
+        assert 0 < family.size < len(coprime)
         from twistrank.cli import main
 
         args = ["ef-report", "--curve", "ncm37", "--x", "200", "--dmin", "-300", "--dmax", "300"]
@@ -216,26 +227,25 @@ class TestWeightedMoment:
         cfg = MomentConfig(
             curve=cm_curve, k=2, x=200.0, weight=SmoothWeight(0.9, 1.0), T=14.0
         )
-        assert family_twist_values(cfg).twists.D.tolist() == [13]
-        family = sweep_family(cfg, primes_1e4)
-        moment = weighted_moment(cfg, family)
-        assert moment.empirical_moment == pytest.approx(
-            family.table.rank_bound[0] ** 2, rel=1e-14
-        )
+        ds, _, bounds, _ = family_columns(cfg, primes_1e4)
+        assert ds.tolist() == [13]
+        moment = weighted_moment(cfg, sweep_family(cfg, primes_1e4))
+        assert moment.empirical_moment == pytest.approx(bounds[0] ** 2, rel=1e-14)
         assert moment.family_size == 1
 
-    def test_two_pass_recomputation(self, small_config, small_rows):
+    def test_two_pass_recomputation(self, small_config, small_rows, primes_1e4):
         moment = weighted_moment(small_config, small_rows)
-        weights = small_rows.weight.tolist()
-        bounds = small_rows.table.rank_bound.tolist()
+        _, weights, bounds, _ = (column.tolist() for column in family_columns(small_config, primes_1e4))
         num = math.fsum(b ** small_config.k * w for b, w in zip(bounds, weights))
         den = math.fsum(weights)
         assert moment.empirical_moment == pytest.approx(num / den, abs=1e-10)
         assert moment.weighted_count == den
         assert moment.theoretical_bound == 1.5
 
-    def test_weight_scaling_invariance(self, small_config, small_rows):
-        scaled = Family(small_rows.twists, 7.25 * small_rows.weight, small_rows.table)
+    def test_weight_scaling_invariance(self, small_config, small_rows, primes_1e4):
+        scaled = FamilySums(small_config.k)
+        for weight, table in family_windows(small_config, primes_1e4):
+            scaled.add(7.25 * weight, table)
         t0 = weighted_moment(small_config, small_rows)
         t1 = weighted_moment(small_config, scaled)
         assert t1.empirical_moment == pytest.approx(t0.empirical_moment, rel=1e-12)
@@ -267,7 +277,7 @@ class TestPartitionAndTail:
             + stats["minus"]["family_size"]
             + stats["undefined"]["family_size"]
         )
-        assert total == stats["family_size"] == len(small_rows)
+        assert total == stats["family_size"] == small_rows.size
 
     def test_odd_twists_bounded_below(self, neg_rows):
         stats = sign_partition_stats(neg_rows)
@@ -285,11 +295,17 @@ class TestPartitionAndTail:
             max(0.0, (3.0 - minus["avg_rank_bound"]) / 2.0)
         )
 
-    def test_rank_tail_monotone(self, small_rows):
-        vals = [empirical_rank_tail(small_rows, r) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
+    def test_rank_tail_monotone(self, small_config, small_rows, primes_1e4):
+        vals = [empirical_rank_tail(small_rows, r) for r in RANK_TAIL_LEVELS]
         assert vals[0] == 1.0
         assert all(a >= b for a, b in zip(vals, vals[1:]))
-        assert empirical_rank_tail(small_rows, math.inf) == 0.0
+        # each tail is the exact weighted share, as fsum over the rows gives it
+        _, weights, bounds, _ = family_columns(small_config, primes_1e4)
+        for r, val in zip(RANK_TAIL_LEVELS, vals):
+            assert val == math.fsum(weights[bounds >= r].tolist()) / math.fsum(weights.tolist())
+        # the sums hold no other level
+        with pytest.raises(ValueError):
+            empirical_rank_tail(small_rows, 0.5)
 
     def test_sign_filter_consistency(self, cm_curve, primes_1e4):
         base = MomentConfig(
@@ -298,11 +314,11 @@ class TestPartitionAndTail:
         plus_cfg = MomentConfig(
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
         )
-        all_rows = sweep_family(base, primes_1e4)
-        plus_rows = sweep_family(plus_cfg, primes_1e4)
-        plus = all_rows.twists.root_number == 1
-        assert plus_rows.twists.D.tolist() == all_rows.twists.D[plus].tolist()
-        assert plus_rows.table.rank_bound.tolist() == all_rows.table.rank_bound[plus].tolist()
+        ds, _, bounds, roots = family_columns(base, primes_1e4)
+        plus_ds, _, plus_bounds, _ = family_columns(plus_cfg, primes_1e4)
+        plus = roots == 1
+        assert plus_ds.tolist() == ds[plus].tolist()
+        assert plus_bounds.tolist() == bounds[plus].tolist()
 
 
     def test_sign_filter_precedes_prime_sides(self, ncm_curve, primes_1e4, monkeypatch):
@@ -318,10 +334,10 @@ class TestPartitionAndTail:
         cfg = MomentConfig(
             curve=ncm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="plus"
         )
-        family = sweep_family(cfg, primes_1e4)
-        assert evaluated == family.twists.D.tolist()
+        ds = family_columns(cfg, primes_1e4)[0].tolist()
+        assert evaluated == ds
         assert all(trial_twist_invariants(ncm_curve, D)["root_number"] == 1 for D in evaluated)
-        assert len(family) < len(family_twist_values(cfg))
+        assert len(ds) < sweep_family(cfg._replace(sign="any"), primes_1e4).size
 
     def test_empty_after_sign_filter(self, cm_curve, primes_1e4, monkeypatch):
         # on the even-conductor curve every defined sign in a positive family
@@ -330,6 +346,6 @@ class TestPartitionAndTail:
         cfg = MomentConfig(
             curve=cm_curve, k=1, x=200.0, weight=SmoothWeight(0.5, 1.0), T=420.0, sign="minus"
         )
-        assert len(family_twist_values(cfg))
+        assert len(filter_twists(cm_curve, cfg.support_ds(), True, True))
         with pytest.raises(EmptyFamilyError):
             sweep_family(cfg, primes_1e4)

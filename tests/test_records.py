@@ -8,7 +8,7 @@ import twistrank.curve as curve_mod
 from twistrank.arith import ParityDecomposition, PrimeTable, sieve_primes
 from twistrank.curve import CurveModel, ap_array, twist_columns
 from twistrank.explicit_formula import _Group, _PrimePlan, evaluate_reports
-from twistrank.family_moments import Family, MomentConfig, MomentRow, family_twist_values
+from twistrank.family_moments import MomentConfig, MomentRow
 from twistrank.kernel import SmoothWeight, TriangleKernel
 
 
@@ -25,7 +25,6 @@ def _records(cm_curve, primes_1e3):
         "_PrimePlan": (_PrimePlan(np.zeros(0), ()), "groups"),
         "ExplicitFormulaTable": (table, "total_S"),
         "MomentConfig": (config, "T"),
-        "Family": (family_twist_values(config), "weight"),
         "MomentRow": (MomentRow(1, 100.0, 100.0, "any", 1.0, 1, 1.0, 1.5), "empirical_moment"),
         "TriangleKernel": (TriangleKernel(5.0), "lam"),
         "SmoothWeight": (SmoothWeight(0.5, 1.0), "shape"),
@@ -34,7 +33,7 @@ def _records(cm_curve, primes_1e3):
 
 RECORDS = [
     "PrimeTable", "ParityDecomposition", "CurveModel", "Twists", "_Group", "_PrimePlan",
-    "ExplicitFormulaTable", "MomentConfig", "Family", "MomentRow", "TriangleKernel", "SmoothWeight",
+    "ExplicitFormulaTable", "MomentConfig", "MomentRow", "TriangleKernel", "SmoothWeight",
 ]  # fmt: skip
 
 
@@ -67,15 +66,6 @@ def test_equal_curves_share_one_ap_table(monkeypatch, primes_1e3):
     other = first._replace(label="other")
     ap_array(other, primes_1e3, 1e3)
     assert built == [first, other] and len(curve_mod._AP_CACHE) == 2
-
-
-def test_family_replaces_fields_through_its_constructor(cm_curve):
-    config = MomentConfig(curve=cm_curve, k=1, x=100.0, weight=SmoothWeight(0.5, 1.0), T=100.0)
-    family = family_twist_values(config)
-    total = family.weight_sums.total  # a cached property of the instance
-    scaled = Family(family.twists, 2.0 * family.weight, family.table)
-    assert scaled.weight_sums.total == 2.0 * total
-    assert family.weight_sums.total == total
 
 
 @pytest.mark.parametrize(
