@@ -19,7 +19,7 @@ Exit codes: 0 success, 1 usage, 2 data/config, 3 verification failure,
 Outputs are deterministic given (config, seed, version): no timestamps,
 floats in shortest round-trip form.  The three tables (ap-table, ef-report,
 sweep) are written by one writer, _write_table; each command only builds
-its records.
+its columns.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, TextIO
 
@@ -43,6 +44,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Sequence, 
 # variable once, so it is set before the first import that loads numpy; a
 # user's explicit value wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # after OPENBLAS_NUM_THREADS is set; arith loads numpy in any case
 
 # The numerical modules load inside the commands that run them, so that no
 # command pays for compiling another's.  sieve_primes stays a module global:
@@ -74,14 +77,16 @@ PRIME_LIMIT_CAP = 100_000_000  # hard memory cap for auto-extending the sieve
 #   euler: Euler's criterion elsewhere, 0.14-0.25 us (24 to 801 D near 1e9
 #     and 1e12 at x = 1e4 to 1e5);
 # the squarefree sieve's base-prime table, 10 ns per unit of sqrt(max |D|)
-# (1.0 s at 1e16); and per row an ef-report writes, 11-15 us as CSV and 19-26
+# (1.0 s at 1e16); and per row an ef-report writes, 9-11 us as CSV and 19-23
 # us as JSON (1e6 D, ncm37 at x = 100).  The prices below are about twice the
-# measured costs.
+# measured costs; the CSV row's was set at 11-15 us, when each row was made
+# as a dict, and kept so that no refusal moved.
 TWIST_SECONDS_PER_D = 3.5e-6
 TWIST_SECONDS_PER_ROW = {"csv": 25e-6, "json": 50e-6}
 TWIST_SECONDS_PER_PRIME = {"table": 5e-9, "reciprocity": 0.05e-6, "euler": 0.35e-6}
 SIEVE_SECONDS_PER_ROOT_D = 1e-8
 TWIST_BUDGET_S = 600.0  # refuse sweeps and ef-reports whose twists are estimated above this
+_BOOL_TEXT = np.array(["false", "true"], dtype=object)  # a CSV boolean, by the bool's byte
 
 
 class UsageError(Exception):
@@ -112,7 +117,7 @@ _OPTIONS = {
     "k": {"type": int, "help": "moment order (default 1)"},
     "T": {"type": float, "help": "family scale (default X_k(x, k))"},
     "weight": {"choices": ("exp", "poly"), "help": "weight shape (default exp)"},
-    "support": {"help": "weight support LO:HI (default 0.5:1)"},
+    "support": {"help": "weight support LO:HI (default 0.5:1); a negative LO as --support=-1:-0.5"},
     "squarefree": {"action": argparse.BooleanOptionalAction, "help": "keep squarefree D only (sweep: default)"},
     "coprime": {"action": argparse.BooleanOptionalAction, "help": "keep D coprime to 2N only (sweep: default)"},
     "sign": {"choices": ("any", "plus", "minus"), "help": "root-number filter (default any)"},
@@ -184,14 +189,28 @@ def _build_parser() -> _Parser:
 
 def _merge_config(args: argparse.Namespace) -> dict:
     """The config file's values, overridden by the flags given; a non-finite
-    x or T is refused (exit 2) from the file as from the flags."""
+    x or T, or an out that cannot be written, is refused (exit 2) from the
+    file as from the flags."""
     cfg = _parse_config_file(args.config, args.command) if args.config else {}
     flags = vars(args).items()
     cfg.update((key, val) for key, val in flags if val is not None and key not in ("command", "config"))
     for key, val in cfg.items():
         if isinstance(val, float) and not math.isfinite(val):
             raise ConfigError(f"{key} must be finite, got {val}")
+    if "out" in cfg:  # a sweep writes its sidecar beside the table
+        for path in [cfg["out"]] + [cfg["out"] + ".refs.json"] * (args.command == "sweep"):
+            _check_writable(path)
     return cfg
+
+
+def _check_writable(path: str) -> None:
+    """Refuse (exit 2), creating nothing, an empty output path, a directory,
+    or a path in a missing or unwritable directory or to an unwritable file."""
+    target = path if os.path.exists(path) else os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        raise ConfigError(f"cannot write {path!r}: it names no file")
+    if not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write {path}: {target} is missing or not writable")
 
 
 def _resolve_curve(cfg: dict) -> CurveModel:
@@ -336,29 +355,25 @@ def _output(path: Optional[str]) -> Iterator[TextIO]:
             yield fh
 
 
-def _write_table(cfg: dict, columns: Sequence[str], records: Iterable[dict], out: TextIO) -> None:
-    """Write records in the configured format.
-
-    JSON: the bytes of json.dump(list(records), indent=2) and a trailing
-    newline, written _ROW_BLOCK records at a time as they come.  CSV: the
-    header, then each record's values under columns as the records come,
-    booleans as true/false; csv writes floats with repr, their shortest
-    round-trip form.
-    """
+def _write_table(cfg: dict, names: Sequence[str], blocks: Iterable[Sequence[np.ndarray]], out: TextIO) -> None:
+    """Write a table, given as blocks of equal-length numpy columns under
+    names, in the configured format as the blocks come.  JSON: the bytes of
+    json.dump of the list of row dicts, indent=2, and a trailing newline,
+    made _ROW_BLOCK rows at a time.  CSV: the header, then each block's rows
+    (arith._column_rows), a boolean column as true/false, floats by repr."""
     if cfg.get("format", "csv") == "json":
         import json
 
-        records, sep = iter(records), "["
-        while block := list(itertools.islice(records, _ROW_BLOCK)):
-            out.write(sep + json.dumps(block, indent=2)[1:-2])  # the records, without "[" and "\n]"
+        rows, sep = (dict(zip(names, row)) for block in blocks for row in _column_rows(*block)), "["
+        while chunk := list(itertools.islice(rows, _ROW_BLOCK)):
+            out.write(sep + json.dumps(chunk, indent=2)[1:-2])  # the rows, without "[" and "\n]"
             sep = ","
         out.write("[]\n" if sep == "[" else "\n]\n")
         return
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in records:
-        values = (rec[c] for c in columns)
-        writer.writerow([str(v).lower() if isinstance(v, bool) else v for v in values])
+    writer.writerow(names)
+    for block in blocks:
+        writer.writerows(_column_rows(*(_BOOL_TEXT[c.view(np.uint8)] if c.dtype == bool else c for c in block)))
 
 
 def _parse_support(cfg: dict):
@@ -375,14 +390,13 @@ def cmd_ap_table(cfg: dict) -> int:
 
     curve = _resolve_curve(cfg)
     limit = cfg.get("limit", 100)
-    records = []
+    blocks = []
     if limit >= 2:
         primes = _sieve(limit, f"--limit {limit}")
         _check_model(curve, primes)
-        columns = (primes.primes, ap_array(curve, primes, limit + 1), cpm(curve, primes, limit + 1, 2))
-        records = ({"p": p, "a_p": a, "c_p2": c} for p, a, c in _column_rows(*columns))
+        blocks = [(primes.primes, ap_array(curve, primes, limit + 1), cpm(curve, primes, limit + 1, 2))]
     with _output(cfg.get("out")) as out:
-        _write_table(cfg, ["p", "a_p", "c_p2"], records, out)
+        _write_table(cfg, ["p", "a_p", "c_p2"], blocks, out)
     return EXIT_OK
 
 
@@ -406,9 +420,10 @@ def cmd_ef_report(cfg: dict) -> int:
     residues = ResidueTables()  # for every window
     tables = (evaluate_reports(twists, math.log(x), primes, residues) for twists in windows)
     first = next(tables)  # a refused curve (a conductor past 3e9) fails here, before any output
-    records = (rec for table in itertools.chain([first], tables) for rec in table.records())
+    names = CSV_COLUMNS + ["twisted_upper_bound"] if cfg.get("format") == "json" else CSV_COLUMNS
+    blocks = (itemgetter(*names)(table.columns()) for table in itertools.chain([first], tables))
     with _output(cfg.get("out")) as out:
-        _write_table(cfg, CSV_COLUMNS, records, out)
+        _write_table(cfg, names, blocks, out)
     return EXIT_OK
 
 
@@ -482,7 +497,7 @@ def cmd_sweep(cfg: dict) -> int:
     # with --out the sidecar goes to OUT.refs.json, else it follows the table
     out_path = cfg.get("out")
     with _output(out_path) as out:
-        _write_table(cfg, list(record), [record], out)
+        _write_table(cfg, list(record), [[np.array([v]) for v in record.values()]], out)
     with _output(None if out_path is None else out_path + ".refs.json") as out:
         json.dump(sidecar, out, indent=2)
         out.write("\n")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain
 from typing import Dict, Iterator, Optional, Sequence
 
 import numpy as np
@@ -327,38 +328,27 @@ class ExplicitFormulaTable(
     def __len__(self) -> int:  # the rows, not the fields: no _replace
         return len(self.twists)
 
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The output columns by name, one entry per row: the CSV_COLUMNS
+        (lambda and archimedean broadcast, not copied), then the coarse bound
+        2 log|D| + lambda/2 - 2*(m=1 sum) that only the JSON output carries
+        (twisted_upper_bound: log(D^2) for the conductor, no higher powers),
+        libm's log of each |D| taken a block of rows at a time."""
+        t, n, m1 = self.twists, len(self), self.prime_sum_m1
+        bound = np.fromiter(map(math.log, map(abs, chain.from_iterable(_column_rows(t.D)))), float, n)
+        bound *= 2.0  # in place, one column held: 2 log|D| + lambda/2 - 2*m1, in the scalar's order
+        bound += 0.5 * self.lam
+        bound -= 2.0 * m1
+        columns = (t.D, np.broadcast_to(self.lam, n), self.log_conductor, t.conductor_exact, m1)
+        columns += (self.prime_sum_m2, self.prime_sum_tail, np.broadcast_to(self.archimedean, n), self.total_S)
+        columns += (self.rank_bound, t.root_number, bound)
+        return dict(zip(CSV_COLUMNS + ["twisted_upper_bound"], columns))
+
     def records(self) -> Iterator[dict]:
-        """The output records, one per row and yielded as they are made, a
-        block of rows at a time (arith._column_rows): the CSV_COLUMNS fields
-        in order, then the coarse bound (twisted_upper_bound) that only the
-        JSON output carries; every value a Python scalar."""
-        lam, arch = self.lam, self.archimedean
-        rows = _column_rows(
-            self.twists.D,
-            self.log_conductor,
-            self.twists.conductor_exact,
-            self.prime_sum_m1,
-            self.prime_sum_m2,
-            self.prime_sum_tail,
-            self.total_S,
-            self.rank_bound,
-            self.twists.root_number,
-        )
-        for D, log_n, exact, m1, m2, tail, total, bound, root in rows:
-            yield {
-                "D": D,
-                "lambda": lam,
-                "log_conductor": log_n,
-                "conductor_exact": exact,
-                "prime_m1": m1,
-                "prime_m2": m2,
-                "prime_tail": tail,
-                "archimedean": arch,
-                "total_S": total,
-                "rank_bound": bound,
-                "root_number": root,
-                "twisted_upper_bound": _coarse_bound(D, lam, m1),
-            }
+        """The rows of columns() as dicts of Python scalars, made a block of
+        rows at a time (arith._column_rows)."""
+        columns = self.columns()
+        return (dict(zip(columns, row)) for row in _column_rows(*columns.values()))
 
 
 # D per window of twist_windows, at least: a window's columns, about 100
@@ -396,8 +386,3 @@ def evaluate_reports(twists: Twists, lam: float, primes: PrimeTable, tables=None
     total = log_n - 2.0 * (m1 + m2 + tail) - arch
     return ExplicitFormulaTable(twists, lam, log_n, m1, m2, tail, arch, total, total / lam)
 
-
-def _coarse_bound(D: int, lam: float, m1: float) -> float:
-    """The coarser bound 2 log|D| + lambda/2 - 2*(m=1 sum): the shape with
-    log(D^2) in place of the conductor and the higher powers dropped."""
-    return 2.0 * math.log(abs(D)) + 0.5 * lam - 2.0 * m1

@@ -15,7 +15,6 @@ import cmath
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 from math import fsum, gcd
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -70,7 +69,6 @@ __all__ = [
 SOFT_FAIL_FACTOR = 10.0  # envelope violations beyond this factor are fatal
 
 
-@dataclass
 class CheckResult:
     """Outcome of one verification check.
 
@@ -79,13 +77,12 @@ class CheckResult:
     exceeded by less than SOFT_FAIL_FACTOR).
     """
 
-    name: str
-    computed: complex
-    reference: complex
-    ratio_or_error: float
-    passed: bool
-    parameters: dict = field(default_factory=dict)
-    note: str = ""
+    __slots__ = ("name", "computed", "reference", "ratio_or_error", "passed", "parameters", "note")
+
+    def __init__(self, name, computed, reference, ratio_or_error, passed, parameters=None, note=""):
+        self.name, self.computed, self.reference = name, computed, reference
+        self.ratio_or_error, self.passed, self.note = ratio_or_error, passed, note
+        self.parameters = {} if parameters is None else parameters
 
     def to_json_dict(self) -> dict:
         def enc(v):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import twistrank
+import twistrank.arith as arith_mod
 import twistrank.cli as cli_mod
 import twistrank.curve as curve_mod
 import twistrank.explicit_formula as ef_mod
@@ -263,6 +264,28 @@ class TestUsageAndConfigErrors:
             outputs.add(out)
         assert len(outputs) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["ef-report", "--curve", "ncm37", "--dmin", "1", "--dmax", "5"],
+            ["sweep", "--curve", "cm32-like", "--x", "200", "--T", "420"],
+            ["verify", "--only", "gauss"],
+            ["ap-table", "--curve", "ncm37", "--limit", "50"],
+        ],
+        ids=["ef-report", "sweep", "verify", "ap-table"],
+    )
+    def test_unwritable_out_refused_before_any_work(self, tmp_path, capsys, monkeypatch, args):
+        # a missing directory, a directory, and (for a sweep) a sidecar path
+        # that is a directory: exit 2 before the sieve, creating nothing
+        monkeypatch.setattr(cli_mod, "sieve_primes", no_sieve)
+        (tmp_path / "taken.csv.refs.json").mkdir()
+        paths = [tmp_path / "missing" / "x.csv", tmp_path] + [tmp_path / "taken.csv"] * (args[0] == "sweep")
+        for path in paths:
+            code, out, err = run(args + ["--out", str(path)], capsys)
+            assert (code, out) == (EXIT_CONFIG, "")
+            assert err.startswith("config error: cannot write ") and "Traceback" not in err, err
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["taken.csv.refs.json"]
+
 
 class TestCurveRecords:
     """An explicit --curve and a catalog line go through one parser,
@@ -402,6 +425,12 @@ class TestEfReport:
         assert row[0] == "1"
         assert float(row[2]) == math.log(37)
         assert row[3] == "true"
+
+    def test_no_rows_writes_the_empty_table(self, capsys):
+        # D = 4 is not squarefree: the CSV is its header alone, the JSON an empty list
+        args = ["ef-report", "--curve", "ncm37", "--dmin", "4", "--dmax", "4", "--squarefree"]
+        assert run(args, capsys)[:2] == (EXIT_OK, ",".join(CSV_COLUMNS) + "\n")
+        assert run(args + ["--format", "json"], capsys)[:2] == (EXIT_OK, "[]\n")
 
     def test_excessive_x_refused(self, tmp_path, monkeypatch, capsys):
         # every x above the prime-table cap is refused with the cap message,
@@ -862,6 +891,14 @@ class TestGoldenBytes:
         monkeypatch.setattr(ef_mod, "_CHUNK_SPAN_PER_PRIME", 1e-9)
         self.test_sha256(tmp_path, capsys, case)
 
+    @pytest.mark.parametrize("case", [case for case in CASES if case.startswith(("ap-table", "ef-report"))])
+    def test_sha256_in_small_row_blocks(self, tmp_path, capsys, monkeypatch, case):
+        # rows made and written 3 at a time, in windows of 37 D: row blocks
+        # end inside a window and at its end, and the bytes stay the same
+        monkeypatch.setattr(cli_mod, "_ROW_BLOCK", 3)
+        monkeypatch.setattr(arith_mod, "_ROW_BLOCK", 3)
+        self.test_sha256_in_small_windows(tmp_path, capsys, monkeypatch, case)
+
 
 class TestClosedPipe:
     @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
@@ -918,9 +955,8 @@ class TestImportHygiene:
     """No command and no function of the package needs scipy.integrate (or,
     with it, scipy.special): the twist commands and the weight transforms,
     and so the verify checks built on them, never load either.  Each
-    command freezes the heap it starts with, and the table commands build
-    their records without dataclasses; ef-report and ap-table never load
-    family_moments."""
+    command freezes the heap it starts with, and none loads dataclasses;
+    ef-report and ap-table never load family_moments."""
 
     @pytest.mark.parametrize(
         "args",
@@ -940,8 +976,8 @@ class TestImportHygiene:
         assert ("scipy" in loaded) == (args[0] != "ap-table")
         assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
         assert frozen > 0
-        if args[0] != "verify":  # verification_lab.CheckResult stays a dataclass
-            assert "dataclasses" not in loaded
+        assert "dataclasses" not in loaded
+        if args[0] != "verify":
             assert ("twistrank.family_moments" in loaded) == (args[0] == "sweep")
 
     @pytest.mark.parametrize(
