@@ -360,11 +360,14 @@ def _write_table(cfg: dict, names: Sequence[str], blocks: Iterable[Sequence[np.n
     names, in the configured format as the blocks come.  JSON: the bytes of
     json.dump of the list of row dicts, indent=2, and a trailing newline,
     made _ROW_BLOCK rows at a time.  CSV: the header, then each block's rows
-    (arith._column_rows), a boolean column as true/false, floats by repr."""
+    (arith._column_rows), a boolean column as true/false, floats by repr.
+    No block is held while the next one is made: a block's rows come from a
+    _column_rows generator, which lets go of its columns once exhausted."""
     if cfg.get("format", "csv") == "json":
         import json
 
-        rows, sep = (dict(zip(names, row)) for block in blocks for row in _column_rows(*block)), "["
+        rows = (dict(zip(names, row)) for block_rows in itertools.starmap(_column_rows, blocks) for row in block_rows)
+        sep = "["
         while chunk := list(itertools.islice(rows, _ROW_BLOCK)):
             out.write(sep + json.dumps(chunk, indent=2)[1:-2])  # the rows, without "[" and "\n]"
             sep = ","
@@ -373,7 +376,9 @@ def _write_table(cfg: dict, names: Sequence[str], blocks: Iterable[Sequence[np.n
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(names)
     for block in blocks:
-        writer.writerows(_column_rows(*(_BOOL_TEXT[c.view(np.uint8)] if c.dtype == bool else c for c in block)))
+        block_rows = _column_rows(*(_BOOL_TEXT[c.view(np.uint8)] if c.dtype == bool else c for c in block))
+        del block
+        writer.writerows(block_rows)
 
 
 def _parse_support(cfg: dict):
@@ -418,13 +423,25 @@ def cmd_ef_report(cfg: dict) -> int:
     _check_model(curve, primes)
     windows = twist_windows(curve, ds, bool(cfg.get("squarefree")), bool(cfg.get("coprime")), x)
     residues = ResidueTables()  # for every window
-    tables = (evaluate_reports(twists, math.log(x), primes, residues) for twists in windows)
-    first = next(tables)  # a refused curve (a conductor past 3e9) fails here, before any output
     names = CSV_COLUMNS + ["twisted_upper_bound"] if cfg.get("format") == "json" else CSV_COLUMNS
-    blocks = (itemgetter(*names)(table.columns()) for table in itertools.chain([first], tables))
+
+    def window_columns(twists) -> tuple:
+        return itemgetter(*names)(evaluate_reports(twists, math.log(x), primes, residues).columns())
+
+    # One window is held at a time: map keeps no window once it has passed
+    # it on, and the first (a refused curve, with a conductor past 3e9,
+    # fails there, before any output) leaves its list as it is written.
+    first = [window_columns(next(windows))]
     with _output(cfg.get("out")) as out:
-        _write_table(cfg, names, blocks, out)
+        _write_table(cfg, names, _popped_first(first, map(window_columns, windows)), out)
     return EXIT_OK
+
+
+def _popped_first(first: list, rest: Iterator) -> Iterator:
+    """The one item of first, taken out of the list as it is yielded, then
+    the items of rest."""
+    yield first.pop()
+    yield from rest
 
 
 def _sidecar_payload(config: MomentConfig, family) -> dict:

@@ -23,7 +23,9 @@ range(D, D + 1).
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
+from contextlib import suppress
 from pathlib import Path
 from typing import Iterator, List, Optional
 
@@ -560,11 +562,82 @@ def _ap_values(curve: CurveModel, ps: np.ndarray) -> np.ndarray:
 
 
 # Per curve: a_p at the primes of the longest table prefix requested so far,
-# and nothing else.  Every PrimeTable lists the primes from 2 upward, so the
-# i-th value belongs to the i-th prime of any table.
+# and nothing else, in this process; the disk cache below keeps it for later
+# processes.  Every PrimeTable lists the primes from 2 upward, so the i-th
+# value belongs to the i-th prime of any table.
 _AP_CACHE: dict = {}
 _NO_PRIMES = np.empty(0, dtype=np.int64)
 _NO_PRIMES.setflags(write=False)
+# The a_p tables on disk: one int32 .npy file per model in
+# $XDG_CACHE_HOME/twistrank (~/.cache/twistrank by default), named by the
+# fields _ap_values reads (no label, no root number); v1 is the format.  A
+# name longer than _AP_NAME_MAX (huge coefficients) skips the disk.
+_AP_FILE = "ap-v1_{}_{}_{}_{}_{}.npy"
+_AP_NAME_MAX = 200
+# A stored table is checked against _ap_char_sum at up to _AP_CHECKS good
+# primes below _AP_CHECK_BELOW (about 0.17 ms each), the largest ones with
+# a_p != 0 first, so a negated table fails: Hasse's bound cannot see a sign.
+_AP_CHECKS = 4
+_AP_CHECK_BELOW = 10_000
+
+
+def _ap_path(curve: CurveModel) -> Optional[str]:
+    """The cache file of the model's a_p table, or None: a name past
+    _AP_NAME_MAX, or no absolute cache directory (a relative XDG_CACHE_HOME
+    is ignored, as the XDG spec asks)."""
+    name = _AP_FILE.format(curve.A, curve.B, curve.conductor, curve.a2, curve.a3)
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    if len(name) > _AP_NAME_MAX or not os.path.isabs(root):
+        return None
+    return os.path.join(root, "twistrank", name)
+
+
+def _ap_valid(curve: CurveModel, vals: np.ndarray, ps: np.ndarray) -> bool:
+    """Whether vals (int64) can be a_p at the primes ps: a_p^2 <= 4p
+    everywhere (in float64, exact for every |a_p| that can pass; _AP_CHUNK
+    entries a step, so a table to the 1e8 cap needs no full-length
+    temporary), and _ap_char_sum agrees at the _AP_CHECKS good primes
+    picked."""
+    for i in range(0, vals.size, _AP_CHUNK):
+        if (np.square(vals[i : i + _AP_CHUNK], dtype=np.float64) > 4.0 * ps[i : i + _AP_CHUNK]).any():
+            return False
+    small = ps[: np.searchsorted(ps, _AP_CHECK_BELOW)]
+    good = np.flatnonzero((small > 3) & (_mod_each(4 * curve.A**3 + 27 * curve.B**2, small) != 0))
+    nonzero = vals[good] != 0
+    pick = np.concatenate((good[nonzero][::-1], good[~nonzero][::-1]))[:_AP_CHECKS]
+    return all(_ap_char_sum(curve.A, curve.B, p) == a for p, a in zip(ps[pick].tolist(), vals[pick].tolist()))
+
+
+def _ap_load(curve: CurveModel, path: str, ps: np.ndarray) -> np.ndarray:
+    """The stored a_p at the first primes of ps, as int64: the file's prefix
+    that ps covers (memory-mapped, so a longer file is not read whole), or
+    nothing when the file is missing, unreadable, not a 1-D integer array,
+    or fails _ap_valid."""
+    try:
+        stored = np.load(path, mmap_mode="r", allow_pickle=False)
+        if not isinstance(stored, np.ndarray) or stored.ndim != 1 or stored.dtype.kind not in "iu":
+            return _NO_PRIMES  # an .npz archive loads as an NpzFile
+        vals = np.array(stored[: ps.size], dtype=np.int64)
+    except (OSError, ValueError, EOFError):
+        return _NO_PRIMES
+    return vals if _ap_valid(curve, vals, ps[: vals.size]) else _NO_PRIMES
+
+
+def _ap_save(path: str, vals: np.ndarray) -> None:
+    """Store vals as int32 .npy at path: written under a pid-suffixed name,
+    then moved into place (os.replace), so that no reader sees part of a
+    file.  Any error leaves the cache as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "wb") as fh:
+            np.save(fh, vals.astype(np.int32))
+        os.replace(tmp, path)
+    except (OSError, ValueError):
+        with suppress(OSError):
+            os.unlink(tmp)
 
 
 def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
@@ -576,14 +649,24 @@ def ap_array(curve: CurveModel, primes: PrimeTable, bound: float) -> np.ndarray:
     where the points tried leave more than one candidate (tiny p, or a
     group of small exponent on both E and its twist); p < 2^31.  Bad p > 3:
     the node/cusp rule.  p in {2, 3}: curve metadata.  The longest prefix
-    computed so far is cached per curve; new primes run through the lane
-    kernel in chunks of _AP_CHUNK.
+    computed so far is cached per curve, in the process and on disk
+    (_ap_path; a later process reads it back, checked by _ap_valid); new
+    primes run through the lane kernel in chunks of _AP_CHUNK from the end
+    of the longer of the two, and the longer table is written back.  An
+    unusable cache only means the table is computed, to the same values.
     """
     ps = primes.below(bound)
     vals = _AP_CACHE.get(curve, _NO_PRIMES)
     if vals.size < ps.size:
-        new = [_ap_values(curve, ps[i : i + _AP_CHUNK]) for i in range(vals.size, ps.size, _AP_CHUNK)]
-        vals = np.concatenate((vals, *new))
+        path = _ap_path(curve)
+        stored = _NO_PRIMES if path is None else _ap_load(curve, path, ps)
+        if stored.size > vals.size:
+            vals = stored
+        if vals.size < ps.size:
+            new = [_ap_values(curve, ps[i : i + _AP_CHUNK]) for i in range(vals.size, ps.size, _AP_CHUNK)]
+            vals = np.concatenate((vals, *new))
+            if path is not None and _ap_valid(curve, vals, ps):  # int32 holds every a_p that passes
+                _ap_save(path, vals)
         vals.setflags(write=False)
         _AP_CACHE[curve] = vals
     return vals[: ps.size]

@@ -12,6 +12,15 @@ from twistrank.explicit_formula import evaluate_reports, prime_sides
 from twistrank.kernel import triangle
 
 
+@pytest.fixture(autouse=True)
+def ap_cache_home(tmp_path, monkeypatch):
+    """Every test, and every CLI process it starts, keeps its on-disk a_p
+    tables (curve._ap_path) in an empty directory of its own, never in
+    ~/.cache: a test that computes a table computes it."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
+    return tmp_path / "xdg-cache"
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return builtin_catalog()

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -379,6 +380,27 @@ class TestCurveRecords:
 
 
 class TestEfReport:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_one_window_held_at_a_time(self, tmp_path, monkeypatch, fmt):
+        # windows of 37 D: when a window is evaluated, no column of the one
+        # before is referenced any more (by the writer or the generators
+        # that feed it), so peak memory is one window, not several
+        monkeypatch.setattr(ef_mod, "_WINDOW_D", 37)
+        monkeypatch.setattr(ef_mod, "_CHUNK_SPAN_PER_PRIME", 1e-9)
+        earlier = []
+        evaluate = ef_mod.evaluate_reports
+
+        def tracked(twists, *args):
+            assert [ref() for ref in earlier] == [None] * len(earlier)
+            table = evaluate(twists, *args)
+            earlier.extend(weakref.ref(column) for column in (twists.D, table.total_S, table.prime_sum_m1))
+            return table
+
+        monkeypatch.setattr(ef_mod, "evaluate_reports", tracked)
+        args = ["ef-report", "--curve", "ncm37", "--x", "300", "--dmin", "1", "--dmax", "200", "--format", fmt]
+        assert main(args + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert len(earlier) == 3 * 6
+
     def test_sorted_rows_and_rerun_identical(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"
         out2 = tmp_path / "b.csv"
@@ -929,7 +951,7 @@ from contextlib import redirect_stdout
 from twistrank.cli import main
 with redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-watched = ("scipy", "twistrank", "numpy.ma", "dataclasses")
+watched = ("scipy", "twistrank", "numpy.ma", "dataclasses", "hashlib")
 loaded = sorted(m for m in sys.modules if m.split(".")[0] in watched or m in watched)
 print(json.dumps([code, loaded, gc.get_freeze_count()]))
 """
@@ -955,8 +977,8 @@ class TestImportHygiene:
     """No command and no function of the package needs scipy.integrate (or,
     with it, scipy.special): the twist commands and the weight transforms,
     and so the verify checks built on them, never load either.  Each
-    command freezes the heap it starts with, and none loads dataclasses;
-    ef-report and ap-table never load family_moments."""
+    command freezes the heap it starts with, and none loads dataclasses or
+    hashlib; ef-report and ap-table never load family_moments."""
 
     @pytest.mark.parametrize(
         "args",
@@ -977,6 +999,7 @@ class TestImportHygiene:
         assert "scipy.integrate" not in loaded and "scipy.special" not in loaded
         assert frozen > 0
         assert "dataclasses" not in loaded
+        assert "hashlib" not in loaded  # libcrypto: the a_p cache names its files without a hash
         if args[0] != "verify":
             assert ("twistrank.family_moments" in loaded) == (args[0] == "sweep")
 

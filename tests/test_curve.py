@@ -403,9 +403,10 @@ class TestApBsgs:
             for p, a in list(zip(good[:_LANES][kind].tolist(), exact[:_LANES][kind].tolist()))[:40]:
                 assert _ap_values(curve, np.array([p])).tolist() == [a], p
 
-    def test_table_prefix_with_bad_primes(self, monkeypatch, bad3_curve, primes_1e3):
+    def test_table_prefix_with_bad_primes(self, monkeypatch, bad3_curve, primes_1e3, tmp_path):
         # 2 and 3 from metadata, 5 and 7 bad (the node rule), the rest in
-        # lanes: every split of the table into calls and chunks agrees
+        # lanes: every split of the table into calls and chunks agrees (each
+        # part in a cache directory of its own, so that both compute)
         ps = primes_1e3.below(400)
         want = [one_prime_ap(bad3_curve, p) for p in ps.tolist()]
         assert want[:2] == [bad3_curve.a2, bad3_curve.a3]
@@ -414,6 +415,7 @@ class TestApBsgs:
             got = ap_array(steps, primes_1e3, bound)
             assert got.tolist() == want[: got.size], bound
         monkeypatch.setattr(curve_mod, "_AP_CHUNK", 7)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "chunks"))
         chunked = CurveModel(A=-3, B=12, conductor=105, root_number=1, label="chunks", a2=1, a3=-1)
         assert ap_array(chunked, primes_1e3, 400).tolist() == want
 

@@ -63,9 +63,11 @@ def test_equal_curves_share_one_ap_table(monkeypatch, primes_1e3):
     assert first is not second and first == second and hash(first) == hash(second)
     assert ap_array(first, primes_1e3, 1e3).tolist() == ap_array(second, primes_1e3, 1e3).tolist()
     assert built == [first] and len(curve_mod._AP_CACHE) == 1
+    # a relabelled curve is another key in the process, but the same model:
+    # it reads the table the first one left on disk, and builds none
     other = first._replace(label="other")
-    ap_array(other, primes_1e3, 1e3)
-    assert built == [first, other] and len(curve_mod._AP_CACHE) == 2
+    assert ap_array(other, primes_1e3, 1e3).tolist() == ap_array(first, primes_1e3, 1e3).tolist()
+    assert built == [first] and len(curve_mod._AP_CACHE) == 2
 
 
 @pytest.mark.parametrize(
