@@ -536,7 +536,7 @@ def cmd_verify(cfg: dict) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     x = cfg.get("x", 1e5)
-    primes = _sieve_for(max(x, 1e4))
+    primes = _sieve_for(x)
     for curve in curves:
         _check_model(curve, primes)
     results = run_suite(

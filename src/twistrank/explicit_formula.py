@@ -42,7 +42,6 @@ __all__ = [
     "character_reads",
     "evaluate_reports",
     "twist_windows",
-    "beta_array",
     "CSV_COLUMNS",
 ]
 
@@ -80,17 +79,6 @@ def _require_table(primes: PrimeTable, lam: float) -> float:
         required = math.ceil(cutoff - 1e-6 * max(1.0, cutoff))
         raise InsufficientPrimeTable(required=required, limit=primes.limit)
     return cutoff
-
-
-def beta_array(curve: CurveModel, x: float, primes: PrimeTable) -> np.ndarray:
-    """The prime weights a_p (log p)/p F(log p / log x) for all p < x, as a
-    float array aligned with primes.below(x)."""
-    _require_table(primes, math.log(x))
-    ps = primes.below(x)
-    aps = ap_array(curve, primes, x).astype(float)
-    lp = np.log(ps.astype(float))
-    fv = triangle(lp / math.log(x))
-    return aps * lp / ps.astype(float) * fv
 
 
 class _Group(namedtuple("_Group", "emin odd even")):

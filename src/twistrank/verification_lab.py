@@ -2,11 +2,10 @@
 
 Identity checks (Gauss sums, the CRT-factored character sum, Poisson
 summation) compare an independent enumeration or quadrature against a
-closed form at tight tolerances.  Average and envelope checks (Rankin
-averages, Fourier decay, the truncated multivariable Q-sums and their bound
-shapes) compare against asymptotic targets with fitted constants; a
-violation within 10x of a fitted envelope is reported as a warning, beyond
-10x as a failure.
+closed form at tight tolerances.  Average checks (Rankin averages, Fourier
+decay) compare against asymptotic targets with calibrated bands or fitted
+constants.  The GRH checks test the positivity the rank bounds rest on:
+under GRH every zero adds a nonnegative term to Weil's explicit formula.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import math
 import random
 from collections import Counter
 from math import fsum, gcd
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,8 +40,7 @@ from .kernel import (
 )
 
 # curve and explicit_formula load inside the checks that read a_p (Rankin,
-# Hasse, Q-sum, step1, logderiv), so the Gauss, j-sum and Poisson checks do
-# not pay for them
+# Hasse, GRH), so the Gauss, j-sum and Poisson checks do not pay for them
 if TYPE_CHECKING:
     from .curve import CurveModel
 
@@ -52,29 +50,25 @@ __all__ = [
     "rankin_linear_check",
     "rankin_square_check",
     "hasse_check",
+    "grh_checks",
     "gauss_sum_check",
     "jsum_crt_check",
     "poisson_check",
     "poisson_required_truncation",
     "wl_decay_check",
     "fit_weight_gamma",
-    "q_term",
-    "q_sum",
-    "step1_sum",
-    "logderiv_partial",
     "run_suite",
     "SUITE_GROUPS",
 ]
-
-SOFT_FAIL_FACTOR = 10.0  # envelope violations beyond this factor are fatal
 
 
 class CheckResult:
     """Outcome of one verification check.
 
     ``passed`` is a pure function of computed, reference and the check's
-    declared tolerance; ``note`` carries soft-pass warnings (an envelope
-    exceeded by less than SOFT_FAIL_FACTOR).
+    declared tolerance; a non-empty ``note`` marks a passed check as a
+    warning.  No check of the suite sets one today; the field stays in
+    every JSON line, and the summary still counts warnings.
     """
 
     __slots__ = ("name", "computed", "reference", "ratio_or_error", "passed", "parameters", "note")
@@ -174,6 +168,59 @@ def hasse_check(curve: CurveModel, x: float, primes: PrimeTable) -> CheckResult:
         passed=bool(np.all(aps * aps <= 4 * ps)),
         parameters={"curve": curve.label, "x": x, "primes": int(ps.size)},
     )
+
+
+# ---------------------------------------------------------------------------
+# GRH positivity of the explicit formula
+
+
+_GRH_MAX_D = 400  # the twists of grh_checks: the clean D with |D| up to this
+_GRH_TOL = 1e-9
+
+
+def grh_checks(curve: CurveModel, x: float, primes: PrimeTable) -> List[CheckResult]:
+    """Weil's explicit formula under GRH at lambda = log x, on the clean
+    twists (squarefree, coprime to 2N) with |D| <= 400, one check per class
+    of D mod 4 (a clean D is odd).  Every zero adds Phi_lambda(rho) >= 0, so
+    total_S >= 0; where the root number is -1 a zero sits at the centre and
+    adds Phi_lambda(1) = lambda, so rank_bound = total_S / lambda >= 1.  A check passes when the
+    smaller margin, min total_S or min rank_bound - 1 over the rows with
+    root number -1, is at least -1e-9; a class with no such row checks
+    total_S alone, and its parameters show it (rows_w_minus = 0).
+    """
+    from .curve import filter_twists
+    from .explicit_formula import evaluate_reports
+
+    twists = filter_twists(curve, range(-_GRH_MAX_D, _GRH_MAX_D + 1), True, True)
+    table = evaluate_reports(twists, math.log(x), primes)
+    w_minus = twists.root_number == -1
+    results = []
+    for r in (1, 3):  # D = +-1 are clean, so each class has a row
+        rows = twists.D % 4 == r
+        min_total = float(table.total_S[rows].min())
+        bounds = table.rank_bound[rows & w_minus]
+        min_bound = float(bounds.min()) if bounds.size else None
+        margin = min_total if min_bound is None else min(min_total, min_bound - 1.0)
+        results.append(
+            CheckResult(
+                name=f"grh[{curve.label},D={r}mod4,x={x:g}]",
+                computed=min_total,
+                reference=0.0,
+                ratio_or_error=margin,
+                passed=margin >= -_GRH_TOL,
+                parameters={
+                    "curve": curve.label,
+                    "x": x,
+                    "max_abs_D": _GRH_MAX_D,
+                    "rows": int(rows.sum()),
+                    "min_total_S": min_total,
+                    "rows_w_minus": int(bounds.size),
+                    "min_rank_bound_w_minus": min_bound,
+                    "tol": _GRH_TOL,
+                },
+            )
+        )
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -294,18 +341,6 @@ class PoissonTruncationError(ValueError):
         self.required = required
 
 
-# Fitted constants, computed once per process: the key starts with the name
-# of the check the constant belongs to.
-_FITS: Dict[tuple, float] = {}
-
-
-def _fitted(key: tuple, compute: Callable[[], float]) -> float:
-    """The constant cached under ``key``, computed on first use."""
-    if key not in _FITS:
-        _FITS[key] = compute()
-    return _FITS[key]
-
-
 _GAMMA_HEADROOM = 4.0  # covers the 2^l slack between the fitted l=0 shape and l <= 3
 _GAMMA_GRID = (
     0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 12.0,
@@ -326,6 +361,9 @@ def _decay_shape(t: float) -> float:
     return min(1.0, abs(t) ** -_DECAY_RATE) if t else 1.0
 
 
+_GAMMAS: Dict[tuple, float] = {}  # fit_weight_gamma's constants, per (support, shape)
+
+
 def fit_weight_gamma(w: SmoothWeight) -> float:
     """Fit the decay constant gamma so that |W|, |hat(W_0)| and
     |hat(W_0)'| all stay below gamma * min(1, |t|^-k), with the decay rate
@@ -335,9 +373,9 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
     l-dependent factors), then frozen; used by the decay and truncation
     bounds.
     """
-
-    def fit() -> float:
-        base = SmoothWeight(w.support_lo, w.support_hi, w.shape)
+    key = (w.support_lo, w.support_hi, w.shape)
+    if key not in _GAMMAS:
+        base = SmoothWeight(*key)
         gamma = 1.0  # |W| <= 1 on its support inside [-1, 1]
         for t in _GAMMA_GRID:
             shape = _decay_shape(t)
@@ -346,9 +384,8 @@ def fit_weight_gamma(w: SmoothWeight) -> float:
                 abs(weight_fourier(base, t, 0)) / shape,
                 abs(weight_fourier_derivative(base, t, 0)) / shape,
             )
-        return gamma * _GAMMA_HEADROOM
-
-    return _fitted(("gamma", w.support_lo, w.support_hi, w.shape), fit)
+        _GAMMAS[key] = gamma * _GAMMA_HEADROOM
+    return _GAMMAS[key]
 
 
 def _l_factor(w: SmoothWeight, l: int) -> float:
@@ -468,237 +505,9 @@ def wl_decay_check(w: SmoothWeight, l: int, x: float, X_k: float) -> CheckResult
 
 
 # ---------------------------------------------------------------------------
-# Truncated multivariable sums
-
-
-def _sorted_beta_product(tuple_primes: Sequence[int], beta_map: Dict[int, float]) -> float:
-    # ascending-prime fold keeps the product bitwise identical for every
-    # ordering of the same multiset
-    prod = 1.0
-    for p in sorted(int(t) for t in tuple_primes):
-        prod *= beta_map.get(p, 0.0)
-    return prod
-
-
-def _pi1_divisors(pi1_primes: Sequence[int]) -> List[int]:
-    divs = [1]
-    for p in pi1_primes:
-        divs += [d * p for d in divs]
-    return sorted(divs)
-
-
-def q_term(
-    tuple_primes: Sequence[int], n: int, sign: int, beta_map: Dict[int, float]
-) -> float:
-    """One term of the conditional multivariable sum:
-
-        Q(p_1..p_r, n) = beta_{p_1} ... beta_{p_r}
-                         * sum_{d1 | pi1} (sign * n * d1 | pi2) / sqrt(pi1/d1).
-
-    ``beta_map`` maps each prime p < x to its weight from ``beta_array``; a
-    prime it lacks lies at or past the cutoff x, where the weight is 0.
-    Requires every p_j coprime to n and pi2 > 1 (square products are the
-    unconditional regime and are filtered out).
-    """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +-1")
-    pd = parity_decompose(tuple_primes)
-    if pd.pi2 == 1:
-        raise ValueError("square product (pi2 = 1) is filtered out of the Q-sum")
-    for p in tuple_primes:
-        if n % int(p) == 0:
-            raise ValueError(f"prime {p} divides n = {n}")
-    bprod = _sorted_beta_product(tuple_primes, beta_map)
-    if bprod == 0.0:
-        return 0.0
-    counts = Counter(int(t) for t in tuple_primes)
-    pi1_primes = sorted(p for p, e in counts.items() if e % 2 == 0)
-    dsum = fsum(
-        kronecker(sign * n * d1, pd.pi2) / math.sqrt(pd.pi1 // d1)
-        for d1 in _pi1_divisors(pi1_primes)
-    )
-    return bprod * dsum
-
-
-def _beta_map(curve: CurveModel, x: float, primes: PrimeTable) -> Dict[int, float]:
-    from .explicit_formula import beta_array
-
-    ps = primes.below(x)
-    betas = beta_array(curve, x, primes)
-    return {int(p): float(b) for p, b in zip(ps, betas)}
-
-
-def _tuples_upto(plist: List[int], r: int, U: float, prefix: tuple = (), prod: int = 1):
-    """Ordered r-tuples of entries from the ascending plist with product <= U."""
-    for p in plist:
-        if prod * p > U:
-            break
-        if r == 1:
-            yield prefix + (p,)
-        else:
-            yield from _tuples_upto(plist, r - 1, U, prefix + (p,), prod * p)
-
-
-def _fit_envelope(values: List[float], shapes: List[float], floor: float) -> float:
-    c = floor
-    for v, s in zip(values, shapes):
-        c = max(c, abs(v) / s)
-    return c
-
-
-def _envelope_check(name: str, computed, reference: float, parameters: dict) -> CheckResult:
-    """|computed| against a fitted envelope: within it passes, within
-    SOFT_FAIL_FACTOR times it passes with a warning, beyond that fails."""
-    ratio = abs(computed) / reference
-    return CheckResult(
-        name=name,
-        computed=computed,
-        reference=reference,
-        ratio_or_error=ratio,
-        passed=ratio <= SOFT_FAIL_FACTOR,
-        parameters=parameters,
-        note="" if ratio <= 1.0 else f"envelope exceeded by {ratio:.2f}x (soft)",
-    )
-
-
-def q_sum(
-    r: int,
-    n: int,
-    U: float,
-    x: float,
-    curve: CurveModel,
-    primes: PrimeTable,
-    sign: int = 1,
-) -> CheckResult:
-    """Exact enumeration of sum over p_1..p_r <= U (pi2 > 1, p_j coprime
-    to n) of Q(p_1..p_r, n) against the fitted envelope
-
-        c^r (log N + 3 log|n| + 3 log(U+2))^r (log x)^(2r+1)
-
-    with c fitted once at r = 1 (so r = 1 passes by construction and
-    r > 1 exercises the bound shape).  Soft pass: a violation within 10x
-    is a warning, beyond 10x a failure.
-    """
-    if r > 3:
-        raise ValueError("cost refusal: q_sum enumerates r <= 3 only")
-    if r < 1:
-        raise ValueError("r must be positive")
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if U > x**r * (1 + 1e-9):
-        raise ValueError(f"U = {U} exceeds x^r = {x**r}")
-    bmap = _beta_map(curve, x, primes)
-    all_primes = sorted(bmap)
-
-    def raw(rr: int, nn: int, UU: float) -> float:
-        plist = [p for p in all_primes if nn % p != 0]
-        terms = []
-        for tup in _tuples_upto(plist, rr, UU):
-            if parity_decompose(tup).pi2 == 1:
-                continue
-            terms.append(q_term(tup, nn, sign, bmap))
-        return fsum(terms)
-
-    logx = math.log(x)
-    logn_shape = lambda nn, UU: (
-        math.log(curve.conductor) + 3.0 * math.log(abs(nn)) + 3.0 * math.log(UU + 2.0)
-    )
-
-    def fit() -> float:
-        vals, shapes = [], []
-        for nn in (1, 2, 5):
-            for UU in (x, math.sqrt(x) + 2):
-                vals.append(raw(1, nn, UU))
-                shapes.append(logn_shape(nn, UU) * logx**3)
-        return _fit_envelope(vals, shapes, floor=0.02)
-
-    c = _fitted(("qsum", curve, primes.limit, float(x), sign), fit)
-    return _envelope_check(
-        f"qsum[r={r},n={n},U={U:g}]",
-        raw(r, n, U),
-        c**r * logn_shape(n, U) ** r * logx ** (2 * r + 1),
-        {"r": r, "n": n, "U": U, "x": x, "sign": sign, "c_fitted": c},
-    )
-
-
-def step1_sum(r: int, U: float, x: float, curve: CurveModel, primes: PrimeTable) -> CheckResult:
-    """Exact enumeration of sum over p_1..p_r <= U of beta_{p_1}...beta_{p_r}
-    against the fitted envelope (eps e)^r (log N + log(U+2))^r (log x)^(2r+1).
-    Soft pass as in q_sum."""
-    if r > 3:
-        raise ValueError("cost refusal: step1_sum enumerates r <= 3 only")
-    if r < 1:
-        raise ValueError("r must be positive")
-    if U > x**r * (1 + 1e-9):
-        raise ValueError(f"U = {U} exceeds x^r = {x**r}")
-    bmap = _beta_map(curve, x, primes)
-    plist = sorted(bmap)
-
-    def raw(rr: int, UU: float) -> float:
-        return fsum(
-            _sorted_beta_product(tup, bmap) for tup in _tuples_upto(plist, rr, UU)
-        )
-
-    logx = math.log(x)
-    shape = lambda UU: (math.log(curve.conductor) + math.log(UU + 2.0)) * logx**3
-
-    def fit() -> float:
-        cal_u = [x, math.sqrt(x) + 2, min(x * x, primes.limit)]
-        return _fit_envelope([raw(1, u) for u in cal_u], [shape(u) for u in cal_u], floor=0.02)
-
-    ee = _fitted(("step1", curve, primes.limit, float(x)), fit)
-    return _envelope_check(
-        f"step1[r={r},U={U:g}]",
-        raw(r, U),
-        ee**r * ((math.log(curve.conductor) + math.log(U + 2.0)) ** r) * logx ** (2 * r + 1),
-        {"r": r, "U": U, "x": x, "eps_e_fitted": ee},
-    )
-
-
-def logderiv_partial(
-    curve: CurveModel, sigma: float, t: float, x: float, primes: PrimeTable
-) -> CheckResult:
-    """|sum_{p<x} a_p (log p) p^(-s) F(log p / log x)| at s = sigma + it
-    against the fitted envelope eps (log N + log(|s|+2)) log^2 x,
-    for 1 + 1/log x <= sigma <= 2.  Soft pass."""
-    from .curve import ap_array
-    from .explicit_formula import _require_table
-
-    logx = math.log(x)
-    if not (1.0 + 1.0 / logx - 1e-12 <= sigma <= 2.0 + 1e-12):
-        raise ValueError(f"sigma must lie in [1 + 1/log x, 2], got {sigma}")
-    _require_table(primes, logx)
-    lp = np.log(primes.below(x).astype(float))
-    alp = ap_array(curve, primes, x) * lp
-    fv = triangle(lp / logx)
-
-    def partial(s: complex) -> complex:
-        terms = alp * np.exp(-s * lp) * fv
-        return complex(fsum(terms.real.tolist()), fsum(terms.imag.tolist()))
-
-    def shape(s: complex) -> float:
-        return (math.log(curve.conductor) + math.log(abs(s) + 2.0)) * logx * logx
-
-    def fit() -> float:
-        s0 = complex(1.0 + 1.0 / logx, 0.0)
-        return max(abs(partial(s0)) / shape(s0), 1e-3)
-
-    eps = _fitted(("logderiv", curve, primes.limit, float(x)), fit)
-    s = complex(sigma, t)
-    return _envelope_check(
-        f"logderiv[sigma={sigma:.4g},t={t:g}]",
-        partial(s),
-        eps * shape(s),
-        {"sigma": sigma, "t": t, "x": x, "eps_fitted": eps},
-    )
-
-
-# ---------------------------------------------------------------------------
 # Default suite
 
-SUITE_GROUPS = ("rankin", "hasse", "gauss", "jsum", "poisson", "wl_decay", "qsum", "step1", "logderiv")
+SUITE_GROUPS = ("rankin", "hasse", "gauss", "jsum", "poisson", "wl_decay", "grh")
 
 
 def _default_weight(T: float, x: float, l: int = 0) -> SmoothWeight:
@@ -791,21 +600,8 @@ def run_suite(
         for l in (1, 2, 3):
             results.append(wl_decay_check(w, l, x=100.0, X_k=1000.0))
 
-    if _selects(only, "qsum"):
+    if _selects(only, "grh"):
         for curve in curves:
-            for r in (1, 2):
-                for n in (1, 7):
-                    results.append(q_sum(r, n, min(2000.0, 1000.0**r), 1000.0, curve, primes))
-
-    if _selects(only, "step1"):
-        for curve in curves:
-            for r in (1, 2, 3):
-                results.append(step1_sum(r, min(2000.0, 1000.0**r), 1000.0, curve, primes))
-
-    if _selects(only, "logderiv"):
-        for curve in curves:
-            logx = math.log(1e4)
-            for sigma, t in ((1.0 + 1.0 / logx, 0.0), (1.0 + 1.0 / logx, 10.0), (1.5, 3.0), (2.0, 0.0)):
-                results.append(logderiv_partial(curve, sigma, t, 1e4, primes))
+            results += grh_checks(curve, x, primes)
 
     return results

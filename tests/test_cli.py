@@ -731,6 +731,18 @@ class TestVerifyCommand:
         assert "bogus" in err and "hasse" in err
         assert out == ""
 
+    def test_sieves_to_x(self, monkeypatch, capsys):
+        # the prime table reaches x itself, with no floor under it
+        asked = []
+
+        def recording_sieve(limit):
+            asked.append(limit)
+            return arith_mod.sieve_primes(limit)
+
+        monkeypatch.setattr(cli_mod, "sieve_primes", recording_sieve)
+        run(["verify", "--only", "rankin", "--x", "2000"], capsys)
+        assert asked == [2000]
+
     def test_only_hasse(self, tmp_path, capsys):
         out = tmp_path / "v.jsonl"
         code, _, _ = run(["verify", "--only", "hasse", "--x", "10000", "--out", str(out)], capsys)
@@ -890,7 +902,7 @@ class TestGoldenBytes:
         ),
         "verify-seed1": (
             ["verify", "--seed", "1"],
-            {"": "d96df2d8fb5c971954713c0f47595682bfff9183397fb1b373edc2bf51f876ff"},
+            {"": "294d1240f54fdce7f65ce44e6824f3670e80affd4eb2d5be24074df1d5f85df0"},
         ),
     }
 

@@ -11,7 +11,6 @@ from twistrank.curve import ap_array, twist_columns
 from twistrank.explicit_formula import (
     CSV_COLUMNS,
     InsufficientPrimeTable,
-    beta_array,
     evaluate_reports,
     prime_sides,
 )
@@ -27,30 +26,6 @@ from conftest import (
     trial_twist_invariants,
     twist_cpm,
 )
-
-
-class TestBeta:
-    def test_vanishes_at_cutoff(self, cm_curve, primes_1e3):
-        # beta_p is 0 from p = x on: the array holds only the primes p < x
-        assert beta_array(cm_curve, 100.0, primes_1e3).size == 25
-        assert beta_array(cm_curve, 101.0, primes_1e3).size == 25  # 101 itself is out
-        assert beta_array(cm_curve, 1.5, primes_1e3).size == 0
-
-    def test_zero_trace(self, cm_curve, primes_1e3):
-        betas = beta_array(cm_curve, 100.0, primes_1e3)
-        assert betas[1] == 0.0  # p = 3, a_3 = 0
-
-    def test_bound(self, ncm_curve, primes_1e3):
-        x = 500.0
-        betas = beta_array(ncm_curve, x, primes_1e3)
-        for p, b in zip(primes_1e3.below(x).tolist(), betas.tolist()):
-            assert abs(b) <= 2 * math.log(p) / math.sqrt(p) + 1e-12
-
-    def test_value(self, cm_curve, primes_1e3):
-        # a_5 = 2
-        x = 100.0
-        expected = 2 * math.log(5) / 5 * (1 - math.log(5) / math.log(100))
-        assert beta_array(cm_curve, x, primes_1e3)[2] == pytest.approx(expected, rel=1e-14)
 
 
 class TestPrimeSide:
@@ -107,7 +82,7 @@ class TestPrimeSideOracle:
         for p in (int(q) for q in primes.below(cutoff)):
             lp = math.log(p)
             # the m = 1 weight (log p)/p F is formed before the coefficient
-            # multiplies it, as in beta_array
+            # multiplies it, as in the plan of prime_sides
             sums[0].append(twist_cpm(curve, D, p, 1) * (lp / p * triangle(lp / lam)))
             pm, m = p * p, 2
             while pm < cutoff:

@@ -1,94 +1,36 @@
 import cmath
 import functools
+import json
 import math
-from collections import Counter
 from math import fsum, gcd
 
 import numpy as np
 import pytest
 
 import twistrank.curve as curve_mod
+import twistrank.explicit_formula as ef_mod
 import twistrank.verification_lab as vl
 from twistrank.arith import kronecker, parity_decompose
+from twistrank.cli import EXIT_VERIFY, main
 from twistrank.curve import ap_array
-from twistrank.explicit_formula import InsufficientPrimeTable, beta_array
+from twistrank.explicit_formula import InsufficientPrimeTable
 from twistrank.kernel import SmoothWeight, weight_eval, weight_fourier, weight_fourier_derivative, weight_l_eval
 from twistrank.verification_lab import (
     PoissonTruncationError,
     _chi_table,
     fit_weight_gamma,
     gauss_sum_check,
+    grh_checks,
     jsum_crt_check,
-    logderiv_partial,
     poisson_check,
     poisson_required_truncation,
-    q_sum,
-    q_term,
     rankin_linear_check,
     rankin_square_check,
     run_suite,
-    step1_sum,
     wl_decay_check,
 )
 
 from conftest import qawo_weight_fourier, qawo_weight_fourier_derivative
-
-
-# ---------------------------------------------------------------------------
-# independent recursive enumeration used as the oracle for q_sum / step1_sum
-
-
-def multiset_tuples(plist, r, U):
-    """Nondecreasing r-tuples with product <= U plus their ordered
-    multiplicity, recursively (a different loop structure from the nested
-    ordered loops in the implementation)."""
-
-    def rec(start, left, prod, acc):
-        if left == 0:
-            yield tuple(acc)
-            return
-        for i in range(start, len(plist)):
-            p = plist[i]
-            if prod * p > U:
-                break
-            acc.append(p)
-            yield from rec(i, left - 1, prod * p, acc)
-            acc.pop()
-
-    for tup in rec(0, r, 1, []):
-        counts = Counter(tup)
-        mult = math.factorial(r)
-        for c in counts.values():
-            mult //= math.factorial(c)
-        yield tup, mult
-
-
-def beta_map(curve, x, primes):
-    return dict(zip(primes.below(x).tolist(), beta_array(curve, x, primes).tolist()))
-
-
-def oracle_step1(curve, r, U, x, primes):
-    bmap = beta_map(curve, x, primes)
-    plist = sorted(bmap)
-    terms = []
-    for tup, mult in multiset_tuples(plist, r, U):
-        prod = 1.0
-        for p in tup:  # ascending by construction
-            prod *= bmap[p]
-        terms.extend([prod] * mult)
-    return fsum(terms)
-
-
-def oracle_qsum(curve, r, n, U, x, primes, sign=1):
-    bmap = beta_map(curve, x, primes)
-    plist = [p for p in sorted(bmap) if n % p != 0]
-    terms = []
-    for tup, mult in multiset_tuples(plist, r, U):
-        if parity_decompose(tup).pi2 == 1:
-            continue
-        val = q_term(tup, n, sign, bmap)
-        terms.extend([val] * mult)
-    return fsum(terms)
 
 
 class TestRankin:
@@ -148,6 +90,44 @@ class TestHasse:
         monkeypatch.setattr(curve_mod, "ap_array", doctored)
         res = vl.hasse_check(ncm_curve, 1e4, primes_1e4)
         assert not res.passed and 1.0 < res.computed < 1.01
+
+
+class TestGrh:
+    def test_catalog_curves_pass(self, cm_curve, ncm_curve, primes_1e5):
+        # rows per class, and rows with root number -1: cm32-like's are 0 at
+        # D = 3 mod 4, where its root number is not settled
+        counts = {"cm32-like": [(162, 82), (162, 0)], "ncm37": [(158, 80), (158, 78)]}
+        for curve in (cm_curve, ncm_curve):
+            results = grh_checks(curve, 1e5, primes_1e5)
+            assert [r.name for r in results] == [f"grh[{curve.label},D={r}mod4,x=100000]" for r in (1, 3)]
+            assert [(r.parameters["rows"], r.parameters["rows_w_minus"]) for r in results] == counts[curve.label]
+            for res in results:
+                p = res.parameters
+                assert res.passed and res.computed == p["min_total_S"] > 0.1, res.name
+                bound = p["min_rank_bound_w_minus"]
+                assert (bound is None) == (p["rows_w_minus"] == 0)
+                margin = res.computed if bound is None else min(res.computed, bound - 1.0)
+                assert res.ratio_or_error == margin >= 0.006, res.name
+
+    @pytest.mark.parametrize("factor", [-1, 10], ids=["negated", "times10"])
+    def test_wrong_table_fails(self, factor, cm_curve, ncm_curve, primes_1e5, tmp_path, capsys, monkeypatch):
+        # a_p negated or scaled: no other group of verify reads the sign of
+        # a_p, and the grh group fails every class of both curves
+        real = curve_mod.ap_array
+
+        def wrong(curve, primes, bound):
+            return factor * real(curve, primes, bound)
+
+        monkeypatch.setattr(curve_mod, "ap_array", wrong)
+        monkeypatch.setattr(ef_mod, "ap_array", wrong)
+        results = run_suite([cm_curve, ncm_curve], primes_1e5, x=1e5, only="grh")
+        assert len(results) == 4 and not any(r.passed for r in results)
+        assert {r.parameters["curve"] for r in results} == {"cm32-like", "ncm37"}
+        out = tmp_path / "grh.jsonl"
+        assert main(["verify", "--only", "grh", "--out", str(out)]) == EXIT_VERIFY
+        capsys.readouterr()
+        summary = json.loads(out.read_text().splitlines()[-1])["summary"]
+        assert summary == {"checks": 4, "passed": 0, "failed": 4, "warnings": 0}
 
 
 class TestGaussSums:
@@ -483,131 +463,14 @@ class TestDecay:
         assert b <= a / 4.0
 
 
-class TestQTermAndSums:
-    def test_qterm_single_prime(self, ncm_curve, primes_1e3):
-        from twistrank.arith import kronecker
-
-        bmap = beta_map(ncm_curve, 500.0, primes_1e3)
-        for p in (3, 7, 11):
-            for n in (1, 2, 5):
-                if n % p == 0:
-                    continue
-                for sign in (1, -1):
-                    expect = bmap[p] * kronecker(sign * n, p)
-                    assert expect != 0.0
-                    assert q_term((p,), n, sign, bmap) == expect
-
-    def test_qterm_rejects_squares_and_shared_factors(self, ncm_curve, primes_1e3):
-        bmap = beta_map(ncm_curve, 100.0, primes_1e3)
-        with pytest.raises(ValueError):
-            q_term((5, 5), 1, 1, bmap)
-        with pytest.raises(ValueError):
-            q_term((5,), 10, 1, bmap)
-
-    def test_qterm_vanishes_beyond_cutoff(self, ncm_curve, primes_1e3):
-        assert q_term((997,), 1, 1, beta_map(ncm_curve, 100.0, primes_1e3)) == 0.0
-
-    def test_qsum_equals_step1_at_r1_n1(self, ncm_curve, primes_1e4):
-        res_q = q_sum(1, 1, 800.0, 800.0, ncm_curve, primes_1e4)
-        res_s = step1_sum(1, 800.0, 800.0, ncm_curve, primes_1e4)
-        assert res_q.computed == res_s.computed
-
-    def test_qsum_oracle_agreement(self, cm_curve, ncm_curve, primes_1e4):
-        for curve in (cm_curve, ncm_curve):
-            for r in (1, 2):
-                for n in (1, 7):
-                    res = q_sum(r, n, 600.0, 600.0, curve, primes_1e4)
-                    assert res.computed == oracle_qsum(curve, r, n, 600.0, 600.0, primes_1e4)
-
-    def test_step1_oracle_agreement(self, ncm_curve, primes_1e4):
-        for r in (1, 2, 3):
-            res = step1_sum(r, 500.0, 500.0, ncm_curve, primes_1e4)
-            assert res.computed == oracle_step1(ncm_curve, r, 500.0, 500.0, primes_1e4)
-
-    def test_step1_transposed_loops(self, ncm_curve, primes_1e4):
-        # transposing the two nested loops reproduces the r = 2 sum exactly
-        bmap = {}
-        for p, b in zip(primes_1e4.below(500.0), beta_array(ncm_curve, 500.0, primes_1e4)):
-            bmap[int(p)] = float(b)
-        plist = sorted(bmap)
-        terms = []
-        for q in plist:  # outer loop over the second index
-            for p in plist:
-                if p * q > 500.0:
-                    break
-                lo, hi = min(p, q), max(p, q)
-                terms.append(bmap[lo] * bmap[hi])
-        transposed = fsum(terms)
-        res = step1_sum(2, 500.0, 500.0, ncm_curve, primes_1e4)
-        assert res.computed == transposed
-
-    def test_cost_refusal(self, ncm_curve, primes_1e4):
-        with pytest.raises(ValueError):
-            q_sum(4, 1, 100.0, 100.0, ncm_curve, primes_1e4)
-        with pytest.raises(ValueError):
-            step1_sum(4, 100.0, 100.0, ncm_curve, primes_1e4)
-
-    def test_empty_sum(self, ncm_curve, primes_1e4):
-        res = step1_sum(1, 1.5, 100.0, ncm_curve, primes_1e4)
-        assert res.computed == 0.0
-
-    def test_envelope_soft_pass_fields(self, ncm_curve, primes_1e4):
-        res = q_sum(2, 1, 900.0, 900.0, ncm_curve, primes_1e4)
-        assert "c_fitted" in res.parameters
-        assert res.passed  # within 10x by construction of the fit
-
-
-class TestLogderiv:
-    def test_sigma2_real_and_small(self, cm_curve, ncm_curve, primes_1e4):
-        for curve in (cm_curve, ncm_curve):
-            res = logderiv_partial(curve, 2.0, 0.0, 1e4, primes_1e4)
-            assert res.computed.imag == 0.0
-            assert abs(res.computed) < 2.0
-            assert res.passed
-
-    def test_conjugate_symmetry(self, ncm_curve, primes_1e4):
-        up = logderiv_partial(ncm_curve, 1.5, 4.0, 1e4, primes_1e4)
-        dn = logderiv_partial(ncm_curve, 1.5, -4.0, 1e4, primes_1e4)
-        assert up.computed == dn.computed.conjugate()
-
-    def test_near_one_line(self, ncm_curve, primes_1e4):
-        x = 1e4
-        sigma = 1.0 + 1.0 / math.log(x)
-        res = logderiv_partial(ncm_curve, sigma, 10.0, x, primes_1e4)
-        assert res.passed
-
-    def test_matches_per_prime_loop(self, cm_curve, ncm_curve, primes_1e4):
-        # the scalar cmath sum is the reference for the vectorized terms
-        x = 1e4
-        logx = math.log(x)
-        for curve in (cm_curve, ncm_curve):
-            for s in (complex(1.0 + 1.0 / logx, 10.0), complex(1.5, -3.0)):
-                terms = [
-                    a * math.log(p) * cmath.exp(-s * math.log(p)) * max(0.0, 1.0 - math.log(p) / logx)
-                    for p, a in zip(primes_1e4.below(x).tolist(), ap_array(curve, primes_1e4, x).tolist())
-                ]
-                ref = complex(fsum(t.real for t in terms), fsum(t.imag for t in terms))
-                res = logderiv_partial(curve, s.real, s.imag, x, primes_1e4)
-                assert abs(res.computed - ref) <= 1e-13 * fsum(abs(t) for t in terms)
-
-    def test_domain(self, ncm_curve, primes_1e4):
-        with pytest.raises(ValueError):
-            logderiv_partial(ncm_curve, 0.9, 0.0, 1e4, primes_1e4)
-        with pytest.raises(ValueError):
-            logderiv_partial(ncm_curve, 2.5, 0.0, 1e4, primes_1e4)
-
-
 @pytest.mark.parametrize(
     "call",
     [
-        lambda c, t: beta_array(c, 1e4, t),
-        lambda c, t: q_sum(1, 1, 2000.0, 1e4, c, t),
-        lambda c, t: step1_sum(1, 2000.0, 1e4, c, t),
         lambda c, t: rankin_linear_check(c, 1e4, t),
         lambda c, t: rankin_square_check(c, math.log(1e4), t),
-        lambda c, t: logderiv_partial(c, 1.5, 0.0, 1e4, t),
+        lambda c, t: grh_checks(c, 1e4, t),
     ],
-    ids=["beta_array", "q_sum", "step1_sum", "rankin_linear", "rankin_square", "logderiv"],
+    ids=["rankin_linear", "rankin_square", "grh"],
 )
 def test_short_prime_table_refused(ncm_curve, primes_1e3, call):
     # a table that stops below x = 1e4 is refused, never summed as far as it goes
